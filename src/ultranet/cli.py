@@ -12,9 +12,12 @@ import json
 import math
 import os
 import sys
+from collections.abc import Hashable
 from importlib import resources
 
+import numpy as np
 import yaml
+from yaml.constructor import SafeConstructor
 
 from . import spectral
 from .binary import FoldingScenario, folding_tau, ivp2_datum
@@ -22,12 +25,10 @@ from .errors import NumericError, UsageError, ValidationError
 from .kernels import RadialKernel, arrhenius_kernel
 from .montecarlo import SimConfig, simulate
 from .montecarlo import write_csv as write_mc_csv
-from .network import NetworkSpec, classify
+from .network import CONVENTIONS, NetworkSpec, classify
 from .padic import CellAddress, enumerate_cells, parse_cell_label
 from .tree import compare, discretize
 from .wavelets import CellFunction
-
-_CONVENTIONS = ("derived", "paper")
 
 
 class ConfigError(ValidationError):
@@ -46,28 +47,33 @@ def _fail(node, message: str):
 
 
 def _to_python(node):
-    """Convert a composed node to plain data, keyed by resolved tag."""
+    """Convert a composed node to plain data. Scalars are read as YAML 1.1
+    reads them (017 is octal, 1:30 is sexagesimal, .inf is a float)."""
     if isinstance(node, yaml.ScalarNode):
-        tag = node.tag.rsplit(":", 1)[-1]
-        if tag == "int":
-            return int(node.value.replace("_", ""), 0)
-        if tag == "float":
-            return float(node.value)
-        if tag == "bool":
-            return node.value.lower() in ("true", "yes", "on")
-        if tag == "null":
-            return None
-        return node.value
+        try:
+            return SafeConstructor().construct_object(node)
+        except (yaml.YAMLError, ValueError, LookupError, AttributeError):
+            # an explicit tag the text does not fit, such as !!int abc
+            _fail(node, f"cannot read {node.value!r} as {node.tag}")
     if isinstance(node, yaml.SequenceNode):
         return [_to_python(child) for child in node.value]
     if isinstance(node, yaml.MappingNode):
-        return {_to_python(k): _to_python(v) for k, v in node.value}
+        out = {}
+        for key_node, value_node in node.value:
+            key = _to_python(key_node)
+            if not isinstance(key, Hashable):
+                _fail(key_node, "a mapping key must be a single value")
+            out[key] = _to_python(value_node)
+        return out
     _fail(node, "unsupported structure")
 
 
 def _expect_mapping(node, what: str):
     if not isinstance(node, yaml.MappingNode):
         _fail(node, f"{what} must be a mapping")
+    for key, _ in node.value:
+        if not isinstance(key, yaml.ScalarNode):
+            _fail(key, f"keys of {what} must be single values")
     return [(key.value, key, value) for key, value in node.value]
 
 
@@ -75,7 +81,13 @@ def _expect_number(node, what: str) -> float:
     value = _to_python(node)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(node, f"{what} must be a number")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        _fail(node, f"{what} must be finite, got {node.value}")
+    return value
 
 
 def _expect_int(node, what: str) -> int:
@@ -103,8 +115,16 @@ def parse_config(text: str) -> dict:
 
     The result is a plain dict with every kernel spelled out as levels
     (Arrhenius inputs are resolved here) and defaults left unset; it can
-    be dumped and re-read to the identical normalized form.
+    be dumped and re-read to the identical normalized form. Every
+    rejection is a ConfigError.
     """
+    try:
+        return _parse_document(text)
+    except RecursionError:
+        raise ConfigError("the config nests too deeply or an alias contains itself") from None
+
+
+def _parse_document(text: str) -> dict:
     try:
         root = yaml.compose(text)
     except yaml.YAMLError as exc:
@@ -133,8 +153,8 @@ def parse_config(text: str) -> dict:
 
     if "convention" in seen:
         conv = _to_python(seen["convention"])
-        if conv not in _CONVENTIONS:
-            _fail(seen["convention"], f"convention must be one of {_CONVENTIONS}")
+        if conv not in CONVENTIONS:
+            _fail(seen["convention"], f"convention must be one of {CONVENTIONS}")
         cfg["convention"] = conv
 
     if "kernels" in seen and "arrhenius" in seen:
@@ -207,6 +227,8 @@ def _parse_arrhenius(node, cfg):
             kernel = arrhenius_kernel(cfg["prime"], tuple(barriers), kT)
         except (UsageError, ValidationError) as exc:
             _fail(key_node, str(exc))
+        except OverflowError:
+            _fail(key_node, f"barriers.{basin}: a rate exp(-U/kT) exceeds the float range")
         table[basin] = list(kernel.levels)
     for basin in cfg["basins"]:
         if basin not in table:
@@ -347,7 +369,14 @@ def datum_from_config(cfg: dict, spec: NetworkSpec, depth: int) -> CellFunction:
             raise ConfigError(
                 f"datum cell {label!r} is deeper than the working depth {depth}"
             )
-        return CellFunction.indicator(spec.p, depth, cell.basin, cell.digits)
+        if cell.basin not in spec.basins:
+            raise ConfigError(
+                f"datum cell {label!r} lies in basin {cell.basin}, "
+                f"which is not in basins {list(spec.basins)}"
+            )
+        delta = CellFunction.indicator(spec.p, depth, cell.basin, cell.digits)
+        zero = np.zeros(spec.p ** (depth - 1))
+        return CellFunction(spec.p, depth, {b: delta.table.get(b, zero) for b in spec.basins})
     if datum.startswith("ivp2:"):
         scenario = scenario_from_config(cfg, spec)
         if depth < 1 - scenario.r:
@@ -387,12 +416,11 @@ def emit_plotdata(name: str, times, series: dict, out_dir: str):
     return [long_path, cols_path]
 
 
-def _density_series(state, times, depth):
-    p = state.spec.p
-    cells = enumerate_cells(p, depth)
+def _density_series(state, times):
+    cells = enumerate_cells(state.spec.p, state.R + 1)
     series = {}
     for t in times:
-        out = spectral.eval_density(state, t, depth=depth)
+        out = spectral.eval_density(state, t)
         for basin in out.basins:
             for digits, value in zip(cells, out.table[basin]):
                 label = CellAddress(basin, digits).label()
@@ -435,7 +463,7 @@ def _run_solve(cfg, spec, args) -> int:
     datum = datum_from_config(cfg, spec, depth)
     state = spectral.init(spec, datum, R=R, probabilistic=False)
     times = cfg.get("times", [0.0, 1.0])
-    series = _density_series(state, times, depth)
+    series = _density_series(state, times)
     files = emit_plotdata("density", times, series, args.out)
     rates_path = f"{args.out}/decay_rates.csv"
     with open(rates_path, "w") as f:
@@ -590,7 +618,7 @@ def main(argv=None) -> int:
         source.add_argument("--config", help="path to a YAML config")
         source.add_argument("--preset", help="name of a bundled config")
         cmd.add_argument("--out", default=".", help="output directory")
-        cmd.add_argument("--convention", choices=_CONVENTIONS, default=None)
+        cmd.add_argument("--convention", choices=CONVENTIONS, default=None)
         cmd.add_argument("--threads", type=int, default=1)
         cmd.add_argument(
             "--dump-normalized-config",

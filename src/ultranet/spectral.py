@@ -1,15 +1,24 @@
-"""Closed-form evolution of a network density in the wavelet basis.
+"""Closed-form evolution of a network density by block means.
 
-The density is carried as one constant coefficient per basin plus one
-complex coefficient per wavelet index. The constants are coupled
-through the basin matrix and evolve by its exponential; every wavelet
-coefficient decays independently at the exact rate
+Every rate kernel is radial, so every wavelet of scale r in basin a is
+an eigenvector of the full generator with the same exact rate
 
     s_{a,r} = symbol_value(w_a, r) - loss_total_a / p
 
-which is the eigenvalue of the full generator on that mode. Evaluating
-the density is synthesis; everything else (absorbing times, long-term
-limits, decay tables) is bookkeeping on this finite mode stack.
+(Kozyrev, "Wavelet theory as p-adic spectral analysis", Izv. Math. 66,
+2002). The projection of a density onto all scale -k wavelets of a
+basin is therefore the difference M_k - M_{k-1} of its block means over
+cells with k and k - 1 leading within-basin digits, and
+
+    u(t) = m_a(t) + sum_{k=1..R} e^{s_{a,-k} t} (M_k - M_{k-1})
+
+where the basin means m (sqrt(p) times the constant coefficients c0)
+are coupled through the basin matrix and evolve by its exponential.
+The state is one real (basins, R, cells) array of these scale parts;
+evolution scales its rows, synthesis sums them, both O(cells * R).
+Absorbing times, long-term limits and decay tables are bookkeeping on
+the same arrays. Single wavelet coefficients are formed only to name
+the dominant mode at a crossing cell.
 """
 
 from __future__ import annotations
@@ -22,18 +31,12 @@ import numpy as np
 from .errors import NumericError, UsageError, ValidationError
 from .kernels import symbol_value
 from .network import NetworkSpec, aggregate_rates, build_basin_matrix
-from .padic import CellAddress, enumerate_cells
-from .wavelets import (
-    CellFunction,
-    Expansion,
-    enumerate_wavelets,
-    expand,
-    wavelet_matrix,
-)
+from .padic import CellAddress
+from .wavelets import CellFunction, WaveletIndex, eval_wavelet
 
-MAX_EXP_DIM = 16
 _TAYLOR_TERMS = 24
 _MAX_GRID_STEPS = 2_000_000
+_SCAN_BYTES = 8 * 2**20  # working set of one crossing-scan chunk
 
 
 def matrix_exponential(M: np.ndarray, t: float = 1.0) -> np.ndarray:
@@ -47,8 +50,6 @@ def matrix_exponential(M: np.ndarray, t: float = 1.0) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise UsageError(f"matrix must be square, got shape {M.shape}")
-    if M.shape[0] > MAX_EXP_DIM:
-        raise UsageError(f"dimension {M.shape[0]} exceeds the cap {MAX_EXP_DIM}")
     if not np.all(np.isfinite(M)) or not math.isfinite(t):
         raise UsageError("matrix exponential needs finite entries")
     A = M * t
@@ -98,25 +99,20 @@ def decay_rates(spec: NetworkSpec, R: int) -> list:
     return out
 
 
-def _decay_vector(spec: NetworkSpec, R: int, basin: int) -> np.ndarray:
-    """s_{a,r} aligned with enumerate_wavelets order for one basin."""
-    agg = aggregate_rates(spec)
-    i = spec.basin_index(basin)
-    per_scale = {
-        r: symbol_value(spec.w_kernels[basin], r) - agg.loss_total[i] / spec.p
-        for r in range(-1, -R - 1, -1)
-    }
-    return np.array([per_scale[idx.r] for idx in enumerate_wavelets(spec.p, R)])
-
-
 @dataclass(frozen=True)
 class SpectralState:
     spec: NetworkSpec
     convention: str
     R: int
     t: float
-    c0: np.ndarray  # one real constant coefficient per basin, basin order
-    coeffs: dict  # basin -> complex ndarray in enumerate_wavelets order
+    mean: np.ndarray  # basin means of the density, basin order
+    details: np.ndarray  # (basins, R, cells); row k - 1 is the scale -k part
+    rates: np.ndarray  # (basins, R); s_{a,-k} of row k - 1
+
+    @property
+    def c0(self) -> np.ndarray:
+        """Constant wavelet-basis coefficients: sqrt(p) times each basin integral."""
+        return self.mean / self.spec.p**0.5
 
 
 def init(
@@ -126,7 +122,8 @@ def init(
     probabilistic: bool = True,
     convention: str | None = None,
 ) -> SpectralState:
-    """Expand an initial datum; depth must be exactly R + 1."""
+    """Split an initial datum into basin means and scale parts; depth
+    must be exactly R + 1."""
     if datum.p != spec.p:
         raise ValidationError(f"datum has p={datum.p}, network has p={spec.p}")
     if set(datum.basins) != set(spec.basins):
@@ -149,65 +146,54 @@ def init(
                 raise ValidationError(
                     f"datum values in basin {b} span [{lo}, {hi}], outside [0, 1]"
                 )
-    ex = expand(datum, R)
-    order = enumerate_wavelets(spec.p, R)
+    p = spec.p
+    table = np.array([datum.table[b] for b in spec.basins])
+    n_basins, n_cells = table.shape
+    mean = table.mean(axis=1)
+    coarse = mean[:, None]
+    details = np.empty((n_basins, R, n_cells))
+    for k in range(1, R + 1):
+        block = p ** (R - k)
+        fine = table.reshape(n_basins, -1, block).mean(axis=2)
+        details[:, k - 1] = np.repeat(fine, block, axis=1) - np.repeat(coarse, block * p, axis=1)
+        coarse = fine
     return SpectralState(
         spec=spec,
         convention=convention or spec.convention,
         R=R,
         t=0.0,
-        c0=np.array([ex.c0[b] for b in spec.basins]),
-        coeffs={
-            b: np.array([ex.coeffs[b][idx] for idx in order]) for b in spec.basins
-        },
+        mean=mean,
+        details=details,
+        rates=np.array([d.s for d in decay_rates(spec, R)]).reshape(n_basins, R),
     )
 
 
 def evolve(state: SpectralState, t: float, convention: str | None = None) -> SpectralState:
-    """Advance by t: constants through the basin-matrix exponential,
-    each wavelet coefficient by its own exponential."""
+    """Advance by t: basin means through the basin-matrix exponential,
+    each scale part by its own exponential."""
     if t < 0:
         raise UsageError(f"time increment must be >= 0, got {t}")
-    spec = state.spec
     convention = convention or state.convention
-    lam = build_basin_matrix(spec, convention).entries
-    c0 = matrix_exponential(lam, t) @ state.c0
-    coeffs = {
-        b: state.coeffs[b] * np.exp(_decay_vector(spec, state.R, b) * t)
-        for b in spec.basins
-    }
-    return replace(state, t=state.t + t, c0=c0, coeffs=coeffs, convention=convention)
-
-
-def _to_expansion(state: SpectralState) -> Expansion:
-    order = enumerate_wavelets(state.spec.p, state.R)
-    return Expansion(
-        p=state.spec.p,
-        R=state.R,
-        c0={b: float(state.c0[i]) for i, b in enumerate(state.spec.basins)},
-        coeffs={
-            b: dict(zip(order, state.coeffs[b].tolist())) for b in state.spec.basins
-        },
+    lam = build_basin_matrix(state.spec, convention).entries
+    return replace(
+        state,
+        t=state.t + t,
+        mean=matrix_exponential(lam, t) @ state.mean,
+        details=state.details * np.exp(state.rates * t)[:, :, None],
+        convention=convention,
     )
 
 
-def eval_density(state: SpectralState, t: float = 0.0, depth: int | None = None) -> CellFunction:
-    """Synthesize the density at state.t + t on depth cells (default R+1)."""
+def eval_density(state: SpectralState, t: float = 0.0) -> CellFunction:
+    """Synthesize the density at state.t + t on depth-(R + 1) cells."""
     if t:
         state = evolve(state, t)
-    depth = state.R + 1 if depth is None else depth
-    p = state.spec.p
-    W = wavelet_matrix(p, state.R, depth)
-    values = {}
-    for i, b in enumerate(state.spec.basins):
-        values[b] = p**0.5 * state.c0[i] + (state.coeffs[b][:, None] * W).real.sum(
-            axis=0
-        )
-    return CellFunction(p, depth, values)
+    values = state.mean[:, None] + state.details.sum(axis=1)
+    return CellFunction(state.spec.p, state.R + 1, dict(zip(state.spec.basins, values)))
 
 
 def long_term_limit(spec: NetworkSpec, state: SpectralState) -> np.ndarray:
-    """Limiting constant density value per basin: sqrt(p) lim e^{tL} c0.
+    """Limiting constant density value per basin: lim e^{tL} m.
 
     Zero when the basin matrix is strictly stable; the null-space
     projection when zero eigenvalues are semisimple and the rest decay.
@@ -228,7 +214,7 @@ def long_term_limit(spec: NetworkSpec, state: SpectralState) -> np.ndarray:
     if not zero.any():
         return np.zeros(len(spec.basins))
     proj = (V * np.where(zero, 1.0, 0.0)) @ np.linalg.inv(V)
-    return spec.p**0.5 * (proj @ state.c0).real
+    return (proj @ state.mean).real
 
 
 @dataclass(frozen=True)
@@ -242,79 +228,87 @@ class AbsorbingResult:
     t_max: float
 
 
-class _ModeStack:
-    """Closed-form cell values: density(t) = Re(exp(t theta) @ A).
+class _Peak:
+    """The largest cell value of the density, at one time or along a grid.
 
-    Rows of A are modes (constant-block eigenmodes first, then live
-    wavelet modes), columns are the depth-(R+1) cells of every basin in
-    order. Only built when the basin matrix is diagonalizable; the
-    caller falls back to stepping otherwise.
+    The basin means come from matrix_exponential alone, so every basin
+    matrix works, defective ones included.
     """
 
-    def __init__(self, state: SpectralState, convention: str):
-        spec = state.spec
-        p = spec.p
-        self.basins = spec.basins
-        self.depth = state.R + 1
-        self.cells = enumerate_cells(p, self.depth)
-        n_cells = len(self.cells)
-        lam = build_basin_matrix(spec, convention).entries
-        dim = len(spec.basins)
-        theta, V = np.linalg.eig(lam)
-        self.diagonalizable = bool(
-            np.all(np.isfinite(V)) and np.linalg.cond(V) < 1e10
-        )
-        if not self.diagonalizable:
-            return
-        weights = np.linalg.solve(V, state.c0.astype(complex))
-        W = wavelet_matrix(p, state.R, self.depth)
-        rows, thetas, labels = [], [], []
-        for k in range(dim):
-            row = np.zeros(dim * n_cells, dtype=complex)
-            for i in range(dim):
-                row[i * n_cells : (i + 1) * n_cells] = p**0.5 * V[i, k] * weights[k]
-            rows.append(row)
-            thetas.append(theta[k])
-            labels.append(None)
-        for i, b in enumerate(spec.basins):
-            decay = _decay_vector(spec, state.R, b)
-            for m, idx in enumerate(enumerate_wavelets(p, state.R)):
-                c = state.coeffs[b][m]
-                if c == 0:
-                    continue
-                row = np.zeros(dim * n_cells, dtype=complex)
-                row[i * n_cells : (i + 1) * n_cells] = c * W[m]
-                rows.append(row)
-                thetas.append(decay[m] + 0j)
-                labels.append((b, idx))
-        self.A = np.array(rows)
-        self.theta = np.array(thetas)
-        self.labels = labels
+    def __init__(self, state: SpectralState):
+        self.state = state
+        self.lam = build_basin_matrix(state.spec, state.convention).entries
 
-    def max_over(self, ts: np.ndarray) -> np.ndarray:
-        E = np.exp(np.outer(ts, self.theta))
-        return (E @ self.A).real.max(axis=1)
+    def _peaks(self, ts: np.ndarray, means: np.ndarray) -> np.ndarray:
+        """Max over cells at times ts, given the basin means there (rows)."""
+        best = np.full(len(ts), -np.inf)
+        for i in range(len(self.state.spec.basins)):
+            vals = np.exp(np.outer(ts, self.state.rates[i])) @ self.state.details[i]
+            vals += means[:, i : i + 1]
+            np.maximum(best, vals.max(axis=1), out=best)
+        return best
 
-    def max_at(self, t: float) -> float:
-        return float(self.max_over(np.array([t]))[0])
+    def at(self, t: float) -> float:
+        mean = matrix_exponential(self.lam, t) @ self.state.mean
+        return float(self._peaks(np.array([t]), mean[None])[0])
 
-    def report_at(self, t: float):
-        """Peak cell at time t plus the dominating mode label there."""
-        vals = (np.exp(t * self.theta) @ self.A).real
-        j = int(vals.argmax())
-        n_cells = len(self.cells)
-        cell = CellAddress(self.basins[j // n_cells], self.cells[j % n_cells])
-        contributions = (np.exp(t * self.theta) * self.A[:, j]).real
-        label = self.labels[int(np.abs(contributions).argmax())]
-        if label is None:
-            return cell, cell.basin, None
-        return cell, label[0], label[1]
+    def scan(self, dt: float, steps: int):
+        """Yield (k0, peaks at grid points k0, k0 + 1, ..) up to point steps.
+
+        A chunk holds a power of two of points, sized so its working set
+        stays near _SCAN_BYTES whatever the cell count. Inside a chunk the
+        means follow the semigroup: rows already known are pushed forward
+        by e^{2^j dt Lambda}, doubling the block each time.
+        """
+        _, R, n_cells = self.state.details.shape
+        row_bytes = 8 * (n_cells + R + len(self.state.mean) + 4)
+        size = 1 << (max(1, min(_SCAN_BYTES // row_bytes, steps + 1)).bit_length() - 1)
+        powers = []
+        step = matrix_exponential(self.lam, dt)
+        while 1 << len(powers) < size:
+            powers.append(step.T)
+            step = step @ step
+        for k0 in range(0, steps + 1, size):
+            means = (matrix_exponential(self.lam, k0 * dt) @ self.state.mean)[None]
+            for power in powers:
+                means = np.concatenate([means, means @ power])
+            count = min(size, steps + 1 - k0)
+            yield k0, self._peaks(np.arange(k0, k0 + count) * dt, means[:count])
+
+    def report(self, t: float):
+        """Peak cell at time t and the term that dominates it there: the
+        basin mean, or one wavelet formed from the cell's p child blocks."""
+        state = evolve(self.state, t)
+        p, R = state.spec.p, state.R
+        values = state.mean[:, None] + state.details.sum(axis=1)
+        i, j = np.unravel_index(int(values.argmax()), values.shape)
+        basin = state.spec.basins[i]
+        digits = tuple(int(d) for d in np.unravel_index(j, (p,) * R))
+        cell = CellAddress(basin, digits)
+        labels, terms = [None], [state.mean[i]]
+        for k in range(1, R + 1):
+            m = digits[: k - 1]
+            block = p ** (R - k)
+            first = (j // (block * p)) * block * p
+            children = state.details[i, k - 1, first : first + block * p : block]
+            for phase in range(1, p):
+                index = WaveletIndex(-k, m, phase)
+                coeff = sum(
+                    value * np.conj(eval_wavelet(index, CellAddress(basin, m + (osc,)), p))
+                    for osc, value in enumerate(children)
+                ) * p ** (-k - 1)
+                labels.append(index)
+                terms.append((coeff * eval_wavelet(index, cell, p)).real)
+        # terms equal up to rounding (a delta datum splits evenly between
+        # mean and details; phases j and p - j are conjugate) go to the first
+        sizes = np.abs(terms)
+        label = labels[int(np.argmax(sizes >= sizes.max() * (1 - 1e-12)))]
+        return cell, basin, label
 
 
-def _rate_pool(spec: NetworkSpec, R: int, convention: str) -> np.ndarray:
-    lam = np.abs(build_basin_matrix(spec, convention).entries).ravel()
-    s = np.abs([d.s for d in decay_rates(spec, R)])
-    pool = np.concatenate([lam, s])
+def _rate_pool(state: SpectralState) -> np.ndarray:
+    lam = build_basin_matrix(state.spec, state.convention).entries
+    pool = np.abs(np.concatenate([lam.ravel(), state.rates.ravel()]))
     return pool[pool > 0]
 
 
@@ -325,24 +319,17 @@ def _no_crossing(threshold, dt, t_max) -> AbsorbingResult:
     )
 
 
-def _scan_for_crossing(max_over, threshold: float, dt: float, steps: int):
+def _first_sustained_crossing(chunks, threshold: float):
     """First grid index k >= 1 with below at k-1 and at-or-above at both
     k and k+1. Returns None when no such sustained upward crossing
     exists on the grid (the final point alone cannot qualify)."""
-    chunk = 131072
-    k0 = 0
-    tail = None  # above-flags of the last two points of the previous chunk
-    while k0 <= steps:
-        ks = np.arange(k0, min(k0 + chunk, steps + 1))
-        above = max_over(ks * dt) >= threshold
-        if tail is not None:
-            above = np.concatenate([tail, above])
-            ks = np.arange(k0 - 2, min(k0 + chunk, steps + 1))
+    tail = np.zeros(0, dtype=bool)  # above-flags of the last two points so far
+    for k0, peaks in chunks:
+        above = np.concatenate([tail, peaks >= threshold])
         hits = np.flatnonzero(~above[:-2] & above[1:-1] & above[2:])
         if hits.size:
-            return int(ks[hits[0] + 1])
+            return k0 - len(tail) + int(hits[0]) + 1
         tail = above[-2:]
-        k0 = ks[-1] + 1
     return None
 
 
@@ -365,9 +352,8 @@ def absorbing_time(
     """
     if threshold <= 0:
         raise UsageError(f"threshold must be > 0, got {threshold}")
-    convention = convention or spec.convention
     state = init(spec, datum, probabilistic=True, convention=convention)
-    rates = _rate_pool(spec, state.R, convention)
+    rates = _rate_pool(state)
     if rates.size == 0:
         # nothing moves; the initial maximum is the maximum forever
         return _no_crossing(threshold, 0.0, 0.0)
@@ -382,83 +368,22 @@ def absorbing_time(
         dt = t_max / _MAX_GRID_STEPS
         steps = _MAX_GRID_STEPS
 
-    stack = _ModeStack(state, convention)
-    if stack.diagonalizable:
-        max_over = stack.max_over
+    peak = _Peak(state)
+    if all(peak.at(t) >= threshold for t in (0.0, dt, 2 * dt)):
+        tau = 0.0  # already at the threshold, and it sustains
     else:
-        max_over = _stepping_max_over(state, convention, dt)
-
-    if max_over(np.array([0.0]))[0] >= threshold:
-        # already at the threshold: absorbed immediately if it sustains
-        if np.all(max_over(np.array([dt, 2 * dt])) >= threshold):
-            if stack.diagonalizable:
-                cell, mb, mi = stack.report_at(0.0)
+        hit = _first_sustained_crossing(peak.scan(dt, steps), threshold)
+        if hit is None:
+            return _no_crossing(threshold, dt, t_max)
+        lo, tau = (hit - 1) * dt, hit * dt
+        while tau - lo > 1e-9 * max(tau, dt):
+            mid = 0.5 * (lo + tau)
+            if peak.at(mid) >= threshold:
+                tau = mid
             else:
-                cell, mb, mi = None, None, None
-            return AbsorbingResult(
-                tau=0.0, threshold=threshold, crossing_cell=cell,
-                mode_basin=mb, mode_index=mi, dt=dt, t_max=t_max,
-            )
-
-    hit = _scan_for_crossing(max_over, threshold, dt, steps)
-    if hit is None:
-        return _no_crossing(threshold, dt, t_max)
-
-    def max_at(t):
-        return float(max_over(np.array([t]))[0])
-
-    lo, hi = (hit - 1) * dt, hit * dt
-    while hi - lo > 1e-9 * max(hi, dt):
-        mid = 0.5 * (lo + hi)
-        if max_at(mid) >= threshold:
-            hi = mid
-        else:
-            lo = mid
-    tau = hi
-    if stack.diagonalizable:
-        cell, mode_basin, mode_index = stack.report_at(tau)
-    else:
-        dens = eval_density(evolve(state, tau, convention))
-        cell = max(
-            (CellAddress(b, digits) for b in dens.basins for digits in enumerate_cells(spec.p, dens.depth)),
-            key=dens.value_at,
-        )
-        mode_basin, mode_index = cell.basin, None
+                lo = mid
+    cell, mode_basin, mode_index = peak.report(tau)
     return AbsorbingResult(
         tau=tau, threshold=threshold, crossing_cell=cell,
         mode_basin=mode_basin, mode_index=mode_index, dt=dt, t_max=t_max,
     )
-
-
-def _stepping_max_over(state: SpectralState, convention: str, dt: float):
-    """Fallback evaluator for non-diagonalizable basin matrices.
-
-    The constant block is advanced by repeated application of the exact
-    one-step exponential (a semigroup identity, so only rounding drift
-    accumulates); the wavelet part stays closed-form.
-    """
-    spec = state.spec
-    p = spec.p
-    lam = build_basin_matrix(spec, convention).entries
-    W = wavelet_matrix(p, state.R, state.R + 1)
-    decay = {b: _decay_vector(spec, state.R, b) for b in spec.basins}
-    E_dt = matrix_exponential(lam, dt)
-
-    def max_over(ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        c0s = np.empty((len(ts), len(spec.basins)))
-        if len(ts) == 1:
-            c0s[0] = matrix_exponential(lam, float(ts[0])) @ state.c0
-        else:
-            v = matrix_exponential(lam, float(ts[0])) @ state.c0
-            for i in range(len(ts)):
-                c0s[i] = v
-                v = E_dt @ v
-        best = np.full(len(ts), -np.inf)
-        for i, b in enumerate(spec.basins):
-            Ew = np.exp(np.outer(ts, decay[b]))
-            vals = p**0.5 * c0s[:, i : i + 1] + ((Ew * state.coeffs[b]) @ W).real
-            np.maximum(best, vals.max(axis=1), out=best)
-        return best
-
-    return max_over

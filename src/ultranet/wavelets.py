@@ -215,18 +215,6 @@ def expand(f: CellFunction, R: int) -> Expansion:
     return Expansion(p=p, R=R, c0=c0, coeffs=coeffs)
 
 
-def reconstruct(expansion: Expansion, cell: CellAddress) -> float:
-    """Pointwise synthesis: sqrt(p) c0 plus the real part of each wavelet
-    term. Exact when the source was constant on depth-(R + 1) cells."""
-    p = expansion.p
-    if cell.basin not in expansion.c0:
-        raise UsageError(f"basin {cell.basin} not covered by this expansion")
-    total = p**0.5 * expansion.c0[cell.basin]
-    for idx, c in expansion.coeffs[cell.basin].items():
-        total += (c * eval_wavelet(idx, cell, p)).real
-    return total
-
-
 def reconstruct_all(expansion: Expansion, depth: int) -> CellFunction:
     """Synthesis on every depth cell at once (depth >= R + 1)."""
     p = expansion.p

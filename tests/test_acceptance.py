@@ -273,7 +273,10 @@ def test_criterion_6_fast_mode_decay():
     order = enumerate_wavelets(p, R)
     worst = 0.0
     for b in spec.basins:
-        history = np.array([evolve(state, t).coeffs[b] for t in ts])
+        history = np.array([
+            [expand(eval_density(evolve(state, t)), R).coeffs[b][idx] for idx in order]
+            for t in ts
+        ])
         for i, idx in enumerate(order):
             assert abs(history[0, i]) > 0.0
             slope = np.polyfit(ts, np.log(np.abs(history[:, i])), 1)[0]

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultranet.cli import (
     ConfigError,
@@ -117,6 +119,76 @@ def test_bad_convention():
         parse_config(MINIMAL + "convention: folklore\n")
 
 
+def test_yaml_1_1_integers_parse():
+    cfg = parse_config(MINIMAL + "seed: 017\npaths: 1:30\n")
+    assert cfg["seed"] == 15  # octal
+    assert cfg["paths"] == 90  # sexagesimal
+
+
+@pytest.mark.parametrize("text", [".inf", "-.inf", ".nan", ".NaN", "1" + "0" * 400])
+def test_non_finite_numbers_rejected_with_line(text):
+    with pytest.raises(ConfigError, match="line 6: threshold must be finite"):
+        parse_config(MINIMAL + f"threshold: {text}\n")
+
+
+def test_non_finite_number_exits_2(capsys, tmp_path):
+    cfgfile = tmp_path / "cfg.yaml"
+    cfgfile.write_text(MINIMAL + "t_max: .inf\n")
+    code, _, err = run(capsys, "classify", "--config", str(cfgfile), "--out", str(tmp_path))
+    assert code == 2
+    assert "line 6" in err
+
+
+_SCALARS = st.sampled_from([
+    ".inf", "-.inf", ".nan", "017", "08", "1:30", "0x1f", "0b101", "1_000", "~", "yes",
+    "off", "2001-12-14", "1e999", "1.0e999", "3.5", "-2", "0", "1", "2", "0.5",
+    "uniform", "delta:0.0", "delta:1.1", "delta:9.z", "ivp2:r=-2,amplitude=0.4",
+    "paper", "derived", "'0->1'", "!!int abc", "!!float x", "!!bool maybe",
+    "!!timestamp x", "!!binary ###", "!!set {a}", "!foo x", "[]", "{}", "*x",
+])
+_KEYS = st.sampled_from(["0", "1", "2", "w", "v", "lambda", "mu", "0->1", "1->0", "kT",
+                         "barriers", "[1]", "!!set {a}", "1:30"])
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]")
+        | st.dictionaries(_KEYS, inner, max_size=3).map(
+            lambda d: "{" + ", ".join(f"{k}: {v}" for k, v in d.items()) + "}"
+        )
+    ),
+    max_leaves=8,
+)
+_VALID = {
+    "prime": "2",
+    "basins": "[0, 1]",
+    "kernels": "{w: {0: [1.0], 1: [1.0]}, v: {0: [1.0], 1: [1.0]}}",
+    "cross": "{lambda: {0->1: 1.0, 1->0: 1.0}, mu: {0->1: 2.0, 1->0: 2.0}}",
+}
+
+
+@given(
+    overrides=st.dictionaries(
+        st.sampled_from(sorted(_VALID) + [
+            "convention", "arrhenius", "resolution", "datum", "times", "threshold",
+            "seed", "paths", "t_max", "record_times", "bogus",
+        ]),
+        _VALUES,
+        max_size=4,
+    ),
+    anchor=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_parse_config_raises_only_config_error(overrides, anchor):
+    entries = {**_VALID, **overrides}
+    lines = [f"{key}: {value}" for key, value in entries.items()]
+    if anchor:  # give *x something to refer to, itself included
+        lines[-1] = lines[-1].replace(": ", ": &x ", 1)
+    try:
+        parse_config("\n".join(lines) + "\n")
+    except ConfigError:
+        pass
+
+
 def test_dump_round_trip_is_stable():
     for name in list_presets():
         dumped = dump_config(parse_config(load_preset(name)))
@@ -209,9 +281,34 @@ def test_solve_at_time_zero_echoes_datum(capsys, tmp_path):
     assert values["0.1"] == pytest.approx(0.0, abs=1e-15)
 
 
+def test_delta_datum_on_two_basins_zero_fills_the_other(capsys, tmp_path):
+    text = load_preset("conservative_two_basin").replace("datum: uniform", "datum: delta:1.1")
+    cfgfile = tmp_path / "cfg.yaml"
+    cfgfile.write_text(text)
+    code, _, err = run(capsys, "solve", "--config", str(cfgfile), "--out", str(tmp_path))
+    assert code == 0, err
+    at_zero = {}
+    for row in (tmp_path / "density.csv").read_text().splitlines()[1:]:
+        t, label, value = row.split(",")
+        if t == "0":
+            at_zero[label] = float(value)
+    assert at_zero == {"0.0": 0.0, "0.1": 0.0, "1.0": 0.0, "1.1": 1.0}
+    code, out, _ = run(capsys, "oracle", "--config", str(cfgfile), "--out", str(tmp_path))
+    assert code == 0
+    assert float(out.split("=")[1]) <= 1e-12
+
+
+def test_delta_datum_outside_the_basins_exits_2(capsys, tmp_path):
+    cfgfile = tmp_path / "cfg.yaml"
+    cfgfile.write_text(MINIMAL + "datum: delta:1.0\n")
+    code, _, err = run(capsys, "solve", "--config", str(cfgfile), "--out", str(tmp_path))
+    assert code == 2
+    assert "config error" in err and "basin 1" in err
+
+
 def test_solve_single_basin_golden(capsys, tmp_path):
-    # pinned from the first run; the values are 0.5 (1 +/- exp(-t/2))
-    # and the oracle gap on this preset is at machine epsilon
+    # every value is the float64 of 0.5 (1 +/- exp(-t/2)); the oracle
+    # gap on this preset is at machine epsilon
     code, out, _ = run(
         capsys, "solve", "--preset", "single_basin", "--out", str(tmp_path)
     )
@@ -219,21 +316,21 @@ def test_solve_single_basin_golden(capsys, tmp_path):
     assert "wrote" in out
     assert (tmp_path / "density.csv").read_text() == (
         "t,series,value\n"
-        "0,0.0,1.0000000000000002\n"
+        "0,0.0,1\n"
         "0,0.1,0\n"
-        "0.5,0.0,0.88940039153570261\n"
-        "0.5,0.1,0.11059960846429762\n"
-        "1,0.0,0.80326532985631682\n"
-        "1,0.1,0.19673467014368334\n"
-        "2,0.0,0.68393972058572128\n"
-        "2,0.1,0.31606027941427894\n"
+        "0.5,0.0,0.88940039153570249\n"
+        "0.5,0.1,0.11059960846429756\n"
+        "1,0.0,0.80326532985631671\n"
+        "1,0.1,0.19673467014368329\n"
+        "2,0.0,0.68393972058572117\n"
+        "2,0.1,0.31606027941427883\n"
     )
     assert (tmp_path / "decay_rates.csv").read_text() == (
         "basin,r,rate,tau4,tau1\n0,-1,-0.5,8,2\n"
     )
     dat = (tmp_path / "density.dat").read_text().splitlines()
     assert dat[0] == "# t 0.0 0.1"
-    assert dat[1] == "0 1.0000000000000002 0"
+    assert dat[1] == "0 1 0"
 
 
 def test_solve_values_match_closed_form(capsys, tmp_path):

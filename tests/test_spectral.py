@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from ultranet.errors import NumericError, UsageError, ValidationError
 from ultranet.kernels import RadialKernel
-from ultranet.network import NetworkSpec
+from ultranet import spectral
+from ultranet.network import NetworkSpec, build_basin_matrix
+from ultranet.padic import CellAddress
 from ultranet.spectral import (
     absorbing_time,
     decay_rates,
@@ -18,7 +21,7 @@ from ultranet.spectral import (
     matrix_exponential,
 )
 from ultranet.tree import compare, discretize, solve
-from ultranet.wavelets import CellFunction
+from ultranet.wavelets import CellFunction, Expansion, WaveletIndex, expand, reconstruct_all
 
 SQRT2 = math.sqrt(2.0)
 
@@ -32,6 +35,11 @@ def two_basin(cross_lam=1.0, cross_mu=2.0, levels=(1.0,), convention="derived"):
         w_kernels={0: k, 1: k}, v_kernels={0: k, 1: k},
         convention=convention,
     )
+
+
+def coeffs(state, basin):
+    """Wavelet coefficients of a state's density, enumerate_wavelets order."""
+    return np.array(list(expand(eval_density(state), state.R).coeffs[basin].values()))
 
 
 def single_basin(w_levels=(1.0,), v_levels=None, p=2):
@@ -84,11 +92,25 @@ def test_expm_squaring_identity_large_t():
 
 def test_expm_guards():
     with pytest.raises(UsageError):
-        matrix_exponential(np.zeros((17, 17)))
-    with pytest.raises(UsageError):
         matrix_exponential(np.array([[float("nan")]]))
     with pytest.raises(UsageError):
         matrix_exponential(np.zeros((2, 3)))
+
+
+def test_seventeen_basins_match_oracle():
+    # one basin per root digit of p = 17: a 17 x 17 basin matrix
+    p = 17
+    basins = tuple(range(p))
+    rng = np.random.default_rng(17)
+    mu = {(a, b): float(rng.uniform(0.5, 1.0)) for a in basins for b in basins if a != b}
+    lam = {(a, b): 0.5 * mu[(b, a)] for a in basins for b in basins if a != b}
+    spec = NetworkSpec(
+        p=p, basins=basins, cross_lambda=lam, cross_mu=mu,
+        w_kernels={b: RadialKernel(p, (0.5,)) for b in basins},
+        v_kernels={b: RadialKernel(p, (1.0,)) for b in basins},
+    )
+    datum = CellFunction(p, 2, {b: rng.uniform(0.0, 1.0, p) for b in basins})
+    assert max(compare(spec, datum, 2, [0.1, 1.0, 10.0])) <= 1e-8
 
 
 # ---------------------------------------------------------------- init
@@ -99,7 +121,7 @@ def test_init_constant_datum():
     state = init(spec, CellFunction.constant(2, 2, [0, 1], 1.0))
     assert np.allclose(state.c0, [1 / SQRT2, 1 / SQRT2])
     for b in (0, 1):
-        assert np.abs(state.coeffs[b]).max() < 1e-15
+        assert np.abs(coeffs(state, b)).max() < 1e-15
 
 
 def test_init_zero_datum_and_basin_indicator():
@@ -110,7 +132,7 @@ def test_init_zero_datum_and_basin_indicator():
     datum = CellFunction(2, 2, {0: [1.0, 1.0], 1: [0.0, 0.0]})
     state = init(spec, datum)
     assert np.allclose(state.c0, [1 / SQRT2, 0.0])
-    assert np.abs(state.coeffs[0]).max() < 1e-15
+    assert np.abs(coeffs(state, 0)).max() < 1e-15
 
 
 def test_init_guards():
@@ -190,8 +212,8 @@ def test_evolve_pure_exponential_decay():
     out = evolve(state, 2.0)
     # both the constant and the wavelet coefficient decay at rate 1/4
     assert out.c0[0] == pytest.approx(state.c0[0] * math.exp(-0.5), rel=1e-12)
-    assert abs(out.coeffs[0][0]) == pytest.approx(
-        abs(state.coeffs[0][0]) * math.exp(-0.5), rel=1e-12
+    assert abs(coeffs(out, 0)[0]) == pytest.approx(
+        abs(coeffs(state, 0)[0]) * math.exp(-0.5), rel=1e-12
     )
 
 
@@ -202,7 +224,7 @@ def test_evolve_semigroup():
     b = evolve(state, 2.6)
     assert np.abs(a.c0 - b.c0).max() < 1e-10
     for basin in (0, 1):
-        assert np.abs(a.coeffs[basin] - b.coeffs[basin]).max() < 1e-10
+        assert np.abs(coeffs(a, basin) - coeffs(b, basin)).max() < 1e-10
     assert a.t == pytest.approx(b.t)
 
 
@@ -219,8 +241,8 @@ def test_coefficient_decay_rate_is_exact():
     rates = {(d.basin, d.r): d.s for d in decay_rates(spec, 1)}
     t = 1.7
     out = evolve(state, t)
-    c_before = state.coeffs[0][0]
-    c_after = out.coeffs[0][0]
+    c_before = coeffs(state, 0)[0]
+    c_after = coeffs(out, 0)[0]
     measured = (math.log(abs(c_after)) - math.log(abs(c_before))) / t
     assert abs(measured - rates[(0, -1)]) < 1e-9
 
@@ -253,6 +275,39 @@ def test_eval_density_dies_at_infinity():
     out = eval_density(state, 50.0)
     for b in (0, 1):
         assert np.abs(out.table[b]).max() < 1e-8
+
+
+@pytest.mark.parametrize("p,R", [(2, 4), (3, 3), (5, 2)])
+def test_block_means_match_wavelet_synthesis(p, R):
+    k = RadialKernel(p, (1.0, 0.5))
+    spec = NetworkSpec(
+        p=p, basins=(0, 1),
+        cross_lambda={(0, 1): 0.5, (1, 0): 0.25},
+        cross_mu={(0, 1): 1.0, (1, 0): 1.5},
+        w_kernels={0: k, 1: k}, v_kernels={0: k, 1: k},
+    )
+    rng = np.random.default_rng(p)
+    datum = CellFunction(p, R + 1, {b: rng.uniform(0.0, 1.0, p**R) for b in (0, 1)})
+    state = init(spec, datum)
+    ex = expand(datum, R)
+    lam = build_basin_matrix(spec).entries
+    rates = {(d.basin, d.r): d.s for d in decay_rates(spec, R)}
+    for t in (0.0, 1.3):
+        c0 = matrix_exponential(lam, t) @ np.array([ex.c0[b] for b in (0, 1)])
+        ref = reconstruct_all(
+            Expansion(
+                p=p, R=R,
+                c0={b: c0[i] for i, b in enumerate((0, 1))},
+                coeffs={
+                    b: {idx: c * math.exp(rates[(b, idx.r)] * t) for idx, c in ex.coeffs[b].items()}
+                    for b in (0, 1)
+                },
+            ),
+            R + 1,
+        )
+        out = eval_density(state, t)
+        for b in (0, 1):
+            assert np.abs(out.table[b] - ref.table[b]).max() <= 1e-12
 
 
 # ---------------------------------------------------------------- limits
@@ -318,6 +373,88 @@ def test_absorbing_time_sustained_start_at_threshold():
     datum = CellFunction.constant(2, 2, [0, 1], 0.9)
     res = absorbing_time(spec, datum, threshold=0.9)
     assert res.tau == 0.0
+
+
+def jordan_block_spec():
+    """Paper-form basin matrix [[-1, 2], [0, -1]]: a defective Jordan block."""
+    k = RadialKernel(2, (1.0,))
+    return NetworkSpec(
+        p=2, basins=(0, 1),
+        cross_lambda={(0, 1): 2.0, (1, 0): 0.0},
+        cross_mu={(0, 1): 2.0, (1, 0): 2.0},
+        w_kernels={0: k, 1: k}, v_kernels={0: k, 1: k},
+        convention="paper",
+    )
+
+
+def test_absorbing_time_on_defective_basin_matrix():
+    spec = jordan_block_spec()
+    lam = build_basin_matrix(spec, "paper").entries
+    assert np.array_equal(lam, [[-1.0, 2.0], [0.0, -1.0]])
+    datum = CellFunction.constant(2, 3, [0, 1], 0.5)
+    res = absorbing_time(spec, datum, threshold=0.55)
+    # basin 0 carries 0.5 e^{-t} (1 + 2t), which reaches 0.55 first at
+    # the root of e^{-t} (1 + 2t) = 1.1 below the peak at t = 1/2
+    assert res.tau == pytest.approx(0.1203245817, rel=1e-8)
+    assert res.crossing_cell == CellAddress(0, (0, 0))
+    assert (res.mode_basin, res.mode_index) == (0, None)
+
+
+def test_absorbing_time_defective_matrix_on_unequal_basins():
+    # basin 1 only decays from 0.6; it feeds basin 0, whose mean
+    # e^{-t} (0.5 + 1.2 t) rises to 0.670 at t = 7/12
+    datum = CellFunction(2, 3, {0: [0.5] * 4, 1: [0.6] * 4})
+    res = absorbing_time(jordan_block_spec(), datum, threshold=0.65)
+    assert math.exp(-res.tau) * (0.5 + 1.2 * res.tau) == pytest.approx(0.65, rel=1e-8)
+    assert 0.0 < res.tau < 7 / 12
+    assert res.crossing_cell.basin == 0
+
+
+def test_absorbing_time_does_not_depend_on_scan_chunks(monkeypatch):
+    # budgets of 1, 2, 4 and 8 grid points per chunk put chunk edges
+    # right around the crossing
+    datum = CellFunction(2, 3, {0: [0.5] * 4, 1: [0.6] * 4})
+    ref = absorbing_time(jordan_block_spec(), datum, threshold=0.65, dt=1e-2)
+    for budget in (1, 200, 400, 800):
+        monkeypatch.setattr(spectral, "_SCAN_BYTES", budget)
+        res = absorbing_time(jordan_block_spec(), datum, threshold=0.65, dt=1e-2)
+        assert res.tau == pytest.approx(ref.tau, rel=1e-12)
+
+
+def test_absorbing_time_zero_names_its_cell_on_defective_matrix():
+    spec = jordan_block_spec()
+    datum = CellFunction.constant(2, 3, [0, 1], 0.5)
+    res = absorbing_time(spec, datum, threshold=0.5)
+    assert res.tau == 0.0
+    assert res.crossing_cell == CellAddress(0, (0, 0))
+    assert (res.mode_basin, res.mode_index) == (0, None)
+
+
+def test_absorbing_time_names_dominant_wavelet():
+    # at the peak cell the datum is mean 1/4, scale -1 part 1/4 and
+    # scale -2 part 1/2, so the scale -2 wavelet on cell 0.0 dominates
+    datum = CellFunction(2, 3, {0: [1.0, 0.0, 0.0, 0.0], 1: [0.0] * 4})
+    res = absorbing_time(two_basin(), datum, threshold=0.9)
+    assert res.tau == 0.0
+    assert res.crossing_cell == CellAddress(0, (0, 0))
+    assert res.mode_basin == 0
+    assert res.mode_index == WaveletIndex(-2, (0,), 1)
+
+
+def test_absorbing_time_memory_does_not_grow_with_resolution():
+    spec = two_basin(cross_lam=1.0, cross_mu=1.0, convention="paper")
+    rng = np.random.default_rng(8)
+    peaks = {}
+    for R in (4, 8):
+        datum = CellFunction(2, R + 1, {b: rng.uniform(0.0, 1.0, 2**R) for b in (0, 1)})
+        tracemalloc.start()
+        try:
+            res = absorbing_time(spec, datum, threshold=1e9, dt=1e-4, t_max=20.0)
+            peaks[R] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.tau == math.inf  # the whole grid was scanned
+    assert peaks[8] <= peaks[4] * 1.1
 
 
 def test_absorbing_time_guards():

@@ -13,7 +13,6 @@ from ultranet.wavelets import (
     enumerate_wavelets,
     eval_wavelet,
     expand,
-    reconstruct,
     reconstruct_all,
     wavelet_matrix,
 )
@@ -97,12 +96,13 @@ def test_expand_frozen_indicator():
 def test_reconstruct_frozen_values():
     f = CellFunction.indicator(2, 2, 0, (0,))
     ex = expand(f, 1)
-    assert abs(reconstruct(ex, CellAddress(0, (0,))) - 1.0) < 1e-12
-    assert abs(reconstruct(ex, CellAddress(0, (1,))) - 0.0) < 1e-12
-    ones = expand(CellFunction.constant(2, 2, [0], 1.0), 1)
-    assert abs(reconstruct(ones, CellAddress(0, (1,))) - 1.0) < 1e-12
+    back = reconstruct_all(ex, 2)
+    assert abs(back.value_at(CellAddress(0, (0,))) - 1.0) < 1e-12
+    assert abs(back.value_at(CellAddress(0, (1,))) - 0.0) < 1e-12
+    ones = reconstruct_all(expand(CellFunction.constant(2, 2, [0], 1.0), 1), 2)
+    assert abs(ones.value_at(CellAddress(0, (1,))) - 1.0) < 1e-12
     with pytest.raises(UsageError):
-        reconstruct(ex, CellAddress(1, (0,)))
+        back.value_at(CellAddress(1, (0,)))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
