@@ -122,6 +122,11 @@ class FoldingScenario:
             raise ValidationError(
                 "the two cross gain rates must be equal for the 2x2 reduction"
             )
+        if self.A == 0:
+            raise ValidationError(
+                "A = 0 (no cross gain and equal basin losses): the bump datum "
+                "is built from alpha/A and is undefined"
+            )
         if self.amplitude + self.coupling / self.A > 1:
             raise ValidationError(
                 "amplitude + coupling/A exceeds 1: the initial datum would exceed 1"

@@ -179,6 +179,8 @@ def _parse_document(text: str) -> dict:
         cfg["datum"] = _parse_datum(seen["datum"])
     if "times" in seen:
         times = _expect_number_list(seen["times"], "times")
+        if not times:
+            _fail(seen["times"], "times must not be empty")
         if any(t < 0 for t in times) or times != sorted(times):
             _fail(seen["times"], "times must be sorted and non-negative")
         cfg["times"] = times
@@ -364,7 +366,7 @@ def datum_from_config(cfg: dict, spec: NetworkSpec, depth: int) -> CellFunction:
         return CellFunction.constant(spec.p, depth, spec.basins, 1.0)
     if datum.startswith("delta:"):
         label = datum[len("delta:"):]
-        cell = parse_cell_label(label, spec.p, None)
+        cell = parse_cell_label(label, spec.p)
         if cell.depth > depth:
             raise ConfigError(
                 f"datum cell {label!r} is deeper than the working depth {depth}"
@@ -398,34 +400,27 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def emit_plotdata(name: str, times, series: dict, out_dir: str):
-    """Write one time-indexed family of series twice: a long-format CSV
-    and a gnuplot-style columns file.  Column order follows the dict."""
+def emit_plotdata(name: str, labels, rows, out_dir: str):
+    """Write one time-indexed family of series twice, in one pass: a
+    long-format CSV (t,series,value) and a gnuplot-style columns file.
+
+    rows yields (t, values) one time at a time, values in label order;
+    nothing is kept past its row, so memory does not grow with the
+    number of times.
+    """
     long_path = f"{out_dir}/{name}.csv"
-    with open(long_path, "w") as f:
-        f.write("t,series,value\n")
-        for i, t in enumerate(times):
-            for label, values in series.items():
-                f.write(f"{_fmt(float(t))},{label},{_fmt(float(values[i]))}\n")
     cols_path = f"{out_dir}/{name}.dat"
-    with open(cols_path, "w") as f:
-        f.write("# t " + " ".join(series.keys()) + "\n")
-        for i, t in enumerate(times):
-            row = " ".join(_fmt(float(values[i])) for values in series.values())
-            f.write(f"{_fmt(float(t))} {row}\n")
+    with open(long_path, "w") as long_f, open(cols_path, "w") as cols_f:
+        long_f.write("t,series,value\n")
+        cols_f.write("# t " + " ".join(labels) + "\n")
+        for t, values in rows:
+            t_text = _fmt(float(t))
+            texts = [_fmt(float(v)) for v in values]
+            long_f.writelines(
+                f"{t_text},{label},{text}\n" for label, text in zip(labels, texts)
+            )
+            cols_f.write(f"{t_text} {' '.join(texts)}\n")
     return [long_path, cols_path]
-
-
-def _density_series(state, times):
-    cells = enumerate_cells(state.spec.p, state.R + 1)
-    series = {}
-    for t in times:
-        out = spectral.eval_density(state, t)
-        for basin in out.basins:
-            for digits, value in zip(cells, out.table[basin]):
-                label = CellAddress(basin, digits).label()
-                series.setdefault(label, []).append(value)
-    return series
 
 
 # ---------------------------------------------------------------- commands
@@ -462,9 +457,16 @@ def _run_solve(cfg, spec, args) -> int:
     depth = R + 1
     datum = datum_from_config(cfg, spec, depth)
     state = spectral.init(spec, datum, R=R, probabilistic=False)
-    times = cfg.get("times", [0.0, 1.0])
-    series = _density_series(state, times)
-    files = emit_plotdata("density", times, series, args.out)
+    labels = [
+        CellAddress(basin, digits).label()
+        for basin in spec.basins
+        for digits in enumerate_cells(spec.p, depth)
+    ]
+    rows = (
+        (t, np.concatenate(list(spectral.eval_density(state, t).table.values())))
+        for t in cfg.get("times", [0.0, 1.0])
+    )
+    files = emit_plotdata("density", labels, rows, args.out)
     rates_path = f"{args.out}/decay_rates.csv"
     with open(rates_path, "w") as f:
         f.write("basin,r,rate,tau4,tau1\n")
@@ -571,13 +573,14 @@ def _run_folding_demo(cfg, spec, args) -> int:
         horizon = 2 * report.tau_numeric
     else:
         horizon = 2 * abs(report.time_constant_mode)
-    times = cfg.get("times") or [horizon * i / 40 for i in range(41)]
-    series = {}
-    for t in times:
-        out = spectral.eval_density(state, t)
-        for basin in out.basins:
-            series.setdefault(f"basin-{basin}", []).append(out.basin_integral(basin) * spec.p)
-    emit_plotdata("folding_timeseries", times, series, args.out)
+
+    def rows():
+        for t in cfg.get("times", [horizon * i / 40 for i in range(41)]):
+            out = spectral.eval_density(state, t)
+            yield t, [out.basin_integral(basin) * spec.p for basin in out.basins]
+
+    labels = [f"basin-{basin}" for basin in spec.basins]
+    emit_plotdata("folding_timeseries", labels, rows(), args.out)
     print(f"wrote {args.out}/folding_timeseries.csv")
     return 0
 
@@ -652,6 +655,9 @@ def main(argv=None) -> int:
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numeric failure: out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

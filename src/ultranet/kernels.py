@@ -46,12 +46,6 @@ class RadialKernel:
         return self.levels[j - 1] if j <= self.j_max else 0.0
 
 
-@dataclass(frozen=True)
-class KernelSymbol:
-    gamma: float
-    lam: dict  # r -> lam_r, for r in -R .. -1
-
-
 def kernel_mass(k: RadialKernel) -> float:
     """Total mass gamma: each level-j sphere has volume (1 - 1/p) p^{-j}."""
     p = k.p
@@ -72,15 +66,6 @@ def eigenvalue(k: RadialKernel, r: int) -> float:
 def symbol_value(k: RadialKernel, r: int) -> float:
     """Symbol at radius p^{1-r}: eigenvalue plus the total mass."""
     return eigenvalue(k, r) + kernel_mass(k)
-
-
-def kernel_symbol(k: RadialKernel, R: int) -> KernelSymbol:
-    if R < 1:
-        raise UsageError(f"resolution must be >= 1, got R={R}")
-    return KernelSymbol(
-        gamma=kernel_mass(k),
-        lam={r: eigenvalue(k, r) for r in range(-1, -R - 1, -1)},
-    )
 
 
 def arrhenius_kernel(p: int, barriers, kT: float) -> RadialKernel:

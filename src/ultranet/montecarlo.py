@@ -13,7 +13,9 @@ function of (master seed, start cell, i, k).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,51 +161,46 @@ def simulate(gen: DiscreteGenerator, u0: CellFunction, cfg: SimConfig) -> SimRes
     times = cfg.record_times + (float(cfg.t_max),)
     n_times = len(cfg.record_times)
 
-    chunk_bounds = np.linspace(0, cfg.n_paths, cfg.threads + 1).astype(int)
+    # one chunk of paths per worker; the draws depend only on the path,
+    # so the split changes no output bit
+    workers = min(cfg.threads, cfg.n_paths, os.cpu_count() or 1)
+    chunk_bounds = np.linspace(0, cfg.n_paths, workers + 1).astype(int)
     estimates = np.zeros((n_times, dim))
     stderrs = np.zeros((n_times, dim))
     n_alive = np.zeros((n_times, dim), dtype=np.int64)
     kill_fraction = np.zeros(dim)
 
-    for start in range(dim):
-        start_seed = path_seed(cfg.seed, start)
-        all_seeds = _mix_vec(
-            np.uint64(start_seed)
-            + (np.arange(1, cfg.n_paths + 1, dtype=np.uint64)) * np.uint64(_GOLDEN)
-        )
-        jobs = [
-            all_seeds[lo:hi]
-            for lo, hi in zip(chunk_bounds[:-1], chunk_bounds[1:])
-            if hi > lo
-        ]
-
-        def run(chunk_seeds):
-            return _simulate_chunk(
-                chunk_seeds, start, cum_rates, totals, times, cfg.t_max
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        pool_map = pool.map if pool else map
+        for start in range(dim):
+            start_seed = path_seed(cfg.seed, start)
+            all_seeds = _mix_vec(
+                np.uint64(start_seed)
+                + (np.arange(1, cfg.n_paths + 1, dtype=np.uint64)) * np.uint64(_GOLDEN)
             )
+            parts = pool_map(
+                lambda seeds: _simulate_chunk(
+                    seeds, start, cum_rates, totals, times, cfg.t_max
+                ),
+                np.split(all_seeds, chunk_bounds[1:-1]),
+            )
+            rec = np.concatenate(list(parts), axis=0)
 
-        if len(jobs) == 1:
-            parts = [run(jobs[0])]
-        else:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                parts = list(pool.map(run, jobs))
-        rec = np.concatenate(parts, axis=0)
-
-        killed_at_end = rec[:, -1] == dim
-        kill_fraction[start] = math.fsum(killed_at_end) / cfg.n_paths
-        for j in range(n_times):
-            at_j = rec[:, j]
-            alive = at_j != dim
-            vals = np.where(alive, u0_vec[np.minimum(at_j, dim - 1)], 0.0)
-            total = math.fsum(vals)
-            total_sq = math.fsum(vals * vals)
-            n = cfg.n_paths
-            mean = total / n
-            estimates[j, start] = mean
-            n_alive[j, start] = int(alive.sum())
-            if n > 1:
-                var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-                stderrs[j, start] = math.sqrt(var / n)
+            killed_at_end = rec[:, -1] == dim
+            kill_fraction[start] = math.fsum(killed_at_end) / cfg.n_paths
+            for j in range(n_times):
+                at_j = rec[:, j]
+                alive = at_j != dim
+                vals = np.where(alive, u0_vec[np.minimum(at_j, dim - 1)], 0.0)
+                total = math.fsum(vals)
+                total_sq = math.fsum(vals * vals)
+                n = cfg.n_paths
+                mean = total / n
+                estimates[j, start] = mean
+                n_alive[j, start] = int(alive.sum())
+                if n > 1:
+                    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+                    stderrs[j, start] = math.sqrt(var / n)
 
     return SimResult(
         states=gen.states,

@@ -18,7 +18,8 @@ the per-basin constants produces; its row sums are exactly minus the
 sink, so the matrix is always substochastic when the standing rate
 inequalities hold. "paper" keeps the cross terms bare (no 1/p); it is
 the convention under which the classification identities (conservative
-matrix, dying at infinity) are stated.
+matrix, dying at infinity) are stated. build_basin_matrix returns it as
+a plain float array; the spectral state builds it once and keeps it.
 """
 
 from __future__ import annotations
@@ -160,9 +161,6 @@ class NetworkSpec:
             for i, a in enumerate(self.basins)
         ]
 
-    def basin_index(self, basin: int) -> int:
-        return self.basins.index(basin)
-
 
 @dataclass(frozen=True)
 class Aggregates:
@@ -198,13 +196,6 @@ def aggregate_rates(spec: NetworkSpec) -> Aggregates:
     )
 
 
-@dataclass(frozen=True)
-class BasinMatrix:
-    basins: tuple
-    entries: np.ndarray
-    convention: str
-
-
 def _basin_entries_exact(spec: NetworkSpec, convention: str) -> list:
     """Basin matrix as exact Fractions: diag -(loss_total - gain_diag)/p,
     off-diagonal the cross gain, divided by p under `derived`."""
@@ -224,16 +215,13 @@ def _basin_entries_exact(spec: NetworkSpec, convention: str) -> list:
     return rows
 
 
-def build_basin_matrix(spec: NetworkSpec, convention: str | None = None) -> BasinMatrix:
+def build_basin_matrix(spec: NetworkSpec, convention: str | None = None) -> np.ndarray:
+    """The basin matrix as floats, rows and columns in basin order."""
     convention = convention or spec.convention
     if convention not in CONVENTIONS:
         raise ValidationError(f"unknown convention {convention!r}")
     rows = _basin_entries_exact(spec, convention)
-    return BasinMatrix(
-        basins=spec.basins,
-        entries=np.array([[float(x) for x in row] for row in rows]),
-        convention=convention,
-    )
+    return np.array([[float(x) for x in row] for row in rows])
 
 
 @dataclass(frozen=True)
@@ -303,7 +291,7 @@ def classify(spec: NetworkSpec, exact: bool = False) -> Classification:
     dies = len(g2) == len(spec.basins) and all(
         m > d for m, d in zip(mu_b, lam_d)
     )
-    paper = build_basin_matrix(spec, "paper").entries
+    paper = build_basin_matrix(spec, "paper")
     return Classification(
         g1=tuple(g1),
         g2=tuple(g2),

@@ -66,11 +66,8 @@ class CellAddress:
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
-def parse_cell_label(text: str, p: int, depth: int | None = None) -> CellAddress:
-    """Inverse of CellAddress.label for digits expressible in base 36.
-
-    With depth=None any depth is accepted; otherwise it must match.
-    """
+def parse_cell_label(text: str, p: int) -> CellAddress:
+    """Inverse of CellAddress.label for digits expressible in base 36."""
     if p > len(_DIGIT_CHARS):
         raise ValidationError(f"cell labels support p <= 36, got p={p}")
     head, _, body = text.partition(".")
@@ -79,12 +76,7 @@ def parse_cell_label(text: str, p: int, depth: int | None = None) -> CellAddress
         digits = tuple(_DIGIT_CHARS.index(c) for c in body)
     except (ValueError, IndexError):
         raise ValidationError(f"malformed cell label {text!r}") from None
-    cell = CellAddress(basin, digits).validate(p)
-    if depth is not None and cell.depth != depth:
-        raise ValidationError(
-            f"cell label {text!r} has depth {cell.depth}, expected {depth}"
-        )
-    return cell
+    return CellAddress(basin, digits).validate(p)
 
 
 def enumerate_cells(p: int, depth: int) -> list[tuple[int, ...]]:

@@ -13,9 +13,11 @@ cells with k and k - 1 leading within-basin digits, and
     u(t) = m_a(t) + sum_{k=1..R} e^{s_{a,-k} t} (M_k - M_{k-1})
 
 where the basin means m (sqrt(p) times the constant coefficients c0)
-are coupled through the basin matrix and evolve by its exponential.
-The state is one real (basins, R, cells) array of these scale parts;
-evolution scales its rows, synthesis sums them, both O(cells * R).
+are coupled through the basin matrix Lambda and evolve by e^{t Lambda}.
+Lambda depends only on the network and the convention, so the state
+builds it once, next to the scale rates, and carries one real
+(basins, R, cells) array of the scale parts; evolution scales its
+rows, synthesis sums them, both O(cells * R).
 Absorbing times, long-term limits and decay tables are bookkeeping on
 the same arrays. Single wavelet coefficients are formed only to name
 the dominant mode at a crossing cell.
@@ -108,11 +110,7 @@ class SpectralState:
     mean: np.ndarray  # basin means of the density, basin order
     details: np.ndarray  # (basins, R, cells); row k - 1 is the scale -k part
     rates: np.ndarray  # (basins, R); s_{a,-k} of row k - 1
-
-    @property
-    def c0(self) -> np.ndarray:
-        """Constant wavelet-basis coefficients: sqrt(p) times each basin integral."""
-        return self.mean / self.spec.p**0.5
+    lam: np.ndarray  # the basin matrix under `convention`
 
 
 def init(
@@ -122,7 +120,8 @@ def init(
     probabilistic: bool = True,
     convention: str | None = None,
 ) -> SpectralState:
-    """Split an initial datum into basin means and scale parts; depth
+    """Split an initial datum into basin means and scale parts, and build
+    the basin matrix under `convention` (the network's when None); depth
     must be exactly R + 1."""
     if datum.p != spec.p:
         raise ValidationError(f"datum has p={datum.p}, network has p={spec.p}")
@@ -157,30 +156,29 @@ def init(
         fine = table.reshape(n_basins, -1, block).mean(axis=2)
         details[:, k - 1] = np.repeat(fine, block, axis=1) - np.repeat(coarse, block * p, axis=1)
         coarse = fine
+    convention = convention or spec.convention
     return SpectralState(
         spec=spec,
-        convention=convention or spec.convention,
+        convention=convention,
         R=R,
         t=0.0,
         mean=mean,
         details=details,
         rates=np.array([d.s for d in decay_rates(spec, R)]).reshape(n_basins, R),
+        lam=build_basin_matrix(spec, convention),
     )
 
 
-def evolve(state: SpectralState, t: float, convention: str | None = None) -> SpectralState:
+def evolve(state: SpectralState, t: float) -> SpectralState:
     """Advance by t: basin means through the basin-matrix exponential,
     each scale part by its own exponential."""
     if t < 0:
         raise UsageError(f"time increment must be >= 0, got {t}")
-    convention = convention or state.convention
-    lam = build_basin_matrix(state.spec, convention).entries
     return replace(
         state,
         t=state.t + t,
-        mean=matrix_exponential(lam, t) @ state.mean,
+        mean=matrix_exponential(state.lam, t) @ state.mean,
         details=state.details * np.exp(state.rates * t)[:, :, None],
-        convention=convention,
     )
 
 
@@ -192,14 +190,14 @@ def eval_density(state: SpectralState, t: float = 0.0) -> CellFunction:
     return CellFunction(state.spec.p, state.R + 1, dict(zip(state.spec.basins, values)))
 
 
-def long_term_limit(spec: NetworkSpec, state: SpectralState) -> np.ndarray:
+def long_term_limit(state: SpectralState) -> np.ndarray:
     """Limiting constant density value per basin: lim e^{tL} m.
 
     Zero when the basin matrix is strictly stable; the null-space
     projection when zero eigenvalues are semisimple and the rest decay.
     Growing, oscillating, or defective spectra are not supported.
     """
-    lam = build_basin_matrix(spec, state.convention).entries
+    lam = state.lam
     scale = max(np.abs(lam).max(), 1.0)
     theta, V = np.linalg.eig(lam)
     tol = 1e-10 * scale
@@ -212,7 +210,7 @@ def long_term_limit(spec: NetworkSpec, state: SpectralState) -> np.ndarray:
     if oscillating.any():
         raise NumericError("purely oscillating spectral mode; limit not supported")
     if not zero.any():
-        return np.zeros(len(spec.basins))
+        return np.zeros(len(state.mean))
     proj = (V * np.where(zero, 1.0, 0.0)) @ np.linalg.inv(V)
     return (proj @ state.mean).real
 
@@ -237,7 +235,6 @@ class _Peak:
 
     def __init__(self, state: SpectralState):
         self.state = state
-        self.lam = build_basin_matrix(state.spec, state.convention).entries
 
     def _peaks(self, ts: np.ndarray, means: np.ndarray) -> np.ndarray:
         """Max over cells at times ts, given the basin means there (rows)."""
@@ -249,7 +246,7 @@ class _Peak:
         return best
 
     def at(self, t: float) -> float:
-        mean = matrix_exponential(self.lam, t) @ self.state.mean
+        mean = matrix_exponential(self.state.lam, t) @ self.state.mean
         return float(self._peaks(np.array([t]), mean[None])[0])
 
     def scan(self, dt: float, steps: int):
@@ -264,12 +261,12 @@ class _Peak:
         row_bytes = 8 * (n_cells + R + len(self.state.mean) + 4)
         size = 1 << (max(1, min(_SCAN_BYTES // row_bytes, steps + 1)).bit_length() - 1)
         powers = []
-        step = matrix_exponential(self.lam, dt)
+        step = matrix_exponential(self.state.lam, dt)
         while 1 << len(powers) < size:
             powers.append(step.T)
             step = step @ step
         for k0 in range(0, steps + 1, size):
-            means = (matrix_exponential(self.lam, k0 * dt) @ self.state.mean)[None]
+            means = (matrix_exponential(self.state.lam, k0 * dt) @ self.state.mean)[None]
             for power in powers:
                 means = np.concatenate([means, means @ power])
             count = min(size, steps + 1 - k0)
@@ -307,8 +304,7 @@ class _Peak:
 
 
 def _rate_pool(state: SpectralState) -> np.ndarray:
-    lam = build_basin_matrix(state.spec, state.convention).entries
-    pool = np.abs(np.concatenate([lam.ravel(), state.rates.ravel()]))
+    pool = np.abs(np.concatenate([state.lam.ravel(), state.rates.ravel()]))
     return pool[pool > 0]
 
 

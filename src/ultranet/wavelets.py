@@ -105,8 +105,8 @@ def wavelet_matrix(p: int, R: int, depth: int) -> np.ndarray:
 class CellFunction:
     """A real function constant on depth-N cells of a set of basins.
 
-    values maps each basin digit to either a full mapping
-    {digit tuple -> value} or a flat array in enumerate_cells order.
+    values maps each basin digit to a flat array of cell values in
+    enumerate_cells order.
     """
 
     def __init__(self, p: int, depth: int, values: Mapping):
@@ -117,22 +117,14 @@ class CellFunction:
         self.depth = depth
         n = p ** (depth - 1)
         table = {}
-        for basin, spec in values.items():
+        for basin, cells in values.items():
             if not 0 <= basin < p:
                 raise ValidationError(f"basin digit {basin} out of range for p={p}")
-            if isinstance(spec, Mapping):
-                cells = enumerate_cells(p, depth)
-                if set(spec) != set(cells):
-                    raise ValidationError(
-                        f"basin {basin}: values must cover all {n} depth-{depth} cells"
-                    )
-                arr = np.array([float(spec[c]) for c in cells])
-            else:
-                arr = np.asarray(spec, dtype=float)
-                if arr.shape != (n,):
-                    raise ValidationError(
-                        f"basin {basin}: expected {n} values, got shape {arr.shape}"
-                    )
+            arr = np.asarray(cells, dtype=float)
+            if arr.shape != (n,):
+                raise ValidationError(
+                    f"basin {basin}: expected {n} values, got shape {arr.shape}"
+                )
             table[basin] = arr
         if not table:
             raise ValidationError("a cell function needs at least one basin")

@@ -170,7 +170,7 @@ def test_criterion_4_classification_regimes():
     balanced = _two_basin(2, (1.0,), 1.0, 2.0)
     result = classify(balanced, exact=True)
     assert result.g1 == (0, 1) and result.is_conservative_matrix
-    lam = build_basin_matrix(balanced, "paper").entries
+    lam = build_basin_matrix(balanced, "paper")
     for row in lam:
         assert row.sum() == 0.0
 
@@ -181,7 +181,7 @@ def test_criterion_4_classification_regimes():
     assert result.g2 == (0, 1) and result.dies_at_infinity
     agg = aggregate_rates(dying)
     assert all(m > d for m, d in zip(agg.loss_total, agg.gain_diag))
-    lam = build_basin_matrix(dying, "paper").entries
+    lam = build_basin_matrix(dying, "paper")
     eigs = np.linalg.eigvals(lam)
     assert eigs.real.max() < 0.0
     t_long = 50.0 / np.abs(eigs.real).min()
@@ -210,7 +210,7 @@ def test_criterion_4_classification_regimes():
             break
     assert mixed is not None
     result = classify(mixed, exact=True)
-    lam = build_basin_matrix(mixed, "paper").entries
+    lam = build_basin_matrix(mixed, "paper")
     sums = lam.sum(axis=1)
     assert sums.max() <= 1e-12 and sums.min() < 0.0
     assert result.is_m_matrix

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,13 @@ from hypothesis import strategies as st
 
 from ultranet.cli import (
     ConfigError,
+    _run_solve,
     dump_config,
     list_presets,
     load_preset,
     main,
     parse_config,
+    spec_from_config,
 )
 
 MINIMAL = """\
@@ -469,3 +473,67 @@ def test_seventeen_digit_floats_survive_round_trip():
     assert _fmt(float("inf")) == "inf"
     assert _fmt(float("-inf")) == "-inf"
     assert _fmt(3) == "3"
+
+
+# ---------------------------------------------------------------- malformed inputs
+
+
+def test_empty_times_rejected_with_line():
+    with pytest.raises(ConfigError, match="line 6: times must not be empty"):
+        parse_config(MINIMAL + "times: []\n")
+
+
+@pytest.mark.parametrize("command", ["oracle", "solve"])
+def test_empty_times_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "empty_times.yaml"
+    path.write_text(MINIMAL + "times: []\n")
+    code, _, err = run(capsys, command, "--config", str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert "line 6: times must not be empty" in err
+
+
+@pytest.mark.parametrize("command", ["folding-demo", "solve", "tau"])
+def test_ivp2_datum_with_zero_A_exits_2(capsys, tmp_path, command):
+    # no cross gain and equal basin losses: A = sqrt(4 alpha^2 + (beta - gamma)^2) = 0
+    path = tmp_path / "flat.yaml"
+    path.write_text(
+        MINIMAL.replace("[0]", "[0, 1]")
+        .replace("w: {0: [1.0]}", "w: {0: [1.0], 1: [1.0]}")
+        .replace("v: {0: [1.0]}", "v: {0: [1.0], 1: [1.0]}")
+        + 'datum: "ivp2:r=-2,amplitude=0.1"\n'
+    )
+    code, _, err = run(capsys, command, "--config", str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert "A = 0" in err
+
+
+def test_oversized_cell_table_exits_3(capsys, tmp_path):
+    # 97^9 cells per basin: numpy refuses the 5 EiB table before allocating
+    path = tmp_path / "huge.yaml"
+    path.write_text(MINIMAL.replace("prime: 2", "prime: 97") + "resolution: 9\n")
+    code, _, err = run(capsys, "solve", "--config", str(path), "--out", str(tmp_path))
+    assert code == 3
+    assert "numeric failure: out of memory" in err
+
+
+def test_solve_memory_does_not_grow_with_the_time_grid(tmp_path):
+    text = (
+        MINIMAL.replace("[0]", "[0, 1]")
+        .replace("w: {0: [1.0]}", "w: {0: [0.5], 1: [1.0]}")
+        .replace("v: {0: [1.0]}", "v: {0: [1.0], 1: [1.0]}")
+        + "cross: {lambda: {0->1: 1.0, 1->0: 1.0}, mu: {0->1: 2.0, 1->0: 2.0}}\n"
+        + "resolution: 5\n"
+    )
+    args = SimpleNamespace(out=str(tmp_path))
+    peaks = {}
+    for n_times in (20, 20, 2000):  # the first run warms caches
+        cfg = parse_config(text)
+        cfg["times"] = [0.01 * k for k in range(n_times)]
+        spec = spec_from_config(cfg)
+        tracemalloc.start()
+        try:
+            assert _run_solve(cfg, spec, args) == 0
+            peaks[n_times] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2000] <= 1.5 * peaks[20]

@@ -11,7 +11,6 @@ from ultranet.kernels import (
     arrhenius_kernel,
     eigenvalue,
     kernel_mass,
-    kernel_symbol,
     symbol_value,
 )
 from ultranet.padic import CellAddress, enumerate_cells, padic_distance
@@ -54,10 +53,6 @@ def test_symbol_value_and_table():
     k = RadialKernel(2, (1.0,))
     # symbol at radius p^{1-r} is eigenvalue plus mass
     assert abs(symbol_value(k, -1) - (-0.25)) < 1e-15
-    sym = kernel_symbol(k, 3)
-    assert abs(sym.gamma - 0.25) < 1e-15
-    assert set(sym.lam) == {-1, -2, -3}
-    assert all(v <= 0 for v in sym.lam.values())
 
 
 def test_arrhenius():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ultranet import montecarlo
 from ultranet.errors import UsageError, ValidationError
 from ultranet.kernels import RadialKernel
 from ultranet.montecarlo import (
@@ -222,3 +223,46 @@ def test_u0_range_validation():
     cfg = SimConfig(n_paths=10, t_max=1.0, seed=0, record_times=(0.5,))
     with pytest.raises(ValidationError):
         simulate(gen, bad, cfg)
+
+
+def test_one_capped_pool_per_call(monkeypatch):
+    # a recording stand-in: it starts no thread and maps in order
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 7)
+    gen = killed_two_basin()
+    u0 = CellFunction(2, 2, {0: [1.0, 0.0], 1: [0.5, 0.25]})
+
+    def config(n_paths, threads):
+        return SimConfig(
+            n_paths=n_paths, t_max=1.0, seed=77, record_times=(0.3, 1.0), threads=threads
+        )
+
+    for n_paths, workers in ((3000, 7), (5, 5)):
+        ref = simulate(gen, u0, config(n_paths, 1))
+        assert pools == []
+        out = simulate(gen, u0, config(n_paths, 64))
+        # one pool for all start cells, never more workers than cpus or paths
+        assert pools == [workers]
+        pools.clear()
+        assert np.array_equal(ref.estimates, out.estimates)
+        assert np.array_equal(ref.stderrs, out.stderrs)
+        assert np.array_equal(ref.n_alive, out.n_alive)
+        assert np.array_equal(ref.kill_fraction, out.kill_fraction)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+    simulate(gen, u0, config(100, 64))
+    assert pools == []

@@ -66,10 +66,10 @@ def test_lambda_matrix_frozen_conventions():
     spec = two_basin()
     paper = build_basin_matrix(spec, "paper")
     derived = build_basin_matrix(spec, "derived")
-    assert np.array_equal(paper.entries, [[-1.0, 1.0], [1.0, -1.0]])
-    assert np.array_equal(derived.entries, [[-1.0, 0.5], [0.5, -1.0]])
-    assert build_basin_matrix(spec).convention == "derived"
-    assert np.array_equal(build_basin_matrix(single_basin()).entries, [[0.0]])
+    assert np.array_equal(paper, [[-1.0, 1.0], [1.0, -1.0]])
+    assert np.array_equal(derived, [[-1.0, 0.5], [0.5, -1.0]])
+    assert np.array_equal(build_basin_matrix(spec), derived)
+    assert np.array_equal(build_basin_matrix(single_basin()), [[0.0]])
 
 
 def test_classify_frozen_conservative():
@@ -87,7 +87,7 @@ def test_classify_frozen_dying():
     assert c.g2 == (0, 1)
     assert c.dies_at_infinity
     assert c.is_m_matrix
-    eigs = np.linalg.eigvals(build_basin_matrix(two_basin(cross_mu=4.0), "paper").entries)
+    eigs = np.linalg.eigvals(build_basin_matrix(two_basin(cross_mu=4.0), "paper"))
     assert eigs.real.max() < 0
 
 
@@ -193,7 +193,7 @@ def hyp1_specs(draw):
 @given(spec=hyp1_specs())
 @settings(max_examples=120, deadline=None)
 def test_derived_matrix_is_dominant_z_matrix(spec):
-    lam = build_basin_matrix(spec, "derived").entries
+    lam = build_basin_matrix(spec, "derived")
     off = lam - np.diag(np.diag(lam))
     assert off.min() >= 0
     assert np.diag(lam).max() <= 1e-15
@@ -257,5 +257,5 @@ def test_conservative_iff_paper_rows_sum_to_zero(spec):
 def test_dying_specs_have_strictly_stable_spectrum(spec):
     c = classify(spec, exact=True)
     if c.dies_at_infinity:
-        eigs = np.linalg.eigvals(build_basin_matrix(spec, "paper").entries)
+        eigs = np.linalg.eigvals(build_basin_matrix(spec, "paper"))
         assert eigs.real.max() < 0

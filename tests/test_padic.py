@@ -44,13 +44,11 @@ def test_cell_address_depth_and_validation():
 def test_cell_label_round_trip():
     c = CellAddress(1, (0, 2))
     assert c.label() == "1.02"
-    assert parse_cell_label("1.02", 3, 3) == c
+    assert parse_cell_label("1.02", 3) == c
     assert CellAddress(0, ()).label() == "0"
-    assert parse_cell_label("0", 2, 1) == CellAddress(0, ())
+    assert parse_cell_label("0", 2) == CellAddress(0, ())
     with pytest.raises(ValidationError):
-        parse_cell_label("1.02", 3, 2)
-    with pytest.raises(ValidationError):
-        parse_cell_label("x.0", 3, 2)
+        parse_cell_label("x.0", 3)
 
 
 def test_distance_frozen_examples():

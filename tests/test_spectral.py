@@ -119,7 +119,7 @@ def test_seventeen_basins_match_oracle():
 def test_init_constant_datum():
     spec = two_basin()
     state = init(spec, CellFunction.constant(2, 2, [0, 1], 1.0))
-    assert np.allclose(state.c0, [1 / SQRT2, 1 / SQRT2])
+    assert np.allclose(state.mean / SQRT2, [1 / SQRT2, 1 / SQRT2])
     for b in (0, 1):
         assert np.abs(coeffs(state, b)).max() < 1e-15
 
@@ -127,11 +127,11 @@ def test_init_constant_datum():
 def test_init_zero_datum_and_basin_indicator():
     spec = two_basin()
     zero = init(spec, CellFunction.constant(2, 2, [0, 1], 0.0))
-    assert np.allclose(zero.c0, 0.0)
+    assert np.allclose(zero.mean / SQRT2, 0.0)
     # all mass in basin 0: the constant block starts at (1/sqrt(p), 0)
     datum = CellFunction(2, 2, {0: [1.0, 1.0], 1: [0.0, 0.0]})
     state = init(spec, datum)
-    assert np.allclose(state.c0, [1 / SQRT2, 0.0])
+    assert np.allclose(state.mean / SQRT2, [1 / SQRT2, 0.0])
     assert np.abs(coeffs(state, 0)).max() < 1e-15
 
 
@@ -191,7 +191,7 @@ def test_evolve_identity_at_zero():
     spec = two_basin()
     state = init(spec, basin_indicator_datum())
     out = evolve(state, 0.0)
-    assert np.allclose(out.c0, state.c0)
+    assert np.allclose(out.mean / SQRT2, state.mean / SQRT2)
     assert out.t == 0.0
 
 
@@ -202,7 +202,7 @@ def test_evolve_frozen_conservative_paper():
         out = evolve(state, t)
         e = math.exp(-2 * t)
         expected = (1 / (2 * SQRT2)) * np.array([1 + e, 1 - e])
-        assert np.abs(out.c0 - expected).max() < 1e-12
+        assert np.abs(out.mean / SQRT2 - expected).max() < 1e-12
 
 
 def test_evolve_pure_exponential_decay():
@@ -211,7 +211,9 @@ def test_evolve_pure_exponential_decay():
     state = init(spec, datum)
     out = evolve(state, 2.0)
     # both the constant and the wavelet coefficient decay at rate 1/4
-    assert out.c0[0] == pytest.approx(state.c0[0] * math.exp(-0.5), rel=1e-12)
+    assert out.mean[0] / SQRT2 == pytest.approx(
+        state.mean[0] / SQRT2 * math.exp(-0.5), rel=1e-12
+    )
     assert abs(coeffs(out, 0)[0]) == pytest.approx(
         abs(coeffs(state, 0)[0]) * math.exp(-0.5), rel=1e-12
     )
@@ -222,7 +224,7 @@ def test_evolve_semigroup():
     state = init(spec, basin_indicator_datum())
     a = evolve(evolve(state, 0.7), 1.9)
     b = evolve(state, 2.6)
-    assert np.abs(a.c0 - b.c0).max() < 1e-10
+    assert np.abs(a.mean / SQRT2 - b.mean / SQRT2).max() < 1e-10
     for basin in (0, 1):
         assert np.abs(coeffs(a, basin) - coeffs(b, basin)).max() < 1e-10
     assert a.t == pytest.approx(b.t)
@@ -290,7 +292,7 @@ def test_block_means_match_wavelet_synthesis(p, R):
     datum = CellFunction(p, R + 1, {b: rng.uniform(0.0, 1.0, p**R) for b in (0, 1)})
     state = init(spec, datum)
     ex = expand(datum, R)
-    lam = build_basin_matrix(spec).entries
+    lam = build_basin_matrix(spec)
     rates = {(d.basin, d.r): d.s for d in decay_rates(spec, R)}
     for t in (0.0, 1.3):
         c0 = matrix_exponential(lam, t) @ np.array([ex.c0[b] for b in (0, 1)])
@@ -316,20 +318,20 @@ def test_block_means_match_wavelet_synthesis(p, R):
 def test_long_term_limit_conservative_projection():
     spec = two_basin(convention="paper")
     state = init(spec, basin_indicator_datum())
-    limit = long_term_limit(spec, state)
+    limit = long_term_limit(state)
     assert np.allclose(limit, [0.5, 0.5], atol=1e-12)
 
 
 def test_long_term_limit_dying_is_zero():
     spec = two_basin(cross_mu=4.0, convention="paper")
     state = init(spec, CellFunction.constant(2, 2, [0, 1], 1.0))
-    assert np.allclose(long_term_limit(spec, state), [0.0, 0.0])
+    assert np.allclose(long_term_limit(state), [0.0, 0.0])
 
 
 def test_long_term_limit_zero_state():
     spec = two_basin(convention="paper")
     state = init(spec, CellFunction.constant(2, 2, [0, 1], 0.0))
-    assert np.allclose(long_term_limit(spec, state), [0.0, 0.0])
+    assert np.allclose(long_term_limit(state), [0.0, 0.0])
 
 
 def test_long_term_limit_rejects_growing_mode():
@@ -337,7 +339,7 @@ def test_long_term_limit_rejects_growing_mode():
     spec = two_basin(cross_lam=1.0, cross_mu=1.0, convention="paper")
     state = init(spec, CellFunction.constant(2, 2, [0, 1], 0.5))
     with pytest.raises(NumericError, match="growing"):
-        long_term_limit(spec, state)
+        long_term_limit(state)
 
 
 # ---------------------------------------------------------------- tau
@@ -389,7 +391,7 @@ def jordan_block_spec():
 
 def test_absorbing_time_on_defective_basin_matrix():
     spec = jordan_block_spec()
-    lam = build_basin_matrix(spec, "paper").entries
+    lam = build_basin_matrix(spec, "paper")
     assert np.array_equal(lam, [[-1.0, 2.0], [0.0, -1.0]])
     datum = CellFunction.constant(2, 3, [0, 1], 0.5)
     res = absorbing_time(spec, datum, threshold=0.55)

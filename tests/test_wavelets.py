@@ -63,12 +63,12 @@ def test_eval_frozen_values():
 
 def test_cell_function_validation():
     with pytest.raises(ValidationError):
-        CellFunction(2, 2, {0: {(0,): 1.0}})  # missing cell (1,)
+        CellFunction(2, 2, {0: [1.0]})  # missing cell (1,)
     with pytest.raises(ValidationError):
         CellFunction(2, 2, {0: [1.0, 2.0, 3.0]})
     with pytest.raises(ValidationError):
         CellFunction(2, 2, {})
-    f = CellFunction(2, 2, {0: {(0,): 1.0, (1,): 2.0}})
+    f = CellFunction(2, 2, {0: [1.0, 2.0]})
     assert f.value_at(CellAddress(0, (1,))) == 2.0
     assert f.value_at(CellAddress(0, (1, 0))) == 2.0  # deeper cell, same value
     with pytest.raises(UsageError):
