@@ -10,7 +10,7 @@ threshold-crossing time in both closed form and as a numeric search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,24 +70,12 @@ def _mode_matrices(alpha, beta, gamma, A):
     return slow, fast
 
 
-def two_basin_expm(g: TwoBasinRates, t: float, mode: str = "exact", min_A: float = 10.0):
-    """Closed-form e^{tM} for the 2x2 coarse generator.
-
-    mode="largeA" drops the e^{-tA} transient; it is only allowed when A
-    clears min_A, and the exact mode is always the reference.
-    """
+def two_basin_expm(g: TwoBasinRates, t: float):
+    """Closed-form e^{tM} for the 2x2 coarse generator."""
     if t < 0:
         raise UsageError("t must be >= 0")
-    if mode not in ("exact", "largeA"):
-        raise UsageError(f"unknown mode {mode!r}")
     slow, fast = _mode_matrices(g.alpha, g.beta, g.gamma, g.A)
     prefactor = math.exp(t * (g.A - g.beta - g.gamma) / 2)
-    if mode == "largeA":
-        if g.A < min_A:
-            raise UsageError(
-                f"largeA mode needs A >= {min_A}, got A = {g.A}"
-            )
-        return prefactor * slow
     return prefactor * (slow + math.exp(-t * g.A) * fast)
 
 
@@ -207,16 +195,6 @@ def ivp2_datum(scenario: FoldingScenario, depth: int | None = None) -> CellFunct
     return CellFunction(p, depth, values)
 
 
-def basin_averages(scenario: FoldingScenario) -> tuple:
-    """Initial-state integrals over the two basins, from the assembled
-    datum (the bump is mean-free so only the flat parts contribute)."""
-    datum = ivp2_datum(scenario)
-    return (
-        datum.basin_integral(scenario.basin_u),
-        datum.basin_integral(scenario.basin_n),
-    )
-
-
 @dataclass(frozen=True)
 class FoldingReport:
     alpha: float
@@ -235,13 +213,9 @@ class FoldingReport:
     crossing: spectral.AbsorbingResult
 
 
-def folding_tau(
-    scenario: FoldingScenario,
-    convention: str = "paper",
-    dt: float | None = None,
-    t_max: float | None = None,
-) -> FoldingReport:
-    """Crossing time of the native-basin density over the threshold.
+def folding_tau(scenario: FoldingScenario) -> FoldingReport:
+    """Crossing time of the native-basin density over the threshold,
+    under the convention of the scenario's network.
 
     tau_formula is the closed-form bound time ln(amplitude + alpha/A)
     divided by the slower of the chain rate (beta + gamma - A)/2 and the
@@ -271,15 +245,8 @@ def folding_tau(
     else:
         tau_formula = numerator / denominator
 
-    datum = ivp2_datum(scenario)
-    run_spec = replace(spec, convention=convention)
     crossing = spectral.absorbing_time(
-        run_spec,
-        datum,
-        threshold=scenario.threshold,
-        t_max=t_max,
-        dt=dt,
-        convention=convention,
+        spec, ivp2_datum(scenario), threshold=scenario.threshold
     )
     return FoldingReport(
         alpha=alpha,
@@ -289,7 +256,7 @@ def folding_tau(
         r=scenario.r,
         amplitude=scenario.amplitude,
         threshold=scenario.threshold,
-        convention=convention,
+        convention=spec.convention,
         tau_formula=tau_formula,
         tau_numeric=crossing.tau,
         time_constant_chain=1.0 / chain_rate if chain_rate != 0 else math.inf,

@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from collections.abc import Hashable
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -77,8 +78,35 @@ def _expect_mapping(node, what: str):
     return [(key.value, key, value) for key, value in node.value]
 
 
+def _yaml_float_spelling(text: str):
+    """How to write text so YAML 1.1 reads it as a float (1e-3 -> 1.0e-3,
+    1.0e300 -> 1.0e+300): a dot in the mantissa and a signed exponent.
+    None when text is no finite number in any spelling."""
+    mantissa, _, exponent = text.lower().partition("e")
+    if "." not in mantissa:
+        mantissa += ".0"
+    if exponent and exponent[0] not in "+-":
+        exponent = "+" + exponent
+    spelling = f"{mantissa}e{exponent}" if exponent else mantissa
+    try:
+        value = float(text)
+        read = yaml.safe_load(spelling)
+    except (ValueError, yaml.YAMLError):
+        return None
+    if isinstance(read, float) and read == value and math.isfinite(value):
+        return spelling
+    return None
+
+
 def _expect_number(node, what: str) -> float:
     value = _to_python(node)
+    spelling = _yaml_float_spelling(value) if isinstance(value, str) else None
+    if spelling:
+        _fail(
+            node,
+            f"{what} must be a number, got the string {value!r}; write {spelling}, "
+            "which YAML 1.1 reads as a float (it needs a dot, and a sign on any exponent)",
+        )
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(node, f"{what} must be a number")
     try:
@@ -101,6 +129,15 @@ def _expect_number_list(node, what: str) -> list:
     if not isinstance(node, yaml.SequenceNode):
         _fail(node, f"{what} must be a list")
     return [_expect_number(child, f"{what} entry") for child in node.value]
+
+
+def _expect_times(node, what: str) -> list:
+    times = _expect_number_list(node, what)
+    if not times:
+        _fail(node, f"{what} must not be empty")
+    if any(t < 0 for t in times) or times != sorted(times):
+        _fail(node, f"{what} must be sorted and non-negative")
+    return times
 
 
 _TOP_KEYS = {
@@ -177,15 +214,9 @@ def _parse_document(text: str) -> dict:
         cfg["resolution"] = r
     if "datum" in seen:
         cfg["datum"] = _parse_datum(seen["datum"])
-    if "times" in seen:
-        times = _expect_number_list(seen["times"], "times")
-        if not times:
-            _fail(seen["times"], "times must not be empty")
-        if any(t < 0 for t in times) or times != sorted(times):
-            _fail(seen["times"], "times must be sorted and non-negative")
-        cfg["times"] = times
-    if "record_times" in seen:
-        cfg["record_times"] = _expect_number_list(seen["record_times"], "record_times")
+    for key in ("times", "record_times"):
+        if key in seen:
+            cfg[key] = _expect_times(seen[key], key)
     if "threshold" in seen:
         cfg["threshold"] = _expect_number(seen["threshold"], "threshold")
     if "seed" in seen:
@@ -456,7 +487,7 @@ def _run_solve(cfg, spec, args) -> int:
     R = resolution_from_config(cfg, spec)
     depth = R + 1
     datum = datum_from_config(cfg, spec, depth)
-    state = spectral.init(spec, datum, R=R, probabilistic=False)
+    state = spectral.init(spec, datum)
     labels = [
         CellAddress(basin, digits).label()
         for basin in spec.basins
@@ -529,7 +560,7 @@ def _run_simulate(cfg, spec, args) -> int:
     times = cfg.get("record_times", cfg.get("times", [1.0]))
     sim_cfg = SimConfig(
         n_paths=cfg.get("paths", 10000),
-        t_max=cfg.get("t_max", max(times) if times else 1.0),
+        t_max=cfg.get("t_max", max(times)),
         seed=cfg.get("seed", 0),
         record_times=tuple(times),
         threads=args.threads,
@@ -543,9 +574,9 @@ def _run_simulate(cfg, spec, args) -> int:
 
 
 def _run_folding_demo(cfg, spec, args) -> int:
+    spec = replace(spec, convention=args.convention or cfg.get("convention", "paper"))
     scenario = scenario_from_config(cfg, spec)
-    convention = args.convention or cfg.get("convention", "paper")
-    report = folding_tau(scenario, convention=convention)
+    report = folding_tau(scenario)
     lines = [
         f"coupling alpha = {_fmt(report.alpha)}",
         f"basin losses beta, gamma = {_fmt(report.beta)}, {_fmt(report.gamma)}",
@@ -565,10 +596,7 @@ def _run_folding_demo(cfg, spec, args) -> int:
     with open(f"{args.out}/folding.txt", "w") as f:
         f.write(text + "\n")
 
-    datum = ivp2_datum(scenario)
-    state = spectral.init(
-        scenario.spec, datum, R=datum.depth - 1, convention=convention
-    )
+    state = spectral.init(spec, ivp2_datum(scenario))
     if math.isfinite(report.tau_numeric) and report.tau_numeric > 0:
         horizon = 2 * report.tau_numeric
     else:

@@ -18,8 +18,10 @@ the per-basin constants produces; its row sums are exactly minus the
 sink, so the matrix is always substochastic when the standing rate
 inequalities hold. "paper" keeps the cross terms bare (no 1/p); it is
 the convention under which the classification identities (conservative
-matrix, dying at infinity) are stated. build_basin_matrix returns it as
-a plain float array; the spectral state builds it once and keeps it.
+matrix, dying at infinity) are stated. A NetworkSpec fixes one
+convention for every solver run on it; classify asks for the "paper"
+matrix by name. build_basin_matrix returns a plain float array; the
+spectral state builds it once and keeps it.
 """
 
 from __future__ import annotations
@@ -216,7 +218,8 @@ def _basin_entries_exact(spec: NetworkSpec, convention: str) -> list:
 
 
 def build_basin_matrix(spec: NetworkSpec, convention: str | None = None) -> np.ndarray:
-    """The basin matrix as floats, rows and columns in basin order."""
+    """The basin matrix as floats, rows and columns in basin order, under
+    the spec's convention unless another is named."""
     convention = convention or spec.convention
     if convention not in CONVENTIONS:
         raise ValidationError(f"unknown convention {convention!r}")

@@ -13,10 +13,8 @@ handling is needed at any depth.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import UsageError, ValidationError
 
@@ -92,84 +90,3 @@ def cell_index(digits: tuple[int, ...], p: int) -> int:
     for d in digits:
         idx = idx * p + d
     return idx
-
-
-def cell_int(digits: tuple[int, ...], p: int) -> int:
-    """The within-basin integer x = sum x_i p^i (basin digit removed)."""
-    x = 0
-    for i, d in enumerate(digits, start=1):
-        x += d * p**i
-    return x
-
-
-def padic_distance(c1: CellAddress, c2: CellAddress, p: int) -> Fraction:
-    """Ultrametric distance |x - y|_p between two cells of equal depth.
-
-    Well defined because distinct cells at depth N differ in a digit of
-    index < N. Identical addresses return Fraction(0), standing for
-    "at most p^{-N}".
-    """
-    if c1.depth != c2.depth:
-        raise UsageError(
-            f"cells have different depths {c1.depth} and {c2.depth}"
-        )
-    if c1.basin != c2.basin:
-        return Fraction(1)  # p^0: the basin digits differ
-    for i, (d1, d2) in enumerate(zip(c1.digits, c2.digits), start=1):
-        if d1 != d2:
-            return Fraction(1, p**i)
-    return Fraction(0)
-
-
-@dataclass(frozen=True)
-class UnitFraction:
-    """numerator / p^exponent in [0, 1), kept exact and unreduced."""
-
-    numerator: int
-    p: int
-    exponent: int
-
-    def __post_init__(self):
-        if self.exponent < 0 or not 0 <= self.numerator < self.p**self.exponent:
-            raise ValidationError(
-                f"unit fraction {self.numerator}/{self.p}^{self.exponent} not in [0,1)"
-            )
-
-    def value(self) -> Fraction:
-        return Fraction(self.numerator, self.p**self.exponent)
-
-    def add_mod1(self, other: "UnitFraction") -> "UnitFraction":
-        if other.p != self.p:
-            raise UsageError("cannot add unit fractions over different primes")
-        k = max(self.exponent, other.exponent)
-        num = (
-            self.numerator * self.p ** (k - self.exponent)
-            + other.numerator * self.p ** (k - other.exponent)
-        ) % self.p**k
-        return UnitFraction(num, self.p, k)
-
-
-def character_exponent(r: int, j: int, cell: CellAddress, p: int) -> UnitFraction:
-    """Fractional part {p^{r-1} j x}_p for the within-basin point x of a cell.
-
-    Exact: with q = p^{1-r}, the result is ((j * (x mod q)) mod q) / q.
-    The cell must be deep enough (depth >= 1 - r) that the value is the
-    same for every point of the cell.
-    """
-    if r > -1:
-        raise UsageError(f"scale index must be <= -1, got r={r}")
-    if not 1 <= j <= p - 1:
-        raise UsageError(f"phase multiplier j={j} out of range 1..{p - 1}")
-    if cell.depth < 1 - r:
-        raise UsageError(
-            f"cell depth {cell.depth} too small for scale r={r} (need >= {1 - r})"
-        )
-    q = p ** (1 - r)
-    x = cell_int(cell.digits, p)
-    y = (j * (x % q)) % q
-    return UnitFraction(y, p, 1 - r)
-
-
-def character_value(u: UnitFraction) -> complex:
-    """The additive character value exp(2 pi i u)."""
-    return cmath.exp(2j * cmath.pi * u.numerator / u.p**u.exponent)

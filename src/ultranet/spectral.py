@@ -14,13 +14,13 @@ cells with k and k - 1 leading within-basin digits, and
 
 where the basin means m (sqrt(p) times the constant coefficients c0)
 are coupled through the basin matrix Lambda and evolve by e^{t Lambda}.
-Lambda depends only on the network and the convention, so the state
+Lambda depends only on the network and its convention, so the state
 builds it once, next to the scale rates, and carries one real
 (basins, R, cells) array of the scale parts; evolution scales its
 rows, synthesis sums them, both O(cells * R).
-Absorbing times, long-term limits and decay tables are bookkeeping on
-the same arrays. Single wavelet coefficients are formed only to name
-the dominant mode at a crossing cell.
+Absorbing times and decay tables are bookkeeping on the same arrays.
+Single wavelet coefficients are formed only to name the dominant mode
+at a crossing cell.
 """
 
 from __future__ import annotations
@@ -104,47 +104,26 @@ def decay_rates(spec: NetworkSpec, R: int) -> list:
 @dataclass(frozen=True)
 class SpectralState:
     spec: NetworkSpec
-    convention: str
     R: int
     t: float
     mean: np.ndarray  # basin means of the density, basin order
     details: np.ndarray  # (basins, R, cells); row k - 1 is the scale -k part
     rates: np.ndarray  # (basins, R); s_{a,-k} of row k - 1
-    lam: np.ndarray  # the basin matrix under `convention`
+    lam: np.ndarray  # the basin matrix under the spec's convention
 
 
-def init(
-    spec: NetworkSpec,
-    datum: CellFunction,
-    R: int | None = None,
-    probabilistic: bool = True,
-    convention: str | None = None,
-) -> SpectralState:
-    """Split an initial datum into basin means and scale parts, and build
-    the basin matrix under `convention` (the network's when None); depth
-    must be exactly R + 1."""
+def init(spec: NetworkSpec, datum: CellFunction) -> SpectralState:
+    """Split an initial datum into basin means and scale parts at
+    R = depth - 1, and build the basin matrix under the spec's convention."""
     if datum.p != spec.p:
         raise ValidationError(f"datum has p={datum.p}, network has p={spec.p}")
     if set(datum.basins) != set(spec.basins):
         raise ValidationError(
             f"datum covers basins {datum.basins}, network has {list(spec.basins)}"
         )
-    if R is None:
-        R = datum.depth - 1
-    if datum.depth != R + 1:
-        raise UsageError(
-            f"datum depth {datum.depth} must equal R+1 = {R + 1}; "
-            "data that are not locally constant at that depth are not accepted"
-        )
+    R = datum.depth - 1
     if R < 1:
         raise UsageError("the expansion needs R >= 1 (datum depth >= 2)")
-    if probabilistic:
-        for b in datum.basins:
-            lo, hi = datum.table[b].min(), datum.table[b].max()
-            if lo < -1e-12 or hi > 1 + 1e-12:
-                raise ValidationError(
-                    f"datum values in basin {b} span [{lo}, {hi}], outside [0, 1]"
-                )
     p = spec.p
     table = np.array([datum.table[b] for b in spec.basins])
     n_basins, n_cells = table.shape
@@ -156,16 +135,14 @@ def init(
         fine = table.reshape(n_basins, -1, block).mean(axis=2)
         details[:, k - 1] = np.repeat(fine, block, axis=1) - np.repeat(coarse, block * p, axis=1)
         coarse = fine
-    convention = convention or spec.convention
     return SpectralState(
         spec=spec,
-        convention=convention,
         R=R,
         t=0.0,
         mean=mean,
         details=details,
         rates=np.array([d.s for d in decay_rates(spec, R)]).reshape(n_basins, R),
-        lam=build_basin_matrix(spec, convention),
+        lam=build_basin_matrix(spec),
     )
 
 
@@ -174,10 +151,17 @@ def evolve(state: SpectralState, t: float) -> SpectralState:
     each scale part by its own exponential."""
     if t < 0:
         raise UsageError(f"time increment must be >= 0, got {t}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = matrix_exponential(state.lam, t) @ state.mean
+    if not np.all(np.isfinite(mean)):
+        raise NumericError(
+            f"basin means are not finite at t = {state.t + t:g}: "
+            "the basin-matrix exponential overflows"
+        )
     return replace(
         state,
         t=state.t + t,
-        mean=matrix_exponential(state.lam, t) @ state.mean,
+        mean=mean,
         details=state.details * np.exp(state.rates * t)[:, :, None],
     )
 
@@ -188,31 +172,6 @@ def eval_density(state: SpectralState, t: float = 0.0) -> CellFunction:
         state = evolve(state, t)
     values = state.mean[:, None] + state.details.sum(axis=1)
     return CellFunction(state.spec.p, state.R + 1, dict(zip(state.spec.basins, values)))
-
-
-def long_term_limit(state: SpectralState) -> np.ndarray:
-    """Limiting constant density value per basin: lim e^{tL} m.
-
-    Zero when the basin matrix is strictly stable; the null-space
-    projection when zero eigenvalues are semisimple and the rest decay.
-    Growing, oscillating, or defective spectra are not supported.
-    """
-    lam = state.lam
-    scale = max(np.abs(lam).max(), 1.0)
-    theta, V = np.linalg.eig(lam)
-    tol = 1e-10 * scale
-    if np.linalg.cond(V) > 1e10:
-        raise NumericError("defective basin-matrix spectrum; limit not supported")
-    if theta.real.max() > tol:
-        raise NumericError("growing spectral mode; no long-term limit")
-    zero = np.abs(theta) <= tol
-    oscillating = (np.abs(theta.real) <= tol) & (np.abs(theta.imag) > tol)
-    if oscillating.any():
-        raise NumericError("purely oscillating spectral mode; limit not supported")
-    if not zero.any():
-        return np.zeros(len(state.mean))
-    proj = (V * np.where(zero, 1.0, 0.0)) @ np.linalg.inv(V)
-    return (proj @ state.mean).real
 
 
 @dataclass(frozen=True)
@@ -335,7 +294,6 @@ def absorbing_time(
     threshold: float = 1.0,
     t_max: float | None = None,
     dt: float | None = None,
-    convention: str | None = None,
 ) -> AbsorbingResult:
     """First t > 0 where the density's maximum reaches the threshold.
 
@@ -348,7 +306,13 @@ def absorbing_time(
     """
     if threshold <= 0:
         raise UsageError(f"threshold must be > 0, got {threshold}")
-    state = init(spec, datum, probabilistic=True, convention=convention)
+    state = init(spec, datum)
+    for b in datum.basins:
+        lo, hi = datum.table[b].min(), datum.table[b].max()
+        if lo < -1e-12 or hi > 1 + 1e-12:
+            raise ValidationError(
+                f"datum values in basin {b} span [{lo}, {hi}], outside [0, 1]"
+            )
     rates = _rate_pool(state)
     if rates.size == 0:
         # nothing moves; the initial maximum is the maximum forever

@@ -9,25 +9,21 @@ as the oracle for the spectral solver.
 
 The generator acts on functions (the backward reading): a state jumps
 with the gain family (w kernels within a basin, lambda across basins)
-and is killed at the basin sink rate. The `orientation` flag can swap
-in the loss family (v, mu) for experiments; the sink is unchanged.
+and is killed at the basin sink rate.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import UsageError, ValidationError
+from .errors import UsageError
 from .network import NetworkSpec, aggregate_rates
 from .padic import CellAddress, enumerate_cells
 from .wavelets import CellFunction
 
 MAX_STATES = 4096
-
-ORIENTATIONS = ("generator", "prose")
 
 
 @dataclass(frozen=True)
@@ -42,12 +38,8 @@ class DiscreteGenerator:
         return len(self.states)
 
 
-def discretize(
-    spec: NetworkSpec, N: int, orientation: str = "generator"
-) -> DiscreteGenerator:
+def discretize(spec: NetworkSpec, N: int) -> DiscreteGenerator:
     """Assemble the depth-N rate matrix with per-cell killing."""
-    if orientation not in ORIENTATIONS:
-        raise ValidationError(f"orientation must be one of {ORIENTATIONS}")
     p = spec.p
     j_max = max(
         k.j_max
@@ -65,13 +57,6 @@ def discretize(
     if dim > MAX_STATES:
         raise UsageError(f"{dim} states exceed the dense-solver cap {MAX_STATES}")
 
-    if orientation == "generator":
-        kernels = spec.w_kernels
-        cross = spec.cross_lambda
-    else:
-        kernels = spec.v_kernels
-        cross = {(b, a): v for (a, b), v in spec.cross_mu.items()}
-
     agg = aggregate_rates(spec)
     cells = enumerate_cells(p, N)
     states = tuple(
@@ -84,9 +69,9 @@ def discretize(
         for k, b in enumerate(spec.basins):
             cols = slice(k * per_basin, (k + 1) * per_basin)
             if a == b:
-                Q[rows, cols] = _pairwise_levels(kernels[a], p, N) * weight
+                Q[rows, cols] = _pairwise_levels(spec.w_kernels[a], p, N) * weight
             else:
-                Q[rows, cols] = float(cross[(a, b)]) * weight
+                Q[rows, cols] = float(spec.cross_lambda[(a, b)]) * weight
     kill = np.repeat(agg.sink, per_basin)
     np.fill_diagonal(Q, 0.0)
     np.fill_diagonal(Q, -(Q.sum(axis=1) + kill))
@@ -131,9 +116,7 @@ def compare(spec: NetworkSpec, datum: CellFunction, N: int, times) -> list:
     from . import spectral
 
     gen = discretize(spec, N)
-    state0 = spectral.init(
-        spec, datum, R=N - 1, probabilistic=False, convention="derived"
-    )
+    state0 = spectral.init(replace(spec, convention="derived"), datum)
     gaps = []
     for t in times:
         evolved = spectral.evolve(state0, t)
@@ -145,11 +128,3 @@ def compare(spec: NetworkSpec, datum: CellFunction, N: int, times) -> list:
         gaps.append(float(gap))
     return gaps
 
-
-def write_csv(gen: DiscreteGenerator, fileobj) -> None:
-    """Dump the rate matrix and kill vector for external inspection."""
-    writer = csv.writer(fileobj)
-    labels = [s.label() for s in gen.states]
-    writer.writerow(["state", *labels, "kill"])
-    for label, row, k in zip(labels, gen.Q, gen.kill):
-        writer.writerow([label, *[f"{x:.17g}" for x in row], f"{k:.17g}"])

@@ -33,20 +33,6 @@ class WaveletIndex:
     m_digits: tuple[int, ...]
     j: int
 
-    def validate(self, p: int, R: int) -> "WaveletIndex":
-        if not -R <= self.r <= -1:
-            raise ValidationError(f"scale r={self.r} outside [-{R}, -1]")
-        if len(self.m_digits) != -self.r - 1:
-            raise ValidationError(
-                f"location needs {-self.r - 1} digits, got {len(self.m_digits)}"
-            )
-        for d in self.m_digits:
-            if not 0 <= d < p:
-                raise ValidationError(f"location digit {d} out of range for p={p}")
-        if not 1 <= self.j <= p - 1:
-            raise ValidationError(f"phase multiplier j={self.j} out of range")
-        return self
-
 
 def enumerate_wavelets(p: int, R: int) -> list[WaveletIndex]:
     """All indices at resolution R: r = -1, -2, .., -R; m lexicographic;

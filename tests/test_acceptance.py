@@ -12,7 +12,6 @@ import numpy as np
 
 from ultranet.binary import (
     TwoBasinRates,
-    basin_averages,
     demo_scenario,
     folding_tau,
     two_basin_eigenvalues,
@@ -234,7 +233,7 @@ def test_criterion_5_conservation_and_bounds():
         assert np.abs(aggregate_rates(spec).sink).max() == 0.0
         depth = _spec_depth(spec)
         datum = _random_datum(rng, spec, depth)
-        state = init(spec, datum, R=depth - 1, convention="derived")
+        state = init(spec, datum)
         total0 = eval_density(state).integral()
         for t in np.linspace(0.0, 20.0, 11):
             assert abs(eval_density(state, t).integral() - total0) <= 1e-9
@@ -246,7 +245,7 @@ def test_criterion_5_conservation_and_bounds():
         spec = _random_spec(rng)
         depth = _spec_depth(spec)
         datum = _random_datum(rng, spec, depth)
-        state = init(spec, datum, R=depth - 1, convention="derived")
+        state = init(spec, datum)
         for t in SUITE_TIMES:
             out = eval_density(state, t)
             high = max(high, max(out.table[b].max() for b in out.basins))
@@ -267,7 +266,7 @@ def test_criterion_6_fast_mode_decay():
     R = 3
     rng = np.random.default_rng(6)
     datum = _random_datum(rng, spec, R + 1)
-    state = init(spec, datum, R=R)
+    state = init(spec, datum)
     loss_total = {b: float(m) for b, m in zip(spec.basins, aggregate_rates(spec).loss_total)}
     ts = np.linspace(0.0, 5.0, 11)
     order = enumerate_wavelets(p, R)
@@ -306,11 +305,14 @@ def test_criterion_7_binary_model():
     p = scenario.spec.p
     alpha, beta, gamma = scenario.coupling, scenario.loss_u, scenario.loss_n
     A = scenario.A
-    avg_u, avg_n = basin_averages(scenario)
+    datum = ivp2_datum(scenario)
+    avg_u = datum.basin_integral(scenario.basin_u)
+    avg_n = datum.basin_integral(scenario.basin_n)
     assert abs(avg_u - (A - beta + gamma) / (2 * A * p)) <= 1e-12
     assert abs(avg_n - alpha / (A * p)) <= 1e-12
 
-    report = folding_tau(scenario, convention="paper")
+    assert scenario.spec.convention == "paper"
+    report = folding_tau(scenario)
     assert math.isfinite(report.tau_numeric) and report.tau_numeric > 0
     assert report.crossing.crossing_cell.basin == scenario.basin_n
     assert math.isfinite(report.time_constant_chain)

@@ -8,7 +8,6 @@ import pytest
 from ultranet.binary import (
     FoldingScenario,
     TwoBasinRates,
-    basin_averages,
     bump_wavelet,
     demo_scenario,
     folding_tau,
@@ -20,7 +19,7 @@ from ultranet.binary import (
 from ultranet.errors import ClassificationError, UsageError, ValidationError
 from ultranet.kernels import RadialKernel
 from ultranet.network import NetworkSpec, classify
-from ultranet.padic import CellAddress, character_exponent, enumerate_cells
+from ultranet.padic import CellAddress, enumerate_cells
 from ultranet.spectral import matrix_exponential
 
 
@@ -60,6 +59,8 @@ def test_eigenvalues_match_trace_and_det():
 def test_expm_identity_at_zero():
     g = TwoBasinRates(1.0, 2.0, 2.0)
     assert np.abs(two_basin_expm(g, 0.0) - np.eye(2)).max() < 1e-15
+    with pytest.raises(UsageError):
+        two_basin_expm(g, -1.0)
 
 
 def test_expm_matches_generic():
@@ -74,22 +75,6 @@ def test_expm_semigroup():
     a = two_basin_expm(g, 0.8) @ two_basin_expm(g, 1.4)
     b = two_basin_expm(g, 2.2)
     assert np.abs(a - b).max() < 1e-10
-
-
-def test_large_A_mode():
-    g = TwoBasinRates(10.0, 30.0, 10.0)  # A = sqrt(800) > 10
-    t = 0.5
-    exact = two_basin_expm(g, t)
-    approx = two_basin_expm(g, t, mode="largeA")
-    prefactor = math.exp(t * (g.A - g.beta - g.gamma) / 2)
-    bound = prefactor * math.exp(-t * g.A) * 1.5  # coefficients are < 3/2
-    assert np.abs(approx - exact).max() <= bound
-    with pytest.raises(UsageError, match="largeA mode needs A"):
-        two_basin_expm(TwoBasinRates(1.0, 2.0, 2.0), 1.0, mode="largeA")
-    with pytest.raises(UsageError):
-        two_basin_expm(g, -1.0)
-    with pytest.raises(UsageError):
-        two_basin_expm(g, 1.0, mode="other")
 
 
 # ---------------------------------------------------------------- scenario
@@ -136,9 +121,11 @@ def test_bump_phase_range_by_enumeration():
     for p, r in ((2, -3), (3, -2)):
         top = 1 - Fraction(1, p ** (-r))
         seen = set()
+        q = p ** (1 - r)
         for digits in enumerate_cells(p, 1 - r):
-            u = character_exponent(r, 1, CellAddress(0, digits), p)
-            phase = Fraction(u.numerator, p**u.exponent)
+            # the character exponent {p^{r-1} x}_p of the within-basin x
+            x = sum(d * p**i for i, d in enumerate(digits, start=1))
+            phase = Fraction(x % q, q)
             assert 0 <= phase <= top
             seen.add(phase)
         assert max(seen) == top
@@ -160,7 +147,8 @@ def test_datum_frozen_values():
 
 def test_basin_averages_match_closed_form():
     s = demo_scenario()
-    avg_u, avg_n = basin_averages(s)
+    datum = ivp2_datum(s)
+    avg_u, avg_n = datum.basin_integral(s.basin_u), datum.basin_integral(s.basin_n)
     assert abs(avg_u - (s.A - s.loss_u + s.loss_n) / (2 * s.A * 2)) < 1e-12
     assert abs(avg_n - s.coupling / (s.A * 2)) < 1e-12
 
@@ -175,7 +163,8 @@ def test_basin_averages_match_closed_form():
         v_kernels={0: RadialKernel(2, (2.0,)), 1: k_n},
     )
     s2 = FoldingScenario(spec=spec, r=-4, amplitude=0.3)
-    avg_u, avg_n = basin_averages(s2)
+    datum = ivp2_datum(s2)
+    avg_u, avg_n = datum.basin_integral(s2.basin_u), datum.basin_integral(s2.basin_n)
     assert abs(avg_u - (s2.A - s2.loss_u + s2.loss_n) / (2 * s2.A * 2)) < 1e-12
     assert abs(avg_n - s2.coupling / (s2.A * 2)) < 1e-12
 
@@ -197,7 +186,8 @@ def test_folding_tau_pinned_paper_convention():
 
 
 def test_folding_tau_derived_never_crosses():
-    report = folding_tau(demo_scenario(), convention="derived")
+    s = demo_scenario()
+    report = folding_tau(replace(s, spec=replace(s.spec, convention="derived")))
     assert report.tau_numeric == math.inf
     assert report.crossing.crossing_cell is None
     # the closed form does not depend on the convention

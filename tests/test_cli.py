@@ -113,6 +113,30 @@ def test_times_must_be_sorted():
         parse_config(MINIMAL + "times: [-1.0, 0.5]\n")
 
 
+@pytest.mark.parametrize(
+    "text,hint", [("1e-3", "write 1.0e-3,"), ("1.0e300", "write 1.0e+300,"), ("soon", None)]
+)
+def test_float_without_yaml_1_1_spelling_gets_a_hint(capsys, tmp_path, text, hint):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(MINIMAL + f"times: [0.0, {text}]\n")
+    code, _, err = run(capsys, "solve", "--config", str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert "line 6: times entry must be a number" in err
+    assert (hint in err) if hint else ("write" not in err)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [("[]", "must not be empty"), ("[1.0, 0.5]", "must be sorted"), ("[-1.0, 0.5]", "must be sorted")],
+)
+def test_record_times_checked_with_line(capsys, tmp_path, text, message):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(MINIMAL + f"record_times: {text}\n")
+    code, _, err = run(capsys, "simulate", "--config", str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert f"line 6: record_times {message}" in err
+
+
 def test_bad_datum_string():
     with pytest.raises(ConfigError, match="datum"):
         parse_config(MINIMAL + "datum: gaussian\n")
@@ -505,6 +529,22 @@ def test_ivp2_datum_with_zero_A_exits_2(capsys, tmp_path, command):
     code, _, err = run(capsys, command, "--config", str(path), "--out", str(tmp_path))
     assert code == 2
     assert "A = 0" in err
+
+
+def test_overflowing_basin_means_exit_3(capsys, tmp_path):
+    # the exact density stays 1, but scaling and squaring doubles the rounding
+    # error at every squaring, and by t = 1e20 the basin means overflow
+    text = load_preset("conservative_two_basin").replace(
+        "times: [0.0, 0.5, 1.0, 5.0]", "times: [1.0e+9, 1.0e+15, 1.0e+20]"
+    )
+    assert "1.0e+20" in text
+    path = tmp_path / "late.yaml"
+    path.write_text(text)
+    code, _, err = run(
+        capsys, "solve", "--config", str(path), "--convention", "paper", "--out", str(tmp_path)
+    )
+    assert code == 3
+    assert "numeric failure: basin means are not finite at t = 1e+20" in err
 
 
 def test_oversized_cell_table_exits_3(capsys, tmp_path):

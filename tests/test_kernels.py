@@ -13,7 +13,7 @@ from ultranet.kernels import (
     kernel_mass,
     symbol_value,
 )
-from ultranet.padic import CellAddress, enumerate_cells, padic_distance
+from ultranet.padic import CellAddress, enumerate_cells
 from ultranet.wavelets import WaveletIndex, eval_wavelet
 
 
@@ -98,20 +98,15 @@ def test_mass_matches_riemann_cell_sum(p, levels):
 
 def _apply_jump_operator(k: RadialKernel, depth: int, vec: np.ndarray) -> np.ndarray:
     """Independent operator oracle: (Wu)(I) = sum_J (u(J)-u(I)) w(|I-J|) p^{-N}."""
-    cells = [CellAddress(0, d) for d in enumerate_cells(k.p, depth)]
+    cells = enumerate_cells(k.p, depth)
     out = np.zeros(len(cells), dtype=complex)
     for i, ci in enumerate(cells):
         acc = 0.0j
         for j, cj in enumerate(cells):
             if i == j:
                 continue
-            dist = padic_distance(ci, cj, k.p)
-            # read the level from the exact distance p^{-l}
-            l = 0
-            d = dist
-            while d != 1:
-                d *= k.p
-                l += 1
+            # |I-J| = p^{-l}, l the position of the first differing digit
+            l = next(n for n, (a, b) in enumerate(zip(ci, cj), start=1) if a != b)
             acc += (vec[j] - vec[i]) * k.level(l)
         out[i] = acc * k.p ** (-depth)
     return out

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ultranet.errors import NumericError, UsageError, ValidationError
+from ultranet.errors import UsageError, ValidationError
 from ultranet.kernels import RadialKernel
 from ultranet import spectral
 from ultranet.network import NetworkSpec, build_basin_matrix
@@ -17,7 +17,6 @@ from ultranet.spectral import (
     eval_density,
     evolve,
     init,
-    long_term_limit,
     matrix_exponential,
 )
 from ultranet.tree import compare, discretize, solve
@@ -137,13 +136,12 @@ def test_init_zero_datum_and_basin_indicator():
 
 def test_init_guards():
     spec = two_basin()
+    # only the crossing search needs a probability datum
     with pytest.raises(ValidationError, match="outside"):
-        init(spec, CellFunction.constant(2, 2, [0, 1], 1.5))
-    init(spec, CellFunction.constant(2, 2, [0, 1], 1.5), probabilistic=False)
+        absorbing_time(spec, CellFunction.constant(2, 2, [0, 1], 1.5))
+    init(spec, CellFunction.constant(2, 2, [0, 1], 1.5))
     with pytest.raises(ValidationError, match="basins"):
         init(spec, CellFunction.constant(2, 2, [0], 1.0))
-    with pytest.raises(UsageError, match="depth"):
-        init(spec, CellFunction.constant(2, 3, [0, 1], 1.0), R=1)
     with pytest.raises(UsageError, match="R >= 1"):
         init(spec, CellFunction.constant(2, 1, [0, 1], 1.0))
 
@@ -310,36 +308,6 @@ def test_block_means_match_wavelet_synthesis(p, R):
         out = eval_density(state, t)
         for b in (0, 1):
             assert np.abs(out.table[b] - ref.table[b]).max() <= 1e-12
-
-
-# ---------------------------------------------------------------- limits
-
-
-def test_long_term_limit_conservative_projection():
-    spec = two_basin(convention="paper")
-    state = init(spec, basin_indicator_datum())
-    limit = long_term_limit(state)
-    assert np.allclose(limit, [0.5, 0.5], atol=1e-12)
-
-
-def test_long_term_limit_dying_is_zero():
-    spec = two_basin(cross_mu=4.0, convention="paper")
-    state = init(spec, CellFunction.constant(2, 2, [0, 1], 1.0))
-    assert np.allclose(long_term_limit(state), [0.0, 0.0])
-
-
-def test_long_term_limit_zero_state():
-    spec = two_basin(convention="paper")
-    state = init(spec, CellFunction.constant(2, 2, [0, 1], 0.0))
-    assert np.allclose(long_term_limit(state), [0.0, 0.0])
-
-
-def test_long_term_limit_rejects_growing_mode():
-    # balanced cross rates under the "paper" convention give eigenvalue +1/2
-    spec = two_basin(cross_lam=1.0, cross_mu=1.0, convention="paper")
-    state = init(spec, CellFunction.constant(2, 2, [0, 1], 0.5))
-    with pytest.raises(NumericError, match="growing"):
-        long_term_limit(state)
 
 
 # ---------------------------------------------------------------- tau
@@ -530,7 +498,7 @@ def test_oracle_equivalence(case):
 @settings(max_examples=25, deadline=None)
 def test_feller_bound_under_derived_convention(case):
     spec, datum, N = case
-    state = init(spec, datum, convention="derived")
+    state = init(spec, datum)
     for t in (0.1, 1.0, 10.0):
         dens = eval_density(state, t)
         assert max(dens.table[b].max() for b in dens.basins) <= 1 + 1e-9

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -8,7 +7,7 @@ from ultranet.errors import UsageError
 from ultranet.kernels import RadialKernel, eigenvalue
 from ultranet.network import NetworkSpec
 from ultranet.padic import CellAddress, enumerate_cells
-from ultranet.tree import DiscreteGenerator, discretize, solve, write_csv
+from ultranet.tree import DiscreteGenerator, discretize, solve
 from ultranet.wavelets import CellFunction, WaveletIndex, enumerate_wavelets, eval_wavelet
 
 
@@ -76,17 +75,6 @@ def test_discretize_depth_guard_and_cap():
         discretize(single_basin(w_levels=(1.0, 0.5)), 2)
     with pytest.raises(UsageError, match="cap"):
         discretize(single_basin(), 14)
-
-
-def test_orientation_flag_swaps_jump_family():
-    spec = single_basin(w_levels=(0.0,), v_levels=(1.0,))
-    gen = discretize(spec, 2, orientation="generator")
-    prose = discretize(spec, 2, orientation="prose")
-    assert np.allclose(gen.Q[0, 1], 0.0)
-    assert np.allclose(prose.Q[0, 1], 0.25)
-    # the sink is physical and does not change with the orientation
-    assert np.allclose(gen.kill, prose.kill)
-    assert np.abs(prose.Q.sum(axis=1) + prose.kill).max() < 1e-12
 
 
 def test_solve_identity_at_time_zero():
@@ -166,12 +154,3 @@ def test_eigenvector_recovery(levels):
         lam = eigenvalue(kernel, idx.r)
         assert np.abs(gen.Q @ vec - lam * vec).max() < 1e-10
 
-
-def test_csv_dump_shape():
-    gen = discretize(single_basin(), 2)
-    buf = io.StringIO()
-    write_csv(gen, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == 3
-    assert lines[0].split(",")[0] == "state"
-    assert lines[0].split(",")[-1] == "kill"

@@ -37,16 +37,6 @@ def test_enumeration_order():
     assert idxs[-1] == WaveletIndex(-2, (2,), 2)
 
 
-def test_index_validation():
-    WaveletIndex(-2, (1,), 1).validate(2, 2)
-    with pytest.raises(ValidationError):
-        WaveletIndex(-3, (0, 0), 1).validate(2, 2)
-    with pytest.raises(ValidationError):
-        WaveletIndex(-2, (), 1).validate(2, 2)
-    with pytest.raises(ValidationError):
-        WaveletIndex(-1, (), 2).validate(2, 3)
-
-
 def test_eval_frozen_values():
     idx = WaveletIndex(-1, (), 1)
     up = eval_wavelet(idx, CellAddress(0, (0,)), 2)
