@@ -16,7 +16,7 @@ import numpy as np
 
 from . import spectral
 from .errors import UsageError, ValidationError
-from .kernels import RadialKernel, symbol_value
+from .kernels import symbol_value
 from .network import NetworkSpec, aggregate_rates
 from .padic import CellAddress, enumerate_cells
 from .wavelets import CellFunction, WaveletIndex, eval_wavelet
@@ -184,15 +184,11 @@ def ivp2_datum(scenario: FoldingScenario, depth: int | None = None) -> CellFunct
     flat_n = alpha / A
     idx = bump_wavelet(scenario)
     coeff = scenario.amplitude * p ** (scenario.r / 2)
-    values = {}
-    u_vals = np.full(p ** (depth - 1), flat_u)
-    n_vals = np.full(p ** (depth - 1), flat_n)
+    values = np.full((2, p ** (depth - 1)), [[flat_u], [flat_n]])
     for k, digits in enumerate(enumerate_cells(p, depth)):
         cell = CellAddress(scenario.basin_n, digits)
-        n_vals[k] += coeff * eval_wavelet(idx, cell, p).real
-    values[scenario.basin_u] = u_vals
-    values[scenario.basin_n] = n_vals
-    return CellFunction(p, depth, values)
+        values[1, k] += coeff * eval_wavelet(idx, cell, p).real
+    return CellFunction(p, depth, spec.basins, values)
 
 
 @dataclass(frozen=True)
@@ -265,20 +261,3 @@ def folding_tau(scenario: FoldingScenario) -> FoldingReport:
         crossing=crossing,
     )
 
-
-def demo_scenario() -> FoldingScenario:
-    """The bundled two-basin demo: strong symmetric coupling, so the
-    coarse chain has a growing mode and the crossing is finite under the
-    "paper" convention but never happens under the derived one."""
-    k_u = RadialKernel(2, (1.0,))
-    k_n = RadialKernel(2, (2.0, 1.0))
-    spec = NetworkSpec(
-        p=2,
-        basins=(0, 1),
-        cross_lambda={(0, 1): 5.0, (1, 0): 5.0},
-        cross_mu={(0, 1): 5.0, (1, 0): 5.0},
-        w_kernels={0: k_u, 1: k_n},
-        v_kernels={0: k_u, 1: k_n},
-        convention="paper",
-    )
-    return FoldingScenario(spec=spec, r=-4, amplitude=0.4, threshold=0.99)

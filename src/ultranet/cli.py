@@ -8,6 +8,7 @@ unknown keys are rejected instead of ignored.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -16,7 +17,6 @@ from collections.abc import Hashable
 from dataclasses import replace
 from importlib import resources
 
-import numpy as np
 import yaml
 from yaml.constructor import SafeConstructor
 
@@ -27,7 +27,7 @@ from .kernels import RadialKernel, arrhenius_kernel
 from .montecarlo import SimConfig, simulate
 from .montecarlo import write_csv as write_mc_csv
 from .network import CONVENTIONS, NetworkSpec, classify
-from .padic import CellAddress, enumerate_cells, parse_cell_label
+from .padic import parse_cell_label
 from .tree import compare, discretize
 from .wavelets import CellFunction
 
@@ -392,7 +392,8 @@ def scenario_from_config(cfg: dict, spec: NetworkSpec) -> FoldingScenario:
 def datum_from_config(cfg: dict, spec: NetworkSpec, depth: int) -> CellFunction:
     datum = cfg.get("datum", "uniform")
     if isinstance(datum, dict):
-        return CellFunction(spec.p, depth, {b: datum[b] for b in datum})
+        basins = sorted(datum)
+        return CellFunction(spec.p, depth, basins, [datum[b] for b in basins])
     if datum == "uniform":
         return CellFunction.constant(spec.p, depth, spec.basins, 1.0)
     if datum.startswith("delta:"):
@@ -407,9 +408,7 @@ def datum_from_config(cfg: dict, spec: NetworkSpec, depth: int) -> CellFunction:
                 f"datum cell {label!r} lies in basin {cell.basin}, "
                 f"which is not in basins {list(spec.basins)}"
             )
-        delta = CellFunction.indicator(spec.p, depth, cell.basin, cell.digits)
-        zero = np.zeros(spec.p ** (depth - 1))
-        return CellFunction(spec.p, depth, {b: delta.table.get(b, zero) for b in spec.basins})
+        return CellFunction.indicator(spec.p, depth, spec.basins, cell)
     if datum.startswith("ivp2:"):
         scenario = scenario_from_config(cfg, spec)
         if depth < 1 - scenario.r:
@@ -437,21 +436,31 @@ def emit_plotdata(name: str, labels, rows, out_dir: str):
 
     rows yields (t, values) one time at a time, values in label order;
     nothing is kept past its row, so memory does not grow with the
-    number of times.
+    number of times. Both files are written under temporary names and
+    renamed only after the last row; if anything fails on the way,
+    the partial files are removed, so a failed run leaves neither.
     """
-    long_path = f"{out_dir}/{name}.csv"
-    cols_path = f"{out_dir}/{name}.dat"
-    with open(long_path, "w") as long_f, open(cols_path, "w") as cols_f:
-        long_f.write("t,series,value\n")
-        cols_f.write("# t " + " ".join(labels) + "\n")
-        for t, values in rows:
-            t_text = _fmt(float(t))
-            texts = [_fmt(float(v)) for v in values]
-            long_f.writelines(
-                f"{t_text},{label},{text}\n" for label, text in zip(labels, texts)
-            )
-            cols_f.write(f"{t_text} {' '.join(texts)}\n")
-    return [long_path, cols_path]
+    paths = [f"{out_dir}/{name}.csv", f"{out_dir}/{name}.dat"]
+    temps = [f"{path}.partial" for path in paths]
+    try:
+        with open(temps[0], "w") as long_f, open(temps[1], "w") as cols_f:
+            long_f.write("t,series,value\n")
+            cols_f.write("# t " + " ".join(labels) + "\n")
+            for t, values in rows:
+                t_text = _fmt(float(t))
+                texts = [_fmt(float(v)) for v in values]
+                long_f.writelines(
+                    f"{t_text},{label},{text}\n" for label, text in zip(labels, texts)
+                )
+                cols_f.write(f"{t_text} {' '.join(texts)}\n")
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+        raise
+    return paths
 
 
 # ---------------------------------------------------------------- commands
@@ -488,13 +497,9 @@ def _run_solve(cfg, spec, args) -> int:
     depth = R + 1
     datum = datum_from_config(cfg, spec, depth)
     state = spectral.init(spec, datum)
-    labels = [
-        CellAddress(basin, digits).label()
-        for basin in spec.basins
-        for digits in enumerate_cells(spec.p, depth)
-    ]
+    labels = [cell.label() for cell in datum.cells()]
     rows = (
-        (t, np.concatenate(list(spectral.eval_density(state, t).table.values())))
+        (t, spectral.eval_density(state, t).values.ravel())
         for t in cfg.get("times", [0.0, 1.0])
     )
     files = emit_plotdata("density", labels, rows, args.out)

@@ -142,9 +142,14 @@ def _simulate_chunk(seeds, start, cum_rates, totals, times, horizon):
 
 
 def simulate(gen: DiscreteGenerator, u0: CellFunction, cfg: SimConfig) -> SimResult:
-    """Estimate u(I, t) = E_I[u0(X_t); alive] for every start cell I."""
+    """Estimate u(I, t) = E_I[u0(X_t); alive] for every start cell I.
+
+    u0 must cover exactly the network's basins at the generator's depth
+    (the datum check of spectral.init); its rows end to end are its
+    values on gen.states.
+    """
     dim = gen.dim
-    u0_vec = np.array([u0.value_at(cell) for cell in gen.states], dtype=float)
+    u0_vec = gen.cell_vector(u0)
     if u0_vec.min() < 0.0 or u0_vec.max() > 1.0:
         raise ValidationError("u0 must take values in [0, 1]")
 

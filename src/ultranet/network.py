@@ -19,15 +19,16 @@ sink, so the matrix is always substochastic when the standing rate
 inequalities hold. "paper" keeps the cross terms bare (no 1/p); it is
 the convention under which the classification identities (conservative
 matrix, dying at infinity) are stated. A NetworkSpec fixes one
-convention for every solver run on it; classify asks for the "paper"
-matrix by name. build_basin_matrix returns a plain float array; the
-spectral state builds it once and keeps it.
+convention for every solver run on it; classify builds the "paper"
+matrix from a copy of the spec set to that convention.
+build_basin_matrix returns a plain float array; the spectral state
+builds it once and keeps it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping
 
@@ -198,12 +199,12 @@ def aggregate_rates(spec: NetworkSpec) -> Aggregates:
     )
 
 
-def _basin_entries_exact(spec: NetworkSpec, convention: str) -> list:
-    """Basin matrix as exact Fractions: diag -(loss_total - gain_diag)/p,
-    off-diagonal the cross gain, divided by p under `derived`."""
+def _basin_entries_exact(spec: NetworkSpec) -> list:
+    """Basin matrix as exact Fractions under the spec's convention: diag
+    -(loss_total - gain_diag)/p, off-diagonal the cross gain, divided by
+    p under `derived`."""
     lam_d = spec._exact_gain_diag()
     mu_b = spec._exact_loss_total()
-    n = len(spec.basins)
     rows = []
     for i, a in enumerate(spec.basins):
         row = []
@@ -212,19 +213,15 @@ def _basin_entries_exact(spec: NetworkSpec, convention: str) -> list:
                 row.append(Fraction(lam_d[i] - mu_b[i], spec.p))
             else:
                 cross = spec.cross_lambda[(a, b)]
-                row.append(Fraction(cross, spec.p) if convention == "derived" else _frac(cross))
+                row.append(Fraction(cross, spec.p) if spec.convention == "derived" else _frac(cross))
         rows.append(row)
     return rows
 
 
-def build_basin_matrix(spec: NetworkSpec, convention: str | None = None) -> np.ndarray:
+def build_basin_matrix(spec: NetworkSpec) -> np.ndarray:
     """The basin matrix as floats, rows and columns in basin order, under
-    the spec's convention unless another is named."""
-    convention = convention or spec.convention
-    if convention not in CONVENTIONS:
-        raise ValidationError(f"unknown convention {convention!r}")
-    rows = _basin_entries_exact(spec, convention)
-    return np.array([[float(x) for x in row] for row in rows])
+    the spec's convention."""
+    return np.array([[float(x) for x in row] for row in _basin_entries_exact(spec)])
 
 
 @dataclass(frozen=True)
@@ -294,7 +291,7 @@ def classify(spec: NetworkSpec, exact: bool = False) -> Classification:
     dies = len(g2) == len(spec.basins) and all(
         m > d for m, d in zip(mu_b, lam_d)
     )
-    paper = build_basin_matrix(spec, "paper")
+    paper = build_basin_matrix(replace(spec, convention="paper"))
     return Classification(
         g1=tuple(g1),
         g2=tuple(g2),

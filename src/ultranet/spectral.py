@@ -117,15 +117,12 @@ def init(spec: NetworkSpec, datum: CellFunction) -> SpectralState:
     R = depth - 1, and build the basin matrix under the spec's convention."""
     if datum.p != spec.p:
         raise ValidationError(f"datum has p={datum.p}, network has p={spec.p}")
-    if set(datum.basins) != set(spec.basins):
-        raise ValidationError(
-            f"datum covers basins {datum.basins}, network has {list(spec.basins)}"
-        )
+    datum.require_basins(spec.basins)
     R = datum.depth - 1
     if R < 1:
         raise UsageError("the expansion needs R >= 1 (datum depth >= 2)")
     p = spec.p
-    table = np.array([datum.table[b] for b in spec.basins])
+    table = datum.values
     n_basins, n_cells = table.shape
     mean = table.mean(axis=1)
     coarse = mean[:, None]
@@ -171,7 +168,7 @@ def eval_density(state: SpectralState, t: float = 0.0) -> CellFunction:
     if t:
         state = evolve(state, t)
     values = state.mean[:, None] + state.details.sum(axis=1)
-    return CellFunction(state.spec.p, state.R + 1, dict(zip(state.spec.basins, values)))
+    return CellFunction(state.spec.p, state.R + 1, state.spec.basins, values)
 
 
 @dataclass(frozen=True)
@@ -307,8 +304,8 @@ def absorbing_time(
     if threshold <= 0:
         raise UsageError(f"threshold must be > 0, got {threshold}")
     state = init(spec, datum)
-    for b in datum.basins:
-        lo, hi = datum.table[b].min(), datum.table[b].max()
+    for b, row in zip(datum.basins, datum.values):
+        lo, hi = row.min(), row.max()
         if lo < -1e-12 or hi > 1 + 1e-12:
             raise ValidationError(
                 f"datum values in basin {b} span [{lo}, {hi}], outside [0, 1]"

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, ValidationError
 from .network import NetworkSpec, aggregate_rates
 from .padic import CellAddress, enumerate_cells
 from .wavelets import CellFunction
@@ -36,6 +36,17 @@ class DiscreteGenerator:
     @property
     def dim(self) -> int:
         return len(self.states)
+
+    def cell_vector(self, u0: CellFunction) -> np.ndarray:
+        """u0 as one vector in state order: its rows end to end. States
+        run basin-major in enumerate_cells order, the layout of
+        u0.values, so a datum of the same depth and basins lines up."""
+        if u0.depth != self.N:
+            raise UsageError(f"datum depth {u0.depth} must equal the level {self.N}")
+        u0.require_basins(dict.fromkeys(s.basin for s in self.states))
+        if u0.values.size != self.dim:  # same basins and depth, another p
+            raise ValidationError(f"datum has {u0.values.size} cells, the chain has {self.dim}")
+        return u0.values.ravel()
 
 
 def discretize(spec: NetworkSpec, N: int) -> DiscreteGenerator:
@@ -95,19 +106,12 @@ def _pairwise_levels(kernel, p: int, N: int) -> np.ndarray:
 
 
 def solve(gen: DiscreteGenerator, u0: CellFunction, t: float) -> CellFunction:
-    """Propagate the cell vector: u(t) = e^{tQ} u(0)."""
+    """Propagate the cell vector, u(t) = e^{tQ} u(0); the result has the
+    basins and the layout of u0."""
     import scipy.linalg  # only the oracle needs it; spares every other command the import
 
-    if u0.depth != gen.N:
-        raise UsageError(f"datum depth {u0.depth} must equal the level {gen.N}")
-    vec = np.array([u0.value_at(s) for s in gen.states])
-    out = scipy.linalg.expm(gen.Q * float(t)) @ vec
-    basins = sorted({s.basin for s in gen.states})
-    width = gen.dim // len(basins)
-    values = {
-        b: out[i * width : (i + 1) * width] for i, b in enumerate(basins)
-    }
-    return CellFunction(u0.p, gen.N, values)
+    out = scipy.linalg.expm(gen.Q * float(t)) @ gen.cell_vector(u0)
+    return CellFunction(u0.p, gen.N, u0.basins, out.reshape(u0.values.shape))
 
 
 def compare(spec: NetworkSpec, datum: CellFunction, N: int, times) -> list:
@@ -122,9 +126,6 @@ def compare(spec: NetworkSpec, datum: CellFunction, N: int, times) -> list:
         evolved = spectral.evolve(state0, t)
         approx = spectral.eval_density(evolved)
         exact = solve(gen, datum, t)
-        gap = max(
-            np.abs(approx.table[b] - exact.table[b]).max() for b in exact.basins
-        )
-        gaps.append(float(gap))
+        gaps.append(float(np.abs(approx.values - exact.values).max()))
     return gaps
 

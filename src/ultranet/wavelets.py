@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -91,65 +90,70 @@ def wavelet_matrix(p: int, R: int, depth: int) -> np.ndarray:
 class CellFunction:
     """A real function constant on depth-N cells of a set of basins.
 
-    values maps each basin digit to a flat array of cell values in
-    enumerate_cells order.
+    basins is a strictly increasing tuple of basin digits; values is one
+    float array of shape (len(basins), p^(N - 1)) whose row i holds the
+    cells of basins[i] in enumerate_cells order.
     """
 
-    def __init__(self, p: int, depth: int, values: Mapping):
+    def __init__(self, p: int, depth: int, basins, values):
         validate_prime(p)
         if depth < 1:
             raise UsageError(f"depth must be >= 1, got {depth}")
-        self.p = p
-        self.depth = depth
-        n = p ** (depth - 1)
-        table = {}
-        for basin, cells in values.items():
+        basins = tuple(basins)
+        if not basins:
+            raise ValidationError("a cell function needs at least one basin")
+        for basin in basins:
             if not 0 <= basin < p:
                 raise ValidationError(f"basin digit {basin} out of range for p={p}")
-            arr = np.asarray(cells, dtype=float)
-            if arr.shape != (n,):
+        if list(basins) != sorted(set(basins)):
+            raise ValidationError(f"basins {basins} must be strictly increasing")
+        if len(values) != len(basins):
+            raise ValidationError(f"{len(basins)} basins need as many rows, got {len(values)}")
+        n = p ** (depth - 1)
+        for basin, row in zip(basins, values):
+            if np.shape(row) != (n,):
                 raise ValidationError(
-                    f"basin {basin}: expected {n} values, got shape {arr.shape}"
+                    f"basin {basin}: expected {n} values, got shape {np.shape(row)}"
                 )
-            table[basin] = arr
-        if not table:
-            raise ValidationError("a cell function needs at least one basin")
-        self.table = table
-
-    @property
-    def basins(self) -> list[int]:
-        return sorted(self.table)
+        self.p = p
+        self.depth = depth
+        self.basins = basins
+        self.values = np.asarray(values, dtype=float)
 
     @classmethod
     def constant(cls, p: int, depth: int, basins, value: float) -> "CellFunction":
-        n = p ** (depth - 1)
-        return cls(p, depth, {b: np.full(n, float(value)) for b in basins})
+        return cls(p, depth, basins, np.full((len(basins), p ** (depth - 1)), float(value)))
 
     @classmethod
-    def indicator(cls, p: int, depth: int, basin: int, digits: tuple) -> "CellFunction":
-        """1 on the subtree below (basin, digits), 0 elsewhere in the basin."""
+    def indicator(cls, p: int, depth: int, basins, cell: CellAddress) -> "CellFunction":
+        """1 on the subtree below the cell, 0 elsewhere in every basin."""
         n = p ** (depth - 1)
-        arr = np.zeros(n)
-        if len(digits) > depth - 1:
+        if cell.depth > depth:
             raise UsageError("indicator digits deeper than the function depth")
-        span = n // p ** len(digits)
-        start = cell_index(tuple(digits), p) * span
-        arr[start : start + span] = 1.0
-        return cls(p, depth, {basin: arr})
+        if cell.basin not in basins:
+            raise ValidationError(f"cell basin {cell.basin} is not in basins {list(basins)}")
+        values = np.zeros((len(basins), n))
+        span = n // p ** len(cell.digits)
+        start = cell_index(cell.digits, p) * span
+        values[basins.index(cell.basin), start : start + span] = 1.0
+        return cls(p, depth, basins, values)
 
-    def value_at(self, cell: CellAddress) -> float:
-        """Value on a cell at the native depth or deeper (local constancy)."""
-        if cell.depth < self.depth:
-            raise UsageError(
-                f"cell depth {cell.depth} is coarser than the function depth {self.depth}"
+    def require_basins(self, basins) -> None:
+        """Refuse unless the function covers exactly these basins."""
+        if self.basins != tuple(basins):
+            raise ValidationError(
+                f"datum covers basins {list(self.basins)}, network has {list(basins)}"
             )
-        if cell.basin not in self.table:
-            raise UsageError(f"basin {cell.basin} not covered by this function")
-        return float(self.table[cell.basin][cell_index(cell.digits[: self.depth - 1], self.p)])
+
+    def cells(self):
+        """Yield the cell of each entry of values.ravel(), in that order."""
+        for basin in self.basins:
+            for digits in enumerate_cells(self.p, self.depth):
+                yield CellAddress(basin, digits)
 
     def basin_integral(self, basin: int) -> float:
         """Integral over one basin's subtree (depth-N cells weigh p^{-N})."""
-        return float(self.table[basin].sum()) * self.p ** (-self.depth)
+        return float(self.values[self.basins.index(basin)].sum()) * self.p ** (-self.depth)
 
     def integral(self) -> float:
         return sum(self.basin_integral(b) for b in self.basins)
@@ -157,49 +161,38 @@ class CellFunction:
 
 @dataclass
 class Expansion:
-    """Per-basin wavelet coefficients of a CellFunction at resolution R.
+    """Wavelet coefficients of a CellFunction at resolution R, one row
+    per basin.
 
-    c0[b] is sqrt(p) times the basin integral; coeffs[b][index] is the
-    inner product with the indexed wavelet on that basin's subtree.
+    c0[i] is sqrt(p) times the integral over basins[i]; coeffs[i, k] is
+    the inner product with wavelet k (enumerate_wavelets order) on that
+    basin's subtree.
     """
 
     p: int
     R: int
-    c0: dict
-    coeffs: dict
-
-    @property
-    def basins(self) -> list[int]:
-        return sorted(self.c0)
+    basins: tuple
+    c0: np.ndarray  # (basins,)
+    coeffs: np.ndarray  # (basins, p^R - 1), complex
 
 
 def expand(f: CellFunction, R: int) -> Expansion:
-    """Project a cell function on the resolution-R basis, basin by basin."""
+    """Project a cell function on the resolution-R basis, every basin at once."""
     if f.depth < R + 1:
         raise UsageError(
             f"function depth {f.depth} cannot resolve scale -{R}; need depth >= {R + 1}"
         )
     p = f.p
-    indices = enumerate_wavelets(p, R)
     W = wavelet_matrix(p, R, f.depth)
     weight = p ** (-f.depth)
-    c0 = {}
-    coeffs = {}
-    for b in f.basins:
-        vec = f.table[b]
-        c0[b] = p**0.5 * float(vec.sum()) * weight
-        inner = W.conj() @ vec * weight
-        coeffs[b] = dict(zip(indices, inner.tolist()))
-    return Expansion(p=p, R=R, c0=c0, coeffs=coeffs)
+    c0 = p**0.5 * f.values.sum(axis=1) * weight
+    coeffs = f.values @ W.conj().T * weight
+    return Expansion(p=p, R=R, basins=f.basins, c0=c0, coeffs=coeffs)
 
 
 def reconstruct_all(expansion: Expansion, depth: int) -> CellFunction:
     """Synthesis on every depth cell at once (depth >= R + 1)."""
     p = expansion.p
-    indices = enumerate_wavelets(p, expansion.R)
     W = wavelet_matrix(p, expansion.R, depth)
-    values = {}
-    for b in expansion.basins:
-        cvec = np.array([expansion.coeffs[b][idx] for idx in indices])
-        values[b] = p**0.5 * expansion.c0[b] + (cvec[:, None] * W).real.sum(axis=0)
-    return CellFunction(p, depth, values)
+    values = p**0.5 * expansion.c0[:, None] + (expansion.coeffs @ W).real
+    return CellFunction(p, depth, expansion.basins, values)

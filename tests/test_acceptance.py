@@ -7,12 +7,12 @@ and time budgets are part of the claims and are asserted, not logged.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from ultranet.binary import (
     TwoBasinRates,
-    demo_scenario,
     folding_tau,
     two_basin_eigenvalues,
     two_basin_expm,
@@ -83,7 +83,7 @@ def _spec_depth(spec: NetworkSpec) -> int:
 def _random_datum(rng, spec: NetworkSpec, depth: int) -> CellFunction:
     n = spec.p ** (depth - 1)
     return CellFunction(
-        spec.p, depth, {b: rng.uniform(0.0, 1.0, size=n) for b in spec.basins}
+        spec.p, depth, spec.basins, [rng.uniform(0.0, 1.0, size=n) for b in spec.basins]
     )
 
 
@@ -117,9 +117,9 @@ def test_criterion_2_wavelet_suite():
             assert np.abs(gram - np.eye(len(basis))).max() <= 1e-12
             means = W.sum(axis=1) * p ** (-depth)
             assert np.abs(means).max() <= 1e-14
-            f = CellFunction(p, depth, {0: rng.uniform(-1.0, 2.0, size=n_cells)})
+            f = CellFunction(p, depth, (0,), [rng.uniform(-1.0, 2.0, size=n_cells)])
             back = reconstruct_all(expand(f, R), depth)
-            assert np.abs(back.table[0] - f.table[0]).max() <= 1e-12
+            assert np.abs(back.values - f.values).max() <= 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed <= 5.0
     print(f"criterion 2 wavelet suite: PASS ({elapsed:.1f}s)")
@@ -169,7 +169,7 @@ def test_criterion_4_classification_regimes():
     balanced = _two_basin(2, (1.0,), 1.0, 2.0)
     result = classify(balanced, exact=True)
     assert result.g1 == (0, 1) and result.is_conservative_matrix
-    lam = build_basin_matrix(balanced, "paper")
+    lam = build_basin_matrix(replace(balanced, convention="paper"))
     for row in lam:
         assert row.sum() == 0.0
 
@@ -180,7 +180,7 @@ def test_criterion_4_classification_regimes():
     assert result.g2 == (0, 1) and result.dies_at_infinity
     agg = aggregate_rates(dying)
     assert all(m > d for m, d in zip(agg.loss_total, agg.gain_diag))
-    lam = build_basin_matrix(dying, "paper")
+    lam = build_basin_matrix(replace(dying, convention="paper"))
     eigs = np.linalg.eigvals(lam)
     assert eigs.real.max() < 0.0
     t_long = 50.0 / np.abs(eigs.real).min()
@@ -209,7 +209,7 @@ def test_criterion_4_classification_regimes():
             break
     assert mixed is not None
     result = classify(mixed, exact=True)
-    lam = build_basin_matrix(mixed, "paper")
+    lam = build_basin_matrix(replace(mixed, convention="paper"))
     sums = lam.sum(axis=1)
     assert sums.max() <= 1e-12 and sums.min() < 0.0
     assert result.is_m_matrix
@@ -248,7 +248,7 @@ def test_criterion_5_conservation_and_bounds():
         state = init(spec, datum)
         for t in SUITE_TIMES:
             out = eval_density(state, t)
-            high = max(high, max(out.table[b].max() for b in out.basins))
+            high = max(high, out.values.max())
     assert high <= 1.0 + 1e-9
     print(f"criterion 5 conservation and bounds: PASS (sup {high:.12f})")
 
@@ -271,11 +271,8 @@ def test_criterion_6_fast_mode_decay():
     ts = np.linspace(0.0, 5.0, 11)
     order = enumerate_wavelets(p, R)
     worst = 0.0
-    for b in spec.basins:
-        history = np.array([
-            [expand(eval_density(evolve(state, t)), R).coeffs[b][idx] for idx in order]
-            for t in ts
-        ])
+    for row, b in enumerate(spec.basins):
+        history = np.array([expand(eval_density(evolve(state, t)), R).coeffs[row] for t in ts])
         for i, idx in enumerate(order):
             assert abs(history[0, i]) > 0.0
             slope = np.polyfit(ts, np.log(np.abs(history[:, i])), 1)[0]
@@ -285,7 +282,7 @@ def test_criterion_6_fast_mode_decay():
     print(f"criterion 6 fast mode decay: PASS (worst slope gap {worst:.2e})")
 
 
-def test_criterion_7_binary_model():
+def test_criterion_7_binary_model(demo_scenario):
     start = time.perf_counter()
     cases = (
         TwoBasinRates(1.0, 2.0, 2.0),
@@ -301,7 +298,7 @@ def test_criterion_7_binary_model():
         assert abs((lo + hi) - np.trace(M)) <= 1e-12
         assert abs(lo * hi - np.linalg.det(M)) <= 1e-12
 
-    scenario = demo_scenario()
+    scenario = demo_scenario
     p = scenario.spec.p
     alpha, beta, gamma = scenario.coupling, scenario.loss_u, scenario.loss_n
     A = scenario.A
@@ -336,7 +333,7 @@ def test_criterion_8_monte_carlo():
     )
     gen = discretize(spec, 2)
     assert gen.dim <= 8
-    u0 = CellFunction(2, 2, {0: [0.9, 0.1], 1: [0.45, 0.7]})
+    u0 = CellFunction(2, 2, (0, 1), [[0.9, 0.1], [0.45, 0.7]])
     cfg = SimConfig(
         n_paths=100_000,
         t_max=2.0,
@@ -346,8 +343,7 @@ def test_criterion_8_monte_carlo():
     result = simulate(gen, u0, cfg)
     for j, t in enumerate(cfg.record_times):
         exact = solve(gen, u0, t)
-        exact_vec = np.array([exact.value_at(cell) for cell in gen.states])
-        gap = np.abs(result.estimates[j] - exact_vec)
+        gap = np.abs(result.estimates[j] - exact.values.ravel())
         assert (gap <= 3.0 * result.stderrs[j] + 1e-12).all()
 
     again = simulate(gen, u0, cfg)

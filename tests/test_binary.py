@@ -9,7 +9,6 @@ from ultranet.binary import (
     FoldingScenario,
     TwoBasinRates,
     bump_wavelet,
-    demo_scenario,
     folding_tau,
     two_basin_eigenvalues,
     two_basin_expm,
@@ -80,16 +79,16 @@ def test_expm_semigroup():
 # ---------------------------------------------------------------- scenario
 
 
-def test_demo_mapping_frozen():
-    s = demo_scenario()
+def test_demo_mapping_frozen(demo_scenario):
+    s = demo_scenario
     assert s.coupling == 5.0
     assert s.loss_u == 2.5
     assert s.loss_n == 2.5
     assert s.A == 10.0
 
 
-def test_scenario_validation():
-    s = demo_scenario()
+def test_scenario_validation(demo_scenario):
+    s = demo_scenario
     with pytest.raises(ValidationError, match="exceed 1"):
         replace(s, amplitude=0.6)
     with pytest.raises(ValidationError, match="r must be"):
@@ -131,22 +130,22 @@ def test_bump_phase_range_by_enumeration():
         assert max(seen) == top
 
 
-def test_datum_frozen_values():
-    s = demo_scenario()
+def test_datum_frozen_values(demo_scenario):
+    s = demo_scenario
     datum = ivp2_datum(s)
     assert datum.depth == 5
-    assert np.allclose(datum.table[0], 0.5)
-    n_vals = dict(zip(enumerate_cells(2, 5), datum.table[1]))
+    assert np.allclose(datum.values[0], 0.5)
+    n_vals = dict(zip(enumerate_cells(2, 5), datum.values[1]))
     assert n_vals[(0, 0, 0, 0)] == pytest.approx(0.9, abs=1e-15)
     assert n_vals[(0, 0, 0, 1)] == pytest.approx(0.1, abs=1e-15)
     assert n_vals[(1, 0, 0, 0)] == pytest.approx(0.5, abs=1e-15)
-    assert datum.table[1].min() >= 0 and datum.table[1].max() <= 1
+    assert datum.values[1].min() >= 0 and datum.values[1].max() <= 1
     with pytest.raises(UsageError, match="depth"):
         ivp2_datum(s, depth=4)
 
 
-def test_basin_averages_match_closed_form():
-    s = demo_scenario()
+def test_basin_averages_match_closed_form(demo_scenario):
+    s = demo_scenario
     datum = ivp2_datum(s)
     avg_u, avg_n = datum.basin_integral(s.basin_u), datum.basin_integral(s.basin_n)
     assert abs(avg_u - (s.A - s.loss_u + s.loss_n) / (2 * s.A * 2)) < 1e-12
@@ -172,8 +171,8 @@ def test_basin_averages_match_closed_form():
 # ---------------------------------------------------------------- tau
 
 
-def test_folding_tau_pinned_paper_convention():
-    report = folding_tau(demo_scenario())
+def test_folding_tau_pinned_paper_convention(demo_scenario):
+    report = folding_tau(demo_scenario)
     assert report.convention == "paper"
     assert report.tau_formula == pytest.approx(math.log(0.9) / -2.5)
     # true crossing of 0.5 e^{2.5 t} + 0.4 e^{-3.125 t} over 0.99
@@ -181,12 +180,12 @@ def test_folding_tau_pinned_paper_convention():
     assert report.crossing.crossing_cell == CellAddress(1, (0, 0, 0, 0))
     assert report.time_constant_chain == pytest.approx(-0.4)
     assert report.time_constant_mode == pytest.approx(0.32)
-    assert report.fast_mode == bump_wavelet(demo_scenario())
+    assert report.fast_mode == bump_wavelet(demo_scenario)
     assert report.A == 10.0
 
 
-def test_folding_tau_derived_never_crosses():
-    s = demo_scenario()
+def test_folding_tau_derived_never_crosses(demo_scenario):
+    s = demo_scenario
     report = folding_tau(replace(s, spec=replace(s.spec, convention="derived")))
     assert report.tau_numeric == math.inf
     assert report.crossing.crossing_cell is None
@@ -194,14 +193,14 @@ def test_folding_tau_derived_never_crosses():
     assert report.tau_formula == pytest.approx(math.log(0.9) / -2.5)
 
 
-def test_saturated_amplitude_gives_zero_formula_time():
-    s = replace(demo_scenario(), amplitude=0.5)
+def test_saturated_amplitude_gives_zero_formula_time(demo_scenario):
+    s = replace(demo_scenario, amplitude=0.5)
     report = folding_tau(s)
     assert report.tau_formula == 0.0
 
 
-def test_demo_network_defeats_classification():
+def test_demo_network_defeats_classification(demo_scenario):
     # total gain balances total loss in both basins, which neither
     # classification regime can place; the tau machinery must not depend on it
     with pytest.raises(ClassificationError):
-        classify(demo_scenario().spec)
+        classify(demo_scenario.spec)

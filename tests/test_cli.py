@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import tracemalloc
 from types import SimpleNamespace
 
@@ -326,6 +327,58 @@ def test_delta_datum_on_two_basins_zero_fills_the_other(capsys, tmp_path):
     assert float(out.split("=")[1]) <= 1e-12
 
 
+def _two_basins_at_p5(basins, datum):
+    """A p = 5 network on the given two basins, with a basin-to-values datum
+    written in the order given."""
+    a, b = basins
+    rows = ", ".join(f"{basin}: {values}" for basin, values in datum.items())
+    return (
+        f"prime: 5\nbasins: [{a}, {b}]\n"
+        f"kernels:\n  w: {{{a}: [0.5], {b}: [1.0]}}\n  v: {{{a}: [1.0], {b}: [1.0]}}\n"
+        f"cross: {{lambda: {{{a}->{b}: 0.5, {b}->{a}: 0.25}}, mu: {{{a}->{b}: 1.0, {b}->{a}: 1.5}}}}\n"
+        f"datum: {{{rows}}}\n"
+        "threshold: 0.99\nseed: 3\npaths: 200\nt_max: 1.0\nrecord_times: [0.5, 1.0]\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "tau", "simulate"])
+@pytest.mark.parametrize(
+    "covered", [[0], [0, 1, 3]], ids=["missing_basin", "extra_basin"]
+)
+def test_datum_on_other_basins_exits_2(capsys, tmp_path, command, covered):
+    datum = {basin: [0.5] * 5 for basin in covered}
+    path = tmp_path / "cfg.yaml"
+    path.write_text(_two_basins_at_p5((0, 1), datum) + "resolution: 1\n")
+    code, _, err = run(capsys, command, "--config", str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert f"datum covers basins {covered}, network has [0, 1]" in err
+
+
+def test_basins_that_do_not_start_at_zero(capsys, tmp_path):
+    rng = random.Random(13)
+    datum = {basin: [round(rng.uniform(0.0, 1.0), 6) for _ in range(25)] for basin in (3, 1)}
+    path = tmp_path / "cfg.yaml"
+    path.write_text(_two_basins_at_p5((1, 3), datum) + "resolution: 2\ntimes: [0.0, 0.5]\n")
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "solve", "--config", str(path), "--out", str(out))
+    assert code == 0, err
+    labels = [f"{basin}.{a}{b}" for basin in (1, 3) for a in range(5) for b in range(5)]
+    rows = [row.split(",") for row in (out / "density.csv").read_text().splitlines()[1:]]
+    assert [label for t, label, _ in rows if t == "0"] == labels
+    at_zero = [float(value) for t, _, value in rows if t == "0"]
+    assert at_zero == pytest.approx(datum[1] + datum[3], abs=1e-12)
+    assert (out / "density.dat").read_text().splitlines()[0] == "# t " + " ".join(labels)
+
+    code, stdout, _ = run(capsys, "oracle", "--config", str(path), "--out", str(out))
+    assert code == 0
+    assert float(stdout.split("=")[1]) <= 1e-9
+
+    code, _, _ = run(capsys, "simulate", "--config", str(path), "--out", str(out))
+    assert code == 0
+    mc = [row.split(",") for row in (out / "mc.csv").read_text().splitlines()[1:]]
+    assert [state for t, state, *_ in mc if t == "0.5"] == labels
+
+
 def test_delta_datum_outside_the_basins_exits_2(capsys, tmp_path):
     cfgfile = tmp_path / "cfg.yaml"
     cfgfile.write_text(MINIMAL + "datum: delta:1.0\n")
@@ -545,6 +598,8 @@ def test_overflowing_basin_means_exit_3(capsys, tmp_path):
     )
     assert code == 3
     assert "numeric failure: basin means are not finite at t = 1e+20" in err
+    # the rows before 1e+20 were written, but a failed run publishes no file
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["late.yaml"]
 
 
 def test_oversized_cell_table_exits_3(capsys, tmp_path):

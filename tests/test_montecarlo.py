@@ -60,7 +60,7 @@ def test_path_seeds_distinct():
 
 def test_frozen_process_is_exact():
     gen = synthetic_gen(np.zeros((2, 2)), [0.0, 0.0])
-    u0 = CellFunction(2, 2, {0: [0.75, 0.25]})
+    u0 = CellFunction(2, 2, (0,), [[0.75, 0.25]])
     cfg = SimConfig(n_paths=500, t_max=3.0, seed=7, record_times=(0.0, 1.0, 3.0))
     res = simulate(gen, u0, cfg)
     assert np.array_equal(res.estimates, [[0.75, 0.25]] * 3)
@@ -71,7 +71,7 @@ def test_frozen_process_is_exact():
 
 def test_record_at_time_zero_is_the_start_value():
     gen = killed_two_basin()
-    u0 = CellFunction(2, 2, {0: [1.0, 0.0], 1: [0.5, 0.5]})
+    u0 = CellFunction(2, 2, (0, 1), [[1.0, 0.0], [0.5, 0.5]])
     cfg = SimConfig(n_paths=200, t_max=1.0, seed=3, record_times=(0.0, 1.0))
     res = simulate(gen, u0, cfg)
     assert np.array_equal(res.estimates[0], [1.0, 0.0, 0.5, 0.5])
@@ -84,7 +84,7 @@ def test_record_at_time_zero_is_the_start_value():
 def test_uniform_kill_matches_survival_law():
     kappa = 0.3
     gen = synthetic_gen(np.zeros((2, 2)), [kappa, kappa])
-    u0 = CellFunction(2, 2, {0: [1.0, 1.0]})
+    u0 = CellFunction(2, 2, (0,), [[1.0, 1.0]])
     cfg = SimConfig(n_paths=20000, t_max=2.0, seed=11, record_times=(0.5, 1.0, 2.0))
     res = simulate(gen, u0, cfg)
     for j, t in enumerate(cfg.record_times):
@@ -104,7 +104,7 @@ def test_single_basin_against_relaxation_value():
         v_kernels={0: RadialKernel(2, (1.0,))},
     )
     gen = discretize(spec, 2)
-    u0 = CellFunction(2, 2, {0: [1.0, 0.0]})
+    u0 = CellFunction(2, 2, (0,), [[1.0, 0.0]])
     cfg = SimConfig(n_paths=20000, t_max=2.0, seed=1, record_times=(2.0,))
     res = simulate(gen, u0, cfg)
     target = 0.5 * (1 + math.exp(-1.0))
@@ -113,12 +113,12 @@ def test_single_basin_against_relaxation_value():
 
 def test_estimates_track_the_tree_oracle():
     gen = killed_two_basin()
-    u0 = CellFunction(2, 2, {0: [1.0, 0.25], 1: [0.0, 0.75]})
+    u0 = CellFunction(2, 2, (0, 1), [[1.0, 0.25], [0.0, 0.75]])
     cfg = SimConfig(n_paths=20000, t_max=1.5, seed=42, record_times=(0.5, 1.5))
     res = simulate(gen, u0, cfg)
     for j, t in enumerate(cfg.record_times):
         exact = solve(gen, u0, t)
-        flat = np.concatenate([exact.table[0], exact.table[1]])
+        flat = exact.values.ravel()
         for i in range(gen.dim):
             gap = abs(res.estimates[j, i] - flat[i])
             assert gap <= 3 * res.stderrs[j, i] + 1e-12
@@ -126,11 +126,11 @@ def test_estimates_track_the_tree_oracle():
 
 def test_alive_fraction_tracks_subprobability_mass():
     gen = killed_two_basin()
-    ones = CellFunction(2, 2, {0: [1.0, 1.0], 1: [1.0, 1.0]})
+    ones = CellFunction(2, 2, (0, 1), [[1.0, 1.0], [1.0, 1.0]])
     cfg = SimConfig(n_paths=20000, t_max=1.0, seed=5, record_times=(1.0,))
     res = simulate(gen, ones, cfg)
     exact = solve(gen, ones, 1.0)
-    flat = np.concatenate([exact.table[0], exact.table[1]])
+    flat = exact.values.ravel()
     for i in range(gen.dim):
         frac = res.n_alive[0, i] / cfg.n_paths
         se = math.sqrt(max(flat[i] * (1 - flat[i]), 1e-12) / cfg.n_paths)
@@ -142,7 +142,7 @@ def test_alive_fraction_tracks_subprobability_mass():
 
 def test_reruns_are_bit_identical():
     gen = killed_two_basin()
-    u0 = CellFunction(2, 2, {0: [1.0, 0.0], 1: [0.5, 0.25]})
+    u0 = CellFunction(2, 2, (0, 1), [[1.0, 0.0], [0.5, 0.25]])
     cfg = SimConfig(n_paths=3000, t_max=1.0, seed=77, record_times=(0.3, 1.0))
     a = simulate(gen, u0, cfg)
     b = simulate(gen, u0, cfg)
@@ -153,7 +153,7 @@ def test_reruns_are_bit_identical():
 
 def test_thread_count_does_not_change_results():
     gen = killed_two_basin()
-    u0 = CellFunction(2, 2, {0: [1.0, 0.0], 1: [0.5, 0.25]})
+    u0 = CellFunction(2, 2, (0, 1), [[1.0, 0.0], [0.5, 0.25]])
     base = SimConfig(n_paths=3000, t_max=1.0, seed=77, record_times=(0.3, 1.0))
     ref = simulate(gen, u0, base)
     for threads in (2, 3, 7):
@@ -189,7 +189,7 @@ def test_doubling_paths_keeps_the_first_half():
 
 def test_csv_layout():
     gen = killed_two_basin()
-    u0 = CellFunction(2, 2, {0: [1.0, 0.0], 1: [0.0, 0.0]})
+    u0 = CellFunction(2, 2, (0, 1), [[1.0, 0.0], [0.0, 0.0]])
     cfg = SimConfig(n_paths=100, t_max=1.0, seed=2, record_times=(0.5, 1.0))
     res = simulate(gen, u0, cfg)
     buf = io.StringIO()
@@ -219,7 +219,7 @@ def test_config_validation():
 
 def test_u0_range_validation():
     gen = killed_two_basin()
-    bad = CellFunction(2, 2, {0: [1.5, 0.0], 1: [0.0, 0.0]})
+    bad = CellFunction(2, 2, (0, 1), [[1.5, 0.0], [0.0, 0.0]])
     cfg = SimConfig(n_paths=10, t_max=1.0, seed=0, record_times=(0.5,))
     with pytest.raises(ValidationError):
         simulate(gen, bad, cfg)
@@ -245,7 +245,7 @@ def test_one_capped_pool_per_call(monkeypatch):
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 7)
     gen = killed_two_basin()
-    u0 = CellFunction(2, 2, {0: [1.0, 0.0], 1: [0.5, 0.25]})
+    u0 = CellFunction(2, 2, (0, 1), [[1.0, 0.0], [0.5, 0.25]])
 
     def config(n_paths, threads):
         return SimConfig(

@@ -20,7 +20,14 @@ from ultranet.spectral import (
     matrix_exponential,
 )
 from ultranet.tree import compare, discretize, solve
-from ultranet.wavelets import CellFunction, Expansion, WaveletIndex, expand, reconstruct_all
+from ultranet.wavelets import (
+    CellFunction,
+    Expansion,
+    WaveletIndex,
+    enumerate_wavelets,
+    expand,
+    reconstruct_all,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -38,7 +45,7 @@ def two_basin(cross_lam=1.0, cross_mu=2.0, levels=(1.0,), convention="derived"):
 
 def coeffs(state, basin):
     """Wavelet coefficients of a state's density, enumerate_wavelets order."""
-    return np.array(list(expand(eval_density(state), state.R).coeffs[basin].values()))
+    return expand(eval_density(state), state.R).coeffs[state.spec.basins.index(basin)]
 
 
 def single_basin(w_levels=(1.0,), v_levels=None, p=2):
@@ -108,7 +115,7 @@ def test_seventeen_basins_match_oracle():
         w_kernels={b: RadialKernel(p, (0.5,)) for b in basins},
         v_kernels={b: RadialKernel(p, (1.0,)) for b in basins},
     )
-    datum = CellFunction(p, 2, {b: rng.uniform(0.0, 1.0, p) for b in basins})
+    datum = CellFunction(p, 2, basins, [rng.uniform(0.0, 1.0, p) for b in basins])
     assert max(compare(spec, datum, 2, [0.1, 1.0, 10.0])) <= 1e-8
 
 
@@ -128,7 +135,7 @@ def test_init_zero_datum_and_basin_indicator():
     zero = init(spec, CellFunction.constant(2, 2, [0, 1], 0.0))
     assert np.allclose(zero.mean / SQRT2, 0.0)
     # all mass in basin 0: the constant block starts at (1/sqrt(p), 0)
-    datum = CellFunction(2, 2, {0: [1.0, 1.0], 1: [0.0, 0.0]})
+    datum = CellFunction(2, 2, (0, 1), [[1.0, 1.0], [0.0, 0.0]])
     state = init(spec, datum)
     assert np.allclose(state.mean / SQRT2, [1 / SQRT2, 0.0])
     assert np.abs(coeffs(state, 0)).max() < 1e-15
@@ -182,7 +189,7 @@ def test_decay_rates_zero_rate_gives_infinite_sigma():
 
 
 def basin_indicator_datum():
-    return CellFunction(2, 2, {0: [1.0, 1.0], 1: [0.0, 0.0]})
+    return CellFunction(2, 2, (0, 1), [[1.0, 1.0], [0.0, 0.0]])
 
 
 def test_evolve_identity_at_zero():
@@ -205,7 +212,7 @@ def test_evolve_frozen_conservative_paper():
 
 def test_evolve_pure_exponential_decay():
     spec = single_basin(w_levels=(0.0,), v_levels=(1.0,))
-    datum = CellFunction.indicator(2, 2, 0, (0,))
+    datum = CellFunction.indicator(2, 2, (0,), CellAddress(0, (0,)))
     state = init(spec, datum)
     out = evolve(state, 2.0)
     # both the constant and the wavelet coefficient decay at rate 1/4
@@ -236,7 +243,7 @@ def test_evolve_rejects_negative_time():
 
 def test_coefficient_decay_rate_is_exact():
     spec = two_basin()
-    datum = CellFunction(2, 2, {0: [0.9, 0.1], 1: [0.5, 0.5]})
+    datum = CellFunction(2, 2, (0, 1), [[0.9, 0.1], [0.5, 0.5]])
     state = init(spec, datum)
     rates = {(d.basin, d.r): d.s for d in decay_rates(spec, 1)}
     t = 1.7
@@ -252,11 +259,10 @@ def test_coefficient_decay_rate_is_exact():
 
 def test_eval_density_identity_at_zero():
     spec = two_basin()
-    datum = CellFunction(2, 2, {0: [0.25, 0.75], 1: [1.0, 0.0]})
+    datum = CellFunction(2, 2, (0, 1), [[0.25, 0.75], [1.0, 0.0]])
     state = init(spec, datum)
     out = eval_density(state)
-    for b in (0, 1):
-        assert np.abs(out.table[b] - datum.table[b]).max() < 1e-12
+    assert np.abs(out.values - datum.values).max() < 1e-12
 
 
 def test_eval_density_conservative_fixed_point():
@@ -264,8 +270,7 @@ def test_eval_density_conservative_fixed_point():
     state = init(spec, CellFunction.constant(2, 2, [0, 1], 1.0))
     for t in (0.5, 5.0, 20.0):
         out = eval_density(state, t)
-        for b in (0, 1):
-            assert np.abs(out.table[b] - 1.0).max() < 1e-10
+        assert np.abs(out.values - 1.0).max() < 1e-10
 
 
 def test_eval_density_dies_at_infinity():
@@ -273,8 +278,7 @@ def test_eval_density_dies_at_infinity():
     state = init(spec, CellFunction.constant(2, 2, [0, 1], 1.0))
     # paper-form matrix [[-2,1],[1,-2]]: slowest eigenvalue -1
     out = eval_density(state, 50.0)
-    for b in (0, 1):
-        assert np.abs(out.table[b]).max() < 1e-8
+    assert np.abs(out.values).max() < 1e-8
 
 
 @pytest.mark.parametrize("p,R", [(2, 4), (3, 3), (5, 2)])
@@ -287,27 +291,24 @@ def test_block_means_match_wavelet_synthesis(p, R):
         w_kernels={0: k, 1: k}, v_kernels={0: k, 1: k},
     )
     rng = np.random.default_rng(p)
-    datum = CellFunction(p, R + 1, {b: rng.uniform(0.0, 1.0, p**R) for b in (0, 1)})
+    datum = CellFunction(p, R + 1, (0, 1), [rng.uniform(0.0, 1.0, p**R) for b in (0, 1)])
     state = init(spec, datum)
     ex = expand(datum, R)
     lam = build_basin_matrix(spec)
     rates = {(d.basin, d.r): d.s for d in decay_rates(spec, R)}
+    order = enumerate_wavelets(p, R)
     for t in (0.0, 1.3):
-        c0 = matrix_exponential(lam, t) @ np.array([ex.c0[b] for b in (0, 1)])
+        decay = np.array([[math.exp(rates[(b, idx.r)] * t) for idx in order] for b in (0, 1)])
         ref = reconstruct_all(
             Expansion(
-                p=p, R=R,
-                c0={b: c0[i] for i, b in enumerate((0, 1))},
-                coeffs={
-                    b: {idx: c * math.exp(rates[(b, idx.r)] * t) for idx, c in ex.coeffs[b].items()}
-                    for b in (0, 1)
-                },
+                p=p, R=R, basins=(0, 1),
+                c0=matrix_exponential(lam, t) @ ex.c0,
+                coeffs=ex.coeffs * decay,
             ),
             R + 1,
         )
         out = eval_density(state, t)
-        for b in (0, 1):
-            assert np.abs(out.table[b] - ref.table[b]).max() <= 1e-12
+        assert np.abs(out.values - ref.values).max() <= 1e-12
 
 
 # ---------------------------------------------------------------- tau
@@ -315,7 +316,7 @@ def test_block_means_match_wavelet_synthesis(p, R):
 
 def test_absorbing_time_decaying_density_never_crosses():
     spec = single_basin()
-    datum = CellFunction(2, 2, {0: [0.8, 0.2]})
+    datum = CellFunction(2, 2, (0,), [[0.8, 0.2]])
     res = absorbing_time(spec, datum, threshold=1.0)
     assert res.tau == math.inf
     assert res.crossing_cell is None
@@ -323,7 +324,7 @@ def test_absorbing_time_decaying_density_never_crosses():
 
 def test_absorbing_time_datum_at_threshold_decaying():
     spec = single_basin(w_levels=(0.0,), v_levels=(1.0,))
-    datum = CellFunction(2, 2, {0: [0.8, 0.8]})
+    datum = CellFunction(2, 2, (0,), [[0.8, 0.8]])
     res = absorbing_time(spec, datum, threshold=0.8)
     assert res.tau == math.inf
 
@@ -359,7 +360,7 @@ def jordan_block_spec():
 
 def test_absorbing_time_on_defective_basin_matrix():
     spec = jordan_block_spec()
-    lam = build_basin_matrix(spec, "paper")
+    lam = build_basin_matrix(spec)  # the spec is "paper"
     assert np.array_equal(lam, [[-1.0, 2.0], [0.0, -1.0]])
     datum = CellFunction.constant(2, 3, [0, 1], 0.5)
     res = absorbing_time(spec, datum, threshold=0.55)
@@ -373,7 +374,7 @@ def test_absorbing_time_on_defective_basin_matrix():
 def test_absorbing_time_defective_matrix_on_unequal_basins():
     # basin 1 only decays from 0.6; it feeds basin 0, whose mean
     # e^{-t} (0.5 + 1.2 t) rises to 0.670 at t = 7/12
-    datum = CellFunction(2, 3, {0: [0.5] * 4, 1: [0.6] * 4})
+    datum = CellFunction(2, 3, (0, 1), [[0.5] * 4, [0.6] * 4])
     res = absorbing_time(jordan_block_spec(), datum, threshold=0.65)
     assert math.exp(-res.tau) * (0.5 + 1.2 * res.tau) == pytest.approx(0.65, rel=1e-8)
     assert 0.0 < res.tau < 7 / 12
@@ -383,7 +384,7 @@ def test_absorbing_time_defective_matrix_on_unequal_basins():
 def test_absorbing_time_does_not_depend_on_scan_chunks(monkeypatch):
     # budgets of 1, 2, 4 and 8 grid points per chunk put chunk edges
     # right around the crossing
-    datum = CellFunction(2, 3, {0: [0.5] * 4, 1: [0.6] * 4})
+    datum = CellFunction(2, 3, (0, 1), [[0.5] * 4, [0.6] * 4])
     ref = absorbing_time(jordan_block_spec(), datum, threshold=0.65, dt=1e-2)
     for budget in (1, 200, 400, 800):
         monkeypatch.setattr(spectral, "_SCAN_BYTES", budget)
@@ -403,7 +404,7 @@ def test_absorbing_time_zero_names_its_cell_on_defective_matrix():
 def test_absorbing_time_names_dominant_wavelet():
     # at the peak cell the datum is mean 1/4, scale -1 part 1/4 and
     # scale -2 part 1/2, so the scale -2 wavelet on cell 0.0 dominates
-    datum = CellFunction(2, 3, {0: [1.0, 0.0, 0.0, 0.0], 1: [0.0] * 4})
+    datum = CellFunction(2, 3, (0, 1), [[1.0, 0.0, 0.0, 0.0], [0.0] * 4])
     res = absorbing_time(two_basin(), datum, threshold=0.9)
     assert res.tau == 0.0
     assert res.crossing_cell == CellAddress(0, (0, 0))
@@ -416,7 +417,7 @@ def test_absorbing_time_memory_does_not_grow_with_resolution():
     rng = np.random.default_rng(8)
     peaks = {}
     for R in (4, 8):
-        datum = CellFunction(2, R + 1, {b: rng.uniform(0.0, 1.0, 2**R) for b in (0, 1)})
+        datum = CellFunction(2, R + 1, (0, 1), [rng.uniform(0.0, 1.0, 2**R) for b in (0, 1)])
         tracemalloc.start()
         try:
             res = absorbing_time(spec, datum, threshold=1e9, dt=1e-4, t_max=20.0)
@@ -429,7 +430,7 @@ def test_absorbing_time_memory_does_not_grow_with_resolution():
 
 def test_absorbing_time_guards():
     with pytest.raises(UsageError):
-        absorbing_time(single_basin(), CellFunction(2, 2, {0: [0.5, 0.5]}), threshold=0.0)
+        absorbing_time(single_basin(), CellFunction(2, 2, (0,), [[0.5, 0.5]]), threshold=0.0)
 
 
 # ---------------------------------------------------------------- oracle
@@ -443,7 +444,7 @@ def test_compare_zero_datum():
 
 def test_compare_single_basin_tight():
     spec = single_basin()
-    datum = CellFunction(2, 2, {0: [1.0, 0.0]})
+    datum = CellFunction(2, 2, (0,), [[1.0, 0.0]])
     gaps = compare(spec, datum, 2, [0.1, 1.0, 10.0])
     assert max(gaps) < 1e-10
 
@@ -477,11 +478,11 @@ def oracle_cases(draw):
     N = depth + 1
     n_cells = p ** (N - 1)
     datum = CellFunction(
-        p, N,
-        {
-            b: [draw(st.integers(min_value=0, max_value=8)) / 8 for _ in range(n_cells)]
+        p, N, basins,
+        [
+            [draw(st.integers(min_value=0, max_value=8)) / 8 for _ in range(n_cells)]
             for b in basins
-        },
+        ],
     )
     return spec, datum, N
 
@@ -501,7 +502,7 @@ def test_feller_bound_under_derived_convention(case):
     state = init(spec, datum)
     for t in (0.1, 1.0, 10.0):
         dens = eval_density(state, t)
-        assert max(dens.table[b].max() for b in dens.basins) <= 1 + 1e-9
+        assert dens.values.max() <= 1 + 1e-9
 
 
 @given(case=oracle_cases())
@@ -522,7 +523,7 @@ def test_mass_balance_matches_sink():
         cross_mu={(0, 1): 1.0, (1, 0): 1.0},
         w_kernels={0: k_w, 1: k_w}, v_kernels={0: k_v, 1: k_v},
     )
-    datum = CellFunction(2, 2, {0: [0.9, 0.3], 1: [0.2, 0.6]})
+    datum = CellFunction(2, 2, (0, 1), [[0.9, 0.3], [0.2, 0.6]])
     state = init(spec, datum)
     from ultranet.network import aggregate_rates
 
@@ -546,7 +547,7 @@ def test_mass_conservation_when_sink_vanishes():
         cross_mu={(0, 1): 0.5, (1, 0): 0.5},
         w_kernels={0: k, 1: k}, v_kernels={0: k, 1: k},
     )
-    datum = CellFunction(2, 2, {0: [1.0, 0.0], 1: [0.25, 0.5]})
+    datum = CellFunction(2, 2, (0, 1), [[1.0, 0.0], [0.25, 0.5]])
     state = init(spec, datum)
     m0 = datum.integral()
     for t in (0.5, 3.0, 20.0):
@@ -564,6 +565,6 @@ def test_spectral_matches_oracle_on_killed_symmetric_spec():
         w_kernels={0: k_w, 1: k_w}, v_kernels={0: k_v, 1: k_v},
     )
     N = 3
-    datum = CellFunction(2, N, {0: [1.0, 0.5, 0.0, 0.25], 1: [0.0, 0.75, 1.0, 0.5]})
+    datum = CellFunction(2, N, (0, 1), [[1.0, 0.5, 0.0, 0.25], [0.0, 0.75, 1.0, 0.5]])
     gaps = compare(spec, datum, N, [0.1, 1.0, 10.0])
     assert max(gaps) <= 1e-8

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ultranet.errors import UsageError
+from ultranet.errors import UsageError, ValidationError
 from ultranet.kernels import RadialKernel, eigenvalue
+from ultranet.montecarlo import SimConfig, simulate
 from ultranet.network import NetworkSpec
 from ultranet.padic import CellAddress, enumerate_cells
 from ultranet.tree import DiscreteGenerator, discretize, solve
@@ -79,18 +80,18 @@ def test_discretize_depth_guard_and_cap():
 
 def test_solve_identity_at_time_zero():
     gen = discretize(single_basin(), 2)
-    u0 = CellFunction(2, 2, {0: [1.0, 0.0]})
+    u0 = CellFunction(2, 2, (0,), [[1.0, 0.0]])
     out = solve(gen, u0, 0.0)
-    assert np.allclose(out.table[0], [1.0, 0.0])
+    assert np.allclose(out.values, [[1.0, 0.0]])
 
 
 def test_solve_frozen_two_state_relaxation():
     gen = discretize(single_basin(), 2)
-    u0 = CellFunction(2, 2, {0: [1.0, 0.0]})
+    u0 = CellFunction(2, 2, (0,), [[1.0, 0.0]])
     for t in (0.3, 1.0, 4.0):
         out = solve(gen, u0, t)
         expected = 0.5 * np.array([1 + math.exp(-t / 2), 1 - math.exp(-t / 2)])
-        assert np.abs(out.table[0] - expected).max() < 1e-12
+        assert np.abs(out.values[0] - expected).max() < 1e-12
 
 
 def test_solve_uniform_killing_decays_exponentially():
@@ -99,7 +100,7 @@ def test_solve_uniform_killing_decays_exponentially():
     u0 = CellFunction.constant(2, 2, [0], 1.0)
     for t in (0.5, 2.0):
         out = solve(gen, u0, t)
-        assert np.abs(out.table[0] - math.exp(-0.25 * t)).max() < 1e-12
+        assert np.abs(out.values - math.exp(-0.25 * t)).max() < 1e-12
 
 
 def test_solve_depth_mismatch():
@@ -108,14 +109,23 @@ def test_solve_depth_mismatch():
         solve(gen, CellFunction.constant(2, 3, [0], 1.0), 1.0)
 
 
+def test_datum_of_another_prime_is_refused():
+    # same basin and depth, but three cells per basin against the chain's two
+    gen = discretize(single_basin(), 2)
+    u0 = CellFunction(3, 2, (0,), [[1.0, 0.0, 0.5]])
+    with pytest.raises(ValidationError, match="3 cells, the chain has 2"):
+        solve(gen, u0, 1.0)
+    cfg = SimConfig(n_paths=10, t_max=1.0, seed=1, record_times=(0.0,))
+    with pytest.raises(ValidationError, match="3 cells, the chain has 2"):
+        simulate(gen, u0, cfg)
+
+
 def test_conservation_without_sink():
     spec = balanced_two_basin(cross=0.75, levels=(0.5,))
     N = 3
     gen = discretize(spec, N)
     rng = np.random.default_rng(7)
-    u0 = CellFunction(
-        2, N, {b: rng.uniform(0, 1, 2 ** (N - 1)) for b in (0, 1)}
-    )
+    u0 = CellFunction(2, N, (0, 1), [rng.uniform(0, 1, 2 ** (N - 1)) for b in (0, 1)])
     mass0 = u0.integral()
     for t in (0.1, 1.0, 10.0):
         out = solve(gen, u0, t)
@@ -132,10 +142,10 @@ def test_positivity_preserved():
     )
     gen = discretize(spec, 3)
     rng = np.random.default_rng(11)
-    u0 = CellFunction(2, 3, {b: rng.uniform(0, 1, 4) for b in (0, 1)})
+    u0 = CellFunction(2, 3, (0, 1), [rng.uniform(0, 1, 4) for b in (0, 1)])
     for t in (0.2, 1.0, 5.0):
         out = solve(gen, u0, t)
-        assert min(out.table[b].min() for b in (0, 1)) >= -1e-12
+        assert out.values.min() >= -1e-12
 
 
 @pytest.mark.parametrize("levels", [(1.0,), (1.0, 0.5)])

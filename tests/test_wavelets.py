@@ -52,47 +52,49 @@ def test_eval_frozen_values():
 
 
 def test_cell_function_validation():
-    with pytest.raises(ValidationError):
-        CellFunction(2, 2, {0: [1.0]})  # missing cell (1,)
-    with pytest.raises(ValidationError):
-        CellFunction(2, 2, {0: [1.0, 2.0, 3.0]})
-    with pytest.raises(ValidationError):
-        CellFunction(2, 2, {})
-    f = CellFunction(2, 2, {0: [1.0, 2.0]})
-    assert f.value_at(CellAddress(0, (1,))) == 2.0
-    assert f.value_at(CellAddress(0, (1, 0))) == 2.0  # deeper cell, same value
-    with pytest.raises(UsageError):
-        f.value_at(CellAddress(0, ()))
-    with pytest.raises(UsageError):
-        f.value_at(CellAddress(1, (0,)))
+    with pytest.raises(ValidationError, match="basin 0: expected 2 values"):
+        CellFunction(2, 2, (0,), [[1.0]])  # missing cell (1,)
+    with pytest.raises(ValidationError, match="basin 1: expected 2 values"):
+        CellFunction(2, 2, (0, 1), [[1.0, 2.0], [1.0, 2.0, 3.0]])
+    with pytest.raises(ValidationError, match="at least one basin"):
+        CellFunction(2, 2, (), [])
+    with pytest.raises(ValidationError, match="out of range"):
+        CellFunction(2, 2, (2,), [[1.0, 2.0]])
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        CellFunction(2, 2, (1, 0), [[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(ValidationError, match="2 basins"):
+        CellFunction(2, 2, (0, 1), [[1.0, 2.0]])
+    f = CellFunction(2, 2, (0, 1), [[1.0, 2.0], [3.0, 4.0]])
+    assert f.values.dtype == float
+    assert np.array_equal(f.values, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_expand_frozen_constant():
     f = CellFunction.constant(2, 2, [0], 1.0)
     ex = expand(f, 1)
     assert abs(ex.c0[0] - 1 / SQRT2) < 1e-15
-    (coeff,) = ex.coeffs[0].values()
+    (coeff,) = ex.coeffs[0]
     assert abs(coeff) < 1e-15
 
 
 def test_expand_frozen_indicator():
-    f = CellFunction.indicator(2, 2, 0, (0,))
+    f = CellFunction.indicator(2, 2, (0,), CellAddress(0, (0,)))
     ex = expand(f, 1)
     assert abs(ex.c0[0] - 1 / (2 * SQRT2)) < 1e-15
-    coeff = ex.coeffs[0][WaveletIndex(-1, (), 1)]
+    assert enumerate_wavelets(2, 1) == [WaveletIndex(-1, (), 1)]
+    coeff = ex.coeffs[0, 0]
     assert abs(coeff - SQRT2 / 4) < 1e-15
 
 
 def test_reconstruct_frozen_values():
-    f = CellFunction.indicator(2, 2, 0, (0,))
+    f = CellFunction.indicator(2, 2, (0,), CellAddress(0, (0,)))
     ex = expand(f, 1)
     back = reconstruct_all(ex, 2)
-    assert abs(back.value_at(CellAddress(0, (0,))) - 1.0) < 1e-12
-    assert abs(back.value_at(CellAddress(0, (1,))) - 0.0) < 1e-12
+    assert back.basins == (0,)
+    assert abs(back.values[0, 0] - 1.0) < 1e-12
+    assert abs(back.values[0, 1] - 0.0) < 1e-12
     ones = reconstruct_all(expand(CellFunction.constant(2, 2, [0], 1.0), 1), 2)
-    assert abs(ones.value_at(CellAddress(0, (1,))) - 1.0) < 1e-12
-    with pytest.raises(UsageError):
-        back.value_at(CellAddress(1, (0,)))
+    assert abs(ones.values[0, 1] - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -123,11 +125,11 @@ def test_zero_mean(p):
 def test_round_trip_exact_at_matching_depth(p, R, data):
     depth = R + 1
     n = p ** (depth - 1)
-    basins = data.draw(
+    basins = sorted(data.draw(
         st.lists(st.integers(min_value=0, max_value=p - 1), min_size=1, unique=True)
-    )
-    values = {
-        b: np.array(
+    ))
+    values = [
+        np.array(
             data.draw(
                 st.lists(
                     st.floats(min_value=-5, max_value=5, allow_nan=False),
@@ -137,12 +139,11 @@ def test_round_trip_exact_at_matching_depth(p, R, data):
             )
         )
         for b in basins
-    }
-    f = CellFunction(p, depth, values)
+    ]
+    f = CellFunction(p, depth, basins, values)
     ex = expand(f, R)
     back = reconstruct_all(ex, depth)
-    for b in basins:
-        assert np.abs(back.table[b] - f.table[b]).max() < 1e-12
+    assert np.abs(back.values - f.values).max() < 1e-12
 
 
 def test_completeness_dimension():
@@ -157,7 +158,7 @@ def test_expand_depth_guard():
 
 
 def test_integral_and_indicator_measure():
-    f = CellFunction.indicator(3, 3, 1, (2,))
+    f = CellFunction.indicator(3, 3, (1,), CellAddress(1, (2,)))
     # the subtree below one depth-2 cell has measure 1/9
     assert abs(f.integral() - 1 / 9) < 1e-15
     g = CellFunction.constant(3, 2, [0, 1, 2], 1.0)
