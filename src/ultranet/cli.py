@@ -70,12 +70,29 @@ def _to_python(node):
 
 
 def _expect_mapping(node, what: str):
+    """(key text, key node, value node) per entry, each key once."""
     if not isinstance(node, yaml.MappingNode):
         _fail(node, f"{what} must be a mapping")
+    seen = set()
     for key, _ in node.value:
         if not isinstance(key, yaml.ScalarNode):
             _fail(key, f"keys of {what} must be single values")
+        if key.value in seen:
+            _fail(key, f"duplicate key {key.value!r} in {what}")
+        seen.add(key.value)
     return [(key.value, key, value) for key, value in node.value]
+
+
+def _expect_basin_mapping(node, what: str):
+    """{basin: value node} of a basin-keyed mapping. Keys are compared as
+    basin numbers, so 0 and 00 are one basin and may not both appear."""
+    out = {}
+    for key, key_node, value in _expect_mapping(node, what):
+        basin = _parse_int_key(key, key_node)
+        if basin in out:
+            _fail(key_node, f"duplicate key {key!r} in {what}: basin {basin} is given twice")
+        out[basin] = (key_node, value)
+    return out
 
 
 def _yaml_float_spelling(text: str):
@@ -173,8 +190,6 @@ def _parse_document(text: str) -> dict:
     for key, key_node, value in _expect_mapping(root, "the config"):
         if key not in _TOP_KEYS:
             _fail(key_node, f"unknown key {key!r}")
-        if key in seen:
-            _fail(key_node, f"duplicate key {key!r}")
         seen[key] = value
 
     if "prime" not in seen:
@@ -235,8 +250,8 @@ def _parse_kernels(node, basins):
         if side not in sides:
             _fail(node, f"kernels must define {side!r}")
         table = {}
-        for key, key_node, value in _expect_mapping(sides[side], f"kernels.{side}"):
-            basin = _parse_int_key(key, key_node)
+        entries = _expect_basin_mapping(sides[side], f"kernels.{side}")
+        for basin, (key_node, value) in entries.items():
             if basin not in basins:
                 _fail(key_node, f"kernel basin {basin} is not in basins")
             table[basin] = _expect_number_list(value, f"kernels.{side}.{basin}")
@@ -253,8 +268,7 @@ def _parse_arrhenius(node, cfg):
         _fail(node, "arrhenius needs both kT and barriers")
     kT = _expect_number(fields["kT"], "kT")
     table = {}
-    for key, key_node, value in _expect_mapping(fields["barriers"], "barriers"):
-        basin = _parse_int_key(key, key_node)
+    for basin, (key_node, value) in _expect_basin_mapping(fields["barriers"], "barriers").items():
         barriers = _expect_number_list(value, f"barriers.{basin}")
         try:
             kernel = arrhenius_kernel(cfg["prime"], tuple(barriers), kT)
@@ -285,6 +299,8 @@ def _parse_cross(node, basins):
                 _fail(key_node, f"cross key {key!r} must name two basins")
             if a not in basins or b not in basins or a == b:
                 _fail(key_node, f"cross key {key!r} must join two distinct basins")
+            if f"{a}->{b}" in out[side]:
+                _fail(key_node, f"duplicate key {key!r} in cross.{side}: {a}->{b} is given twice")
             out[side][f"{a}->{b}"] = _expect_number(value, f"cross.{side}.{key}")
     return out
 
@@ -297,11 +313,9 @@ def _expect_mapping_keys(node, what, allowed):
     return [(key, value) for key, _, value in entries]
 
 
-def _parse_int_key(key, key_node) -> int:
-    if isinstance(key, int) and not isinstance(key, bool):
-        return key
+def _parse_int_key(key: str, key_node) -> int:
     try:
-        return int(str(key))
+        return int(key)
     except ValueError:
         _fail(key_node, f"key {key!r} must be a basin number")
 
@@ -313,11 +327,10 @@ def _parse_datum(node):
             return value
         _fail(node, f"datum {value!r} is not 'uniform', 'delta:<cell>' or 'ivp2:<params>'")
     if isinstance(value, dict):
-        out = {}
-        for key, key_node, cells in _expect_mapping(node, "datum"):
-            basin = _parse_int_key(key, key_node)
-            out[basin] = _expect_number_list(cells, f"datum.{basin}")
-        return out
+        return {
+            basin: _expect_number_list(cells, f"datum.{basin}")
+            for basin, (_, cells) in _expect_basin_mapping(node, "datum").items()
+        }
     _fail(node, "datum must be a preset string or a basin-to-values mapping")
 
 

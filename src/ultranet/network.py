@@ -171,15 +171,12 @@ class Aggregates:
 
     basins: tuple
     gain_diag: np.ndarray
-    loss_diag: np.ndarray
-    gain_total: np.ndarray
     loss_total: np.ndarray
     sink: np.ndarray
 
 
 def aggregate_rates(spec: NetworkSpec) -> Aggregates:
     lam_d = spec._exact_gain_diag()
-    mu_d = spec._exact_loss_diag()
     lam_b = spec._exact_gain_total()
     mu_b = spec._exact_loss_total()
     sink = [Fraction(m - l, spec.p) for l, m in zip(lam_b, mu_b)]
@@ -192,8 +189,6 @@ def aggregate_rates(spec: NetworkSpec) -> Aggregates:
     return Aggregates(
         basins=spec.basins,
         gain_diag=as_arr(lam_d),
-        loss_diag=as_arr(mu_d),
-        gain_total=as_arr(lam_b),
         loss_total=as_arr(mu_b),
         sink=as_arr(sink),
     )

@@ -4,8 +4,9 @@ Discretizing at depth N strictly below the kernel resolution (N > J_max)
 is exact, not approximate: every kernel is constant across distinct
 cells and carries no mass within a cell, so the finite rate matrix
 represents the integral operator with no truncation error. The solver
-here is deliberately plain (dense matrix exponential) so it can serve
-as the oracle for the spectral solver.
+here is deliberately generic, the exponential of the full chain matrix
+applied to the datum, with no wavelet or ultrametric structure, so it
+can serve as the oracle for the spectral solver.
 
 The generator acts on functions (the backward reading): a state jumps
 with the gain family (w kernels within a basin, lambda across basins)
@@ -14,6 +15,7 @@ and is killed at the basin sink rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +25,9 @@ from .network import NetworkSpec, aggregate_rates
 from .padic import CellAddress, enumerate_cells
 from .wavelets import CellFunction
 
-MAX_STATES = 4096
+# The chain matrix Q is held dense: dim^2 float64 entries, 4096 states
+# at this limit.
+MAX_CHAIN_BYTES = 128 * 2**20
 
 
 @dataclass(frozen=True)
@@ -65,8 +69,12 @@ def discretize(spec: NetworkSpec, N: int) -> DiscreteGenerator:
         )
     per_basin = p ** (N - 1)
     dim = len(spec.basins) * per_basin
-    if dim > MAX_STATES:
-        raise UsageError(f"{dim} states exceed the dense-solver cap {MAX_STATES}")
+    need = dim * dim * 8
+    if need > MAX_CHAIN_BYTES:
+        raise UsageError(
+            f"the chain matrix of {dim} states needs {need / 2**20:.4g} MiB, "
+            f"over the {MAX_CHAIN_BYTES // 2**20} MiB limit of the dense chain solver"
+        )
 
     agg = aggregate_rates(spec)
     cells = enumerate_cells(p, N)
@@ -105,12 +113,66 @@ def _pairwise_levels(kernel, p: int, N: int) -> np.ndarray:
     return M
 
 
+# Route choice by an operation count, in units of one product of Q with
+# a vector (a matvec).
+# - The action (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011) takes
+#   about 2 matvecs per unit of ||Qt||_1: counted 1.7-2.3 in scipy's
+#   expm_multiply on chains of 256-1024 states, which shifts Q by its mean
+#   diagonal and ends each Taylor sum early.
+# - The dense exponential takes 22/3 matrix products for its [13/13] Pade
+#   approximant (6 products and one solve) plus one squaring per doubling
+#   of ||Qt||_1 past theta_13 = 5.37 (Higham, SIMAX 26, 2005). A product is
+#   dim matvecs of work but runs faster per flop, since it reuses each
+#   cached block while a matvec streams all of Q: one product took as long
+#   as dim/3.4, dim/5.6 and dim/8.9 matvecs at 256, 512 and 1024 states (one
+#   BLAS thread). It is counted as dim/8, the ratio at the large end, where a
+#   wrong route costs the most.
+# So the switch falls at ||Qt||_1 = 213, 458 and 981 at 256, 512 and 1024
+# states. Timed on two seeded non-symmetric chains each (2-vCPU VM, one BLAS
+# thread), the routes cross at 215-256, 500 and 610-720.
+# Below 64 states no count applies: the whole dense route (0.015-0.15 ms at
+# 4-64 states) costs less than the action's fixed overhead per call
+# (0.12-0.2 ms), and it spares the process the scipy.sparse import.
+_ACTION_MATVECS_PER_NORM = 2.0
+_PADE13_PRODUCTS = 22 / 3
+_THETA13 = 5.37
+_BLAS3_SPEEDUP = 8  # per flop, of a matrix product over a matvec
+_ACTION_MIN_STATES = 64
+
+
+def _action_is_cheaper(norm: float, dim: int) -> bool:
+    """Whether e^A u takes fewer matvecs as an action than through the
+    dense e^A, for ||A||_1 = norm on dim states. A norm that is not
+    finite takes the dense route."""
+    if dim < _ACTION_MIN_STATES:
+        return False
+    squarings = max(0, math.frexp(norm / _THETA13)[1])
+    dense = (_PADE13_PRODUCTS + squarings) * dim / _BLAS3_SPEEDUP
+    return _ACTION_MATVECS_PER_NORM * norm <= dense
+
+
 def solve(gen: DiscreteGenerator, u0: CellFunction, t: float) -> CellFunction:
     """Propagate the cell vector, u(t) = e^{tQ} u(0); the result has the
-    basins and the layout of u0."""
-    import scipy.linalg  # only the oracle needs it; spares every other command the import
+    basins and the layout of u0.
 
-    out = scipy.linalg.expm(gen.Q * float(t)) @ gen.cell_vector(u0)
+    The exponential's action on the datum is computed (expm_multiply),
+    so no dim x dim exponential is formed, while ||Qt||_1 is small
+    against the number of states. Past that, the action's cost grows
+    with t and the dense matrix exponential, whose cost grows only with
+    log t, is formed and applied instead; so it is on chains of fewer
+    than 64 states, where it costs less than the action's overhead."""
+    u = gen.cell_vector(u0)
+    Qt = gen.Q * float(t)
+    # scipy is imported here: only the oracle needs it, and only the
+    # action needs scipy.sparse; this spares every other command the import
+    if _action_is_cheaper(np.linalg.norm(Qt, 1), gen.dim):
+        import scipy.sparse.linalg
+
+        out = scipy.sparse.linalg.expm_multiply(Qt, u)
+    else:
+        import scipy.linalg
+
+        out = scipy.linalg.expm(Qt) @ u
     return CellFunction(u0.p, gen.N, u0.basins, out.reshape(u0.values.shape))
 
 

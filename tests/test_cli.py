@@ -55,6 +55,66 @@ def test_duplicate_key_rejected():
         parse_config("prime: 2\nprime: 3\nbasins: [0]\n")
 
 
+TWO_BASINS = """\
+prime: 2
+basins: [0, 1]
+kernels:
+  w:
+    0: [1.0]
+    1: [1.0]
+  v:
+    0: [1.0]
+    1: [1.0]
+cross:
+  lambda:
+    0->1: 0.5
+    1->0: 0.5
+  mu:
+    0->1: 0.5
+    1->0: 0.5
+resolution: 1
+datum:
+  0: [1.0, 0.0]
+  1: [0.0, 1.0]
+"""
+
+ARRHENIUS = """\
+prime: 2
+basins: [0, 1]
+arrhenius:
+  kT: 1.0
+  barriers:
+    0: [1.0]
+    1: [2.0]
+resolution: 1
+"""
+
+
+@pytest.mark.parametrize(
+    "base, after_line, repeat, message",
+    [
+        (TWO_BASINS, 6, "    0: [0.5]", "duplicate key '0' in kernels.w"),
+        (TWO_BASINS, 9, "    01: [0.5]", "duplicate key '01' in kernels.v: basin 1 is given twice"),
+        (TWO_BASINS, 13, "    0->1: 0.25", "duplicate key '0->1' in cross.lambda"),
+        (TWO_BASINS, 16, "    1->00: 0.25", "duplicate key '1->00' in cross.mu: 1->0 is given twice"),
+        (ARRHENIUS, 7, "    '0': [3.0]", "duplicate key '0' in barriers"),
+        (TWO_BASINS, 20, "  '1': [0.5, 0.5]", "duplicate key '1' in datum"),
+    ],
+    ids=["kernels.w", "kernels.v", "cross.lambda", "cross.mu", "arrhenius.barriers", "datum"],
+)
+def test_repeated_key_in_a_nested_mapping_exits_2(capsys, tmp_path, base, after_line, repeat,
+                                                 message):
+    # the last repeat used to win silently, with exit 0
+    lines = base.splitlines(keepends=True)
+    lines.insert(after_line, repeat + "\n")
+    path = tmp_path / "repeat.yaml"
+    path.write_text("".join(lines))
+    code, _, err = run(capsys, "solve", "--config", str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert f"line {after_line + 1}: {message}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["repeat.yaml"]
+
+
 def test_missing_required_keys():
     with pytest.raises(ConfigError, match="missing required key 'prime'"):
         parse_config("basins: [0]\n")

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from ultranet.errors import UsageError, ValidationError
 from ultranet.kernels import RadialKernel, eigenvalue
 from ultranet.montecarlo import SimConfig, simulate
 from ultranet.network import NetworkSpec
 from ultranet.padic import CellAddress, enumerate_cells
-from ultranet.tree import DiscreteGenerator, discretize, solve
+from ultranet.tree import _action_is_cheaper, discretize, solve
 from ultranet.wavelets import CellFunction, WaveletIndex, enumerate_wavelets, eval_wavelet
 
 
@@ -74,7 +77,11 @@ def test_row_sums_equal_minus_kill():
 def test_discretize_depth_guard_and_cap():
     with pytest.raises(UsageError, match="not be exact"):
         discretize(single_basin(w_levels=(1.0, 0.5)), 2)
-    with pytest.raises(UsageError, match="cap"):
+    with pytest.raises(
+        UsageError,
+        match="the chain matrix of 8192 states needs 512 MiB, "
+        "over the 128 MiB limit of the dense chain solver",
+    ):
         discretize(single_basin(), 14)
 
 
@@ -164,3 +171,93 @@ def test_eigenvector_recovery(levels):
         lam = eigenvalue(kernel, idx.r)
         assert np.abs(gen.Q @ vec - lam * vec).max() < 1e-10
 
+
+def random_chain(p, basins, N, conservative, seed):
+    """A seeded network whose chain matrix is not symmetric: the cross
+    rates differ by direction and every basin has its own kernel.
+    Conservative means gains equal losses (v = w, mu[b->a] = lambda[a->b]),
+    so every row of Q sums to 0; otherwise every basin has a sink."""
+    rng = np.random.default_rng(seed)
+    w = {b: RadialKernel(p, tuple(rng.uniform(0.5, 1.5, N - 1))) for b in basins}
+    v = w if conservative else {
+        b: RadialKernel(p, tuple(x * rng.uniform(1.1, 1.5) for x in w[b].levels))
+        for b in basins
+    }
+    lam = {(a, b): rng.uniform(0.2, 1.0) for a in basins for b in basins if a != b}
+    mu = {
+        (b, a): x * (1.0 if conservative else rng.uniform(1.1, 1.5))
+        for (a, b), x in lam.items()
+    }
+    spec = NetworkSpec(p=p, basins=tuple(basins), cross_lambda=lam, cross_mu=mu,
+                       w_kernels=w, v_kernels=v)
+    gen = discretize(spec, N)
+    assert (np.abs(gen.kill).max() < 1e-12) == conservative
+    assert not np.allclose(gen.Q, gen.Q.T)
+    return gen
+
+
+@pytest.mark.parametrize("conservative", [True, False])
+@pytest.mark.parametrize("p, basins, N", [(2, (0, 1), 7), (3, (0, 1, 2), 4)])
+def test_solve_matches_the_dense_exponential_on_both_routes(p, basins, N, conservative):
+    gen = random_chain(p, basins, N, conservative, seed=p + 10 * conservative)
+    rng = np.random.default_rng(3)
+    u0 = CellFunction(p, N, basins, rng.uniform(-1.0, 1.0, (len(basins), p ** (N - 1))))
+    u = u0.values.ravel()
+    times = [1e-3, 0.1, 1.0, 4.0, 10.0, 30.0, 100.0, 1e3, 1e6]
+    norm = np.linalg.norm(gen.Q, 1)
+    routes = {_action_is_cheaper(norm * t, gen.dim) for t in times}
+    assert routes == {True, False}
+    for t in times:
+        exact = scipy.linalg.expm(gen.Q * t) @ u
+        out = solve(gen, u0, t)
+        assert out.basins == u0.basins and out.values.shape == u0.values.shape
+        assert np.abs(out.values.ravel() - exact).max() <= 1e-12 * np.abs(u).max()
+
+
+def test_conservative_chain_at_late_time_takes_the_dense_route(monkeypatch):
+    calls = []
+
+    def recording(name, real):
+        def stand_in(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return stand_in
+
+    monkeypatch.setattr(scipy.linalg, "expm", recording("expm", scipy.linalg.expm))
+    monkeypatch.setattr(
+        scipy.sparse.linalg, "expm_multiply",
+        recording("expm_multiply", scipy.sparse.linalg.expm_multiply),
+    )
+    spec = balanced_two_basin(cross=0.75, levels=(0.5,))
+    N = 7
+    gen = discretize(spec, N)
+    rng = np.random.default_rng(5)
+    u0 = CellFunction(2, N, (0, 1), rng.uniform(0, 1, (2, 2 ** (N - 1))))
+    out = solve(gen, u0, 1e6)
+    assert calls == ["expm"]
+    assert abs(out.integral() - u0.integral()) < 1e-9
+    calls.clear()
+    solve(gen, u0, 1.0)
+    assert calls == ["expm_multiply"]
+    calls.clear()
+    small = discretize(spec, 4)  # 16 states: dense costs less than the action's overhead
+    solve(small, CellFunction.constant(2, 4, [0, 1], 1.0), 1.0)
+    assert calls == ["expm"]
+
+
+def test_solve_never_forms_the_matrix_exponential():
+    """The action keeps one solve on a 1024-state chain within a few
+    copies of Q; a dense expm holds about eight."""
+    spec = balanced_two_basin(cross=0.5, levels=(1.0, 0.5))
+    N = 10
+    gen = discretize(spec, N)
+    assert gen.dim == 1024
+    u0 = CellFunction.constant(2, N, [0, 1], 1.0)
+    solve(gen, u0, 4.0)  # the first call imports scipy.sparse.linalg
+    tracemalloc.start()
+    try:
+        solve(gen, u0, 4.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * gen.Q.nbytes
