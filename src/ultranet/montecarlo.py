@@ -5,9 +5,21 @@ estimate of u(I, t) is the average of u0 at the path position over paths
 still alive at t.  Killing sends a path to a terminal trap from which it
 never contributes again.
 
-Randomness is counter-based so results are bit-identical however the
-paths are split across threads: draw k of path i is a pure integer
-function of (master seed, start cell, i, k).
+Randomness is counter-based (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC11), so results are bit-identical however the paths
+are split into blocks and across threads: draw k of path i is a pure
+integer function of (master seed, start cell, i, k).
+
+The paths of a block of start cells advance in lockstep as flat arrays,
+one jump of Gillespie's direct method (J. Phys. Chem. 81, 1977) per step
+for every path at once, and a path leaves the arrays in the step it
+finishes. A block holds whole start cells, at least one, and otherwise
+at most _RECORD_BUDGET recorded (path, time) entries. The jump target is
+found by a binary search in the state's row of one dense table of
+cumulative rates, O(log states) per jump. The estimate and its standard
+error need the sums of u0 and of u0^2 over a start cell's paths; these
+are counted per state and summed exactly, so they are the correctly
+rounded sums over the paths.
 """
 
 from __future__ import annotations
@@ -28,6 +40,12 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
+
+# Recorded (path, time) entries of one lockstep block. A block's record
+# array, int64, is its largest: 2^17 entries (1 MiB) is 32 768 paths at
+# three record times and t_max, and fewer paths at more times. A block
+# holds whole start cells, so one cell's paths at every time is the floor.
+_RECORD_BUDGET = 1 << 17
 
 
 def _mix_int(z: int) -> int:
@@ -102,43 +120,113 @@ class SimResult:
     config: SimConfig
 
 
+def _jump_table(gen: DiscreteGenerator) -> np.ndarray:
+    """Cumulative jump rates, (dim + 1, dim + 1): row i runs over the
+    rates from state i to the states 0 .. dim-1 and, in column dim, to
+    the trap (the kill rate), so its last entry is the total rate out of
+    i. The trap's row is zero. Built in place: it is the one dense array
+    simulate holds besides gen.Q."""
+    dim = gen.dim
+    table = np.zeros((dim + 1, dim + 1))
+    table[:dim, :dim] = gen.Q
+    np.fill_diagonal(table, 0.0)
+    table[:dim, dim] = gen.kill
+    np.cumsum(table, axis=1, out=table)
+    return table
+
+
+def _count_at_most(table, state, x):
+    """Entries <= x in row `state` of table, one per path. The rows are
+    non-decreasing, so a branch-free binary search counts them with one
+    gather per halving of the row width; the halving steps are the same
+    for every path."""
+    flat = table.ravel()
+    width = table.shape[1]
+    row = state * width
+    probe = row.copy()
+    n = width
+    while n > 1:
+        half = n // 2
+        ahead = probe + half
+        probe = np.where(flat[ahead] <= x, ahead, probe)
+        n -= half
+    probe += flat[probe] <= x
+    return probe - row
+
+
 def _simulate_chunk(seeds, start, cum_rates, totals, times, horizon):
-    """Lockstep Gillespie over one contiguous block of paths.
+    """Lockstep Gillespie over one block of paths; `start` is the start
+    cell of every path, or one per path.
 
     Returns the state index of each path at each requested time (the trap
     is index dim).  Every path consumes draws 2k and 2k+1 at step k, so
-    the outcome depends only on the per-path seed.
+    the outcome depends only on its seed and start cell.  A jump goes to
+    the first column of the path's row in cum_rates above u * rate, found
+    by binary search.  A path that cannot move or would jump past the
+    horizon records its state at every time left and leaves the arrays.
     """
-    n = len(seeds)
-    dim = len(totals) - 1  # totals has a zero entry appended for the trap
-    t_now = np.zeros(n)
-    state = np.full(n, start, dtype=np.int64)
-    rec = np.full((n, len(times)), -1, dtype=np.int64)
-    done = np.zeros(n, dtype=bool)
+    times = np.asarray(times, dtype=float)
+    rec = np.empty((len(seeds), len(times)), dtype=np.int64)
+    path = np.arange(len(seeds))
+    state = np.array(np.broadcast_to(start, path.shape), dtype=np.int64)
+    t_now = np.zeros(len(path))
+    filled = np.zeros(len(path), dtype=np.int64)  # times recorded so far
     step = 0
-    while True:
+    while len(path):
         rate = totals[state]
-        moving = (rate > 0.0) & ~done
+        moving = rate > 0.0
         u_hold = _uniforms(seeds, 2 * step)
         dt = np.where(moving, -np.log1p(-u_hold) / np.where(moving, rate, 1.0), np.inf)
         t_next = t_now + dt
-        for j, t_rec in enumerate(times):
-            hit = (t_now <= t_rec) & (t_rec < t_next) & ~done
-            rec[hit, j] = state[hit]
-        cont = moving & (t_next <= horizon)
+        # the state holds on [t_now, t_next), so it is the record at the
+        # times from index `filled` up to `reached`
+        reached = np.searchsorted(times, t_next)
+        new = np.flatnonzero(reached > filled)
+        if len(new):
+            lo, hi = filled[new], reached[new]
+            for j in range(lo.min(), hi.max()):
+                hit = new[(lo <= j) & (j < hi)]
+                rec[path[hit], j] = state[hit]
         # a path that outlives the horizon (or cannot move) is finished for
-        # good; without this it would redraw the same holding interval
-        done = ~cont
-        if not cont.any():
-            break
-        u_target = _uniforms(seeds, 2 * step + 1)
-        threshold = u_target * rate
-        rows = cum_rates[state]
-        target = (rows <= threshold[:, None]).sum(axis=1)
-        state = np.where(cont, np.minimum(target, dim), state)
-        t_now = np.where(cont, t_next, t_now)
+        # good and leaves the arrays
+        cont = moving & (t_next <= horizon)
+        if not cont.all():
+            path, seeds, state, rate, t_next, reached = (
+                a[cont] for a in (path, seeds, state, rate, t_next, reached)
+            )
+            if not len(path):
+                break
+        # u * rate < rate unless it rounds up to it (a subnormal rate); the
+        # clamp sends such a draw to the last column where the row rises
+        threshold = np.minimum(
+            _uniforms(seeds, 2 * step + 1) * rate, np.nextafter(rate, -np.inf)
+        )
+        target = _count_at_most(cum_rates, state, threshold)
+        state, t_now, filled = target, t_next, reached
         step += 1
     return rec
+
+
+def _exact_terms(values: np.ndarray):
+    """values as floats and as integers over one power-of-two
+    denominator, the form _exact_sum reads."""
+    ratios = [v.as_integer_ratio() for v in values.tolist()]
+    den = max(d for _, d in ratios)
+    return values.tolist(), [num * (den // d) for num, d in ratios], den
+
+
+def _exact_sum(counts, terms) -> float:
+    """sum_s counts[s] * values[s], correctly rounded as math.fsum over
+    the multiset rounds it: an exact integer sum and one int / int
+    division, which Python rounds correctly."""
+    values, nums, den = terms
+    present = np.flatnonzero(counts).tolist()
+    c = counts.tolist()
+    total = sum(c[s] * nums[s] for s in present)
+    if total:
+        return total / den
+    # every term is a signed zero; fsum gives the sum its sign
+    return math.fsum(values[s] for s in present)
 
 
 def simulate(gen: DiscreteGenerator, u0: CellFunction, cfg: SimConfig) -> SimResult:
@@ -150,26 +238,27 @@ def simulate(gen: DiscreteGenerator, u0: CellFunction, cfg: SimConfig) -> SimRes
     """
     dim = gen.dim
     u0_vec = gen.cell_vector(u0)
-    if u0_vec.min() < 0.0 or u0_vec.max() > 1.0:
+    if not (np.all(u0_vec >= 0.0) and np.all(u0_vec <= 1.0)):
         raise ValidationError("u0 must take values in [0, 1]")
 
-    rates = np.asarray(gen.Q, dtype=float).copy()
-    np.fill_diagonal(rates, 0.0)
-    per_state = np.concatenate(
-        [rates, np.asarray(gen.kill, dtype=float)[:, None]], axis=1
-    )
-    cum_rates = np.cumsum(per_state, axis=1)
-    totals = np.append(cum_rates[:, -1], 0.0)  # trap state never moves
-    cum_rates = np.vstack([cum_rates, np.zeros(dim + 1)])
+    table = _jump_table(gen)
+    totals = table[:, dim].copy()  # the trap's total is 0: it never moves
 
     # t_max is tracked as one extra recording slot for the kill fraction
     times = cfg.record_times + (float(cfg.t_max),)
     n_times = len(cfg.record_times)
+    n = cfg.n_paths
+    # the value of each state and of the trap, and its square, as the
+    # estimator sums them over the paths
+    values = np.append(u0_vec, 0.0)
+    terms = [_exact_terms(v) for v in (values, values * values)]
+    slots = np.arange(len(times)) * (dim + 1)
 
-    # one chunk of paths per worker; the draws depend only on the path,
-    # so the split changes no output bit
-    workers = min(cfg.threads, cfg.n_paths, os.cpu_count() or 1)
-    chunk_bounds = np.linspace(0, cfg.n_paths, workers + 1).astype(int)
+    # one chunk of each block's paths per worker; the draws depend only on
+    # the path, so neither the blocks nor the split change an output bit
+    workers = min(cfg.threads, n, os.cpu_count() or 1)
+    cells_per_block = max(1, _RECORD_BUDGET // (n * len(times)))
+    path_steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     estimates = np.zeros((n_times, dim))
     stderrs = np.zeros((n_times, dim))
     n_alive = np.zeros((n_times, dim), dtype=np.int64)
@@ -177,35 +266,35 @@ def simulate(gen: DiscreteGenerator, u0: CellFunction, cfg: SimConfig) -> SimRes
 
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         pool_map = pool.map if pool else map
-        for start in range(dim):
-            start_seed = path_seed(cfg.seed, start)
-            all_seeds = _mix_vec(
-                np.uint64(start_seed)
-                + (np.arange(1, cfg.n_paths + 1, dtype=np.uint64)) * np.uint64(_GOLDEN)
+        for first in range(0, dim, cells_per_block):
+            cells = np.arange(first, min(first + cells_per_block, dim))
+            cell_seeds = np.array(
+                [path_seed(cfg.seed, c) for c in cells.tolist()], dtype=np.uint64
             )
+            seeds = _mix_vec(cell_seeds[:, None] + path_steps).ravel()
+            starts = np.repeat(cells, n)
+            cuts = np.linspace(0, len(seeds), workers + 1).astype(int)[1:-1]
             parts = pool_map(
-                lambda seeds: _simulate_chunk(
-                    seeds, start, cum_rates, totals, times, cfg.t_max
-                ),
-                np.split(all_seeds, chunk_bounds[1:-1]),
+                lambda part: _simulate_chunk(*part, table, totals, times, cfg.t_max),
+                zip(np.split(seeds, cuts), np.split(starts, cuts)),
             )
-            rec = np.concatenate(list(parts), axis=0)
+            parts = list(parts)
+            rec = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
-            killed_at_end = rec[:, -1] == dim
-            kill_fraction[start] = math.fsum(killed_at_end) / cfg.n_paths
-            for j in range(n_times):
-                at_j = rec[:, j]
-                alive = at_j != dim
-                vals = np.where(alive, u0_vec[np.minimum(at_j, dim - 1)], 0.0)
-                total = math.fsum(vals)
-                total_sq = math.fsum(vals * vals)
-                n = cfg.n_paths
-                mean = total / n
-                estimates[j, start] = mean
-                n_alive[j, start] = int(alive.sum())
-                if n > 1:
-                    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-                    stderrs[j, start] = math.sqrt(var / n)
+            for cell, cell_rec in zip(cells.tolist(), rec.reshape(len(cells), n, -1)):
+                cell_rec += slots  # state s at time slot j counts in bin j * (dim + 1) + s
+                counts = np.bincount(
+                    cell_rec.ravel(), minlength=len(slots) * (dim + 1)
+                ).reshape(len(slots), dim + 1)
+                kill_fraction[cell] = counts[-1, dim] / n
+                for j in range(n_times):
+                    total, total_sq = (_exact_sum(counts[j], t) for t in terms)
+                    mean = total / n
+                    estimates[j, cell] = mean
+                    n_alive[j, cell] = n - counts[j, dim]
+                    if n > 1:
+                        var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+                        stderrs[j, cell] = math.sqrt(var / n)
 
     return SimResult(
         states=gen.states,

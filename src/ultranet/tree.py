@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import UsageError, ValidationError
+from .errors import NumericError, UsageError, ValidationError
 from .network import NetworkSpec, aggregate_rates
 from .padic import CellAddress, enumerate_cells
 from .wavelets import CellFunction
@@ -178,7 +178,8 @@ def solve(gen: DiscreteGenerator, u0: CellFunction, t: float) -> CellFunction:
 
 def compare(spec: NetworkSpec, datum: CellFunction, N: int, times) -> list:
     """Sup-norm gap, per time, between the spectral solution (derived
-    convention) and this oracle."""
+    convention) and this oracle. A gap that is not finite (one side
+    overflowed) raises NumericError naming its time."""
     from . import spectral
 
     gen = discretize(spec, N)
@@ -188,6 +189,9 @@ def compare(spec: NetworkSpec, datum: CellFunction, N: int, times) -> list:
         evolved = spectral.evolve(state0, t)
         approx = spectral.eval_density(evolved)
         exact = solve(gen, datum, t)
-        gaps.append(float(np.abs(approx.values - exact.values).max()))
+        gap = float(np.abs(approx.values - exact.values).max())
+        if not math.isfinite(gap):
+            raise NumericError(f"oracle gap is not finite at t = {float(t):g}")
+        gaps.append(gap)
     return gaps
 

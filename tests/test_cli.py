@@ -662,6 +662,23 @@ def test_overflowing_basin_means_exit_3(capsys, tmp_path):
     assert sorted(f.name for f in tmp_path.iterdir()) == ["late.yaml"]
 
 
+def test_non_finite_oracle_gap_exits_3(capsys, tmp_path):
+    # the 4-state chain exponential is not finite at these late times; the
+    # gap used to print as nan rows under a finite "max gap over grid"
+    path = tmp_path / "late.yaml"
+    path.write_text(
+        MINIMAL.replace("v: {0: [1.0]}", "v: {0: [1.5]}")
+        + "resolution: 2\n"
+        + "datum: {0: [1.0, 0.5, 0.25, 0.0]}\n"
+        + "times: [1.0, 1.0e+300, 1.0e+308]\n"
+    )
+    code, out, err = run(capsys, "oracle", "--config", str(path), "--out", str(tmp_path))
+    assert code == 3
+    assert "numeric failure: oracle gap is not finite at t = 1e+300" in err
+    assert out == ""
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["late.yaml"]
+
+
 def test_oversized_cell_table_exits_3(capsys, tmp_path):
     # 97^9 cells per basin: numpy refuses the 5 EiB table before allocating
     path = tmp_path / "huge.yaml"

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from ultranet.errors import UsageError, ValidationError
 from ultranet.kernels import RadialKernel
 from ultranet.montecarlo import (
     SimConfig,
+    _count_at_most,
+    _exact_sum,
+    _exact_terms,
     _mix_vec,
     _simulate_chunk,
     path_seed,
@@ -266,3 +270,277 @@ def test_one_capped_pool_per_call(monkeypatch):
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
     simulate(gen, u0, config(100, 64))
     assert pools == []
+
+
+# ---------------------------------------------------------------- lockstep
+
+
+def pinned_p2():
+    # two basins with kill and distinct rates per level; 16 states
+    spec = NetworkSpec(
+        p=2, basins=(0, 1),
+        cross_lambda={(0, 1): 0.5, (1, 0): 0.25},
+        cross_mu={(0, 1): 1.0, (1, 0): 1.5},
+        w_kernels={0: RadialKernel(2, (1.0, 0.5, 0.25)), 1: RadialKernel(2, (0.75, 0.3, 0.1))},
+        v_kernels={0: RadialKernel(2, (1.5, 0.5, 0.5)), 1: RadialKernel(2, (1.0, 0.6, 0.2))},
+    )
+    u0 = CellFunction(2, 4, (0, 1), np.sqrt(np.arange(1, 17) / 17).reshape(2, 8))
+    cfg = SimConfig(n_paths=400, t_max=2.0, seed=2024, record_times=(0.5, 2.0))
+    return discretize(spec, 4), u0, cfg
+
+
+def pinned_p3():
+    # basin 0 has no kill, basin 1 has; 18 states
+    spec = NetworkSpec(
+        p=3, basins=(0, 1),
+        cross_lambda={(0, 1): 0.3, (1, 0): 0.6},
+        cross_mu={(1, 0): 0.3, (0, 1): 0.9},
+        w_kernels={0: RadialKernel(3, (1.0, 0.4)), 1: RadialKernel(3, (0.5, 0.5))},
+        v_kernels={0: RadialKernel(3, (1.0, 0.4)), 1: RadialKernel(3, (0.8, 0.5))},
+    )
+    u0 = CellFunction(3, 3, (0, 1), (np.arange(18) / 17.0).reshape(2, 9) ** 1.5)
+    cfg = SimConfig(n_paths=300, t_max=1.5, seed=99, record_times=(0.25, 1.5))
+    return discretize(spec, 3), u0, cfg
+
+
+RESULT_FIELDS = ("estimates", "stderrs", "n_alive", "kill_fraction")
+
+
+def same_result(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in RESULT_FIELDS)
+
+
+@pytest.mark.parametrize("chain", ["p2", "p3"])
+def test_draws_are_pinned(chain):
+    # the arrays of the one-start-at-a-time sampler with a dense row scan
+    # and math.fsum sums, from before the lockstep rewrite
+    gen, u0, cfg = {"p2": pinned_p2, "p3": pinned_p3}[chain]()
+    res = simulate(gen, u0, cfg)
+    for field in RESULT_FIELDS:
+        assert np.array_equal(getattr(res, field), PINNED[chain][field]), field
+
+
+def test_block_budget_does_not_change_results(monkeypatch):
+    gen, u0, cfg = pinned_p2()
+    ref = simulate(gen, u0, cfg)
+    cell = cfg.n_paths * (len(cfg.record_times) + 1)  # one start cell's records
+    # one start cell per block, three (the last block short), all sixteen
+    for budget in (1, 3 * cell, gen.dim * cell):
+        monkeypatch.setattr(montecarlo, "_RECORD_BUDGET", budget)
+        assert same_result(ref, simulate(gen, u0, cfg))
+
+
+def test_block_memory_scales_with_record_times():
+    # 1000 record times: a block holds one start cell's records, not the
+    # records of as many cells as the entry budget would hold at few times
+    gen, u0, _ = pinned_p2()
+    times = tuple(np.linspace(0.002, 2.0, 1000))
+    cfg = SimConfig(n_paths=100, t_max=2.0, seed=5, record_times=times)
+    cell_records = cfg.n_paths * (len(times) + 1) * 8
+    tracemalloc.start()
+    try:
+        simulate(gen, u0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * cell_records
+
+
+def test_count_at_most_is_searchsorted():
+    rng = np.random.default_rng(8)
+    for width in (1, 2, 3, 5, 8, 17, 129):
+        # non-decreasing rows with runs of equal entries, as a row of
+        # cumulative rates has where a rate is zero
+        steps = rng.random((6, width)) * (rng.random((6, width)) < 0.5)
+        table = np.cumsum(steps, axis=1)
+        state = rng.integers(0, 6, size=400)
+        # arbitrary thresholds, then thresholds equal to an entry
+        x = np.concatenate([
+            rng.random(200) * table[:, -1].max(),
+            table[state[200:], rng.integers(0, width, 200)],
+        ])
+        got = _count_at_most(table, state, x)
+        want = [np.searchsorted(table[s], v, side="right") for s, v in zip(state, x)]
+        assert np.array_equal(got, want)
+
+
+def test_exact_sum_is_fsum():
+    rng = np.random.default_rng(3)
+    values = np.concatenate([rng.random(20) ** 7, [0.0, 1.0, 5e-324, 2.0**-1000]])
+    counts = rng.integers(0, 50, size=len(values))
+    want = math.fsum(np.repeat(values, counts))
+    assert _exact_sum(counts, _exact_terms(values)) == want
+    squares = values * values
+    want_sq = math.fsum(np.repeat(values, counts) ** 2)
+    assert _exact_sum(counts, _exact_terms(squares)) == want_sq
+    # all terms signed zeros: the sign is fsum's
+    zeros = np.array([-0.0, 0.0])
+    for c in ([3, 0], [3, 1], [0, 2]):
+        got = _exact_sum(np.array(c), _exact_terms(zeros))
+        want = math.fsum(np.repeat(zeros, c))
+        assert got == want and math.copysign(1, got) == math.copysign(1, want)
+
+
+def test_simulate_holds_one_dense_table():
+    # 1024 states: the cumulative table is (dim + 1)^2 floats, built in place
+    spec = NetworkSpec(
+        p=2, basins=(0,), cross_lambda={}, cross_mu={},
+        w_kernels={0: RadialKernel(2, (1.0, 0.5))},
+        v_kernels={0: RadialKernel(2, (1.5, 0.5))},
+    )
+    gen = discretize(spec, 11)
+    assert gen.dim == 1024
+    u0 = CellFunction(2, 11, (0,), np.linspace(0, 1, 1024)[None, :])
+    cfg = SimConfig(n_paths=4, t_max=0.5, seed=1, record_times=(0.25, 0.5))
+    tracemalloc.start()
+    try:
+        simulate(gen, u0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * gen.Q.nbytes
+
+
+def top_draw(monkeypatch, hold):
+    # every target draw is the largest uniform, 1 - 2^-53
+    def uniforms(seeds, counter):
+        return np.full(len(seeds), 1 - 2.0**-53 if counter % 2 else hold)
+
+    monkeypatch.setattr(montecarlo, "_uniforms", uniforms)
+
+
+def test_top_draw_stays_on_a_conservative_chain(monkeypatch):
+    # totals are powers of two and there is no kill: the largest draw
+    # goes to the last state with a positive rate, never to the trap
+    top_draw(monkeypatch, 0.5)
+    gen = synthetic_gen([[-2.0, 1.0, 1.0], [0.5, -1.0, 0.5], [4.0, 0.0, -4.0]], [0.0] * 3)
+    u0 = CellFunction(3, 2, (0,), [[0.25, 0.5, 1.0]])
+    cfg = SimConfig(n_paths=8, t_max=10.0, seed=0, record_times=(5.0, 10.0))
+    res = simulate(gen, u0, cfg)
+    assert np.array_equal(res.kill_fraction, np.zeros(3))
+    assert np.array_equal(res.n_alive, np.full((2, 3), 8))
+
+
+def test_top_draw_that_rounds_up_to_the_total_is_not_killed(monkeypatch):
+    # with a subnormal total rate r, (1 - 2^-53) * r rounds up to r, so the
+    # draw passes the whole row; it must land on a state, not the trap
+    r = 3 * 5e-324
+    assert (1 - 2.0**-53) * r == r
+    top_draw(monkeypatch, 2.0**-53)  # holding time about 7.5e306
+    gen = synthetic_gen([[-r, r], [r, -r]], [0.0, 0.0])
+    u0 = CellFunction(2, 2, (0,), [[1.0, 0.5]])
+    cfg = SimConfig(n_paths=2, t_max=1.0e308, seed=0, record_times=(1.0e308,))
+    res = simulate(gen, u0, cfg)
+    assert np.array_equal(res.kill_fraction, [0.0, 0.0])
+    assert np.array_equal(res.n_alive, [[2, 2]])
+
+
+PINNED = {
+    "p2": {
+        "estimates": [
+            [
+                0.26619217402247836, 0.31484417601910736, 0.3613208797432785,
+                0.4012997762727901, 0.3789743349068175, 0.4433699542337913,
+                0.4792607175290576, 0.4953851569656436, 0.5823758846067584,
+                0.6010552483948859, 0.6204621055323593, 0.6452906670553463,
+                0.6775322702184277, 0.6835601291022736, 0.716413713002067,
+                0.7072962832834093,
+            ],
+            [
+                0.1630962199618658, 0.15948845574404133, 0.21834480985415436,
+                0.17380994482383083, 0.1898770630253577, 0.1953290748512712,
+                0.2370018704539155, 0.17317131047588238, 0.2809254160662637,
+                0.2673839685533393, 0.26758809018598806, 0.3195829255320311,
+                0.29617332245359496, 0.3030423478146711, 0.3219643147716833,
+                0.2887239946400163,
+            ],
+        ],
+        "stderrs": [
+            [
+                0.011945557802742415, 0.012366601846466128, 0.012326357078289605,
+                0.013695657481336112, 0.01379561488312051, 0.014163450680955295,
+                0.014559003666429659, 0.01652864991704459, 0.015414808918519249,
+                0.01648561845562425, 0.017065644024806696, 0.01752696048881099,
+                0.017621131032237048, 0.01871862443743694, 0.01884851840787253,
+                0.02036430496529662,
+            ],
+            [
+                0.014660105978293272, 0.0142122158131135, 0.016712457727086127,
+                0.014964362562154146, 0.015979927682579876, 0.01576769751574124,
+                0.01719326676946348, 0.01595964084988651, 0.01814554277071226,
+                0.018739973788474404, 0.01911248559664389, 0.020367169299954933,
+                0.019844906434313067, 0.02034028190591679, 0.02108393488467746,
+                0.020553141563586272,
+            ],
+        ],
+        "n_alive": [
+            [
+                299, 289, 299, 293, 276, 296, 305, 285, 318, 311, 312, 313, 318, 312, 320,
+                306,
+            ],
+            [
+                114, 110, 133, 110, 115, 121, 139, 99, 156, 142, 135, 158, 149, 147, 153,
+                140,
+            ],
+        ],
+        "kill_fraction": [
+            0.715, 0.725, 0.6675, 0.725, 0.7125, 0.6975, 0.6525, 0.7525, 0.61, 0.645,
+            0.6625, 0.605, 0.6275, 0.6325, 0.6175, 0.65,
+        ],
+    },
+    "p3": {
+        "estimates": [
+            [
+                0.02513481873081382, 0.04555524353831072, 0.05973795454673252,
+                0.09080811511203636, 0.12573544956180246, 0.1741544957038585,
+                0.22069299121407876, 0.26349148710873393, 0.3151723756916044,
+                0.37251604652635734, 0.4311154586790291, 0.4740774974434264,
+                0.5317991545431839, 0.6096835722680131, 0.677401789753666,
+                0.739245478018938, 0.8266160238654531, 0.9152495292276832,
+            ],
+            [
+                0.11058818311547322, 0.1530346286173065, 0.1415445448614252,
+                0.14246774898912473, 0.17683089199862168, 0.19927128222478258,
+                0.23929856002098954, 0.25932790415994056, 0.27591150448277507,
+                0.31799999524203515, 0.35082892749874106, 0.3470171096651608,
+                0.4014197346847722, 0.40496064053253517, 0.42865224899027654,
+                0.48256777227086844, 0.5553371902613112, 0.5642169881366599,
+            ],
+        ],
+        "stderrs": [
+            [
+                0.00691696625263523, 0.007057004547180096, 0.005700794134154964,
+                0.005454219587409471, 0.005346753594742116, 0.0056304483088195235,
+                0.005891818711743644, 0.004457523720220746, 0.004374213967963482,
+                0.006821615069817402, 0.007379985137365632, 0.00944405363952539,
+                0.01012338655491369, 0.010523950384697785, 0.011551557004620393,
+                0.013912443713213131, 0.014356928740124082, 0.01521026097350259,
+            ],
+            [
+                0.011694635060659528, 0.01444319944711389, 0.011618818118033891,
+                0.009934725574354866, 0.011406319337410896, 0.009868458643703093,
+                0.011039911431109203, 0.00965048023613438, 0.009457310986257997,
+                0.013523719100001374, 0.014240136274833746, 0.01548128187028742,
+                0.01643188694470389, 0.01813088222360084, 0.019512439511511166,
+                0.02151559839286445, 0.023133535607651058, 0.026073769601366266,
+            ],
+        ],
+        "n_alive": [
+            [
+                300, 300, 300, 300, 300, 300, 300, 300, 300, 287, 290, 284, 283, 288, 291,
+                286, 289, 289,
+            ],
+            [
+                295, 296, 297, 296, 297, 295, 297, 299, 298, 251, 247, 238, 242, 236, 235,
+                245, 250, 236,
+            ],
+        ],
+        "kill_fraction": [
+            0.016666666666666666, 0.013333333333333334, 0.01, 0.013333333333333334, 0.01,
+            0.016666666666666666, 0.01, 0.0033333333333333335, 0.006666666666666667,
+            0.16333333333333333, 0.17666666666666667, 0.20666666666666667,
+            0.19333333333333333, 0.21333333333333335, 0.21666666666666667,
+            0.18333333333333332, 0.16666666666666666, 0.21333333333333335,
+        ],
+    },
+}
