@@ -10,14 +10,15 @@ threshold-crossing time in both closed form and as a numeric search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from . import spectral
 from .errors import UsageError, ValidationError
 from .kernels import symbol_value
-from .network import NetworkSpec, aggregate_rates
+from .network import NetworkSpec
 from .padic import CellAddress, enumerate_cells
 from .wavelets import CellFunction, WaveletIndex, eval_wavelet
 
@@ -93,9 +94,17 @@ class FoldingScenario:
     r: int
     amplitude: float
     threshold: float = 0.99
+    # the 2x2 rates, as floats from the spec's exact totals: alpha, beta,
+    # gamma rounded once, A = hypot(2 alpha, beta - gamma) with the
+    # difference formed exactly
+    coupling: float = field(init=False)
+    loss_u: float = field(init=False)
+    loss_n: float = field(init=False)
+    A: float = field(init=False)
 
     def __post_init__(self):
-        if len(self.spec.basins) != 2:
+        spec = self.spec
+        if len(spec.basins) != 2:
             raise ValidationError("the folding model needs exactly two basins")
         if not (isinstance(self.r, int) and self.r <= -2):
             raise ValidationError("the bump index r must be an integer <= -2")
@@ -103,13 +112,19 @@ class FoldingScenario:
             raise ValidationError("the bump amplitude must be positive")
         if not self.threshold > 0:
             raise ValidationError("the threshold must be positive")
-        u, n = self.spec.basins
-        lam_nu = self.spec.cross_lambda.get((n, u), 0.0)
-        lam_un = self.spec.cross_lambda.get((u, n), 0.0)
-        if lam_nu != lam_un:
+        u, n = spec.basins
+        coupling = spec.cross_lambda[(n, u)]
+        if coupling != spec.cross_lambda[(u, n)]:
             raise ValidationError(
                 "the two cross gain rates must be equal for the 2x2 reduction"
             )
+        loss_u, loss_n = (
+            Fraction(m - d, spec.p) for d, m in zip(spec.gain_diag, spec.loss_total)
+        )
+        object.__setattr__(self, "coupling", float(coupling))
+        object.__setattr__(self, "loss_u", float(loss_u))
+        object.__setattr__(self, "loss_n", float(loss_n))
+        object.__setattr__(self, "A", math.hypot(2 * self.coupling, float(loss_u - loss_n)))
         if self.A == 0:
             raise ValidationError(
                 "A = 0 (no cross gain and equal basin losses): the bump datum "
@@ -119,8 +134,7 @@ class FoldingScenario:
             raise ValidationError(
                 "amplitude + coupling/A exceeds 1: the initial datum would exceed 1"
             )
-        p = self.spec.p
-        worst = min(math.cos(2 * math.pi * d / p) for d in range(p))
+        worst = min(math.cos(2 * math.pi * d / spec.p) for d in range(spec.p))
         if self.coupling / self.A + self.amplitude * worst < -1e-15:
             raise ValidationError(
                 "the bump trough would push the initial datum below 0"
@@ -133,27 +147,6 @@ class FoldingScenario:
     @property
     def basin_n(self) -> int:
         return self.spec.basins[1]
-
-    @property
-    def coupling(self) -> float:
-        u, n = self.spec.basins
-        return self.spec.cross_lambda.get((n, u), 0.0)
-
-    @property
-    def loss_u(self) -> float:
-        agg = aggregate_rates(self.spec)
-        return (agg.loss_total[0] - agg.gain_diag[0]) / self.spec.p
-
-    @property
-    def loss_n(self) -> float:
-        agg = aggregate_rates(self.spec)
-        return (agg.loss_total[1] - agg.gain_diag[1]) / self.spec.p
-
-    @property
-    def A(self) -> float:
-        return math.sqrt(
-            4 * self.coupling**2 + (self.loss_u - self.loss_n) ** 2
-        )
 
 
 def bump_wavelet(scenario: FoldingScenario) -> WaveletIndex:
@@ -227,8 +220,7 @@ def folding_tau(scenario: FoldingScenario) -> FoldingReport:
         scenario.loss_n,
         scenario.A,
     )
-    agg = aggregate_rates(spec)
-    fast_rate = agg.loss_total[1] / spec.p - symbol_value(
+    fast_rate = float(spec.loss_total[1] / spec.p) - symbol_value(
         spec.w_kernels[scenario.basin_n], scenario.r
     )
     chain_rate = (beta + gamma - A) / 2

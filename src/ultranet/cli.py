@@ -228,7 +228,7 @@ def _parse_document(text: str) -> dict:
             _fail(seen["resolution"], "resolution must be >= 1")
         cfg["resolution"] = r
     if "datum" in seen:
-        cfg["datum"] = _parse_datum(seen["datum"])
+        cfg["datum"] = _parse_datum(seen["datum"], cfg)
     for key in ("times", "record_times"):
         if key in seen:
             cfg[key] = _expect_times(seen[key], key)
@@ -320,12 +320,28 @@ def _parse_int_key(key: str, key_node) -> int:
         _fail(key_node, f"key {key!r} must be a basin number")
 
 
-def _parse_datum(node):
+def _parse_datum(node, cfg):
+    """The datum as given, after checking a preset string against the
+    prime and basins parsed before it, so a bad one is refused with its
+    line. The depth of a delta cell is checked once the depth is known."""
     value = _to_python(node)
     if isinstance(value, str):
-        if value == "uniform" or value.startswith(("delta:", "ivp2:")):
-            return value
-        _fail(node, f"datum {value!r} is not 'uniform', 'delta:<cell>' or 'ivp2:<params>'")
+        if not (value == "uniform" or value.startswith(("delta:", "ivp2:"))):
+            _fail(node, f"datum {value!r} is not 'uniform', 'delta:<cell>' or 'ivp2:<params>'")
+        kind, _, rest = value.partition(":")
+        try:
+            if kind == "delta":
+                basin = parse_cell_label(rest, cfg["prime"]).basin
+                if basin not in cfg["basins"]:
+                    raise ValidationError(
+                        f"datum cell {rest!r} lies in basin {basin}, "
+                        f"which is not in basins {cfg['basins']}"
+                    )
+            elif kind == "ivp2":
+                _ivp2_fields(rest)
+        except ValidationError as exc:
+            _fail(node, str(exc))
+        return value
     if isinstance(value, dict):
         return {
             basin: _expect_number_list(cells, f"datum.{basin}")
@@ -415,11 +431,6 @@ def datum_from_config(cfg: dict, spec: NetworkSpec, depth: int) -> CellFunction:
         if cell.depth > depth:
             raise ConfigError(
                 f"datum cell {label!r} is deeper than the working depth {depth}"
-            )
-        if cell.basin not in spec.basins:
-            raise ConfigError(
-                f"datum cell {label!r} lies in basin {cell.basin}, "
-                f"which is not in basins {list(spec.basins)}"
             )
         return CellFunction.indicator(spec.p, depth, spec.basins, cell)
     if datum.startswith("ivp2:"):

@@ -8,9 +8,13 @@ never supplied; they are the within-basin aggregates
 
     lambda_{a,a} = p * mass(w_a),    mu_{a,a} = p * mass(v_a).
 
-Every derived quantity is computed in exact rational arithmetic from
-the stored rates (floats convert exactly), so classification can be
-tolerance-free on request.
+A NetworkSpec computes its per-basin totals once, at construction, in
+exact rational arithmetic from the stored rates (floats convert
+exactly): gain_diag, gain_total and loss_total, as Fraction tuples in
+basin order. Every reader takes them from there: the aggregates, the
+basin matrix, classify and the folding model. classify judges each
+basin against a tolerance relative to that basin's own totals, or none
+on request, and uses no floating-point linear algebra.
 
 The basin matrix comes in two conventions. "derived" carries the
 factor 1/p on cross terms that projection of the master equation onto
@@ -19,8 +23,8 @@ sink, so the matrix is always substochastic when the standing rate
 inequalities hold. "paper" keeps the cross terms bare (no 1/p); it is
 the convention under which the classification identities (conservative
 matrix, dying at infinity) are stated. A NetworkSpec fixes one
-convention for every solver run on it; classify builds the "paper"
-matrix from a copy of the spec set to that convention.
+convention for every solver run on it; classify states its result for
+the "paper" matrix whatever the spec's convention.
 build_basin_matrix returns a plain float array; the spectral state
 builds it once and keeps it.
 """
@@ -28,7 +32,7 @@ builds it once and keeps it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -86,6 +90,10 @@ class NetworkSpec:
     w_kernels: Mapping
     v_kernels: Mapping
     convention: str = "derived"
+    # exact per-basin totals in basin order, computed once from the rates
+    gain_diag: tuple = field(init=False, repr=False, compare=False)
+    gain_total: tuple = field(init=False, repr=False, compare=False)
+    loss_total: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate_prime(self.p)
@@ -116,6 +124,17 @@ class NetworkSpec:
         object.__setattr__(
             self, "cross_mu", _normalize_cross(self.cross_mu, basins, "mu")
         )
+        gain_diag = tuple(_exact_diagonal(self.w_kernels[a]) for a in basins)
+        object.__setattr__(self, "gain_diag", gain_diag)
+        object.__setattr__(self, "gain_total", tuple(
+            d + sum(self.cross_lambda[(a, b)] for b in basins if b != a)
+            for a, d in zip(basins, gain_diag)
+        ))
+        object.__setattr__(self, "loss_total", tuple(
+            _exact_diagonal(self.v_kernels[a])
+            + sum(self.cross_mu[(b, a)] for b in basins if b != a)
+            for a in basins
+        ))
         self._check_rate_inequalities()
 
     def _check_rate_inequalities(self):
@@ -141,28 +160,8 @@ class NetworkSpec:
                         f"cross rate lambda[{a}<-{b}] = {float(lam)} exceeds "
                         f"mu[{b}<-{a}] = {float(mu)}"
                     )
-        if all(t == 0 for t in self._exact_loss_total()):
+        if all(t == 0 for t in self.loss_total):
             raise ValidationError("total loss is zero in every basin")
-
-    def _exact_gain_diag(self) -> list:
-        return [_exact_diagonal(self.w_kernels[a]) for a in self.basins]
-
-    def _exact_loss_diag(self) -> list:
-        return [_exact_diagonal(self.v_kernels[a]) for a in self.basins]
-
-    def _exact_gain_total(self) -> list:
-        diag = self._exact_gain_diag()
-        return [
-            diag[i] + sum(self.cross_lambda[(a, b)] for b in self.basins if b != a)
-            for i, a in enumerate(self.basins)
-        ]
-
-    def _exact_loss_total(self) -> list:
-        diag = self._exact_loss_diag()
-        return [
-            diag[i] + sum(self.cross_mu[(b, a)] for b in self.basins if b != a)
-            for i, a in enumerate(self.basins)
-        ]
 
 
 @dataclass(frozen=True)
@@ -176,20 +175,14 @@ class Aggregates:
 
 
 def aggregate_rates(spec: NetworkSpec) -> Aggregates:
-    lam_d = spec._exact_gain_diag()
-    lam_b = spec._exact_gain_total()
-    mu_b = spec._exact_loss_total()
-    sink = [Fraction(m - l, spec.p) for l, m in zip(lam_b, mu_b)]
-    if any(s < 0 for s in sink):
-        raise ValidationError("negative sink; rate inequalities are inconsistent")
-
     def as_arr(xs):
         return np.array([float(x) for x in xs])
 
+    sink = [Fraction(m - l, spec.p) for l, m in zip(spec.gain_total, spec.loss_total)]
     return Aggregates(
         basins=spec.basins,
-        gain_diag=as_arr(lam_d),
-        loss_total=as_arr(mu_b),
+        gain_diag=as_arr(spec.gain_diag),
+        loss_total=as_arr(spec.loss_total),
         sink=as_arr(sink),
     )
 
@@ -198,19 +191,16 @@ def _basin_entries_exact(spec: NetworkSpec) -> list:
     """Basin matrix as exact Fractions under the spec's convention: diag
     -(loss_total - gain_diag)/p, off-diagonal the cross gain, divided by
     p under `derived`."""
-    lam_d = spec._exact_gain_diag()
-    mu_b = spec._exact_loss_total()
-    rows = []
-    for i, a in enumerate(spec.basins):
-        row = []
-        for k, b in enumerate(spec.basins):
-            if i == k:
-                row.append(Fraction(lam_d[i] - mu_b[i], spec.p))
-            else:
-                cross = spec.cross_lambda[(a, b)]
-                row.append(Fraction(cross, spec.p) if spec.convention == "derived" else _frac(cross))
-        rows.append(row)
-    return rows
+    cross_scale = Fraction(1, spec.p) if spec.convention == "derived" else 1
+    return [
+        [
+            Fraction(spec.gain_diag[i] - spec.loss_total[i], spec.p)
+            if a == b
+            else spec.cross_lambda[(a, b)] * cross_scale
+            for b in spec.basins
+        ]
+        for i, a in enumerate(spec.basins)
+    ]
 
 
 def build_basin_matrix(spec: NetworkSpec) -> np.ndarray:
@@ -229,49 +219,30 @@ class Classification:
     is_m_matrix: bool
 
 
-def _m_matrix_flag(neg_lambda: np.ndarray) -> bool:
-    """Z-matrix, nonsingular, and inverse entrywise >= -1e-12."""
-    off = neg_lambda - np.diag(np.diag(neg_lambda))
-    if off.max(initial=0.0) > 1e-12:
-        return False
-    try:
-        inv = np.linalg.inv(neg_lambda)
-    except np.linalg.LinAlgError:
-        return False
-    if not np.all(np.isfinite(inv)):
-        return False
-    # reject numerically singular matrices that inv() silently accepts
-    if np.linalg.cond(neg_lambda) > 1e12:
-        return False
-    return bool(inv.min() >= -1e-12)
-
-
 def classify(spec: NetworkSpec, exact: bool = False) -> Classification:
     """Sort basins by the balance between total loss and total gain.
 
-    Basin a lands in G1 when loss_total/p + (1 - 1/p) gain_diag equals
-    gain_total (the "paper"-convention matrix row sums to zero there)
-    and in G2 on strict ">". A "<" means that matrix is not
-    substochastic for this network; that is reported as an error rather
-    than forced into either class.
+    Basin a lands in G1 when its gap loss_total/p + (1 - 1/p) gain_diag
+    - gain_total is zero (the "paper"-convention matrix row sums to zero
+    there) and in G2 when it is positive. A negative gap means that
+    matrix is not substochastic for this network; that is reported as an
+    error rather than forced into either class. A gap involves only its
+    own basin's rates, so each basin is judged against its own tolerance,
+    1e-12 * max(gain_total, loss_total), or none when exact; the answer
+    does not depend on the unit of time or on the other basins' scale.
+
+    The negated "paper" matrix is a Z-matrix whose row sums are the
+    gaps. Such a matrix is a nonsingular M-matrix exactly when every
+    basin reaches a G2 basin along positive cross gains
+    cross_lambda[(a, b)] > 0 (weak chained diagonal dominance: Shivakumar
+    & Chew, Proc. AMS 43, 1974; Azimzadeh, Math. Comp. 88, 2019), so
+    is_m_matrix is read off the classification.
     """
     p = spec.p
-    lam_d = spec._exact_gain_diag()
-    lam_b = spec._exact_gain_total()
-    mu_b = spec._exact_loss_total()
-    gaps = [
-        Fraction(m, p) + Fraction(p - 1, p) * d - l
-        for d, l, m in zip(lam_d, lam_b, mu_b)
-    ]
-    if exact:
-        tol = Fraction(0)
-    else:
-        scale = max(
-            [abs(float(x)) for x in lam_b] + [abs(float(x)) for x in mu_b] + [1.0]
-        )
-        tol = Fraction(1e-12 * scale)
     g1, g2 = [], []
-    for a, gap in zip(spec.basins, gaps):
+    for a, d, l, m in zip(spec.basins, spec.gain_diag, spec.gain_total, spec.loss_total):
+        gap = Fraction(m, p) + Fraction(p - 1, p) * d - l
+        tol = 0 if exact else Fraction(1e-12) * max(l, m)
         if abs(gap) <= tol:
             g1.append(a)
         elif gap > 0:
@@ -282,16 +253,19 @@ def classify(spec: NetworkSpec, exact: bool = False) -> Classification:
                 f"(gap {float(gap)}); the \"paper\"-convention matrix is "
                 "not substochastic for this network"
             )
-    conservative = len(g1) == len(spec.basins)
-    dies = len(g2) == len(spec.basins) and all(
-        m > d for m, d in zip(mu_b, lam_d)
-    )
-    paper = build_basin_matrix(replace(spec, convention="paper"))
+    reach = set(g2)  # grows to the basins that reach G2 along positive cross gains
+    for _ in g1:
+        reach |= {
+            a for a in g1
+            if a not in reach and any(spec.cross_lambda[(a, b)] > 0 for b in reach)
+        }
     return Classification(
         g1=tuple(g1),
         g2=tuple(g2),
-        is_conservative_matrix=conservative,
-        dies_at_infinity=dies,
+        is_conservative_matrix=not g2,
+        dies_at_infinity=not g1 and all(
+            m > d for m, d in zip(spec.loss_total, spec.gain_diag)
+        ),
         is_substochastic=True,
-        is_m_matrix=_m_matrix_flag(-paper),
+        is_m_matrix=len(reach) == len(spec.basins),
     )

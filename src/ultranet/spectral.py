@@ -85,8 +85,10 @@ def decay_rates(spec: NetworkSpec, R: int) -> list:
     out = []
     for i, a in enumerate(spec.basins):
         for r in range(-1, -R - 1, -1):
-            s = symbol_value(spec.w_kernels[a], r) - agg.loss_total[i] / spec.p
-            if s > 1e-12:
+            leave = agg.loss_total[i] / spec.p
+            s = symbol_value(spec.w_kernels[a], r) - leave
+            # rounding in s is relative to the basin's own rates
+            if s > 1e-12 * leave:
                 raise NumericError(f"positive wavelet rate s={s} at basin {a}, r={r}")
             s = min(s, 0.0)
             out.append(

@@ -351,6 +351,41 @@ def test_classify_dying_preset(capsys, tmp_path):
     assert record["dies_at_infinity"] is True
 
 
+def _classify(capsys, tmp_path, text):
+    path = tmp_path / "net.yaml"
+    path.write_text(text)
+    code, out, err = run(capsys, "classify", "--config", str(path), "--out", str(tmp_path))
+    assert code == 0, err
+    return out.splitlines(), json.loads((tmp_path / "classification.json").read_text())
+
+
+def test_classify_dying_preset_in_a_slow_unit_of_time(capsys, tmp_path):
+    # every rate times 1e-12: still dying, never "conservative" and an M-matrix at once
+    text = load_preset("dying_two_basin")
+    for rate in ("[1.0]", ": 1.0\n", ": 4.0\n"):
+        text = text.replace(rate, rate.replace(".0", ".0e-12"))
+    assert text.count("e-12") == 8
+    lines, record = _classify(capsys, tmp_path, text)
+    assert lines == [
+        "G1 = {}",
+        "G2 = {0, 1}",
+        "substochastic semigroup, strictly dying: all mass decays",
+    ]
+    assert record["dies_at_infinity"] is True
+    assert record["is_m_matrix"] is True
+
+
+def test_classify_judges_each_basin_at_its_own_scale(capsys, tmp_path):
+    # basin 1 leaks 1e13 times slower than basin 0, but it leaks
+    text = (
+        "prime: 2\nbasins: [0, 1]\nkernels:\n"
+        "  w: {0: [0.0], 1: [0.0]}\n  v: {0: [1.0e+6], 1: [1.0e-7]}\n"
+    )
+    lines, record = _classify(capsys, tmp_path, text)
+    assert lines[:2] == ["G1 = {}", "G2 = {0, 1}"]
+    assert (record["g1"], record["g2"], record["is_m_matrix"]) == ([], [0, 1], True)
+
+
 # ---------------------------------------------------------------- solve
 
 
@@ -447,6 +482,22 @@ def test_delta_datum_outside_the_basins_exits_2(capsys, tmp_path):
     assert "config error" in err and "basin 1" in err
 
 
+@pytest.mark.parametrize("datum, message", [
+    ("delta:0.zz", "digit 35 out of range for p=2"),
+    ("delta:1.0", "datum cell '1.0' lies in basin 1, which is not in basins [0]"),
+    ("ivp2:r=x,amplitude=0.1", "bad ivp2 parameters"),
+    ("ivp2:r=-2", "ivp2 takes exactly the parameters r and amplitude"),
+])
+@pytest.mark.parametrize("dump", [False, True])
+def test_bad_datum_string_exits_2_with_its_line(capsys, tmp_path, datum, message, dump):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(MINIMAL + f"datum: {datum}\n")
+    flags = ["--dump-normalized-config"] if dump else ["--out", str(tmp_path)]
+    code, out, err = run(capsys, "solve", "--config", str(path), *flags)
+    assert (code, out) == (2, "")
+    assert f"config error: line 6: {message}" in err
+
+
 def test_solve_single_basin_golden(capsys, tmp_path):
     # every value is the float64 of 0.5 (1 +/- exp(-t/2)); the oracle
     # gap on this preset is at machine epsilon
@@ -472,6 +523,22 @@ def test_solve_single_basin_golden(capsys, tmp_path):
     dat = (tmp_path / "density.dat").read_text().splitlines()
     assert dat[0] == "# t 0.0 0.1"
     assert dat[1] == "0 1 0"
+
+
+def test_fast_network_is_not_refused(capsys, tmp_path):
+    # w = v, so every exact scale rate is <= 0; at these rates s rounds to
+    # about +1e-10, which is no positive rate relative to loss_total/p
+    path = tmp_path / "fast.yaml"
+    path.write_text(
+        "prime: 3\nbasins: [0]\nkernels:\n"
+        "  w: {0: [0.0, 0.0, 2.4e+7]}\n  v: {0: [0.0, 0.0, 2.4e+7]}\n"
+    )
+    for command in ("solve", "tau", "oracle"):
+        code, _, err = run(capsys, command, "--config", str(path), "--out", str(tmp_path))
+        assert code == 0, (command, err)
+    rows = (tmp_path / "decay_rates.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3
+    assert max(float(row.split(",")[2]) for row in rows) <= 0
 
 
 def test_solve_values_match_closed_form(capsys, tmp_path):
@@ -566,6 +633,23 @@ def test_folding_demo_report(capsys, tmp_path):
     assert first[1] == "basin-0"
     # basin averages of the initial datum: (A - beta + gamma) / (2 A p)
     assert float(first[2]) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_folding_demo_prints_the_coupling_as_a_float(capsys, tmp_path):
+    code, out, _ = run(
+        capsys, "folding-demo", "--preset", "folding_demo", "--out", str(tmp_path)
+    )
+    assert (code, out.splitlines()[0]) == (0, "coupling alpha = 5")
+    path = tmp_path / "weak.yaml"
+    path.write_text(
+        load_preset("folding_demo")
+        .replace(": 5.0\n", ": 0.3\n")
+        .replace("amplitude=0.4", "amplitude=0.1")
+    )
+    code, out, _ = run(capsys, "folding-demo", "--config", str(path), "--out", str(tmp_path))
+    assert code == 0
+    assert out.splitlines()[0] == "coupling alpha = 0.29999999999999999"
+    assert (tmp_path / "folding.txt").read_text().splitlines()[0] == out.splitlines()[0]
 
 
 def test_folding_demo_derived_convention_never_crosses(capsys, tmp_path):

@@ -207,7 +207,7 @@ def test_derived_row_sums_equal_minus_sink_exactly(spec):
     rows = _basin_entries_exact(spec)  # hyp1_specs are "derived"
     agg_sink = [
         Fraction(m - l, spec.p)
-        for l, m in zip(spec._exact_gain_total(), spec._exact_loss_total())
+        for l, m in zip(spec.gain_total, spec.loss_total)
     ]
     for row, s in zip(rows, agg_sink):
         assert sum(row, Fraction(0)) == -s
@@ -260,3 +260,62 @@ def test_dying_specs_have_strictly_stable_spectrum(spec):
     if c.dies_at_infinity:
         eigs = np.linalg.eigvals(build_basin_matrix(replace(spec, convention="paper")))
         assert eigs.real.max() < 0
+
+
+def _outcome(spec):
+    try:
+        c = classify(spec)
+    except ClassificationError:
+        return "not substochastic"
+    return c.g1, c.g2, c.dies_at_infinity, c.is_m_matrix
+
+
+def _rescaled(spec, scale):
+    """The spec with basin a's own rates times scale[a]: its kernels, the
+    cross gains into it and the cross losses out of it. Each scaled pair
+    of a rate inequality is scaled alike, so the inequalities hold."""
+    def kernels(table):
+        return {a: RadialKernel(spec.p, tuple(x * scale[a] for x in table[a].levels))
+                for a in spec.basins}
+
+    return NetworkSpec(
+        p=spec.p, basins=spec.basins,
+        cross_lambda={(a, b): float(x) * scale[a] for (a, b), x in spec.cross_lambda.items()},
+        cross_mu={(b, a): float(x) * scale[a] for (b, a), x in spec.cross_mu.items()},
+        w_kernels=kernels(spec.w_kernels), v_kernels=kernels(spec.v_kernels),
+        convention=spec.convention,
+    )
+
+
+@given(spec=st.one_of(hyp1_specs(), classifiable_specs()), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_classify_ignores_the_unit_of_time_of_each_basin(spec, data):
+    exponents = st.integers(min_value=-14, max_value=6)
+    scale = {a: 10.0 ** data.draw(exponents) for a in spec.basins}
+    assert _outcome(_rescaled(spec, scale)) == _outcome(spec)
+
+
+def _det(rows):
+    """Exact determinant by cofactor expansion along the first row."""
+    if not rows:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * x * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+        for j, x in enumerate(rows[0])
+    )
+
+
+@given(spec=classifiable_specs())
+@settings(max_examples=120, deadline=None)
+def test_m_matrix_iff_the_exact_paper_matrix_is_nonsingular(spec):
+    paper = _basin_entries_exact(replace(spec, convention="paper"))
+    assert classify(spec).is_m_matrix == (_det(paper) != 0)
+
+
+@given(spec=classifiable_specs(), k=st.integers(min_value=-14, max_value=6))
+@settings(max_examples=120, deadline=None)
+def test_m_matrix_flag_agrees_with_the_regimes_at_any_scale(spec, k):
+    c = classify(_rescaled(spec, {a: 10.0**k for a in spec.basins}))
+    assert not (c.is_conservative_matrix and c.is_m_matrix)  # a conservative matrix is singular
+    assert c.is_m_matrix or not c.dies_at_infinity
+

@@ -185,6 +185,18 @@ def test_decay_rates_zero_rate_gives_infinite_sigma():
     assert rates[(1, -1)].sigma4 == pytest.approx(16.0)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("shape", [(0.0, 0.0, 1.0), (0.0, 1.0), (1.0, 0.5, 0.25)])
+def test_decay_rates_accept_any_unit_of_time(p, shape):
+    # the rounding in symbol - loss_total/p is relative to the rates, so no
+    # scale may turn it into a refused positive rate (w = v, so the exact
+    # rate is 0 at some scales)
+    for m in (1.0, 2.4, 3.7, 5.5, 7.3, 9.1):
+        for k in range(10):
+            spec = single_basin(tuple(x * m * 10.0**k for x in shape), p=p)
+            assert all(d.s <= 0 for d in decay_rates(spec, len(shape)))
+
+
 # ---------------------------------------------------------------- evolve
 
 
