@@ -1,10 +1,12 @@
-"""Two-basin folding toy model with a closed-form 2x2 semigroup.
+"""Two-basin folding toy model.
 
 The coarse dynamics of a two-basin network (unfolded U, native N) reduce
 to a symmetric 2x2 rate matrix [[-beta, alpha], [alpha, -gamma]].  This
-module carries its closed-form exponential, the special initial datum
-whose constant part sits exactly on the slow eigenvector, and the
-threshold-crossing time in both closed form and as a numeric search.
+module builds the scenario from a network, the special initial datum
+whose constant part sits exactly on that matrix's slow eigenvector, and
+the threshold-crossing time in both closed form and as a numeric search.
+Every rate it reports comes from the network's exact totals and from
+spectral.scale_rate.
 """
 
 from __future__ import annotations
@@ -17,67 +19,9 @@ import numpy as np
 
 from . import spectral
 from .errors import UsageError, ValidationError
-from .kernels import symbol_value
 from .network import NetworkSpec
 from .padic import CellAddress, enumerate_cells
 from .wavelets import CellFunction, WaveletIndex, eval_wavelet
-
-
-@dataclass(frozen=True)
-class TwoBasinRates:
-    """Rates of the 2x2 coarse generator, in the regime where both
-    eigenvalues are guaranteed nonpositive (diagonal dominance)."""
-
-    alpha: float
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            if not getattr(self, name) > 0:
-                raise UsageError(f"{name} must be positive")
-        if self.beta < self.alpha or self.gamma < self.alpha:
-            raise UsageError("beta and gamma must both be >= alpha")
-
-    @property
-    def A(self) -> float:
-        return math.sqrt(4 * self.alpha**2 + (self.beta - self.gamma) ** 2)
-
-
-def two_basin_matrix(g: TwoBasinRates) -> np.ndarray:
-    return np.array([[-g.beta, g.alpha], [g.alpha, -g.gamma]])
-
-
-def two_basin_eigenvalues(g: TwoBasinRates):
-    """Both eigenvalues, ascending; the larger one is (A - beta - gamma)/2."""
-    return (-(g.beta + g.gamma + g.A) / 2, (g.A - g.gamma - g.beta) / 2)
-
-
-def _mode_matrices(alpha, beta, gamma, A):
-    """Split e^{tM} = prefactor * (slow + e^{-tA} * fast); the prefactor
-    is e^{t(A - beta - gamma)/2}."""
-    slow = np.array(
-        [
-            [(-beta + gamma + A) / (2 * A), alpha / A],
-            [alpha / A, (beta - gamma + A) / (2 * A)],
-        ]
-    )
-    fast = np.array(
-        [
-            [(beta - gamma + A) / (2 * A), -alpha / A],
-            [-alpha / A, -(beta - gamma - A) / (2 * A)],
-        ]
-    )
-    return slow, fast
-
-
-def two_basin_expm(g: TwoBasinRates, t: float):
-    """Closed-form e^{tM} for the 2x2 coarse generator."""
-    if t < 0:
-        raise UsageError("t must be >= 0")
-    slow, fast = _mode_matrices(g.alpha, g.beta, g.gamma, g.A)
-    prefactor = math.exp(t * (g.A - g.beta - g.gamma) / 2)
-    return prefactor * (slow + math.exp(-t * g.A) * fast)
 
 
 @dataclass(frozen=True)
@@ -86,14 +30,14 @@ class FoldingScenario:
 
     The first basin plays the unfolded role, the second the native one.
     The coupling must be symmetric so the coarse dynamics close into the
-    2x2 form; unlike TwoBasinRates there is no dominance requirement, and
-    the interesting demos live exactly where dominance fails.
+    2x2 form; there is no dominance requirement, and the interesting
+    demos live exactly where dominance fails.
     """
 
     spec: NetworkSpec
     r: int
     amplitude: float
-    threshold: float = 0.99
+    threshold: float = spectral.DEFAULT_THRESHOLD
     # the 2x2 rates, as floats from the spec's exact totals: alpha, beta,
     # gamma rounded once, A = hypot(2 alpha, beta - gamma) with the
     # difference formed exactly
@@ -220,9 +164,7 @@ def folding_tau(scenario: FoldingScenario) -> FoldingReport:
         scenario.loss_n,
         scenario.A,
     )
-    fast_rate = float(spec.loss_total[1] / spec.p) - symbol_value(
-        spec.w_kernels[scenario.basin_n], scenario.r
-    )
+    fast_rate = -spectral.scale_rate(spec, 1, scenario.r)
     chain_rate = (beta + gamma - A) / 2
     numerator = math.log(scenario.amplitude + alpha / A)
     denominator = min(chain_rate, fast_rate)

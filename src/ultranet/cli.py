@@ -380,16 +380,6 @@ def spec_from_config(cfg: dict, convention: str | None = None) -> NetworkSpec:
     )
 
 
-def resolution_from_config(cfg: dict, spec: NetworkSpec) -> int:
-    if "resolution" in cfg:
-        return cfg["resolution"]
-    j_max = max(
-        max(k.j_max for k in spec.w_kernels.values()),
-        max(k.j_max for k in spec.v_kernels.values()),
-    )
-    return max(j_max, 1)
-
-
 def _ivp2_fields(text: str) -> dict:
     fields = {}
     for part in text.split(","):
@@ -414,11 +404,17 @@ def scenario_from_config(cfg: dict, spec: NetworkSpec) -> FoldingScenario:
         spec=spec,
         r=fields["r"],
         amplitude=fields["amplitude"],
-        threshold=cfg.get("threshold", 0.99),
+        threshold=cfg.get("threshold", spectral.DEFAULT_THRESHOLD),
     )
 
 
-def datum_from_config(cfg: dict, spec: NetworkSpec, depth: int) -> CellFunction:
+def datum_from_config(cfg: dict, spec: NetworkSpec) -> CellFunction:
+    """The initial datum on depth-(R + 1) cells. The resolution R is the
+    config's, or else the deepest kernel level."""
+    R = cfg.get("resolution") or max(
+        k.j_max for kernels in (spec.w_kernels, spec.v_kernels) for k in kernels.values()
+    )
+    depth = R + 1
     datum = cfg.get("datum", "uniform")
     if isinstance(datum, dict):
         basins = sorted(datum)
@@ -437,7 +433,7 @@ def datum_from_config(cfg: dict, spec: NetworkSpec, depth: int) -> CellFunction:
         scenario = scenario_from_config(cfg, spec)
         if depth < 1 - scenario.r:
             raise ConfigError(
-                f"resolution {depth - 1} is too coarse for the bump at r = {scenario.r}"
+                f"resolution {R} is too coarse for the bump at r = {scenario.r}"
             )
         return ivp2_datum(scenario, depth)
     raise ConfigError(f"unsupported datum {datum!r}")
@@ -517,9 +513,7 @@ def _run_classify(cfg, spec, args) -> int:
 
 
 def _run_solve(cfg, spec, args) -> int:
-    R = resolution_from_config(cfg, spec)
-    depth = R + 1
-    datum = datum_from_config(cfg, spec, depth)
+    datum = datum_from_config(cfg, spec)
     state = spectral.init(spec, datum)
     labels = [cell.label() for cell in datum.cells()]
     rows = (
@@ -530,7 +524,7 @@ def _run_solve(cfg, spec, args) -> int:
     rates_path = f"{args.out}/decay_rates.csv"
     with open(rates_path, "w") as f:
         f.write("basin,r,rate,tau4,tau1\n")
-        for d in spectral.decay_rates(spec, R):
+        for d in spectral.decay_rates(spec, datum.depth - 1):
             f.write(
                 f"{d.basin},{d.r},{_fmt(d.s)},{_fmt(d.sigma4)},{_fmt(d.sigma1)}\n"
             )
@@ -540,9 +534,8 @@ def _run_solve(cfg, spec, args) -> int:
 
 
 def _run_tau(cfg, spec, args) -> int:
-    R = resolution_from_config(cfg, spec)
-    datum = datum_from_config(cfg, spec, R + 1)
-    threshold = cfg.get("threshold", 0.99)
+    datum = datum_from_config(cfg, spec)
+    threshold = cfg.get("threshold", spectral.DEFAULT_THRESHOLD)
     result = spectral.absorbing_time(spec, datum, threshold=threshold)
     cell = result.crossing_cell.label() if result.crossing_cell else "-"
     if result.mode_basin is None:
@@ -567,11 +560,9 @@ def _run_tau(cfg, spec, args) -> int:
 
 
 def _run_oracle(cfg, spec, args) -> int:
-    R = resolution_from_config(cfg, spec)
-    depth = R + 1
-    datum = datum_from_config(cfg, spec, depth)
+    datum = datum_from_config(cfg, spec)
     times = cfg.get("times", [0.1, 1.0, 10.0])
-    gaps = compare(spec, datum, depth, times)
+    gaps = compare(spec, datum, datum.depth, times)
     path = f"{args.out}/oracle.csv"
     with open(path, "w") as f:
         f.write("t,max_gap\n")
@@ -582,10 +573,8 @@ def _run_oracle(cfg, spec, args) -> int:
 
 
 def _run_simulate(cfg, spec, args) -> int:
-    R = resolution_from_config(cfg, spec)
-    depth = R + 1
-    datum = datum_from_config(cfg, spec, depth)
-    gen = discretize(spec, depth)
+    datum = datum_from_config(cfg, spec)
+    gen = discretize(spec, datum.depth)
     times = cfg.get("record_times", cfg.get("times", [1.0]))
     sim_cfg = SimConfig(
         n_paths=cfg.get("paths", 10000),

@@ -4,19 +4,23 @@ A kernel is the radial profile w of a jump intensity w(|x - y|_p): a
 finite list of level values w_j = w(p^{-j}), zero beyond J_max. Finite
 depth keeps every downstream discretization exact instead of truncated.
 
-Two derived numbers drive everything else:
+Two derived numbers drive everything else, both exact Fractions (a
+float level converts exactly):
 
-  gamma  = sum_j (1 - 1/p) p^{-j} w_j        (total mass over the subtree)
-  lam_r  = -(1 - 1/p) sum_{j=1}^{-r} p^{-j} w_j - p^{r-1} w_{-r}
+  gamma    = (1 - 1/p) sum_j p^{-j} w_j                    (total mass)
+  symbol_r = (1 - 1/p) sum_{j > -r} p^{-j} w_j - p^{r-1} w_{-r}
 
-lam_r is the eigenvalue of the within-basin jump operator on any
-scale-r wavelet; the symbol value at radius p^{1-r} is lam_r + gamma.
+symbol_r is the symbol at radius p^{1-r}: gamma plus the eigenvalue
+lam_r of the within-basin jump operator on any scale-r wavelet. The
+levels j <= -r cancel between gamma and lam_r, so symbol_r is summed
+without them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import UsageError, ValidationError
 from .padic import validate_prime
@@ -46,26 +50,30 @@ class RadialKernel:
         return self.levels[j - 1] if j <= self.j_max else 0.0
 
 
-def kernel_mass(k: RadialKernel) -> float:
+def kernel_mass(k: RadialKernel) -> Fraction:
     """Total mass gamma: each level-j sphere has volume (1 - 1/p) p^{-j}."""
     p = k.p
-    return (1 - 1 / p) * sum(p ** (-j) * w for j, w in enumerate(k.levels, start=1))
+    return Fraction(p - 1, p) * sum(
+        (Fraction(w) / p**j for j, w in enumerate(k.levels, start=1)), Fraction(0)
+    )
 
 
-def eigenvalue(k: RadialKernel, r: int) -> float:
-    """Eigenvalue lam_r of the jump operator on scale-r wavelets."""
+def symbol_value(k: RadialKernel, r: int) -> Fraction:
+    """Symbol at radius p^{1-r}, exactly: levels finer than -r plus the
+    boundary term of level -r."""
     if r > -1:
         raise UsageError(f"scale index must be <= -1, got r={r}")
     p = k.p
-    # The j = -r term of the sum combines with the boundary term into
-    # exactly -w_{-r} p^r, so the r = -1 value is a single division.
-    tail = sum(p ** (-j) * k.level(j) for j in range(1, -r))
-    return -(1 - 1 / p) * tail - k.level(-r) / p ** (-r)
+    tail = sum(
+        (Fraction(w) / p**j for j, w in enumerate(k.levels, start=1) if j > -r),
+        Fraction(0),
+    )
+    return Fraction(p - 1, p) * tail - Fraction(k.level(-r)) / p ** (1 - r)
 
 
-def symbol_value(k: RadialKernel, r: int) -> float:
-    """Symbol at radius p^{1-r}: eigenvalue plus the total mass."""
-    return eigenvalue(k, r) + kernel_mass(k)
+def eigenvalue(k: RadialKernel, r: int) -> Fraction:
+    """Eigenvalue of the jump operator on scale-r wavelets: symbol minus mass."""
+    return symbol_value(k, r) - kernel_mass(k)
 
 
 def arrhenius_kernel(p: int, barriers, kT: float) -> RadialKernel:

@@ -10,11 +10,15 @@ never supplied; they are the within-basin aggregates
 
 A NetworkSpec computes its per-basin totals once, at construction, in
 exact rational arithmetic from the stored rates (floats convert
-exactly): gain_diag, gain_total and loss_total, as Fraction tuples in
-basin order. Every reader takes them from there: the aggregates, the
-basin matrix, classify and the folding model. classify judges each
-basin against a tolerance relative to that basin's own totals, or none
-on request, and uses no floating-point linear algebra.
+exactly): gain_diag (p * kernels.kernel_mass of w), gain_total and
+loss_total, as Fraction tuples in basin order. Every reader takes them
+from there: the sink, the basin matrix, classify, the scale rates and
+the folding model. A basin whose total gain or loss rounds to no finite
+float is refused, which keeps every float made from the totals finite:
+basin-matrix entries, sinks and scale rates are all bounded by them.
+classify judges each basin against a tolerance relative to that basin's
+own totals, or none on request, and uses no floating-point linear
+algebra.
 
 The basin matrix comes in two conventions. "derived" carries the
 factor 1/p on cross terms that projection of the master equation onto
@@ -32,6 +36,7 @@ builds it once and keeps it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -39,7 +44,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ClassificationError, ValidationError
-from .kernels import RadialKernel
+from .kernels import kernel_mass
 from .padic import validate_prime
 
 CONVENTIONS = ("derived", "paper")
@@ -47,15 +52,6 @@ CONVENTIONS = ("derived", "paper")
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _exact_diagonal(k: RadialKernel) -> Fraction:
-    """p * kernel mass, exactly: sum_j (p-1) w_j p^{-j}."""
-    p = k.p
-    return sum(
-        (Fraction(p - 1) * _frac(w) / p**j for j, w in enumerate(k.levels, start=1)),
-        Fraction(0),
-    )
 
 
 def _normalize_cross(raw, basins, name) -> dict:
@@ -124,18 +120,27 @@ class NetworkSpec:
         object.__setattr__(
             self, "cross_mu", _normalize_cross(self.cross_mu, basins, "mu")
         )
-        gain_diag = tuple(_exact_diagonal(self.w_kernels[a]) for a in basins)
+        gain_diag = tuple(self.p * kernel_mass(self.w_kernels[a]) for a in basins)
         object.__setattr__(self, "gain_diag", gain_diag)
         object.__setattr__(self, "gain_total", tuple(
             d + sum(self.cross_lambda[(a, b)] for b in basins if b != a)
             for a, d in zip(basins, gain_diag)
         ))
         object.__setattr__(self, "loss_total", tuple(
-            _exact_diagonal(self.v_kernels[a])
+            self.p * kernel_mass(self.v_kernels[a])
             + sum(self.cross_mu[(b, a)] for b in basins if b != a)
             for a in basins
         ))
         self._check_rate_inequalities()
+        # the inequalities give gain_total <= loss_total, so this bounds both
+        for a, m in zip(basins, self.loss_total):
+            try:
+                float(m)
+            except OverflowError:
+                raise ValidationError(
+                    f"basin {a}: the total loss rate exceeds the float range "
+                    f"(largest float {sys.float_info.max:.17g})"
+                ) from None
 
     def _check_rate_inequalities(self):
         """The standing assumptions: gain never exceeds the opposing loss,
@@ -164,27 +169,9 @@ class NetworkSpec:
             raise ValidationError("total loss is zero in every basin")
 
 
-@dataclass(frozen=True)
-class Aggregates:
-    """Per-basin totals in basin order, plus the sink (loss_total - gain_total) / p."""
-
-    basins: tuple
-    gain_diag: np.ndarray
-    loss_total: np.ndarray
-    sink: np.ndarray
-
-
-def aggregate_rates(spec: NetworkSpec) -> Aggregates:
-    def as_arr(xs):
-        return np.array([float(x) for x in xs])
-
-    sink = [Fraction(m - l, spec.p) for l, m in zip(spec.gain_total, spec.loss_total)]
-    return Aggregates(
-        basins=spec.basins,
-        gain_diag=as_arr(spec.gain_diag),
-        loss_total=as_arr(spec.loss_total),
-        sink=as_arr(sink),
-    )
+def aggregate_rates(spec: NetworkSpec) -> np.ndarray:
+    """The per-basin sink (loss_total - gain_total) / p as floats, basin order."""
+    return np.array([float((m - l) / spec.p) for l, m in zip(spec.gain_total, spec.loss_total)])
 
 
 def _basin_entries_exact(spec: NetworkSpec) -> list:

@@ -6,9 +6,12 @@ an eigenvector of the full generator with the same exact rate
     s_{a,r} = symbol_value(w_a, r) - loss_total_a / p
 
 (Kozyrev, "Wavelet theory as p-adic spectral analysis", Izv. Math. 66,
-2002). The projection of a density onto all scale -k wavelets of a
-basin is therefore the difference M_k - M_{k-1} of its block means over
-cells with k and k - 1 leading within-basin digits, and
+2002). Both terms are exact Fractions, so s_{a,r} is rounded to a float
+once. It is never positive: w <= v levelwise gives symbol <= mass(w) <=
+mass(v) <= loss_total / p, and rounding keeps the sign. The projection
+of a density onto all scale -k wavelets of a basin is therefore the
+difference M_k - M_{k-1} of its block means over cells with k and k - 1
+leading within-basin digits, and
 
     u(t) = m_a(t) + sum_{k=1..R} e^{s_{a,-k} t} (M_k - M_{k-1})
 
@@ -32,10 +35,12 @@ import numpy as np
 
 from .errors import NumericError, UsageError, ValidationError
 from .kernels import symbol_value
-from .network import NetworkSpec, aggregate_rates, build_basin_matrix
+from .network import NetworkSpec, build_basin_matrix
 from .padic import CellAddress
 from .wavelets import CellFunction, WaveletIndex, eval_wavelet
 
+# the crossing threshold of `tau` and the folding model when none is given
+DEFAULT_THRESHOLD = 0.99
 _TAYLOR_TERMS = 24
 _MAX_GRID_STEPS = 2_000_000
 _SCAN_BYTES = 8 * 2**20  # working set of one crossing-scan chunk
@@ -78,19 +83,19 @@ class DecayRate:
     sigma1: float  # bare reciprocal: 1 / (-s)
 
 
+def scale_rate(spec: NetworkSpec, i: int, r: int) -> float:
+    """s_{a,r} of the basin spec.basins[i] at scale r, correctly rounded."""
+    w = spec.w_kernels[spec.basins[i]]
+    return float(symbol_value(w, r) - spec.loss_total[i] / spec.p)
+
+
 def decay_rates(spec: NetworkSpec, R: int) -> list:
     """The per-(basin, scale) coefficient rates, with both time-constant
     readings (factor 4 and factor 1) labeled side by side."""
-    agg = aggregate_rates(spec)
     out = []
     for i, a in enumerate(spec.basins):
         for r in range(-1, -R - 1, -1):
-            leave = agg.loss_total[i] / spec.p
-            s = symbol_value(spec.w_kernels[a], r) - leave
-            # rounding in s is relative to the basin's own rates
-            if s > 1e-12 * leave:
-                raise NumericError(f"positive wavelet rate s={s} at basin {a}, r={r}")
-            s = min(s, 0.0)
+            s = scale_rate(spec, i, r)
             out.append(
                 DecayRate(
                     basin=a,

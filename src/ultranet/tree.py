@@ -76,7 +76,6 @@ def discretize(spec: NetworkSpec, N: int) -> DiscreteGenerator:
             f"over the {MAX_CHAIN_BYTES // 2**20} MiB limit of the dense chain solver"
         )
 
-    agg = aggregate_rates(spec)
     cells = enumerate_cells(p, N)
     states = tuple(
         CellAddress(b, digits) for b in spec.basins for digits in cells
@@ -91,7 +90,7 @@ def discretize(spec: NetworkSpec, N: int) -> DiscreteGenerator:
                 Q[rows, cols] = _pairwise_levels(spec.w_kernels[a], p, N) * weight
             else:
                 Q[rows, cols] = float(spec.cross_lambda[(a, b)]) * weight
-    kill = np.repeat(agg.sink, per_basin)
+    kill = np.repeat(aggregate_rates(spec), per_basin)
     np.fill_diagonal(Q, 0.0)
     np.fill_diagonal(Q, -(Q.sum(axis=1) + kill))
     return DiscreteGenerator(N=N, states=states, Q=Q, kill=kill)

@@ -11,14 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ultranet.binary import (
-    TwoBasinRates,
-    folding_tau,
-    two_basin_eigenvalues,
-    two_basin_expm,
-    two_basin_matrix,
-    ivp2_datum,
-)
+from ultranet.binary import folding_tau, ivp2_datum
 from ultranet.errors import ClassificationError
 from ultranet.kernels import RadialKernel, eigenvalue, symbol_value
 from ultranet.montecarlo import SimConfig, simulate
@@ -32,6 +25,13 @@ from ultranet.wavelets import (
     expand,
     reconstruct_all,
     wavelet_matrix,
+)
+
+from two_basin_closed_form import (
+    TwoBasinRates,
+    two_basin_eigenvalues,
+    two_basin_expm,
+    two_basin_matrix,
 )
 
 SUITE_SEED = 20260819
@@ -140,7 +140,7 @@ def test_criterion_3_eigenrelation():
         gen = discretize(spec, R + 1)
         for idx in enumerate_wavelets(p, R):
             psi = np.array([eval_wavelet(idx, cell, p) for cell in gen.states])
-            gap = np.abs(gen.Q @ psi - eigenvalue(k, idx.r) * psi).max()
+            gap = np.abs(gen.Q @ psi - float(eigenvalue(k, idx.r)) * psi).max()
             worst = max(worst, float(gap))
     assert worst <= 1e-10
 
@@ -148,7 +148,7 @@ def test_criterion_3_eigenrelation():
     for i in range(100):
         p = (2, 3, 5)[i % 3]
         w1 = float(rng.uniform(0.01, 10.0))
-        assert eigenvalue(RadialKernel(p, (w1,)), -1) == -w1 / p
+        assert float(eigenvalue(RadialKernel(p, (w1,)), -1)) == -w1 / p
     elapsed = time.perf_counter() - start
     assert elapsed <= 5.0
     print(f"criterion 3 eigenrelation: PASS (worst gap {worst:.2e}, {elapsed:.1f}s)")
@@ -178,8 +178,7 @@ def test_criterion_4_classification_regimes():
     dying = _two_basin(2, (1.0,), 0.25, 4.0)
     result = classify(dying, exact=True)
     assert result.g2 == (0, 1) and result.dies_at_infinity
-    agg = aggregate_rates(dying)
-    assert all(m > d for m, d in zip(agg.loss_total, agg.gain_diag))
+    assert all(m > d for m, d in zip(dying.loss_total, dying.gain_diag))
     lam = build_basin_matrix(replace(dying, convention="paper"))
     eigs = np.linalg.eigvals(lam)
     assert eigs.real.max() < 0.0
@@ -230,7 +229,7 @@ def test_criterion_5_conservation_and_bounds():
             cross_mu={(0, 1): c, (1, 0): c},
             w_kernels={0: k, 1: k}, v_kernels={0: k, 1: k},
         )
-        assert np.abs(aggregate_rates(spec).sink).max() == 0.0
+        assert np.abs(aggregate_rates(spec)).max() == 0.0
         depth = _spec_depth(spec)
         datum = _random_datum(rng, spec, depth)
         state = init(spec, datum)
@@ -267,7 +266,7 @@ def test_criterion_6_fast_mode_decay():
     rng = np.random.default_rng(6)
     datum = _random_datum(rng, spec, R + 1)
     state = init(spec, datum)
-    loss_total = {b: float(m) for b, m in zip(spec.basins, aggregate_rates(spec).loss_total)}
+    loss_total = {b: float(m) for b, m in zip(spec.basins, spec.loss_total)}
     ts = np.linspace(0.0, 5.0, 11)
     order = enumerate_wavelets(p, R)
     worst = 0.0

@@ -5,21 +5,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ultranet.binary import (
-    FoldingScenario,
-    TwoBasinRates,
-    bump_wavelet,
-    folding_tau,
-    two_basin_eigenvalues,
-    two_basin_expm,
-    two_basin_matrix,
-    ivp2_datum,
-)
+from ultranet.binary import FoldingScenario, bump_wavelet, folding_tau, ivp2_datum
 from ultranet.errors import ClassificationError, UsageError, ValidationError
 from ultranet.kernels import RadialKernel
 from ultranet.network import NetworkSpec, classify
 from ultranet.padic import CellAddress, enumerate_cells
 from ultranet.spectral import matrix_exponential
+
+from two_basin_closed_form import (
+    TwoBasinRates,
+    two_basin_eigenvalues,
+    two_basin_expm,
+    two_basin_matrix,
+)
 
 
 # ---------------------------------------------------------------- 2x2

@@ -526,8 +526,8 @@ def test_solve_single_basin_golden(capsys, tmp_path):
 
 
 def test_fast_network_is_not_refused(capsys, tmp_path):
-    # w = v, so every exact scale rate is <= 0; at these rates s rounds to
-    # about +1e-10, which is no positive rate relative to loss_total/p
+    # w = v, so every exact scale rate is <= 0; a float difference of
+    # symbol and loss_total/p would leave about +1e-10 at these rates
     path = tmp_path / "fast.yaml"
     path.write_text(
         "prime: 3\nbasins: [0]\nkernels:\n"
@@ -793,3 +793,48 @@ def test_solve_memory_does_not_grow_with_the_time_grid(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[2000] <= 1.5 * peaks[20]
+
+
+OVERFLOWING_TOTALS = """\
+prime: 3
+basins: [0, 1, 2]
+kernels:
+  w: {0: [1.0], 1: [1.0], 2: [1.0]}
+  v: {0: [1.0], 1: [1.0], 2: [1.0]}
+cross:
+  mu: {1->0: 1.0e+308, 2->0: 1.0e+308}
+"""
+
+
+@pytest.mark.parametrize("command", ["classify", "solve", "tau", "oracle", "simulate"])
+def test_a_total_beyond_the_float_range_exits_2(capsys, tmp_path, command):
+    # each rate is finite, but basin 0 drains at 2e308 in total
+    path = tmp_path / "huge_totals.yaml"
+    path.write_text(OVERFLOWING_TOTALS)
+    code, out, err = run(capsys, command, "--config", str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert err == (
+        "error: basin 0: the total loss rate exceeds the float range "
+        "(largest float 1.7976931348623157e+308)\n"
+    )
+    assert out == ""
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["huge_totals.yaml"]
+
+
+def test_scales_that_do_not_decay_report_rate_0(capsys, tmp_path):
+    # w = v: the exact rate of scales -1 and -2 is 0, and it must not come
+    # out as a rounding residue that sets the time constants and tau's grid
+    path = tmp_path / "flat_scales.yaml"
+    path.write_text(
+        "prime: 3\nbasins: [0]\nkernels:\n"
+        "  w: {0: [0.0, 0.0, 2.3]}\n  v: {0: [0.0, 0.0, 2.3]}\nresolution: 3\n"
+    )
+    for command in ("solve", "tau"):
+        code, _, err = run(capsys, command, "--config", str(path), "--out", str(tmp_path))
+        assert code == 0, (command, err)
+    rows = (tmp_path / "decay_rates.csv").read_text().splitlines()
+    assert rows[1:3] == ["0,-1,0,inf,inf", "0,-2,0,inf,inf"]
+    assert rows[3].startswith("0,-3,-0.085185185185185")
+    tau = (tmp_path / "tau.txt").read_text().splitlines()
+    assert "grid dt = 0.01173913043478261" in tau
+    assert "search horizon = 1173.913043478261" in tau

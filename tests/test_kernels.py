@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,7 +75,27 @@ def test_arrhenius():
 @settings(max_examples=100, deadline=None)
 def test_scale_minus_one_collapse(w1, p):
     """The r = -1 eigenvalue collapses to -w1/p with no residue."""
-    assert eigenvalue(RadialKernel(p, (w1,)), -1) == -w1 / p
+    assert float(eigenvalue(RadialKernel(p, (w1,)), -1)) == -w1 / p
+
+
+@given(
+    levels=st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=4),
+    p=st.sampled_from([2, 3, 5, 7]),
+    r=st.integers(min_value=-6, max_value=-1),
+)
+@settings(max_examples=100, deadline=None)
+def test_symbol_and_mass_are_exact(levels, p, r):
+    """symbol_value equals eigenvalue plus mass, each summed from its
+    definition in Fractions, with nothing lost to cancellation."""
+    k = RadialKernel(p, tuple(levels))
+    c = Fraction(p - 1, p)
+    gamma = c * sum((Fraction(w) / p**j for j, w in enumerate(levels, 1)), Fraction(0))
+    lam = -c * sum(
+        (Fraction(k.level(j)) / p**j for j in range(1, -r + 1)), Fraction(0)
+    ) - Fraction(k.level(-r)) / p ** (1 - r)
+    assert kernel_mass(k) == gamma
+    assert symbol_value(k, r) == lam + gamma
+    assert eigenvalue(k, r) == lam
 
 
 def _riemann_mass(k: RadialKernel, depth: int) -> float:
@@ -130,4 +151,4 @@ def test_eigen_ratio_against_discretized_operator(p, levels, r):
         [eval_wavelet(idx, CellAddress(0, d), p) for d in enumerate_cells(p, depth)]
     )
     applied = _apply_jump_operator(k, depth, vec)
-    assert np.abs(applied - eigenvalue(k, r) * vec).max() < 1e-10
+    assert np.abs(applied - float(eigenvalue(k, r)) * vec).max() < 1e-10

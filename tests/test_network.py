@@ -1,3 +1,5 @@
+import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from ultranet.network import (
     build_basin_matrix,
     classify,
 )
+from ultranet.spectral import decay_rates
 
 
 def two_basin(cross_lam=1.0, cross_mu=2.0, w_levels=(1.0,), v_levels=None):
@@ -40,16 +43,18 @@ def single_basin(p=2, levels=(1.0,)):
 
 def test_aggregates_frozen_two_basin():
     # kernel levels (1,) at p=2 give diagonal p*mass = 1/2
-    agg = aggregate_rates(two_basin())
-    assert np.allclose(agg.gain_diag, [0.5, 0.5])
-    assert np.allclose(agg.loss_total, [2.5, 2.5])
-    assert np.allclose(agg.loss_total - 2 * agg.sink, [1.5, 1.5])  # the gain totals
-    assert np.allclose(agg.sink, [0.5, 0.5])
+    spec = two_basin()
+    sink = aggregate_rates(spec)
+    loss_total = np.array(spec.loss_total, dtype=float)
+    assert np.allclose(np.array(spec.gain_diag, dtype=float), [0.5, 0.5])
+    assert np.allclose(loss_total, [2.5, 2.5])
+    assert np.allclose(loss_total - 2 * sink, [1.5, 1.5])  # the gain totals
+    assert np.allclose(sink, [0.5, 0.5])
 
 
 def test_aggregates_single_basin_symmetric():
-    agg = aggregate_rates(single_basin())
-    assert agg.sink == pytest.approx([0.0])
+    sink = aggregate_rates(single_basin())
+    assert sink == pytest.approx([0.0])
 
 
 def test_aggregates_loss_only_network():
@@ -58,9 +63,32 @@ def test_aggregates_loss_only_network():
         w_kernels={0: RadialKernel(2, (0.0,))},
         v_kernels={0: RadialKernel(2, (1.0,))},
     )
-    agg = aggregate_rates(spec)
-    assert agg.loss_total - 2 * agg.sink == pytest.approx([0.0])  # the gain total
-    assert agg.loss_total == pytest.approx([0.5])  # p * mass of levels (1,) at p=2
+    sink = aggregate_rates(spec)
+    loss_total = np.array(spec.loss_total, dtype=float)
+    assert loss_total - 2 * sink == pytest.approx([0.0])  # the gain total
+    assert loss_total == pytest.approx([0.5])  # p * mass of levels (1,) at p=2
+
+
+def _draining_basin(mu, v0):
+    """Basin 0 drains toward basin 1 at mu and loses v0 at level 1."""
+    k0 = RadialKernel(2, (0.0,))
+    return NetworkSpec(
+        p=2, basins=(0, 1), cross_lambda={}, cross_mu={(1, 0): mu},
+        w_kernels={0: k0, 1: k0}, v_kernels={0: RadialKernel(2, (v0,)), 1: k0},
+    )
+
+
+def test_totals_beyond_the_float_range_are_refused():
+    big = sys.float_info.max
+    # loss_total = big + 1/2 still rounds to the largest float: accepted,
+    # and every float made from the totals is finite
+    spec = _draining_basin(big, 1.0)
+    assert np.isfinite(aggregate_rates(spec)).all()
+    assert np.isfinite(build_basin_matrix(spec)).all()
+    assert all(math.isfinite(d.s) for d in decay_rates(spec, 2))
+    # half an ulp of it more (p * mass = v0 / 2 = 2^970) rounds to inf
+    with pytest.raises(ValidationError, match="basin 0: the total loss rate exceeds the float range"):
+        _draining_basin(big, 2.0**971)
 
 
 def test_lambda_matrix_frozen_conventions():

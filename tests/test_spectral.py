@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -188,13 +189,63 @@ def test_decay_rates_zero_rate_gives_infinite_sigma():
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("shape", [(0.0, 0.0, 1.0), (0.0, 1.0), (1.0, 0.5, 0.25)])
 def test_decay_rates_accept_any_unit_of_time(p, shape):
-    # the rounding in symbol - loss_total/p is relative to the rates, so no
-    # scale may turn it into a refused positive rate (w = v, so the exact
-    # rate is 0 at some scales)
+    # no unit of time may turn a rate positive (w = v, so the exact rate
+    # is 0 at some scales)
     for m in (1.0, 2.4, 3.7, 5.5, 7.3, 9.1):
         for k in range(10):
             spec = single_basin(tuple(x * m * 10.0**k for x in shape), p=p)
             assert all(d.s <= 0 for d in decay_rates(spec, len(shape)))
+
+
+def _exact_rate(spec, a, r):
+    """s_{a,r} from its definition, in Fractions: the jump-operator
+    eigenvalue plus the mass of w, minus the total loss over p."""
+    p, w, v = spec.p, spec.w_kernels[a], spec.v_kernels[a]
+    c = Fraction(p - 1, p)
+
+    def mass(k):
+        return c * sum((Fraction(k.level(j)) / p**j for j in range(1, k.j_max + 1)), Fraction(0))
+
+    eig = -c * sum(
+        (Fraction(w.level(j)) / p**j for j in range(1, -r + 1)), Fraction(0)
+    ) - Fraction(w.level(-r)) / p ** (1 - r)
+    loss = p * mass(v) + sum(spec.cross_mu[(b, a)] for b in spec.basins if b != a)
+    return eig + mass(w) - loss / p
+
+
+@st.composite
+def scaled_specs(draw):
+    """A valid network, every rate multiplied by 10^k (k in [-14, 6]):
+    gains are losses times a factor <= 1, which survives the rounding."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    basins = tuple(range(draw(st.integers(min_value=1, max_value=3))))
+    depth = draw(st.integers(min_value=1, max_value=4))
+    unit = 10.0 ** draw(st.integers(min_value=-14, max_value=6))
+    rate = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=10.0))
+    share = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+    v = {b: [draw(rate) * unit for _ in range(depth)] for b in basins}
+    w = {b: [x * draw(share) for x in v[b]] for b in basins}
+    mu = {(b, a): draw(rate) * unit for a in basins for b in basins if a != b}
+    lam = {(a, b): mu[(b, a)] * draw(share) for (b, a) in mu}
+    try:
+        return NetworkSpec(
+            p=p, basins=basins, cross_lambda=lam, cross_mu=mu,
+            w_kernels={b: RadialKernel(p, tuple(w[b])) for b in basins},
+            v_kernels={b: RadialKernel(p, tuple(v[b])) for b in basins},
+        )
+    except ValidationError:  # no loss anywhere
+        assume(False)
+
+
+@given(spec=scaled_specs(), R=st.integers(min_value=1, max_value=6))
+@settings(max_examples=200, deadline=None)
+def test_decay_rates_are_the_exact_rates_rounded_once(spec, R):
+    for d in decay_rates(spec, R):
+        exact = _exact_rate(spec, d.basin, d.r)
+        assert exact <= 0
+        assert d.s == float(exact)
+        assert d.s <= 0
+        assert d.sigma1 == (math.inf if d.s == 0 else 1.0 / -d.s)
 
 
 # ---------------------------------------------------------------- evolve
@@ -539,7 +590,7 @@ def test_mass_balance_matches_sink():
     state = init(spec, datum)
     from ultranet.network import aggregate_rates
 
-    sink = aggregate_rates(spec).sink
+    sink = aggregate_rates(spec)
     t, h = 0.7, 1e-5
     hi = eval_density(state, t + h)
     lo = eval_density(state, t - h)

@@ -168,7 +168,7 @@ def test_eigenvector_recovery(levels):
         vec = np.array(
             [eval_wavelet(idx, s, p) for s in gen.states], dtype=complex
         )
-        lam = eigenvalue(kernel, idx.r)
+        lam = float(eigenvalue(kernel, idx.r))
         assert np.abs(gen.Q @ vec - lam * vec).max() < 1e-10
 
 
