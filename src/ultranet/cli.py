@@ -2,7 +2,8 @@
 
 Configs are YAML.  Parsing walks the composed node tree rather than the
 plain loaded data so every complaint can point at a line number, and
-unknown keys are rejected instead of ignored.
+unknown keys are rejected instead of ignored.  libyaml scans the text and
+emits the normalized dump; PyYAML's own composer builds the node tree.
 """
 
 from __future__ import annotations
@@ -18,7 +19,16 @@ from dataclasses import replace
 from importlib import resources
 
 import yaml
+from yaml.composer import Composer
 from yaml.constructor import SafeConstructor
+from yaml.resolver import Resolver
+
+try:
+    from yaml.cyaml import CParser, CSafeDumper
+except ImportError:
+    raise ImportError(
+        "ultranet needs PyYAML built with libyaml: yaml.cyaml does not import"
+    ) from None
 
 from . import spectral
 from .binary import FoldingScenario, folding_tau, ivp2_datum
@@ -39,6 +49,24 @@ class ConfigError(ValidationError):
 # ---------------------------------------------------------------- yaml
 
 
+class _ConfigLoader(CParser, Composer, SafeConstructor, Resolver):
+    """libyaml's parser under PyYAML's pure-Python composer.
+
+    yaml.CSafeLoader composes in C and recurses with no depth check, so a
+    deeply nested document crashes the interpreter; this composer raises
+    RecursionError instead, which parse_config reports."""
+
+    check_node = Composer.check_node
+    get_node = Composer.get_node
+    get_single_node = Composer.get_single_node
+
+    def __init__(self, text: str):
+        CParser.__init__(self, text)
+        Composer.__init__(self)
+        SafeConstructor.__init__(self)
+        Resolver.__init__(self)
+
+
 def _line(node) -> int:
     return node.start_mark.line + 1
 
@@ -47,24 +75,24 @@ def _fail(node, message: str):
     raise ConfigError(f"line {_line(node)}: {message}")
 
 
-def _to_python(node):
+def _to_python(loader, node):
     """Convert a composed node to plain data. Scalars are read as YAML 1.1
     reads them (017 is octal, 1:30 is sexagesimal, .inf is a float)."""
     if isinstance(node, yaml.ScalarNode):
         try:
-            return SafeConstructor().construct_object(node)
+            return loader.construct_object(node)
         except (yaml.YAMLError, ValueError, LookupError, AttributeError):
             # an explicit tag the text does not fit, such as !!int abc
             _fail(node, f"cannot read {node.value!r} as {node.tag}")
     if isinstance(node, yaml.SequenceNode):
-        return [_to_python(child) for child in node.value]
+        return [_to_python(loader, child) for child in node.value]
     if isinstance(node, yaml.MappingNode):
         out = {}
         for key_node, value_node in node.value:
-            key = _to_python(key_node)
+            key = _to_python(loader, key_node)
             if not isinstance(key, Hashable):
                 _fail(key_node, "a mapping key must be a single value")
-            out[key] = _to_python(value_node)
+            out[key] = _to_python(loader, value_node)
         return out
     _fail(node, "unsupported structure")
 
@@ -107,7 +135,7 @@ def _yaml_float_spelling(text: str):
     spelling = f"{mantissa}e{exponent}" if exponent else mantissa
     try:
         value = float(text)
-        read = yaml.safe_load(spelling)
+        read = _ConfigLoader(spelling).get_single_data()
     except (ValueError, yaml.YAMLError):
         return None
     if isinstance(read, float) and read == value and math.isfinite(value):
@@ -115,8 +143,8 @@ def _yaml_float_spelling(text: str):
     return None
 
 
-def _expect_number(node, what: str) -> float:
-    value = _to_python(node)
+def _expect_number(loader, node, what: str) -> float:
+    value = _to_python(loader, node)
     spelling = _yaml_float_spelling(value) if isinstance(value, str) else None
     if spelling:
         _fail(
@@ -135,21 +163,21 @@ def _expect_number(node, what: str) -> float:
     return value
 
 
-def _expect_int(node, what: str) -> int:
-    value = _to_python(node)
+def _expect_int(loader, node, what: str) -> int:
+    value = _to_python(loader, node)
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(node, f"{what} must be an integer")
     return value
 
 
-def _expect_number_list(node, what: str) -> list:
+def _expect_number_list(loader, node, what: str) -> list:
     if not isinstance(node, yaml.SequenceNode):
         _fail(node, f"{what} must be a list")
-    return [_expect_number(child, f"{what} entry") for child in node.value]
+    return [_expect_number(loader, child, f"{what} entry") for child in node.value]
 
 
-def _expect_times(node, what: str) -> list:
-    times = _expect_number_list(node, what)
+def _expect_times(loader, node, what: str) -> list:
+    times = _expect_number_list(loader, node, what)
     if not times:
         _fail(node, f"{what} must not be empty")
     if any(t < 0 for t in times) or times != sorted(times):
@@ -179,8 +207,9 @@ def parse_config(text: str) -> dict:
 
 
 def _parse_document(text: str) -> dict:
+    loader = _ConfigLoader(text)
     try:
-        root = yaml.compose(text)
+        root = loader.get_single_node()
     except yaml.YAMLError as exc:
         raise ConfigError(f"not valid YAML: {exc}") from exc
     if root is None:
@@ -196,15 +225,15 @@ def _parse_document(text: str) -> dict:
         raise ConfigError("missing required key 'prime'")
     if "basins" not in seen:
         raise ConfigError("missing required key 'basins'")
-    cfg["prime"] = _expect_int(seen["prime"], "prime")
+    cfg["prime"] = _expect_int(loader, seen["prime"], "prime")
 
     basins_node = seen["basins"]
     if not isinstance(basins_node, yaml.SequenceNode):
         _fail(basins_node, "basins must be a list")
-    cfg["basins"] = [_expect_int(b, "basin") for b in basins_node.value]
+    cfg["basins"] = [_expect_int(loader, b, "basin") for b in basins_node.value]
 
     if "convention" in seen:
-        conv = _to_python(seen["convention"])
+        conv = _to_python(loader, seen["convention"])
         if conv not in CONVENTIONS:
             _fail(seen["convention"], f"convention must be one of {CONVENTIONS}")
         cfg["convention"] = conv
@@ -212,38 +241,38 @@ def _parse_document(text: str) -> dict:
     if "kernels" in seen and "arrhenius" in seen:
         _fail(seen["arrhenius"], "give either kernels or arrhenius, not both")
     if "kernels" in seen:
-        cfg["kernels"] = _parse_kernels(seen["kernels"], cfg["basins"])
+        cfg["kernels"] = _parse_kernels(loader, seen["kernels"], cfg["basins"])
     elif "arrhenius" in seen:
-        cfg["kernels"] = _parse_arrhenius(seen["arrhenius"], cfg)
+        cfg["kernels"] = _parse_arrhenius(loader, seen["arrhenius"], cfg)
     else:
         raise ConfigError("missing kernel definitions: add 'kernels' or 'arrhenius'")
 
     cfg["cross"] = {"lambda": {}, "mu": {}}
     if "cross" in seen:
-        cfg["cross"] = _parse_cross(seen["cross"], cfg["basins"])
+        cfg["cross"] = _parse_cross(loader, seen["cross"], cfg["basins"])
 
     if "resolution" in seen:
-        r = _expect_int(seen["resolution"], "resolution")
+        r = _expect_int(loader, seen["resolution"], "resolution")
         if r < 1:
             _fail(seen["resolution"], "resolution must be >= 1")
         cfg["resolution"] = r
     if "datum" in seen:
-        cfg["datum"] = _parse_datum(seen["datum"], cfg)
+        cfg["datum"] = _parse_datum(loader, seen["datum"], cfg)
     for key in ("times", "record_times"):
         if key in seen:
-            cfg[key] = _expect_times(seen[key], key)
+            cfg[key] = _expect_times(loader, seen[key], key)
     if "threshold" in seen:
-        cfg["threshold"] = _expect_number(seen["threshold"], "threshold")
+        cfg["threshold"] = _expect_number(loader, seen["threshold"], "threshold")
     if "seed" in seen:
-        cfg["seed"] = _expect_int(seen["seed"], "seed")
+        cfg["seed"] = _expect_int(loader, seen["seed"], "seed")
     if "paths" in seen:
-        cfg["paths"] = _expect_int(seen["paths"], "paths")
+        cfg["paths"] = _expect_int(loader, seen["paths"], "paths")
     if "t_max" in seen:
-        cfg["t_max"] = _expect_number(seen["t_max"], "t_max")
+        cfg["t_max"] = _expect_number(loader, seen["t_max"], "t_max")
     return cfg
 
 
-def _parse_kernels(node, basins):
+def _parse_kernels(loader, node, basins):
     out = {}
     sides = dict(_expect_mapping_keys(node, "kernels", {"w", "v"}))
     for side in ("w", "v"):
@@ -254,7 +283,7 @@ def _parse_kernels(node, basins):
         for basin, (key_node, value) in entries.items():
             if basin not in basins:
                 _fail(key_node, f"kernel basin {basin} is not in basins")
-            table[basin] = _expect_number_list(value, f"kernels.{side}.{basin}")
+            table[basin] = _expect_number_list(loader, value, f"kernels.{side}.{basin}")
         for basin in basins:
             if basin not in table:
                 _fail(node, f"kernels.{side} is missing basin {basin}")
@@ -262,14 +291,14 @@ def _parse_kernels(node, basins):
     return out
 
 
-def _parse_arrhenius(node, cfg):
+def _parse_arrhenius(loader, node, cfg):
     fields = dict(_expect_mapping_keys(node, "arrhenius", {"kT", "barriers"}))
     if "kT" not in fields or "barriers" not in fields:
         _fail(node, "arrhenius needs both kT and barriers")
-    kT = _expect_number(fields["kT"], "kT")
+    kT = _expect_number(loader, fields["kT"], "kT")
     table = {}
     for basin, (key_node, value) in _expect_basin_mapping(fields["barriers"], "barriers").items():
-        barriers = _expect_number_list(value, f"barriers.{basin}")
+        barriers = _expect_number_list(loader, value, f"barriers.{basin}")
         try:
             kernel = arrhenius_kernel(cfg["prime"], tuple(barriers), kT)
         except (UsageError, ValidationError) as exc:
@@ -283,7 +312,7 @@ def _parse_arrhenius(node, cfg):
     return {"w": table, "v": {b: list(v) for b, v in table.items()}}
 
 
-def _parse_cross(node, basins):
+def _parse_cross(loader, node, basins):
     out = {"lambda": {}, "mu": {}}
     sides = dict(_expect_mapping_keys(node, "cross", {"lambda", "mu"}))
     for side in ("lambda", "mu"):
@@ -301,7 +330,7 @@ def _parse_cross(node, basins):
                 _fail(key_node, f"cross key {key!r} must join two distinct basins")
             if f"{a}->{b}" in out[side]:
                 _fail(key_node, f"duplicate key {key!r} in cross.{side}: {a}->{b} is given twice")
-            out[side][f"{a}->{b}"] = _expect_number(value, f"cross.{side}.{key}")
+            out[side][f"{a}->{b}"] = _expect_number(loader, value, f"cross.{side}.{key}")
     return out
 
 
@@ -320,11 +349,16 @@ def _parse_int_key(key: str, key_node) -> int:
         _fail(key_node, f"key {key!r} must be a basin number")
 
 
-def _parse_datum(node, cfg):
+def _parse_datum(loader, node, cfg):
     """The datum as given, after checking a preset string against the
     prime and basins parsed before it, so a bad one is refused with its
     line. The depth of a delta cell is checked once the depth is known."""
-    value = _to_python(node)
+    if isinstance(node, yaml.MappingNode):
+        return {
+            basin: _expect_number_list(loader, cells, f"datum.{basin}")
+            for basin, (_, cells) in _expect_basin_mapping(node, "datum").items()
+        }
+    value = _to_python(loader, node)
     if isinstance(value, str):
         if not (value == "uniform" or value.startswith(("delta:", "ivp2:"))):
             _fail(node, f"datum {value!r} is not 'uniform', 'delta:<cell>' or 'ivp2:<params>'")
@@ -342,16 +376,11 @@ def _parse_datum(node, cfg):
         except ValidationError as exc:
             _fail(node, str(exc))
         return value
-    if isinstance(value, dict):
-        return {
-            basin: _expect_number_list(cells, f"datum.{basin}")
-            for basin, (_, cells) in _expect_basin_mapping(node, "datum").items()
-        }
     _fail(node, "datum must be a preset string or a basin-to-values mapping")
 
 
 def dump_config(cfg: dict) -> str:
-    return yaml.safe_dump(cfg, sort_keys=True, default_flow_style=None)
+    return yaml.dump(cfg, Dumper=CSafeDumper, sort_keys=True, default_flow_style=None)
 
 
 # ---------------------------------------------------------------- build

@@ -40,6 +40,11 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
+# The sampler holds one uint64 seed per path in one numpy array, which
+# holds at most intp.max bytes. np.arange refuses sizes just under that
+# bound (and returns an empty array at 2**63 - 1) instead of failing to
+# allocate, so the cap keeps a factor of two in hand.
+_MAX_PATHS = np.iinfo(np.intp).max // 16
 
 # Recorded (path, time) entries of one lockstep block. A block's record
 # array, int64, is its largest: 2^17 entries (1 MiB) is 32 768 paths at
@@ -90,8 +95,10 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.n_paths, int) or self.n_paths < 1:
-            raise UsageError("n_paths must be a positive integer")
+        if not isinstance(self.n_paths, int) or not 1 <= self.n_paths <= _MAX_PATHS:
+            raise UsageError(
+                f"n_paths must be an integer from 1 to {_MAX_PATHS}, got {self.n_paths!r}"
+            )
         if not self.t_max > 0:
             raise UsageError("t_max must be positive")
         times = tuple(float(t) for t in self.record_times)

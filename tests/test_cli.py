@@ -1,15 +1,22 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ultranet import cli
 from ultranet.cli import (
     ConfigError,
+    _ConfigLoader,
     _run_solve,
     dump_config,
     list_presets,
@@ -127,8 +134,13 @@ def test_missing_required_keys():
 def test_empty_and_invalid_documents():
     with pytest.raises(ConfigError, match="empty"):
         parse_config("# only a comment\n")
-    with pytest.raises(ConfigError, match="not valid YAML"):
-        parse_config("prime: [unclosed\n")
+    for text, line in (
+        ("prime: [unclosed\n", 2),  # an unclosed flow sequence, found at the stream end
+        ("prime: 2\nbasins:\n\t- 0\n", 3),  # a tab indent
+        ("prime: &a 2\nbasins: &a [0]\n", 2),  # a duplicate anchor
+    ):
+        with pytest.raises(ConfigError, match=rf"^not valid YAML: (?s:.*)\bline {line}\b"):
+            parse_config(text)
 
 
 def test_bad_cross_keys():
@@ -278,10 +290,100 @@ def test_parse_config_raises_only_config_error(overrides, anchor):
         pass
 
 
+# A datum string that must be double-quoted (it is not ASCII) and is
+# longer than a line. libyaml folds it at other spaces than PyYAML's own
+# emitter does, so only its round trip is pinned.
+_LONG_ESCAPED_DATUM = (
+    MINIMAL + 'datum: "ivp2: r =   -1  ,' + " " * 40 + 'amplitude = １.５' + " " * 50 + '"\n'
+)
+
+
 def test_dump_round_trip_is_stable():
-    for name in list_presets():
-        dumped = dump_config(parse_config(load_preset(name)))
+    for text in [load_preset(name) for name in list_presets()] + [_LONG_ESCAPED_DATUM]:
+        cfg = parse_config(text)
+        dumped = dump_config(cfg)
+        assert parse_config(dumped) == cfg
         assert dump_config(parse_config(dumped)) == dumped
+
+
+def _large_config_text() -> str:
+    """A p = 5, R = 5 three-basin config with a 3 x 5^5 datum table."""
+    rng = random.Random(5)
+    basins = [0, 1, 2]
+    levels = {b: [rng.uniform(0.5, 1.5) for _ in range(5)] for b in basins}
+    cfg = {
+        "prime": 5,
+        "basins": basins,
+        "kernels": {"w": levels, "v": {b: [2 * x for x in xs] for b, xs in levels.items()}},
+        "cross": {
+            "lambda": {"0->1": 0.25, "1->2": 1.0e-300},
+            "mu": {"0->1": 0.5, "1->2": 5e-324, "2->0": rng.random()},
+        },
+        "resolution": 5,
+        "datum": {b: [rng.random() for _ in range(5**5)] for b in basins},
+        "times": [0.0, 1 / 3, 1.0e+300],
+    }
+    return yaml.safe_dump(cfg, sort_keys=True, default_flow_style=None)
+
+
+_EDGE_VALUES = MINIMAL + (
+    'datum: "ivp2:   r   =   -1   ,   amplitude   =   1.5' + " " * 90 + '"\n'
+    "threshold: 5.0e-324\nt_max: 1.0e+300\nseed: 123456789012345678901234567890\n"
+)
+
+
+def _tree(node):
+    """A composed node as nested plain data: kind, tag, start line and
+    column, and its scalar text or children."""
+    mark = (type(node).__name__, node.tag, node.start_mark.line, node.start_mark.column)
+    if isinstance(node, yaml.ScalarNode):
+        return (*mark, node.value)
+    if isinstance(node, yaml.SequenceNode):
+        return (*mark, [_tree(child) for child in node.value])
+    return (*mark, [(_tree(key), _tree(value)) for key, value in node.value])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [pytest.param(load_preset(name), id=name) for name in list_presets()]
+    + [pytest.param(_large_config_text(), id="p5_R5_table"),
+       pytest.param(_EDGE_VALUES, id="edge_values"),
+       pytest.param(MINIMAL + "datum: ivp2:r=1,amplitude=１.５\n", id="non_ascii")],
+)
+def test_parse_and_dump_match_the_pure_python_yaml(text, monkeypatch):
+    # the node tree libyaml's parser feeds the composer is PyYAML's own
+    assert _tree(_ConfigLoader(text).get_single_node()) == _tree(yaml.compose(text))
+    cfg = parse_config(text)
+    monkeypatch.setattr(cli, "_ConfigLoader", yaml.SafeLoader)
+    assert parse_config(text) == cfg
+    assert dump_config(cfg) == yaml.safe_dump(cfg, sort_keys=True, default_flow_style=None)
+
+
+def _python(*args):
+    """Run a fresh interpreter that imports this checkout's ultranet."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_deep_nesting_exits_2_without_a_crash(tmp_path):
+    """The pure-Python composer meets the depth as a RecursionError. A
+    composer that recursed in C would kill the process instead, so the
+    run is a subprocess."""
+    path = tmp_path / "deep.yaml"
+    path.write_text("basins: " + "[" * 200_000 + "\n")
+    done = _python("-m", "ultranet.cli", "solve", "--config", str(path), "--out", str(tmp_path))
+    assert done.returncode == 2, done.stderr
+    assert "config error: the config nests too deeply" in done.stderr
+
+
+def test_missing_libyaml_fails_at_import_in_one_line():
+    done = _python("-c", "import sys; sys.modules['yaml.cyaml'] = None; import ultranet.cli")
+    assert done.returncode == 1
+    assert done.stderr.splitlines()[-1] == (
+        "ImportError: ultranet needs PyYAML built with libyaml: yaml.cyaml does not import"
+    )
 
 
 # ---------------------------------------------------------------- exit codes
@@ -604,6 +706,15 @@ def test_simulate_deterministic_across_runs_and_threads(capsys, tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
     header = outputs[0].decode().splitlines()[0]
     assert header == "t,state,estimate,stderr,n_alive"
+
+
+def test_huge_path_count_exits_2(capsys, tmp_path):
+    cfgfile = tmp_path / "cfg.yaml"
+    cfgfile.write_text(MINIMAL + "paths: 100000000000000000000\n")
+    code, _, err = run(capsys, "simulate", "--config", str(cfgfile), "--out", str(tmp_path))
+    assert code == 2
+    assert "n_paths must be an integer from 1 to" in err
+    assert "got 100000000000000000000" in err
 
 
 # ---------------------------------------------------------------- folding demo

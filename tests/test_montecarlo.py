@@ -221,6 +221,21 @@ def test_config_validation():
         SimConfig(n_paths=10, t_max=1.0, seed=0, record_times=(0.5,), threads=0)
 
 
+@pytest.mark.parametrize("n_paths", [0, -3, 10**20, 2**63 - 1, montecarlo._MAX_PATHS + 1])
+def test_n_paths_out_of_range_is_refused_by_name(n_paths):
+    with pytest.raises(UsageError, match=f"got {n_paths}$"):
+        SimConfig(n_paths=n_paths, t_max=1.0, seed=0, record_times=(0.5,))
+
+
+def test_the_largest_n_paths_fails_to_allocate():
+    """At the cap the sampler gets as far as numpy's allocation, which
+    fails as MemoryError (an exit-3 failure), not as a size error."""
+    cfg = SimConfig(n_paths=montecarlo._MAX_PATHS, t_max=1.0, seed=0, record_times=(0.5,))
+    u0 = CellFunction.constant(2, 2, (0, 1), 0.5)
+    with pytest.raises(MemoryError):
+        simulate(killed_two_basin(), u0, cfg)
+
+
 def test_u0_range_validation():
     gen = killed_two_basin()
     bad = CellFunction(2, 2, (0, 1), [[1.5, 0.0], [0.0, 0.0]])
