@@ -20,8 +20,7 @@ import numpy as np
 from . import spectral
 from .errors import UsageError, ValidationError
 from .network import NetworkSpec
-from .padic import CellAddress, enumerate_cells
-from .wavelets import CellFunction, WaveletIndex, eval_wavelet
+from .wavelets import CellFunction, WaveletIndex
 
 
 @dataclass(frozen=True)
@@ -84,14 +83,6 @@ class FoldingScenario:
                 "the bump trough would push the initial datum below 0"
             )
 
-    @property
-    def basin_u(self) -> int:
-        return self.spec.basins[0]
-
-    @property
-    def basin_n(self) -> int:
-        return self.spec.basins[1]
-
 
 def bump_wavelet(scenario: FoldingScenario) -> WaveletIndex:
     """The single oscillating mode carrying the native-basin bump."""
@@ -104,6 +95,9 @@ def ivp2_datum(scenario: FoldingScenario, depth: int | None = None) -> CellFunct
 
     The oscillation is the real part of a single wavelet with real
     amplitude, normalized so its peak equals the requested amplitude.
+    The wavelet lives on the cells whose first -r - 1 digits are 0 and
+    takes one value on each run of cells sharing the next digit; each
+    value is p^{-r/2} e^{2 pi i j osc / p}, computed as one scalar.
     """
     min_depth = 1 - scenario.r
     depth = min_depth if depth is None else depth
@@ -111,20 +105,16 @@ def ivp2_datum(scenario: FoldingScenario, depth: int | None = None) -> CellFunct
         raise UsageError(f"depth must be >= {min_depth} to resolve the bump")
     spec = scenario.spec
     p = spec.p
-    alpha, beta, gamma, A = (
-        scenario.coupling,
-        scenario.loss_u,
-        scenario.loss_n,
-        scenario.A,
-    )
+    alpha, beta, gamma, A = scenario.coupling, scenario.loss_u, scenario.loss_n, scenario.A
     flat_u = (A - beta + gamma) / (2 * A)
     flat_n = alpha / A
-    idx = bump_wavelet(scenario)
-    coeff = scenario.amplitude * p ** (scenario.r / 2)
+    r, j = scenario.r, bump_wavelet(scenario).j
+    coeff = scenario.amplitude * p ** (r / 2)
     values = np.full((2, p ** (depth - 1)), [[flat_u], [flat_n]])
-    for k, digits in enumerate(enumerate_cells(p, depth)):
-        cell = CellAddress(scenario.basin_n, digits)
-        values[1, k] += coeff * eval_wavelet(idx, cell, p).real
+    span = p ** (depth - 1 + r)  # cells per oscillation digit
+    for osc in range(p):
+        wave = p ** (-r / 2) * np.exp(2j * np.pi * j * osc / p)
+        values[1, osc * span : (osc + 1) * span] += coeff * wave.real
     return CellFunction(p, depth, spec.basins, values)
 
 
@@ -158,12 +148,7 @@ def folding_tau(scenario: FoldingScenario) -> FoldingReport:
     is necessary but not sufficient for the true one.
     """
     spec = scenario.spec
-    alpha, beta, gamma, A = (
-        scenario.coupling,
-        scenario.loss_u,
-        scenario.loss_n,
-        scenario.A,
-    )
+    alpha, beta, gamma, A = scenario.coupling, scenario.loss_u, scenario.loss_n, scenario.A
     fast_rate = -spectral.scale_rate(spec, 1, scenario.r)
     chain_rate = (beta + gamma - A) / 2
     numerator = math.log(scenario.amplitude + alpha / A)

@@ -13,6 +13,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 from collections.abc import Hashable
 from dataclasses import replace
@@ -210,6 +211,13 @@ def _parse_document(text: str) -> dict:
     loader = _ConfigLoader(text)
     try:
         root = loader.get_single_node()
+    except yaml.reader.ReaderError as exc:
+        # a character the reader refuses carries only its offset, in
+        # UTF-8 bytes
+        before = text.encode()[: exc.position].decode(errors="ignore")
+        line = 1 + len(re.findall(r"\r\n|[\r\n\x85\u2028\u2029]", before))
+        what = str(exc).splitlines()[0]
+        raise ConfigError(f"not valid YAML: line {line}: {what}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"not valid YAML: {exc}") from exc
     if root is None:
@@ -440,9 +448,7 @@ def scenario_from_config(cfg: dict, spec: NetworkSpec) -> FoldingScenario:
 def datum_from_config(cfg: dict, spec: NetworkSpec) -> CellFunction:
     """The initial datum on depth-(R + 1) cells. The resolution R is the
     config's, or else the deepest kernel level."""
-    R = cfg.get("resolution") or max(
-        k.j_max for kernels in (spec.w_kernels, spec.v_kernels) for k in kernels.values()
-    )
+    R = cfg.get("resolution") or spec.j_max
     depth = R + 1
     datum = cfg.get("datum", "uniform")
     if isinstance(datum, dict):
@@ -651,8 +657,7 @@ def _run_folding_demo(cfg, spec, args) -> int:
 
     def rows():
         for t in cfg.get("times", [horizon * i / 40 for i in range(41)]):
-            out = spectral.eval_density(state, t)
-            yield t, [out.basin_integral(basin) * spec.p for basin in out.basins]
+            yield t, spectral.evolve(state, t).mean
 
     labels = [f"basin-{basin}" for basin in spec.basins]
     emit_plotdata("folding_timeseries", labels, rows(), args.out)

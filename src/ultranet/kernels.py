@@ -71,11 +71,6 @@ def symbol_value(k: RadialKernel, r: int) -> Fraction:
     return Fraction(p - 1, p) * tail - Fraction(k.level(-r)) / p ** (1 - r)
 
 
-def eigenvalue(k: RadialKernel, r: int) -> Fraction:
-    """Eigenvalue of the jump operator on scale-r wavelets: symbol minus mass."""
-    return symbol_value(k, r) - kernel_mass(k)
-
-
 def arrhenius_kernel(p: int, barriers, kT: float) -> RadialKernel:
     """Kernel levels exp(-U_j / kT) from a ladder of barrier heights."""
     if not kT > 0:

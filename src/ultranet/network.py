@@ -11,7 +11,8 @@ never supplied; they are the within-basin aggregates
 A NetworkSpec computes its per-basin totals once, at construction, in
 exact rational arithmetic from the stored rates (floats convert
 exactly): gain_diag (p * kernels.kernel_mass of w), gain_total and
-loss_total, as Fraction tuples in basin order. Every reader takes them
+loss_total, as Fraction tuples in basin order. It also keeps j_max,
+the deepest kernel level over its basins. Every reader takes them
 from there: the sink, the basin matrix, classify, the scale rates and
 the folding model. A basin whose total gain or loss rounds to no finite
 float is refused, which keeps every float made from the totals finite:
@@ -90,6 +91,8 @@ class NetworkSpec:
     gain_diag: tuple = field(init=False, repr=False, compare=False)
     gain_total: tuple = field(init=False, repr=False, compare=False)
     loss_total: tuple = field(init=False, repr=False, compare=False)
+    # the deepest kernel level over the basins, J_max
+    j_max: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate_prime(self.p)
@@ -131,6 +134,8 @@ class NetworkSpec:
             + sum(self.cross_mu[(b, a)] for b in basins if b != a)
             for a in basins
         ))
+        kernels = [self.w_kernels[a] for a in basins] + [self.v_kernels[a] for a in basins]
+        object.__setattr__(self, "j_max", max(k.j_max for k in kernels))
         self._check_rate_inequalities()
         # the inequalities give gain_total <= loss_total, so this bounds both
         for a, m in zip(basins, self.loss_total):

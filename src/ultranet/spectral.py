@@ -20,10 +20,12 @@ are coupled through the basin matrix Lambda and evolve by e^{t Lambda}.
 Lambda depends only on the network and its convention, so the state
 builds it once, next to the scale rates, and carries one real
 (basins, R, cells) array of the scale parts; evolution scales its
-rows, synthesis sums them, both O(cells * R).
-Absorbing times and decay tables are bookkeeping on the same arrays.
-Single wavelet coefficients are formed only to name the dominant mode
-at a crossing cell.
+rows, synthesis sums them, both O(cells * R). e^{t Lambda} is formed in
+one place, _propagate, for evolution and for the crossing search alike.
+Absorbing times and decay tables are bookkeeping on the same arrays. No
+wavelet coefficient is formed: the mode that dominates a crossing cell
+is named from the p child-block values of each level, in real
+arithmetic.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import NumericError, UsageError, ValidationError
 from .kernels import symbol_value
 from .network import NetworkSpec, build_basin_matrix
 from .padic import CellAddress
-from .wavelets import CellFunction, WaveletIndex, eval_wavelet
+from .wavelets import CellFunction, WaveletIndex
 
 # the crossing threshold of `tau` and the folding model when none is given
 DEFAULT_THRESHOLD = 0.99
@@ -150,22 +152,35 @@ def init(spec: NetworkSpec, datum: CellFunction) -> SpectralState:
     )
 
 
+def _overflow(t: float) -> NumericError:
+    return NumericError(
+        f"basin means are not finite at t = {t:g}: "
+        "the basin-matrix exponential overflows"
+    )
+
+
+def _propagate(state: SpectralState, t: float, x: np.ndarray | None = None) -> np.ndarray:
+    """e^{t Lambda} x for the state's basin matrix, or e^{t Lambda} when
+    x is None: the one place the basin-mean propagator is formed, and
+    refused with NumericError when it or the product overflowed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = matrix_exponential(state.lam, t)
+        if x is not None:
+            out = out @ x
+    if not np.isfinite(out).all():
+        raise _overflow(state.t + t)
+    return out
+
+
 def evolve(state: SpectralState, t: float) -> SpectralState:
     """Advance by t: basin means through the basin-matrix exponential,
     each scale part by its own exponential."""
     if t < 0:
         raise UsageError(f"time increment must be >= 0, got {t}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = matrix_exponential(state.lam, t) @ state.mean
-    if not np.all(np.isfinite(mean)):
-        raise NumericError(
-            f"basin means are not finite at t = {state.t + t:g}: "
-            "the basin-matrix exponential overflows"
-        )
     return replace(
         state,
         t=state.t + t,
-        mean=mean,
+        mean=_propagate(state, t, state.mean),
         details=state.details * np.exp(state.rates * t)[:, :, None],
     )
 
@@ -192,8 +207,8 @@ class AbsorbingResult:
 class _Peak:
     """The largest cell value of the density, at one time or along a grid.
 
-    The basin means come from matrix_exponential alone, so every basin
-    matrix works, defective ones included.
+    The basin means come from _propagate alone, so every basin matrix
+    works, defective ones included.
     """
 
     def __init__(self, state: SpectralState):
@@ -209,7 +224,7 @@ class _Peak:
         return best
 
     def at(self, t: float) -> float:
-        mean = matrix_exponential(self.state.lam, t) @ self.state.mean
+        mean = _propagate(self.state, t, self.state.mean)
         return float(self._peaks(np.array([t]), mean[None])[0])
 
     def scan(self, dt: float, steps: int):
@@ -218,52 +233,69 @@ class _Peak:
         A chunk holds a power of two of points, sized so its working set
         stays near _SCAN_BYTES whatever the cell count. Inside a chunk the
         means follow the semigroup: rows already known are pushed forward
-        by e^{2^j dt Lambda}, doubling the block each time.
+        by e^{2^j dt Lambda}, doubling the block each time. A row that
+        is not finite ends the scan: the rows before it are yielded, and
+        NumericError is raised only if the caller asks for more.
         """
         _, R, n_cells = self.state.details.shape
         row_bytes = 8 * (n_cells + R + len(self.state.mean) + 4)
         size = 1 << (max(1, min(_SCAN_BYTES // row_bytes, steps + 1)).bit_length() - 1)
         powers = []
-        step = matrix_exponential(self.state.lam, dt)
-        while 1 << len(powers) < size:
-            powers.append(step.T)
-            step = step @ step
+        step = _propagate(self.state, dt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            while 1 << len(powers) < size:
+                powers.append(step.T)
+                step = step @ step
         for k0 in range(0, steps + 1, size):
-            means = (matrix_exponential(self.state.lam, k0 * dt) @ self.state.mean)[None]
-            for power in powers:
-                means = np.concatenate([means, means @ power])
-            count = min(size, steps + 1 - k0)
-            yield k0, self._peaks(np.arange(k0, k0 + count) * dt, means[:count])
+            means = _propagate(self.state, k0 * dt, self.state.mean)[None]
+            with np.errstate(over="ignore", invalid="ignore"):
+                for power in powers:
+                    means = np.concatenate([means, means @ power])
+            ts = np.arange(k0, min(k0 + size, steps + 1)) * dt
+            finite = np.isfinite(means[: len(ts)]).all(axis=1)
+            n = len(ts) if finite.all() else int(np.argmin(finite))
+            yield k0, self._peaks(ts[:n], means[:n])
+            if n < len(ts):
+                raise _overflow(self.state.t + ts[n])
 
     def report(self, t: float):
         """Peak cell at time t and the term that dominates it there: the
-        basin mean, or one wavelet formed from the cell's p child blocks."""
+        basin mean, or one mode of a scale part (see _mode_terms), named
+        by its wavelet index."""
         state = evolve(self.state, t)
         p, R = state.spec.p, state.R
         values = state.mean[:, None] + state.details.sum(axis=1)
         i, j = np.unravel_index(int(values.argmax()), values.shape)
         basin = state.spec.basins[i]
-        digits = tuple(int(d) for d in np.unravel_index(j, (p,) * R))
-        cell = CellAddress(basin, digits)
-        labels, terms = [None], [state.mean[i]]
-        for k in range(1, R + 1):
-            m = digits[: k - 1]
-            block = p ** (R - k)
-            first = (j // (block * p)) * block * p
-            children = state.details[i, k - 1, first : first + block * p : block]
-            for phase in range(1, p):
-                index = WaveletIndex(-k, m, phase)
-                coeff = sum(
-                    value * np.conj(eval_wavelet(index, CellAddress(basin, m + (osc,)), p))
-                    for osc, value in enumerate(children)
-                ) * p ** (-k - 1)
-                labels.append(index)
-                terms.append((coeff * eval_wavelet(index, cell, p)).real)
+        cell = CellAddress(basin, tuple(int(d) for d in np.unravel_index(j, (p,) * R)))
+        terms = np.concatenate([[state.mean[i]], _mode_terms(state.details[i], j, p).ravel()])
         # terms equal up to rounding (a delta datum splits evenly between
-        # mean and details; phases j and p - j are conjugate) go to the first
+        # mean and details; phases q and p - q are conjugate) go to the first
         sizes = np.abs(terms)
-        label = labels[int(np.argmax(sizes >= sizes.max() * (1 - 1e-12)))]
-        return cell, basin, label
+        n = int(np.argmax(sizes >= sizes.max() * (1 - 1e-12)))
+        if n == 0:
+            return cell, basin, None
+        k, q = divmod(n - 1, p - 1)
+        return cell, basin, WaveletIndex(-k - 1, cell.digits[:k], q + 1)
+
+
+def _mode_terms(details: np.ndarray, j: int, p: int) -> np.ndarray:
+    """(R, p - 1) values on cell j of the modes of one basin's scale parts
+    (row k - 1 of details is scale -k). With v the p values of the scale
+    -k part on the children of the cell's depth-k block and x the cell's
+    k-th digit, the phase q mode, the real part of wavelet
+    (-k, digits[:k - 1], q) times its coefficient, is
+
+        (1/p) sum_osc v_osc cos(2 pi q (x - osc) / p)."""
+    R = len(details)
+    blocks = p ** np.arange(R - 1, -1, -1)  # cells sharing k digits
+    first = j // (blocks * p) * blocks * p  # first cell sharing k - 1 digits with j
+    osc = np.arange(p)
+    v = details[np.arange(R)[:, None], first[:, None] + osc * blocks[:, None]]
+    x = j // blocks % p  # the cell's k-th digit
+    q = np.arange(1, p)
+    angle = 2 * np.pi * q[None, :, None] * (x[:, None, None] - osc) / p
+    return (v[:, None, :] * np.cos(angle)).sum(axis=2) / p
 
 
 def _rate_pool(state: SpectralState) -> np.ndarray:

@@ -56,15 +56,9 @@ class DiscreteGenerator:
 def discretize(spec: NetworkSpec, N: int) -> DiscreteGenerator:
     """Assemble the depth-N rate matrix with per-cell killing."""
     p = spec.p
-    j_max = max(
-        k.j_max
-        for kernels in (spec.w_kernels, spec.v_kernels)
-        for b, k in kernels.items()
-        if b in spec.basins
-    )
-    if N <= j_max:
+    if N <= spec.j_max:
         raise UsageError(
-            f"depth N={N} leaves within-cell kernel mass (J_max={j_max}); "
+            f"depth N={N} leaves within-cell kernel mass (J_max={spec.j_max}); "
             "the discretization would not be exact"
         )
     per_basin = p ** (N - 1)

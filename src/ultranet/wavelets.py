@@ -13,6 +13,10 @@ where it takes the value
 on the depth-(1 - r) subcell with next digit x_{-r}. Every such family
 is orthonormal, has zero mean, and spans all functions that are constant
 on depth-(R + 1) cells once the constant is included.
+
+The solver forms no wavelet and no coefficient: spectral works on block
+means, and a WaveletIndex only names a mode. No command calls the dense
+table or expand; they stay because the benchmark tracer wraps them.
 """
 
 from __future__ import annotations
@@ -45,23 +49,6 @@ def enumerate_wavelets(p: int, R: int) -> list[WaveletIndex]:
             for j in range(1, p):
                 out.append(WaveletIndex(r, m, j))
     return out
-
-
-def eval_wavelet(index: WaveletIndex, cell: CellAddress, p: int) -> complex:
-    """Value of the wavelet on a cell (basin digit ignored).
-
-    The cell must be deep enough to resolve the oscillation: depth >=
-    1 - r. Returns 0 off the support cell.
-    """
-    r = index.r
-    if cell.depth < 1 - r:
-        raise UsageError(
-            f"cell depth {cell.depth} too small for scale r={r} (need >= {1 - r})"
-        )
-    if cell.digits[: -r - 1] != index.m_digits:
-        return 0.0
-    osc = cell.digits[-r - 1]
-    return p ** (-r / 2) * np.exp(2j * np.pi * index.j * osc / p)
 
 
 def wavelet_matrix(p: int, R: int, depth: int) -> np.ndarray:
@@ -188,11 +175,3 @@ def expand(f: CellFunction, R: int) -> Expansion:
     c0 = p**0.5 * f.values.sum(axis=1) * weight
     coeffs = f.values @ W.conj().T * weight
     return Expansion(p=p, R=R, basins=f.basins, c0=c0, coeffs=coeffs)
-
-
-def reconstruct_all(expansion: Expansion, depth: int) -> CellFunction:
-    """Synthesis on every depth cell at once (depth >= R + 1)."""
-    p = expansion.p
-    W = wavelet_matrix(p, expansion.R, depth)
-    values = p**0.5 * expansion.c0[:, None] + (expansion.coeffs @ W).real
-    return CellFunction(p, depth, expansion.basins, values)

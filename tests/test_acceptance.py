@@ -13,7 +13,7 @@ import numpy as np
 
 from ultranet.binary import folding_tau, ivp2_datum
 from ultranet.errors import ClassificationError
-from ultranet.kernels import RadialKernel, eigenvalue, symbol_value
+from ultranet.kernels import RadialKernel, symbol_value
 from ultranet.montecarlo import SimConfig, simulate
 from ultranet.network import NetworkSpec, aggregate_rates, build_basin_matrix, classify
 from ultranet.spectral import eval_density, evolve, init, matrix_exponential
@@ -21,9 +21,7 @@ from ultranet.tree import compare, discretize, solve
 from ultranet.wavelets import (
     CellFunction,
     enumerate_wavelets,
-    eval_wavelet,
     expand,
-    reconstruct_all,
     wavelet_matrix,
 )
 
@@ -33,6 +31,7 @@ from two_basin_closed_form import (
     two_basin_expm,
     two_basin_matrix,
 )
+from wavelet_reference import eigenvalue, eval_wavelet, reconstruct_all
 
 SUITE_SEED = 20260819
 SUITE_TIMES = (0.1, 1.0, 10.0)
@@ -302,15 +301,14 @@ def test_criterion_7_binary_model(demo_scenario):
     alpha, beta, gamma = scenario.coupling, scenario.loss_u, scenario.loss_n
     A = scenario.A
     datum = ivp2_datum(scenario)
-    avg_u = datum.basin_integral(scenario.basin_u)
-    avg_n = datum.basin_integral(scenario.basin_n)
+    avg_u, avg_n = (datum.basin_integral(b) for b in scenario.spec.basins)
     assert abs(avg_u - (A - beta + gamma) / (2 * A * p)) <= 1e-12
     assert abs(avg_n - alpha / (A * p)) <= 1e-12
 
     assert scenario.spec.convention == "paper"
     report = folding_tau(scenario)
     assert math.isfinite(report.tau_numeric) and report.tau_numeric > 0
-    assert report.crossing.crossing_cell.basin == scenario.basin_n
+    assert report.crossing.crossing_cell.basin == scenario.spec.basins[1]
     assert math.isfinite(report.time_constant_chain)
     assert math.isfinite(report.time_constant_mode)
     elapsed = time.perf_counter() - start

@@ -18,6 +18,7 @@ from two_basin_closed_form import (
     two_basin_expm,
     two_basin_matrix,
 )
+from wavelet_reference import eval_wavelet
 
 
 # ---------------------------------------------------------------- 2x2
@@ -142,10 +143,48 @@ def test_datum_frozen_values(demo_scenario):
         ivp2_datum(s, depth=4)
 
 
+def per_cell_ivp2(scenario, depth):
+    """The bump datum cell by cell through eval_wavelet: the reference
+    for the block arithmetic of ivp2_datum."""
+    p = scenario.spec.p
+    A = scenario.A
+    flat_u = (A - scenario.loss_u + scenario.loss_n) / (2 * A)
+    flat_n = scenario.coupling / A
+    idx = bump_wavelet(scenario)
+    coeff = scenario.amplitude * p ** (scenario.r / 2)
+    values = np.full((2, p ** (depth - 1)), [[flat_u], [flat_n]])
+    for k, digits in enumerate(enumerate_cells(p, depth)):
+        cell = CellAddress(scenario.spec.basins[1], digits)
+        values[1, k] += coeff * eval_wavelet(idx, cell, p).real
+    return values
+
+
+@pytest.mark.parametrize(
+    "p,r,depth",
+    [
+        (2, -2, 3), (2, -3, 9), (2, -8, 12), (2, -2, 16), (2, -15, 16),
+        (3, -2, 3), (3, -4, 7), (3, -2, 12), (3, -11, 12),
+        (5, -2, 4), (5, -3, 8), (5, -7, 8),
+        (97, -2, 3),
+    ],
+)
+def test_datum_is_the_per_cell_sum_bit_for_bit(p, r, depth):
+    k = RadialKernel(p, (1.0,))
+    spec = NetworkSpec(
+        p=p, basins=(0, 1),
+        cross_lambda={(0, 1): 1.0, (1, 0): 1.0},
+        cross_mu={(0, 1): 1.5, (1, 0): 1.5},
+        w_kernels={0: k, 1: k}, v_kernels={0: k, 1: RadialKernel(p, (2.0,))},
+    )
+    scenario = FoldingScenario(spec=spec, r=r, amplitude=0.3)
+    datum = ivp2_datum(scenario, depth)
+    assert datum.values.tobytes() == per_cell_ivp2(scenario, depth).tobytes()
+
+
 def test_basin_averages_match_closed_form(demo_scenario):
     s = demo_scenario
     datum = ivp2_datum(s)
-    avg_u, avg_n = datum.basin_integral(s.basin_u), datum.basin_integral(s.basin_n)
+    avg_u, avg_n = (datum.basin_integral(b) for b in s.spec.basins)
     assert abs(avg_u - (s.A - s.loss_u + s.loss_n) / (2 * s.A * 2)) < 1e-12
     assert abs(avg_n - s.coupling / (s.A * 2)) < 1e-12
 
@@ -161,7 +200,7 @@ def test_basin_averages_match_closed_form(demo_scenario):
     )
     s2 = FoldingScenario(spec=spec, r=-4, amplitude=0.3)
     datum = ivp2_datum(s2)
-    avg_u, avg_n = datum.basin_integral(s2.basin_u), datum.basin_integral(s2.basin_n)
+    avg_u, avg_n = (datum.basin_integral(b) for b in s2.spec.basins)
     assert abs(avg_u - (s2.A - s2.loss_u + s2.loss_n) / (2 * s2.A * 2)) < 1e-12
     assert abs(avg_n - s2.coupling / (s2.A * 2)) < 1e-12
 

@@ -405,6 +405,21 @@ def test_bad_config_exits_2(capsys, tmp_path):
     assert "unknown key" in err
 
 
+def test_control_character_is_reported_by_line(capsys, tmp_path):
+    # the reader reports such a character by offset only
+    bad = tmp_path / "bel.yaml"
+    bad.write_bytes(b"prime: 2\x07\nbasins: [0]\n")
+    code, _, err = run(capsys, "classify", "--config", str(bad), "--out", str(tmp_path))
+    assert code == 2
+    assert "not valid YAML: line 1:" in err
+    assert "#x0007" in err
+    with pytest.raises(ConfigError, match=r"^not valid YAML: line 3: .*#x0001"):
+        parse_config("prime: 2\r\nbasins: [0]\r\nseed: \x01\n")
+    # the reader's offset counts UTF-8 bytes, not characters
+    with pytest.raises(ConfigError, match=r"^not valid YAML: line 2: .*#x0001"):
+        parse_config("x: '" + "\u00e9" * 10 + "'\nseed: \x01\nbasins: [0]")
+
+
 def test_unknown_preset_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "classify", "--preset", "nope", "--out", str(tmp_path))
     assert code == 2

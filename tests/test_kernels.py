@@ -10,12 +10,13 @@ from ultranet.errors import UsageError, ValidationError
 from ultranet.kernels import (
     RadialKernel,
     arrhenius_kernel,
-    eigenvalue,
     kernel_mass,
     symbol_value,
 )
 from ultranet.padic import CellAddress, enumerate_cells
-from ultranet.wavelets import WaveletIndex, eval_wavelet
+from ultranet.wavelets import WaveletIndex
+
+from wavelet_reference import eigenvalue, eval_wavelet
 
 
 def test_kernel_validation():

@@ -41,6 +41,19 @@ def single_basin(p=2, levels=(1.0,)):
     )
 
 
+def test_j_max_is_the_deepest_level_over_the_basins():
+    assert two_basin().j_max == 1
+    assert two_basin(w_levels=(1.0,), v_levels=(1.0, 0.0, 2.0)).j_max == 3
+    # a kernel given for a digit that is not a basin does not count
+    k = RadialKernel(3, (1.0, 1.0))
+    spec = NetworkSpec(
+        p=3, basins=(1,), cross_lambda={}, cross_mu={},
+        w_kernels={1: k, 2: RadialKernel(3, (1.0,) * 5)}, v_kernels={1: k},
+    )
+    assert spec.j_max == 2
+    assert replace(spec, v_kernels={1: RadialKernel(3, (1.0,) * 4)}).j_max == 4
+
+
 def test_aggregates_frozen_two_basin():
     # kernel levels (1,) at p=2 give diagonal p*mass = 1/2
     spec = two_basin()

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ultranet.errors import UsageError, ValidationError
+from ultranet.errors import NumericError, UsageError, ValidationError
 from ultranet.kernels import RadialKernel
 from ultranet import spectral
 from ultranet.network import NetworkSpec, build_basin_matrix
@@ -27,8 +28,9 @@ from ultranet.wavelets import (
     WaveletIndex,
     enumerate_wavelets,
     expand,
-    reconstruct_all,
 )
+
+from wavelet_reference import eval_wavelet, reconstruct_all
 
 SQRT2 = math.sqrt(2.0)
 
@@ -494,6 +496,143 @@ def test_absorbing_time_memory_does_not_grow_with_resolution():
 def test_absorbing_time_guards():
     with pytest.raises(UsageError):
         absorbing_time(single_basin(), CellFunction(2, 2, (0,), [[0.5, 0.5]]), threshold=0.0)
+
+
+def wavelet_terms(details, j, p, basin):
+    """Mode labels and their terms on cell j, one complex wavelet
+    coefficient at a time, in report's label order: the reference for
+    the real-arithmetic terms of _mode_terms."""
+    R = details.shape[0]
+    digits = tuple(int(d) for d in np.unravel_index(j, (p,) * R))
+    cell = CellAddress(basin, digits)
+    labels, terms = [], []
+    for k in range(1, R + 1):
+        m = digits[: k - 1]
+        block = p ** (R - k)
+        first = (j // (block * p)) * block * p
+        children = details[k - 1, first : first + block * p : block]
+        for phase in range(1, p):
+            index = WaveletIndex(-k, m, phase)
+            coeff = sum(
+                value * np.conj(eval_wavelet(index, CellAddress(basin, m + (osc,)), p))
+                for osc, value in enumerate(children)
+            ) * p ** (-k - 1)
+            labels.append(index)
+            terms.append((coeff * eval_wavelet(index, cell, p)).real)
+    return labels, np.array(terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    R=st.integers(1, 4),
+    offset=st.sampled_from([0.0, 0.5, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_mode_terms_match_the_wavelet_reference(p, R, offset, seed, data):
+    rng = np.random.default_rng(seed)
+    details = rng.uniform(-1.0, 1.0, (R, p**R))
+    j = data.draw(st.integers(0, p**R - 1))
+    _, ref = wavelet_terms(details, j, p, 0)
+    got = spectral._mode_terms(details, j, p).ravel()
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(details).max()
+
+    # the label report gives at its peak cell, on a datum whose scale
+    # parts are drawn, against the largest reference term
+    spec = single_basin(p=p)
+    datum = CellFunction(p, R + 1, (0,), [offset + rng.uniform(-1.0, 1.0, p**R)])
+    state = init(spec, datum)
+    cell, basin, label = spectral._Peak(state).report(0.0)
+    values = eval_density(state).values[0]
+    j = int(values.argmax())
+    assert cell == CellAddress(0, tuple(int(d) for d in np.unravel_index(j, (p,) * R)))
+    labels, ref = wavelet_terms(state.details[0], j, p, 0)
+    labels, ref = [None] + labels, np.abs(np.concatenate([[state.mean[0]], ref]))
+    second, top = np.sort(ref)[-2:]
+    if top - second > 1e-9 * top:
+        assert label == labels[int(np.argmax(ref))]
+
+
+def test_scan_chunk_starts_are_the_evolved_means(monkeypatch):
+    # a non-symmetric three-basin matrix, chunks of 4 grid points
+    k = RadialKernel(3, (1.0, 0.5))
+    spec = NetworkSpec(
+        p=3, basins=(0, 1, 2),
+        cross_lambda={(0, 1): 0.7, (1, 2): 0.2, (2, 0): 1.3},
+        cross_mu={(1, 0): 0.9, (2, 1): 0.5, (0, 2): 1.3, (0, 1): 0.4},
+        w_kernels={0: k, 1: k, 2: k}, v_kernels={0: k, 1: k, 2: k},
+        convention="paper",
+    )
+    rng = np.random.default_rng(11)
+    state = init(spec, CellFunction(3, 3, (0, 1, 2), rng.uniform(0.0, 1.0, (3, 9))))
+    monkeypatch.setattr(spectral, "_SCAN_BYTES", 8 * (9 + 2 + 3 + 4) * 4)
+    peak = spectral._Peak(state)
+    starts = []
+    peaks = peak._peaks
+    monkeypatch.setattr(peak, "_peaks", lambda ts, means: starts.append(means[0]) or peaks(ts, means))
+    dt = 0.37
+    chunks = [k0 for k0, _ in peak.scan(dt, 50)]
+    assert chunks == list(range(0, 51, 4))
+    for k0, mean in zip(chunks, starts):
+        assert evolve(state, k0 * dt).mean.tobytes() == mean.tobytes()
+
+
+def test_scan_stops_at_the_first_row_that_overflows():
+    # paper-form matrix [[-1, 2], [2, -1]] grows like e^t; with dt = 1
+    # the second chunk starts finite at t = 512 and its doubled rows
+    # overflow past t = 710. The rows before the overflow are yielded,
+    # and the overflow is reported at the state's own time.
+    state = init(two_basin(cross_lam=2.0, convention="paper"), CellFunction.constant(2, 2, (0, 1), 0.5))
+    chunks = spectral._Peak(evolve(state, 0.5)).scan(1.0, 1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert next(chunks)[0] == 0
+        k0, peaks = next(chunks)
+        assert (k0, len(peaks)) == (512, 198)
+        assert np.isfinite(peaks).all()
+        with pytest.raises(NumericError, match=r"not finite at t = 710\.5:"):
+            next(chunks)
+
+
+def test_crossing_before_an_overflow_in_the_same_chunk_is_found():
+    # the first chunk reaches t = 1020, past the overflow near t = 710,
+    # yet the basin means cross 0.99 at ln 1.98 long before
+    spec = two_basin(cross_lam=2.0, convention="paper")
+    datum = CellFunction.constant(2, 2, (0, 1), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = absorbing_time(spec, datum, threshold=0.99, dt=4.0, t_max=2000.0)
+    assert res.tau == pytest.approx(math.log(1.98), rel=1e-8)
+    assert res.mode_index is None
+
+
+def nearly_split_chain(eps):
+    """Three basins in a row, 0 - 1 - 2, the second link of rate eps;
+    conservative under the paper convention, so 0.5 everywhere is a fixed
+    point and no upward crossing of 0.99 exists."""
+    k = RadialKernel(3, (1.0,))
+    lam = {(0, 1): 1.0, (1, 0): 1.0, (1, 2): eps, (2, 1): eps}
+    return NetworkSpec(
+        p=3, basins=(0, 1, 2),
+        cross_lambda=lam, cross_mu={key: 3 * rate for key, rate in lam.items()},
+        w_kernels={0: k, 1: k, 2: k}, v_kernels={0: k, 1: k, 2: k},
+        convention="paper",
+    )
+
+
+def test_overflowing_crossing_scan_fails_without_warnings():
+    # the grid is capped at 2M points, so dt is about 5e15 and the
+    # basin-matrix exponential overflows along the scan
+    datum = CellFunction.constant(3, 2, (0, 1, 2), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            res = absorbing_time(nearly_split_chain(1e-20), datum, threshold=0.99)
+        except NumericError as exc:
+            assert "basin means are not finite" in str(exc)
+        else:
+            assert res.tau == math.inf
 
 
 # ---------------------------------------------------------------- oracle

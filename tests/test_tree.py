@@ -7,12 +7,14 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from ultranet.errors import UsageError, ValidationError
-from ultranet.kernels import RadialKernel, eigenvalue
+from ultranet.kernels import RadialKernel
 from ultranet.montecarlo import SimConfig, simulate
 from ultranet.network import NetworkSpec
 from ultranet.padic import CellAddress, enumerate_cells
 from ultranet.tree import _action_is_cheaper, discretize, solve
-from ultranet.wavelets import CellFunction, WaveletIndex, enumerate_wavelets, eval_wavelet
+from ultranet.wavelets import CellFunction, WaveletIndex, enumerate_wavelets
+
+from wavelet_reference import eigenvalue, eval_wavelet
 
 
 def single_basin(w_levels=(1.0,), v_levels=None, p=2):

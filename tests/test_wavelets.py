@@ -11,11 +11,11 @@ from ultranet.wavelets import (
     CellFunction,
     WaveletIndex,
     enumerate_wavelets,
-    eval_wavelet,
     expand,
-    reconstruct_all,
     wavelet_matrix,
 )
+
+from wavelet_reference import eval_wavelet, reconstruct_all
 
 SQRT2 = math.sqrt(2.0)
 

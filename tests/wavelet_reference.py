@@ -1,0 +1,43 @@
+"""Reference code that the tests compare the package with: single
+wavelets, their eigenvalues under a radial kernel, and synthesis from
+wavelet coefficients. The package forms none of them."""
+
+from fractions import Fraction
+
+import numpy as np
+
+from ultranet.errors import UsageError
+from ultranet.kernels import RadialKernel, kernel_mass, symbol_value
+from ultranet.padic import CellAddress
+from ultranet.wavelets import CellFunction, Expansion, WaveletIndex, wavelet_matrix
+
+
+def eval_wavelet(index: WaveletIndex, cell: CellAddress, p: int) -> complex:
+    """Value of the wavelet on a cell (basin digit ignored).
+
+    The cell must be deep enough to resolve the oscillation: depth >=
+    1 - r. Returns 0 off the support cell.
+    """
+    r = index.r
+    if cell.depth < 1 - r:
+        raise UsageError(
+            f"cell depth {cell.depth} too small for scale r={r} (need >= {1 - r})"
+        )
+    if cell.digits[: -r - 1] != index.m_digits:
+        return 0.0
+    osc = cell.digits[-r - 1]
+    return p ** (-r / 2) * np.exp(2j * np.pi * index.j * osc / p)
+
+
+def eigenvalue(k: RadialKernel, r: int) -> Fraction:
+    """Eigenvalue of the jump operator on scale-r wavelets: symbol minus mass."""
+    return symbol_value(k, r) - kernel_mass(k)
+
+
+def reconstruct_all(expansion: Expansion, depth: int) -> CellFunction:
+    """Synthesis on every depth cell at once (depth >= R + 1)."""
+    p = expansion.p
+    W = wavelet_matrix(p, expansion.R, depth)
+    values = p**0.5 * expansion.c0[:, None] + (expansion.coeffs @ W).real
+    return CellFunction(p, depth, expansion.basins, values)
+
