@@ -591,6 +591,12 @@ def _run_tau(cfg, spec, args) -> int:
     print(text)
     with open(f"{args.out}/tau.txt", "w") as f:
         f.write(text + "\n")
+    if result.dt_uncapped is not None:
+        print(
+            f"note: grid dt = {_fmt(result.dt)}, stretched from the default "
+            f"{_fmt(result.dt_uncapped)} by the {spectral.MAX_GRID_STEPS}-step grid cap",
+            file=sys.stderr,
+        )
     return 0
 
 

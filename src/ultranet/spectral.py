@@ -26,6 +26,16 @@ Absorbing times and decay tables are bookkeeping on the same arrays. No
 wavelet coefficient is formed: the mode that dominates a crossing cell
 is named from the p child-block values of each level, in real
 arithmetic.
+
+The crossing search walks its time grid in chunks. Since every s_{a,r}
+is exactly <= 0, each scale term is monotone in t, so on a chunk
+[t0, t1] no cell exceeds its basin's largest mean on the chunk's grid
+points plus sum_k max(d_k e^{s_k t0}, d_k e^{s_k t1}). A chunk whose
+bound, raised by a margin that covers the rounding of both the bound
+and the evaluated peaks, stays below the threshold is skipped without
+evaluating a cell; a skipped chunk still checks its means. The margin
+keeps the hit index, and so every reported number, exactly as a full
+scan would find it.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ from .wavelets import CellFunction, WaveletIndex
 # the crossing threshold of `tau` and the folding model when none is given
 DEFAULT_THRESHOLD = 0.99
 _TAYLOR_TERMS = 24
-_MAX_GRID_STEPS = 2_000_000
+MAX_GRID_STEPS = 2_000_000  # the crossing search's grid cap; dt stretches to fit
 _SCAN_BYTES = 8 * 2**20  # working set of one crossing-scan chunk
 
 
@@ -202,6 +212,7 @@ class AbsorbingResult:
     mode_index: object  # WaveletIndex, or None when the constant term dominates
     dt: float
     t_max: float
+    dt_uncapped: float | None = None  # the dt MAX_GRID_STEPS stretched, if it did
 
 
 class _Peak:
@@ -227,15 +238,42 @@ class _Peak:
         mean = _propagate(self.state, t, self.state.mean)
         return float(self._peaks(np.array([t]), mean[None])[0])
 
-    def scan(self, dt: float, steps: int):
-        """Yield (k0, peaks at grid points k0, k0 + 1, ..) up to point steps.
+    def _ceiling(self, ts: np.ndarray, means: np.ndarray) -> float:
+        """A value that no peak _peaks(ts, means) returns reaches, for
+        ascending ts (the chunk [t0, t1]).
+
+        Each scale term d e^{s t} has an exact rate s <= 0, so it is
+        monotone in t and peaks at an end of the chunk: the cell value at
+        any grid point is at most the basin's largest mean there plus
+        sum_k max(d_k e^{s_k t0}, d_k e^{s_k t1}). Both that bound and the
+        peaks _peaks computes are off their exact values by at most
+        (R + 4) 2^-53 (max|mean| + max_cells sum_k |d_k|): R for the sum
+        over scales, two for each exponential and its rounded argument,
+        one for adding the mean. The margin added is twice that.
+        """
+        details, R = self.state.details, self.state.R
+        rates = self.state.rates[:, :, None]
+        by_basin = np.ascontiguousarray(means.T)
+        top, low = by_basin.max(axis=1), by_basin.min(axis=1)
+        parts = np.maximum(details * np.exp(rates * ts[0]), details * np.exp(rates * ts[-1]))
+        bound = (top + parts.sum(axis=1).max(axis=1)).max()
+        size = max(top.max(), -low.min()) + np.abs(details).sum(axis=1).max()
+        return float(bound + (R + 4) * 2.0**-52 * size)
+
+    def scan(self, dt: float, steps: int, threshold: float = -math.inf):
+        """Yield (k0, values at grid points k0, k0 + 1, ..) up to point
+        steps: the peaks there, or on a chunk whose _ceiling stays below
+        threshold, that ceiling at every point. Such a chunk holds no
+        point whose peak reaches the threshold, so _peaks is not called
+        for it; with no threshold every chunk is evaluated.
 
         A chunk holds a power of two of points, sized so its working set
         stays near _SCAN_BYTES whatever the cell count. Inside a chunk the
         means follow the semigroup: rows already known are pushed forward
-        by e^{2^j dt Lambda}, doubling the block each time. A row that
-        is not finite ends the scan: the rows before it are yielded, and
-        NumericError is raised only if the caller asks for more.
+        by e^{2^j dt Lambda}, doubling the block each time. A skipped chunk
+        still checks its means: a row that is not finite ends the scan,
+        the rows before it are yielded, and NumericError is raised only if
+        the caller asks for more.
         """
         _, R, n_cells = self.state.details.shape
         row_bytes = 8 * (n_cells + R + len(self.state.mean) + 4)
@@ -252,9 +290,14 @@ class _Peak:
                 for power in powers:
                     means = np.concatenate([means, means @ power])
             ts = np.arange(k0, min(k0 + size, steps + 1)) * dt
-            finite = np.isfinite(means[: len(ts)]).all(axis=1)
-            n = len(ts) if finite.all() else int(np.argmin(finite))
-            yield k0, self._peaks(ts[:n], means[:n])
+            means = means[: len(ts)]
+            n = len(ts)
+            if not np.isfinite(means).all():
+                n = int(np.argmin(np.isfinite(means).all(axis=1)))
+            if n and (ceiling := self._ceiling(ts[:n], means[:n])) < threshold:
+                yield k0, np.full(n, ceiling)
+            else:
+                yield k0, self._peaks(ts[:n], means[:n])
             if n < len(ts):
                 raise _overflow(self.state.t + ts[n])
 
@@ -303,10 +346,10 @@ def _rate_pool(state: SpectralState) -> np.ndarray:
     return pool[pool > 0]
 
 
-def _no_crossing(threshold, dt, t_max) -> AbsorbingResult:
+def _no_crossing(threshold, dt, t_max, dt_uncapped=None) -> AbsorbingResult:
     return AbsorbingResult(
         tau=math.inf, threshold=threshold, crossing_cell=None,
-        mode_basin=None, mode_index=None, dt=dt, t_max=t_max,
+        mode_basin=None, mode_index=None, dt=dt, t_max=t_max, dt_uncapped=dt_uncapped,
     )
 
 
@@ -360,17 +403,18 @@ def absorbing_time(
     if dt <= 0 or t_max <= 0:
         raise UsageError("dt and t_max must be > 0")
     steps = int(math.ceil(t_max / dt))
-    if steps > _MAX_GRID_STEPS:
-        dt = t_max / _MAX_GRID_STEPS
-        steps = _MAX_GRID_STEPS
+    dt_uncapped = None
+    if steps > MAX_GRID_STEPS:
+        dt_uncapped, dt = dt, t_max / MAX_GRID_STEPS
+        steps = MAX_GRID_STEPS
 
     peak = _Peak(state)
     if all(peak.at(t) >= threshold for t in (0.0, dt, 2 * dt)):
         tau = 0.0  # already at the threshold, and it sustains
     else:
-        hit = _first_sustained_crossing(peak.scan(dt, steps), threshold)
+        hit = _first_sustained_crossing(peak.scan(dt, steps, threshold), threshold)
         if hit is None:
-            return _no_crossing(threshold, dt, t_max)
+            return _no_crossing(threshold, dt, t_max, dt_uncapped)
         lo, tau = (hit - 1) * dt, hit * dt
         while tau - lo > 1e-9 * max(tau, dt):
             mid = 0.5 * (lo + tau)
@@ -382,4 +426,5 @@ def absorbing_time(
     return AbsorbingResult(
         tau=tau, threshold=threshold, crossing_cell=cell,
         mode_basin=mode_basin, mode_index=mode_index, dt=dt, t_max=t_max,
+        dt_uncapped=dt_uncapped,
     )

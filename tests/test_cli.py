@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -697,6 +698,52 @@ def test_tau_on_dying_preset(capsys, tmp_path):
     lines = out.splitlines()
     assert lines[0] == "threshold = 0.98999999999999999"
     assert lines[1] == "tau = 0"
+    assert (tmp_path / "tau.txt").read_text() == out
+
+
+def test_tau_prints_no_grid_note_when_the_grid_fits(capsys, tmp_path):
+    code, out, err = run(capsys, "tau", "--preset", "dying_two_basin", "--out", str(tmp_path))
+    assert code == 0
+    assert err == ""
+    dt, horizon = (float(line.split(" = ")[1]) for line in out.splitlines()[4:6])
+    assert horizon / dt < 2_000_000
+
+
+# a slow cross gain stretches the search horizon: the default dt, 1e-3
+# over the fastest rate, would need about 5e8 grid steps
+FLAT_NETWORK = """\
+prime: 2
+basins: [0, 1]
+kernels:
+  w: {0: [0.6, 0.3], 1: [0.6, 0.3]}
+  v: {0: [0.8, 0.4], 1: [0.8, 0.4]}
+cross:
+  lambda: {0->1: 0.0005, 1->0: 0.7}
+  mu: {1->0: 1.4, 0->1: 1.8}
+resolution: 3
+datum:
+  0: [0.1, 0.5, 0.2, 0.3, 0.0, 0.4, 0.5, 0.1]
+  1: [0.3, 0.3, 0.1, 0.0, 0.2, 0.5, 0.4, 0.2]
+threshold: 0.99
+"""
+
+
+def test_tau_notes_a_capped_grid_on_stderr(capsys, tmp_path):
+    path = tmp_path / "flat.yaml"
+    path.write_text(FLAT_NETWORK)
+    code, out, err = run(capsys, "tau", "--config", str(path), "--out", str(tmp_path))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == "tau = inf"
+    dt, horizon = (line.split(" = ")[1] for line in lines[4:6])
+    assert float(horizon) / float(dt) == pytest.approx(2_000_000, rel=1e-12)
+    note = re.fullmatch(
+        r"note: grid dt = (\S+), stretched from the default (\S+) by the "
+        r"2000000-step grid cap\n",
+        err,
+    )
+    assert note and note[1] == dt
+    assert float(note[2]) < float(dt) / 100
     assert (tmp_path / "tau.txt").read_text() == out
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 import warnings
@@ -477,7 +478,10 @@ def test_absorbing_time_names_dominant_wavelet():
     assert res.mode_index == WaveletIndex(-2, (0,), 1)
 
 
-def test_absorbing_time_memory_does_not_grow_with_resolution():
+def test_absorbing_time_memory_does_not_grow_with_resolution(monkeypatch):
+    # every chunk's bound lies below the threshold 1e9, so with skipping
+    # off the whole grid goes through _peaks, as it is measured here
+    no_skipping(monkeypatch)
     spec = two_basin(cross_lam=1.0, cross_mu=1.0, convention="paper")
     rng = np.random.default_rng(8)
     peaks = {}
@@ -568,12 +572,16 @@ def test_scan_chunk_starts_are_the_evolved_means(monkeypatch):
     state = init(spec, CellFunction(3, 3, (0, 1, 2), rng.uniform(0.0, 1.0, (3, 9))))
     monkeypatch.setattr(spectral, "_SCAN_BYTES", 8 * (9 + 2 + 3 + 4) * 4)
     peak = spectral._Peak(state)
-    starts = []
-    peaks = peak._peaks
-    monkeypatch.setattr(peak, "_peaks", lambda ts, means: starts.append(means[0]) or peaks(ts, means))
+    # the means grow past 5 in the sixth chunk: the five before it are
+    # skipped, yet every chunk's means reach _ceiling
+    starts, evaluated = [], []
+    ceiling, peaks = peak._ceiling, peak._peaks
+    monkeypatch.setattr(peak, "_ceiling", lambda ts, means: starts.append(means[0]) or ceiling(ts, means))
+    monkeypatch.setattr(peak, "_peaks", lambda ts, means: evaluated.append(ts[0]) or peaks(ts, means))
     dt = 0.37
-    chunks = [k0 for k0, _ in peak.scan(dt, 50)]
+    chunks = [k0 for k0, _ in peak.scan(dt, 50, threshold=5.0)]
     assert chunks == list(range(0, 51, 4))
+    assert 0 < len(evaluated) < len(chunks) == len(starts)
     for k0, mean in zip(chunks, starts):
         assert evolve(state, k0 * dt).mean.tobytes() == mean.tobytes()
 
@@ -633,6 +641,152 @@ def test_overflowing_crossing_scan_fails_without_warnings():
             assert "basin means are not finite" in str(exc)
         else:
             assert res.tau == math.inf
+
+
+def no_skipping(monkeypatch):
+    """Make every chunk of the crossing scan go through _peaks."""
+    monkeypatch.setattr(spectral._Peak, "_ceiling", lambda self, ts, means: math.inf)
+
+
+def crossing(spec, datum, **kwargs):
+    """absorbing_time's answer, or the message of the NumericError it raised."""
+    try:
+        res = absorbing_time(spec, datum, **kwargs)
+    except NumericError as exc:
+        return str(exc)
+    return (res.tau, res.crossing_cell, res.mode_basin, res.mode_index, res.dt, res.t_max)
+
+
+@st.composite
+def decade_networks(draw):
+    """p in {2, 3, 5}, 1-3 basins, either convention; every basin draws
+    its own rate decade, so the rates span several of them."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    basins = tuple(sorted(draw(st.sets(st.integers(0, p - 1), min_size=1, max_size=min(3, p)))))
+    scale = {a: 10.0 ** draw(st.integers(-3, 3)) for a in basins}
+    level = st.integers(0, 10).map(lambda k: k / 10)
+    # loss over gain; with none, a paper-convention network grows
+    excess = st.just(0.0) if draw(st.booleans()) else st.sampled_from([0.0, 0.1, 1.0])
+    w, v = {}, {}
+    for a in basins:
+        gains = draw(st.lists(level, min_size=1, max_size=3))
+        w[a] = RadialKernel(p, tuple(scale[a] * g for g in gains))
+        v[a] = RadialKernel(p, tuple(scale[a] * (g + draw(excess)) for g in gains))
+    lam, mu = {}, {}
+    for a in basins:
+        for b in basins:
+            if a != b:
+                lam[(a, b)] = min(scale[a], scale[b]) * draw(level)
+                mu[(b, a)] = lam[(a, b)] * (1.0 + draw(excess))
+    assume(any(x > 0 for k in v.values() for x in k.levels) or any(mu.values()))
+    return NetworkSpec(
+        p=p, basins=basins, cross_lambda=lam, cross_mu=mu, w_kernels=w, v_kernels=v,
+        convention=draw(st.sampled_from(["derived", "paper"])),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spec=decade_networks(),
+    R=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.tuples(st.integers(0, 5000), st.integers(1, 40), st.floats(-4.0, 1.0)),
+    grid=st.tuples(
+        st.integers(10, 400), st.integers(1, 64), st.floats(0.0, 1.0),
+        st.sampled_from([1.0, 1.0 + 2**-52, 1.01, 1.5]),
+    ),
+)
+def test_chunk_ceiling_bounds_every_peak_and_keeps_the_hit(spec, R, seed, chunk, grid):
+    rng = np.random.default_rng(seed)
+    n_cells = spec.p**R
+    datum = CellFunction(spec.p, R + 1, spec.basins, rng.uniform(0.0, 1.0, (len(spec.basins), n_cells)))
+    state = init(spec, datum)
+    rates = spectral._rate_pool(state)
+    assume(rates.size)  # else nothing moves and there is no grid
+    peak = spectral._Peak(state)
+
+    # a chunk of grid points k0 .. k0 + n - 1, dt a power of ten off the fastest rate
+    k0, n, dt_decade = chunk
+    dt = 10.0**dt_decade / rates.max()
+    ts = np.arange(k0, k0 + n) * dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.array([matrix_exponential(state.lam, t) @ state.mean for t in ts])
+    assume(np.isfinite(means).all())
+    assert (peak._peaks(ts, means) <= peak._ceiling(ts, means)).all()
+
+    # the crossing search, with skipping and without, on short grids cut
+    # into chunks of a few points, at a threshold at or just above one of
+    # the peaks on the grid, so that some chunk bounds lie right at it
+    steps, points, pick, above = grid
+    t_max = 100.0 / rates.min()
+    row_bytes = 8 * (n_cells + R + len(spec.basins) + 4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_SCAN_BYTES", points * row_bytes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = []
+            with contextlib.suppress(NumericError):  # the means overflowed
+                for _, chunk_peaks in peak.scan(t_max / steps, steps):
+                    values.extend(chunk_peaks)
+            assume(values)
+            threshold = sorted(values)[int(pick * (len(values) - 1))] * above
+            assume(threshold > 0)
+            kwargs = dict(threshold=threshold, t_max=t_max, dt=t_max / steps)
+            got = crossing(spec, datum, **kwargs)
+            no_skipping(mp)
+            assert crossing(spec, datum, **kwargs) == got
+
+
+def flat_network():
+    """tau_flat's shape: derived, two basins, p = 2, losses above gains,
+    and one cross gain a thousand times slower than the other, which
+    stretches the search horizon past the grid cap."""
+    w, v = RadialKernel(2, (0.6, 0.3)), RadialKernel(2, (0.8, 0.4))
+    return NetworkSpec(
+        p=2, basins=(0, 1),
+        cross_lambda={(0, 1): 5e-4, (1, 0): 0.7}, cross_mu={(1, 0): 1.4, (0, 1): 1.8},
+        w_kernels={0: w, 1: w}, v_kernels={0: v, 1: v},
+    )
+
+
+def test_flat_derived_network_scans_no_grid_point(monkeypatch):
+    datum = CellFunction(2, 4, (0, 1), np.random.default_rng(3).uniform(0.0, 0.5, (2, 8)))
+    evaluated = []
+    peaks = spectral._Peak._peaks
+    monkeypatch.setattr(spectral._Peak, "_peaks", lambda self, ts, means: evaluated.append(len(ts)) or peaks(self, ts, means))
+    res = absorbing_time(flat_network(), datum, threshold=0.99)
+    assert res.tau == math.inf and res.crossing_cell is None
+    assert res.t_max / res.dt == pytest.approx(spectral.MAX_GRID_STEPS, rel=1e-12)
+    assert res.dt_uncapped is not None and res.dt_uncapped < res.dt
+    # the one evaluation is the start check at t = 0; the scan made none
+    assert evaluated == [1]
+
+
+@pytest.mark.parametrize("ulps", [0, 1])
+def test_a_chunk_whose_bound_is_within_the_margin_is_evaluated(monkeypatch, ulps):
+    # uniform 0.5 e^{t/2} has no scale parts: the bound of a chunk is the
+    # mean at its last point, exactly the peak there. With the threshold
+    # at that peak of point 47, the last of the sixth 8-point chunk, or
+    # one ulp above it, the bound is within the margin of the threshold.
+    spec = two_basin(cross_lam=1.0, cross_mu=1.0, convention="paper")
+    datum = CellFunction.constant(2, 2, (0, 1), 0.5)
+    monkeypatch.setattr(spectral, "_SCAN_BYTES", 8 * (2 + 1 + 2 + 4) * 8)
+    dt = 1e-2
+    values = np.concatenate([v for _, v in spectral._Peak(init(spec, datum)).scan(dt, 100)])
+    threshold = float(values[47])
+    for _ in range(ulps):
+        threshold = math.nextafter(threshold, math.inf)
+    kwargs = dict(threshold=threshold, dt=dt, t_max=1.0)
+    chunks = []
+    peaks = spectral._Peak._peaks
+    monkeypatch.setattr(spectral._Peak, "_peaks", lambda self, ts, means: chunks.append((round(ts[0] / dt), len(ts))) or peaks(self, ts, means))
+    got = crossing(spec, datum, **kwargs)
+    # chunk 40 holds the bound, chunk 48 the point that sustains the hit;
+    # the single points are the start check and the bisection
+    assert [k for k, n in chunks if n > 1] == [40, 48]
+    assert (47 + ulps - 1) * dt < got[0] <= (47 + ulps) * dt
+    no_skipping(monkeypatch)
+    assert crossing(spec, datum, **kwargs) == got
 
 
 # ---------------------------------------------------------------- oracle
