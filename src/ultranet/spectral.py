@@ -239,8 +239,8 @@ class _Peak:
         return float(self._peaks(np.array([t]), mean[None])[0])
 
     def _ceiling(self, ts: np.ndarray, means: np.ndarray) -> float:
-        """A value that no peak _peaks(ts, means) returns reaches, for
-        ascending ts (the chunk [t0, t1]).
+        """An upper bound, rounding included, on every peak that
+        _peaks(ts, means) returns, for ascending ts (the chunk [t0, t1]).
 
         Each scale term d e^{s t} has an exact rate s <= 0, so it is
         monotone in t and peaks at an end of the chunk: the cell value at

@@ -648,6 +648,14 @@ def no_skipping(monkeypatch):
     monkeypatch.setattr(spectral._Peak, "_ceiling", lambda self, ts, means: math.inf)
 
 
+def record_peaks(monkeypatch) -> list:
+    """Record the times of every _Peak._peaks call in the returned list."""
+    calls = []
+    peaks = spectral._Peak._peaks
+    monkeypatch.setattr(spectral._Peak, "_peaks", lambda self, ts, means: calls.append(ts) or peaks(self, ts, means))
+    return calls
+
+
 def crossing(spec, datum, **kwargs):
     """absorbing_time's answer, or the message of the NumericError it raised."""
     try:
@@ -751,15 +759,13 @@ def flat_network():
 
 def test_flat_derived_network_scans_no_grid_point(monkeypatch):
     datum = CellFunction(2, 4, (0, 1), np.random.default_rng(3).uniform(0.0, 0.5, (2, 8)))
-    evaluated = []
-    peaks = spectral._Peak._peaks
-    monkeypatch.setattr(spectral._Peak, "_peaks", lambda self, ts, means: evaluated.append(len(ts)) or peaks(self, ts, means))
+    calls = record_peaks(monkeypatch)
     res = absorbing_time(flat_network(), datum, threshold=0.99)
     assert res.tau == math.inf and res.crossing_cell is None
     assert res.t_max / res.dt == pytest.approx(spectral.MAX_GRID_STEPS, rel=1e-12)
     assert res.dt_uncapped is not None and res.dt_uncapped < res.dt
     # the one evaluation is the start check at t = 0; the scan made none
-    assert evaluated == [1]
+    assert [ts.tolist() for ts in calls] == [[0.0]]
 
 
 @pytest.mark.parametrize("ulps", [0, 1])
@@ -777,13 +783,11 @@ def test_a_chunk_whose_bound_is_within_the_margin_is_evaluated(monkeypatch, ulps
     for _ in range(ulps):
         threshold = math.nextafter(threshold, math.inf)
     kwargs = dict(threshold=threshold, dt=dt, t_max=1.0)
-    chunks = []
-    peaks = spectral._Peak._peaks
-    monkeypatch.setattr(spectral._Peak, "_peaks", lambda self, ts, means: chunks.append((round(ts[0] / dt), len(ts))) or peaks(self, ts, means))
+    calls = record_peaks(monkeypatch)
     got = crossing(spec, datum, **kwargs)
     # chunk 40 holds the bound, chunk 48 the point that sustains the hit;
     # the single points are the start check and the bisection
-    assert [k for k, n in chunks if n > 1] == [40, 48]
+    assert [round(ts[0] / dt) for ts in calls if len(ts) > 1] == [40, 48]
     assert (47 + ulps - 1) * dt < got[0] <= (47 + ulps) * dt
     no_skipping(monkeypatch)
     assert crossing(spec, datum, **kwargs) == got
