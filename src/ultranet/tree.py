@@ -106,66 +106,123 @@ def _pairwise_levels(kernel, p: int, N: int) -> np.ndarray:
     return M
 
 
-# Route choice by an operation count, in units of one product of Q with
-# a vector (a matvec).
-# - The action (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011) takes
-#   about 2 matvecs per unit of ||Qt||_1: counted 1.7-2.3 in scipy's
-#   expm_multiply on chains of 256-1024 states, which shifts Q by its mean
-#   diagonal and ends each Taylor sum early.
+# The action is a uniformized sum (Jensen, Skand. Aktuarietidskr. 36, 1953;
+# Moler & Van Loan, SIAM Rev. 45, 2003, method 4). With L the largest exit
+# rate, P = I + Q/L has no negative entry, its rows sum to 1 - kill/L, and
+#     e^{tQ} u = sum_k e^{-Lt} (Lt)^k / k! P^k u.
+# L t is split into equal steps of Poisson mean y <= 700: e^-700 = 9.9e-305
+# is still a normal float (the least is 2.2e-308), so the first weight keeps
+# its precision. Each step is summed to the first K whose Poisson tail lies
+# below 2^-53; every P^k u is bounded by max|u|, so a step errs by at most
+# 2^-53 max|u| plus rounding.
+_STEP_MEAN = 700.0
+_TAIL = 2.0**-53
+
+# Route choice by an operation count, in units of one product of a
+# dim x dim array with a vector (a matvec).
+# - The action takes exactly steps x K matvecs: K = 17 at y = 1, 87 at
+#   y = 31, 193 at y = 100 and 928 at y = 700, about 1.33 per unit of L t
+#   for long times.
 # - The dense exponential takes 22/3 matrix products for its [13/13] Pade
 #   approximant (6 products and one solve) plus one squaring per doubling
-#   of ||Qt||_1 past theta_13 = 5.37 (Higham, SIMAX 26, 2005). A product is
-#   dim matvecs of work but runs faster per flop, since it reuses each
-#   cached block while a matvec streams all of Q: one product took as long
-#   as dim/3.4, dim/5.6 and dim/8.9 matvecs at 256, 512 and 1024 states (one
-#   BLAS thread). It is counted as dim/8, the ratio at the large end, where a
-#   wrong route costs the most.
-# So the switch falls at ||Qt||_1 = 213, 458 and 981 at 256, 512 and 1024
-# states. Timed on two seeded non-symmetric chains each (2-vCPU VM, one BLAS
-# thread), the routes cross at 215-256, 500 and 610-720.
-# Below 64 states no count applies: the whole dense route (0.015-0.15 ms at
-# 4-64 states) costs less than the action's fixed overhead per call
-# (0.12-0.2 ms), and it spares the process the scipy.sparse import.
-_ACTION_MATVECS_PER_NORM = 2.0
+#   of ||Qt||_1 past theta_13 = 5.37 (Higham, SIMAX 26, 2005). ||Qt||_1 is
+#   counted as 2 L t, which bounds the absolute sum of every row of Qt (its
+#   infinity norm); it read 1.6-1.8 L t on seeded chains of 128-1024
+#   states. A product is dim matvecs of work but runs faster per flop,
+#   since it reuses each cached block while a matvec streams the whole
+#   array: one product took as long as dim/2.4, dim/4.3 and dim/8.8 matvecs
+#   at 128, 512 and 1024 states (one BLAS thread). It is counted as dim/8,
+#   the ratio at the large end, where a wrong route costs the most.
+# So the switch falls at L t = 710 at 512 states and 1610 at 1024. Timed on
+# a seeded non-symmetric chain (2-vCPU VM, one BLAS thread), the routes
+# cross near L t = 1000 at 256 and 512 states and 1500-2000 at 1024.
+# An action of at most _ACTION_ALWAYS_MATVECS matvecs is taken whatever the
+# count says, which on chains below 512 states means up to L t = 700. One
+# matvec of the action's loop costs 5 us up to 64 states (interpreter
+# overhead), 8 us at 128 and 16 us at 256, so such an action costs at most
+# 5-16 ms. The dense route costs 30-120 us per call up to 32 states, but
+# its first call in a process imports scipy.linalg, which takes 0.3 s.
 _PADE13_PRODUCTS = 22 / 3
 _THETA13 = 5.37
 _BLAS3_SPEEDUP = 8  # per flop, of a matrix product over a matvec
-_ACTION_MIN_STATES = 64
+_ACTION_ALWAYS_MATVECS = 1024
 
 
-def _action_is_cheaper(norm: float, dim: int) -> bool:
-    """Whether e^A u takes fewer matvecs as an action than through the
-    dense e^A, for ||A||_1 = norm on dim states. A norm that is not
-    finite takes the dense route."""
-    if dim < _ACTION_MIN_STATES:
+def _poisson_weights(y: float) -> np.ndarray:
+    """The Poisson weights e^{-y} y^k / k! for k = 0..K. Once K + 2 > y,
+    each term past w_{K+1} is at most y / (K + 2) times the one before, so
+    the tail beyond K is at most w_{K+1} / (1 - y / (K + 2)); K is the
+    first index where that bound falls below 2^-53."""
+    weights = [math.exp(-y)]
+    while True:
+        k = len(weights)
+        w = weights[-1] * y / k
+        if k + 1 > y and w < _TAIL * (1.0 - y / (k + 1)):
+            return np.array(weights)
+        weights.append(w)
+
+
+def _schedule(rate_t: float) -> tuple:
+    """Equal steps of Poisson mean at most _STEP_MEAN that sum to rate_t,
+    and the weights of one step."""
+    steps = max(1, math.ceil(rate_t / _STEP_MEAN))
+    return steps, _poisson_weights(rate_t / steps)
+
+
+def _action_is_cheaper(rate_t: float, dim: int) -> bool:
+    """Whether e^{tQ} u takes fewer matvecs as the uniformized action than
+    through the dense e^{tQ}, for L t = rate_t on dim states. A rate_t that
+    is negative or not finite takes the dense route."""
+    if not 0 <= rate_t < math.inf:
         return False
-    squarings = max(0, math.frexp(norm / _THETA13)[1])
+    steps, weights = _schedule(rate_t)
+    matvecs = steps * (len(weights) - 1)
+    squarings = max(0, math.frexp(2 * rate_t / _THETA13)[1])
     dense = (_PADE13_PRODUCTS + squarings) * dim / _BLAS3_SPEEDUP
-    return _ACTION_MATVECS_PER_NORM * norm <= dense
+    return matvecs <= max(dense, _ACTION_ALWAYS_MATVECS)
+
+
+def _uniformized(Q: np.ndarray, rate: float, t: float, u: np.ndarray) -> np.ndarray:
+    """e^{tQ} u as the uniformized sum, for rate the largest exit rate of Q.
+    P is built here, one array the size of Q, and dropped on return. A
+    datum u >= 0 gives a result >= 0 exactly: every weight and every entry
+    of P is >= 0."""
+    steps, weights = _schedule(rate * t)
+    if len(weights) == 1:  # no jump within t, or none at all
+        return weights[0] * u
+    P = Q / rate
+    # rate >= -q_ii, so rate + q_ii rounds to no negative number
+    np.fill_diagonal(P, (rate + Q.diagonal()) / rate)
+    for _ in range(steps):
+        v = u
+        u = weights[0] * v
+        for w in weights[1:]:
+            v = P @ v
+            u += w * v
+    return u
 
 
 def solve(gen: DiscreteGenerator, u0: CellFunction, t: float) -> CellFunction:
     """Propagate the cell vector, u(t) = e^{tQ} u(0); the result has the
     basins and the layout of u0.
 
-    The exponential's action on the datum is computed (expm_multiply),
-    so no dim x dim exponential is formed, while ||Qt||_1 is small
-    against the number of states. Past that, the action's cost grows
-    with t and the dense matrix exponential, whose cost grows only with
-    log t, is formed and applied instead; so it is on chains of fewer
-    than 64 states, where it costs less than the action's overhead."""
+    The exponential's action on the datum is summed by uniformization in
+    numpy, so no dim x dim exponential is formed, while L t (L the largest
+    exit rate) is small against the number of states, or the sum is short.
+    Past that, the action's cost grows with t and the dense matrix
+    exponential, whose cost grows only with log t, is formed and applied
+    instead."""
     u = gen.cell_vector(u0)
-    Qt = gen.Q * float(t)
-    # scipy is imported here: only the oracle needs it, and only the
-    # action needs scipy.sparse; this spares every other command the import
-    if _action_is_cheaper(np.linalg.norm(Qt, 1), gen.dim):
-        import scipy.sparse.linalg
-
-        out = scipy.sparse.linalg.expm_multiply(Qt, u)
+    t = float(t)
+    rate = float(-gen.Q.diagonal().min())
+    if _action_is_cheaper(rate * t, gen.dim):
+        out = _uniformized(gen.Q, rate, t, u)
     else:
+        # scipy is imported here: only the dense route needs it, and this
+        # spares every other command and route the import
         import scipy.linalg
 
-        out = scipy.linalg.expm(Qt) @ u
+        out = scipy.linalg.expm(gen.Q * t) @ u
     return CellFunction(u0.p, gen.N, u0.basins, out.reshape(u0.values.shape))
 
 

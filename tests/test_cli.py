@@ -687,6 +687,28 @@ def test_oracle_gap_small_on_every_preset(capsys, tmp_path, name):
     assert max(gaps) == reported
 
 
+def test_oracle_imports_no_scipy(tmp_path):
+    """The chain oracle's action is numpy alone, and only its dense route
+    imports scipy: a 512-state chain at t <= 4 and every preset stay off it."""
+    rows = {b: [(7 * i + 3 * b) % 11 / 10 for i in range(256)] for b in (0, 1)}
+    path = tmp_path / "chain.yaml"
+    path.write_text(
+        TWO_BASINS.replace("resolution: 1", "resolution: 8").split("datum:")[0]
+        + f"datum: {rows}\ntimes: [0.1, 1.0, 4.0]\n"
+    )
+    runs = [["--config", str(path)]] + [["--preset", name] for name in sorted(list_presets())]
+    done = _python("-c", (
+        "import sys\n"
+        "from ultranet.cli import main\n"
+        f"codes = [main(['oracle', *run, '--out', {str(tmp_path)!r}]) for run in {runs!r}]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    ))
+    assert done.returncode == 0, done.stderr
+    *gaps, last = done.stdout.splitlines()
+    assert last == f"{[0] * len(runs)} []"
+    assert len(gaps) == len(runs) and all(float(g.split("=")[1]) <= 1e-8 for g in gaps)
+
+
 # ---------------------------------------------------------------- tau
 
 

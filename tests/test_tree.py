@@ -1,11 +1,14 @@
+import decimal
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ultranet import tree
 from ultranet.errors import UsageError, ValidationError
 from ultranet.kernels import RadialKernel
 from ultranet.montecarlo import SimConfig, simulate
@@ -206,8 +209,8 @@ def test_solve_matches_the_dense_exponential_on_both_routes(p, basins, N, conser
     u0 = CellFunction(p, N, basins, rng.uniform(-1.0, 1.0, (len(basins), p ** (N - 1))))
     u = u0.values.ravel()
     times = [1e-3, 0.1, 1.0, 4.0, 10.0, 30.0, 100.0, 1e3, 1e6]
-    norm = np.linalg.norm(gen.Q, 1)
-    routes = {_action_is_cheaper(norm * t, gen.dim) for t in times}
+    rate = -gen.Q.diagonal().min()
+    routes = {_action_is_cheaper(rate * t, gen.dim) for t in times}
     assert routes == {True, False}
     for t in times:
         exact = scipy.linalg.expm(gen.Q * t) @ u
@@ -226,10 +229,7 @@ def test_conservative_chain_at_late_time_takes_the_dense_route(monkeypatch):
         return stand_in
 
     monkeypatch.setattr(scipy.linalg, "expm", recording("expm", scipy.linalg.expm))
-    monkeypatch.setattr(
-        scipy.sparse.linalg, "expm_multiply",
-        recording("expm_multiply", scipy.sparse.linalg.expm_multiply),
-    )
+    monkeypatch.setattr(tree, "_uniformized", recording("action", tree._uniformized))
     spec = balanced_two_basin(cross=0.75, levels=(0.5,))
     N = 7
     gen = discretize(spec, N)
@@ -240,26 +240,104 @@ def test_conservative_chain_at_late_time_takes_the_dense_route(monkeypatch):
     assert abs(out.integral() - u0.integral()) < 1e-9
     calls.clear()
     solve(gen, u0, 1.0)
-    assert calls == ["expm_multiply"]
+    assert calls == ["action"]
     calls.clear()
-    small = discretize(spec, 4)  # 16 states: dense costs less than the action's overhead
-    solve(small, CellFunction.constant(2, 4, [0, 1], 1.0), 1.0)
+    small = discretize(spec, 4)  # 16 states: a short action spares the scipy import
+    ones = CellFunction.constant(2, 4, [0, 1], 1.0)
+    solve(small, ones, 1.0)
+    assert calls == ["action"]
+    calls.clear()
+    out = solve(small, ones, 1e6)  # the action would take 1.3e6 matvecs
     assert calls == ["expm"]
+    assert abs(out.integral() - ones.integral()) < 1e-9
 
 
 def test_solve_never_forms_the_matrix_exponential():
-    """The action keeps one solve on a 1024-state chain within a few
-    copies of Q; a dense expm holds about eight."""
+    """The action holds one array the size of Q on a 1024-state chain,
+    its jump matrix P; a dense expm holds about eight."""
     spec = balanced_two_basin(cross=0.5, levels=(1.0, 0.5))
     N = 10
     gen = discretize(spec, N)
     assert gen.dim == 1024
     u0 = CellFunction.constant(2, N, [0, 1], 1.0)
-    solve(gen, u0, 4.0)  # the first call imports scipy.sparse.linalg
     tracemalloc.start()
     try:
         solve(gen, u0, 4.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * gen.Q.nbytes
+    assert peak <= 1.5 * gen.Q.nbytes
+
+
+def poisson_tail(y, K):
+    """sum_{k > K} e^{-y} y^k / k!, term by term in log space, to where the
+    terms no longer count."""
+    terms = []
+    k = K + 1
+    while True:
+        term = math.exp(-y + k * math.log(y) - math.lgamma(k + 1))
+        terms.append(term)
+        if k > y and term < 1e-30 * terms[0]:
+            return math.fsum(terms)
+        k += 1
+
+
+@pytest.mark.parametrize("y", np.geomspace(1e-8, tree._STEP_MEAN, 41))
+def test_poisson_weights_stop_below_the_unit_roundoff(y):
+    weights = tree._poisson_weights(y)
+    K = len(weights) - 1
+    assert poisson_tail(y, K) < 2.0**-53
+    # the weights themselves, to 50 digits; lgamma would err by 1e-12 at y = 700
+    with decimal.localcontext(prec=50):
+        exact = [(-decimal.Decimal(y)).exp()]
+        for k in range(1, K + 1):
+            exact.append(exact[-1] * decimal.Decimal(y) / k)
+        assert max(abs(decimal.Decimal(w) / x - 1) for w, x in zip(weights, exact)) < 1e-13
+
+
+def random_generator(p, rates, N, kill, seed):
+    """A chain whose basins run at their own rate decade: within basin b
+    every kernel level and every cross rate out of b is scaled by rates[b].
+    Without kill, gains equal losses and every row of Q sums to 0."""
+    rng = np.random.default_rng(seed)
+    basins = tuple(range(len(rates)))
+    w = {b: RadialKernel(p, tuple(rng.uniform(0.5, 1.5, N - 1) * rates[b])) for b in basins}
+    grow = (lambda: rng.uniform(1.1, 1.5)) if kill else (lambda: 1.0)
+    v = {b: RadialKernel(p, tuple(x * grow() for x in w[b].levels)) for b in basins}
+    lam = {(a, b): rng.uniform(0.2, 1.0) * rates[b] for a in basins for b in basins if a != b}
+    mu = {(b, a): x * grow() for (a, b), x in lam.items()}
+    spec = NetworkSpec(p=p, basins=basins, cross_lambda=lam, cross_mu=mu,
+                       w_kernels=w, v_kernels=v)
+    return discretize(spec, N)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 3]), kill=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_action_matches_the_dense_exponential(p, kill, seed, data):
+    """With basin rates up to six decades apart, the action matches the
+    dense exponential at every L t it is taken for, up to 700 below 512
+    states, and keeps a datum >= 0 non-negative exactly. Basin digits lie
+    below p, so p = 2 has at most two basins."""
+    decades = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=p), label="decades")
+    N = data.draw(st.integers(2, 5 if p == 2 else 4), label="N")
+    gen = random_generator(p, [10.0**d for d in decades], N, kill, seed)
+    rate = -gen.Q.diagonal().min()
+    rng = np.random.default_rng(seed)
+    u0 = CellFunction(p, N, tuple(range(len(decades))),
+                      rng.uniform(-1.0, 1.0, (len(decades), p ** (N - 1))))
+    u = u0.values.ravel()
+    positive = CellFunction(p, N, u0.basins, np.abs(u0.values))
+    drawn = data.draw(st.floats(0.0, tree._STEP_MEAN), label="rate_t")
+    for rate_t in (0.0, 1e-6, 0.01, 1.0, 30.0, 300.0, tree._STEP_MEAN, drawn):
+        assert tree._action_is_cheaper(rate_t, gen.dim)
+        t = rate_t / rate
+        exact = scipy.linalg.expm(gen.Q * t) @ u
+        out = solve(gen, u0, t).values.ravel()
+        assert np.abs(out - exact).max() <= 1e-12 * np.abs(u).max()
+        assert solve(gen, positive, t).values.min() >= 0
+    # past one step of Poisson mean the sum is split; chains of 512 states
+    # and more take such actions
+    t = 3.5 * tree._STEP_MEAN / rate
+    exact = scipy.linalg.expm(gen.Q * t) @ u
+    assert np.abs(tree._uniformized(gen.Q, rate, t, u) - exact).max() <= 1e-12 * np.abs(u).max()
