@@ -603,7 +603,7 @@ def _run_tau(cfg, spec, args) -> int:
 def _run_oracle(cfg, spec, args) -> int:
     datum = datum_from_config(cfg, spec)
     times = cfg.get("times", [0.1, 1.0, 10.0])
-    gaps = compare(spec, datum, datum.depth, times)
+    gaps = compare(spec, datum, times)
     path = f"{args.out}/oracle.csv"
     with open(path, "w") as f:
         f.write("t,max_gap\n")
@@ -619,11 +619,16 @@ def _run_simulate(cfg, spec, args) -> int:
     times = cfg.get("record_times", cfg.get("times", [1.0]))
     sim_cfg = SimConfig(
         n_paths=cfg.get("paths", 10000),
-        t_max=cfg.get("t_max", max(times)),
         seed=cfg.get("seed", 0),
         record_times=tuple(times),
         threads=args.threads,
     )
+    # checked, not read: every path stops at the last record time
+    t_max = cfg.get("t_max", math.inf)
+    if not t_max > 0:
+        raise UsageError("t_max must be positive")
+    if times[-1] > t_max:
+        raise UsageError("record_times must not exceed t_max")
     result = simulate(gen, datum, sim_cfg)
     path = f"{args.out}/mc.csv"
     with open(path, "w") as f:
@@ -695,6 +700,12 @@ def load_preset(name: str) -> str:
     return path.read_text()
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ultranet",
@@ -708,7 +719,7 @@ def main(argv=None) -> int:
         source.add_argument("--preset", help="name of a bundled config")
         cmd.add_argument("--out", default=".", help="output directory")
         cmd.add_argument("--convention", choices=CONVENTIONS, default=None)
-        cmd.add_argument("--threads", type=int, default=1)
+        cmd.add_argument("--threads", type=_positive_int, default=1)
         cmd.add_argument(
             "--dump-normalized-config",
             action="store_true",

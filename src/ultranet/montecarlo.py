@@ -12,8 +12,9 @@ integer function of (master seed, start cell, i, k).
 
 The paths of a block of start cells advance in lockstep as flat arrays,
 one jump of Gillespie's direct method (J. Phys. Chem. 81, 1977) per step
-for every path at once, and a path leaves the arrays in the step it
-finishes. A block holds whole start cells, at least one, and otherwise
+for every path at once, and a path leaves the arrays in the step that
+takes it past the last record time, so nothing later is sampled. A
+block holds whole start cells, at least one, and otherwise
 at most _RECORD_BUDGET recorded (path, time) entries. The jump target is
 found by a binary search in the state's row of one dense table of
 cumulative rates, O(log states) per jump. The estimate and its standard
@@ -47,10 +48,10 @@ _MIX_B = 0x94D049BB133111EB
 _MAX_PATHS = np.iinfo(np.intp).max // 16
 
 # Recorded (path, time) entries of one lockstep block. A block's record
-# array, int64, is its largest: 2^17 entries (1 MiB) is 32 768 paths at
-# three record times and t_max, and fewer paths at more times. A block
-# holds whole start cells, so one cell's paths at every time is the floor.
-_RECORD_BUDGET = 1 << 17
+# array, int64, is its largest: 3 * 2^15 entries (768 KiB) is 32 768 paths
+# at three record times, and fewer paths at more times. A block holds
+# whole start cells, so one cell's paths at every time is the floor.
+_RECORD_BUDGET = 3 << 15
 
 
 def _mix_int(z: int) -> int:
@@ -89,7 +90,6 @@ def _uniforms(seeds: np.ndarray, counter: int) -> np.ndarray:
 @dataclass(frozen=True)
 class SimConfig:
     n_paths: int
-    t_max: float
     seed: int
     record_times: tuple
     threads: int = 1
@@ -99,8 +99,6 @@ class SimConfig:
             raise UsageError(
                 f"n_paths must be an integer from 1 to {_MAX_PATHS}, got {self.n_paths!r}"
             )
-        if not self.t_max > 0:
-            raise UsageError("t_max must be positive")
         times = tuple(float(t) for t in self.record_times)
         if not times:
             raise UsageError("record_times must not be empty")
@@ -108,8 +106,6 @@ class SimConfig:
             a > b for a, b in zip(times, times[1:])
         ):
             raise UsageError("record_times must be sorted and non-negative")
-        if times[-1] > self.t_max:
-            raise UsageError("record_times must not exceed t_max")
         if self.threads < 1:
             raise UsageError("threads must be >= 1")
         object.__setattr__(self, "record_times", times)
@@ -118,13 +114,11 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    states: tuple
+    labels: tuple  # the cell label of each state, in state order
     record_times: tuple
     estimates: np.ndarray  # (n_times, n_states)
     stderrs: np.ndarray  # (n_times, n_states)
     n_alive: np.ndarray  # (n_times, n_states) ints
-    kill_fraction: np.ndarray  # (n_states,) killed by t_max
-    config: SimConfig
 
 
 def _jump_table(gen: DiscreteGenerator) -> np.ndarray:
@@ -161,7 +155,7 @@ def _count_at_most(table, state, x):
     return probe - row
 
 
-def _simulate_chunk(seeds, start, cum_rates, totals, times, horizon):
+def _simulate_chunk(seeds, start, cum_rates, totals, times):
     """Lockstep Gillespie over one block of paths; `start` is the start
     cell of every path, or one per path.
 
@@ -170,7 +164,7 @@ def _simulate_chunk(seeds, start, cum_rates, totals, times, horizon):
     the outcome depends only on its seed and start cell.  A jump goes to
     the first column of the path's row in cum_rates above u * rate, found
     by binary search.  A path that cannot move or would jump past the
-    horizon records its state at every time left and leaves the arrays.
+    last time records its state at every time left and leaves the arrays.
     """
     times = np.asarray(times, dtype=float)
     rec = np.empty((len(seeds), len(times)), dtype=np.int64)
@@ -194,9 +188,9 @@ def _simulate_chunk(seeds, start, cum_rates, totals, times, horizon):
             for j in range(lo.min(), hi.max()):
                 hit = new[(lo <= j) & (j < hi)]
                 rec[path[hit], j] = state[hit]
-        # a path that outlives the horizon (or cannot move) is finished for
-        # good and leaves the arrays
-        cont = moving & (t_next <= horizon)
+        # a path that outlives the last time (or cannot move) is finished
+        # for good and leaves the arrays
+        cont = moving & (t_next <= times[-1])
         if not cont.all():
             path, seeds, state, rate, t_next, reached = (
                 a[cont] for a in (path, seeds, state, rate, t_next, reached)
@@ -240,8 +234,8 @@ def simulate(gen: DiscreteGenerator, u0: CellFunction, cfg: SimConfig) -> SimRes
     """Estimate u(I, t) = E_I[u0(X_t); alive] for every start cell I.
 
     u0 must cover exactly the network's basins at the generator's depth
-    (the datum check of spectral.init); its rows end to end are its
-    values on gen.states.
+    (the datum check of spectral.init); its rows end to end, labelled by
+    u0.cells(), are its values on the chain's states.
     """
     dim = gen.dim
     u0_vec = gen.cell_vector(u0)
@@ -251,25 +245,23 @@ def simulate(gen: DiscreteGenerator, u0: CellFunction, cfg: SimConfig) -> SimRes
     table = _jump_table(gen)
     totals = table[:, dim].copy()  # the trap's total is 0: it never moves
 
-    # t_max is tracked as one extra recording slot for the kill fraction
-    times = cfg.record_times + (float(cfg.t_max),)
-    n_times = len(cfg.record_times)
+    times = cfg.record_times
+    n_times = len(times)
     n = cfg.n_paths
     # the value of each state and of the trap, and its square, as the
     # estimator sums them over the paths
     values = np.append(u0_vec, 0.0)
     terms = [_exact_terms(v) for v in (values, values * values)]
-    slots = np.arange(len(times)) * (dim + 1)
+    slots = np.arange(n_times) * (dim + 1)
 
     # one chunk of each block's paths per worker; the draws depend only on
     # the path, so neither the blocks nor the split change an output bit
     workers = min(cfg.threads, n, os.cpu_count() or 1)
-    cells_per_block = max(1, _RECORD_BUDGET // (n * len(times)))
+    cells_per_block = max(1, _RECORD_BUDGET // (n * n_times))
     path_steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     estimates = np.zeros((n_times, dim))
     stderrs = np.zeros((n_times, dim))
     n_alive = np.zeros((n_times, dim), dtype=np.int64)
-    kill_fraction = np.zeros(dim)
 
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         pool_map = pool.map if pool else map
@@ -282,7 +274,7 @@ def simulate(gen: DiscreteGenerator, u0: CellFunction, cfg: SimConfig) -> SimRes
             starts = np.repeat(cells, n)
             cuts = np.linspace(0, len(seeds), workers + 1).astype(int)[1:-1]
             parts = pool_map(
-                lambda part: _simulate_chunk(*part, table, totals, times, cfg.t_max),
+                lambda part: _simulate_chunk(*part, table, totals, times),
                 zip(np.split(seeds, cuts), np.split(starts, cuts)),
             )
             parts = list(parts)
@@ -291,9 +283,8 @@ def simulate(gen: DiscreteGenerator, u0: CellFunction, cfg: SimConfig) -> SimRes
             for cell, cell_rec in zip(cells.tolist(), rec.reshape(len(cells), n, -1)):
                 cell_rec += slots  # state s at time slot j counts in bin j * (dim + 1) + s
                 counts = np.bincount(
-                    cell_rec.ravel(), minlength=len(slots) * (dim + 1)
-                ).reshape(len(slots), dim + 1)
-                kill_fraction[cell] = counts[-1, dim] / n
+                    cell_rec.ravel(), minlength=n_times * (dim + 1)
+                ).reshape(n_times, dim + 1)
                 for j in range(n_times):
                     total, total_sq = (_exact_sum(counts[j], t) for t in terms)
                     mean = total / n
@@ -304,22 +295,20 @@ def simulate(gen: DiscreteGenerator, u0: CellFunction, cfg: SimConfig) -> SimRes
                         stderrs[j, cell] = math.sqrt(var / n)
 
     return SimResult(
-        states=gen.states,
-        record_times=cfg.record_times,
+        labels=tuple(cell.label() for cell in u0.cells()),
+        record_times=times,
         estimates=estimates,
         stderrs=stderrs,
         n_alive=n_alive,
-        kill_fraction=kill_fraction,
-        config=cfg,
     )
 
 
 def write_csv(result: SimResult, fileobj) -> None:
     fileobj.write("t,state,estimate,stderr,n_alive\n")
     for j, t_rec in enumerate(result.record_times):
-        for i, cell in enumerate(result.states):
+        for i, label in enumerate(result.labels):
             fileobj.write(
-                f"{t_rec:.17g},{cell.label()},"
+                f"{t_rec:.17g},{label},"
                 f"{result.estimates[j, i]:.17g},"
                 f"{result.stderrs[j, i]:.17g},"
                 f"{result.n_alive[j, i]}\n"

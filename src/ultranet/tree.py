@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import NumericError, UsageError, ValidationError
 from .network import NetworkSpec, aggregate_rates
-from .padic import CellAddress, enumerate_cells
 from .wavelets import CellFunction
 
 # The chain matrix Q is held dense: dim^2 float64 entries, 4096 states
@@ -32,23 +31,24 @@ MAX_CHAIN_BYTES = 128 * 2**20
 
 @dataclass(frozen=True)
 class DiscreteGenerator:
+    p: int
     N: int
-    states: tuple
+    basins: tuple
     Q: np.ndarray
     kill: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return self.Q.shape[0]
 
     def cell_vector(self, u0: CellFunction) -> np.ndarray:
         """u0 as one vector in state order: its rows end to end. States
         run basin-major in enumerate_cells order, the layout of
-        u0.values, so a datum of the same depth and basins lines up."""
+        u0.values, so a datum of the same p, depth and basins lines up."""
         if u0.depth != self.N:
             raise UsageError(f"datum depth {u0.depth} must equal the level {self.N}")
-        u0.require_basins(dict.fromkeys(s.basin for s in self.states))
-        if u0.values.size != self.dim:  # same basins and depth, another p
+        u0.require_basins(self.basins)
+        if u0.p != self.p:
             raise ValidationError(f"datum has {u0.values.size} cells, the chain has {self.dim}")
         return u0.values.ravel()
 
@@ -70,10 +70,6 @@ def discretize(spec: NetworkSpec, N: int) -> DiscreteGenerator:
             f"over the {MAX_CHAIN_BYTES // 2**20} MiB limit of the dense chain solver"
         )
 
-    cells = enumerate_cells(p, N)
-    states = tuple(
-        CellAddress(b, digits) for b in spec.basins for digits in cells
-    )
     Q = np.zeros((dim, dim))
     weight = float(p) ** (-N)
     for i, a in enumerate(spec.basins):
@@ -87,7 +83,7 @@ def discretize(spec: NetworkSpec, N: int) -> DiscreteGenerator:
     kill = np.repeat(aggregate_rates(spec), per_basin)
     np.fill_diagonal(Q, 0.0)
     np.fill_diagonal(Q, -(Q.sum(axis=1) + kill))
-    return DiscreteGenerator(N=N, states=states, Q=Q, kill=kill)
+    return DiscreteGenerator(p=p, N=N, basins=spec.basins, Q=Q, kill=kill)
 
 
 def _pairwise_levels(kernel, p: int, N: int) -> np.ndarray:
@@ -226,13 +222,13 @@ def solve(gen: DiscreteGenerator, u0: CellFunction, t: float) -> CellFunction:
     return CellFunction(u0.p, gen.N, u0.basins, out.reshape(u0.values.shape))
 
 
-def compare(spec: NetworkSpec, datum: CellFunction, N: int, times) -> list:
+def compare(spec: NetworkSpec, datum: CellFunction, times) -> list:
     """Sup-norm gap, per time, between the spectral solution (derived
-    convention) and this oracle. A gap that is not finite (one side
-    overflowed) raises NumericError naming its time."""
+    convention) and this oracle at the datum's depth. A gap that is not
+    finite (one side overflowed) raises NumericError naming its time."""
     from . import spectral
 
-    gen = discretize(spec, N)
+    gen = discretize(spec, datum.depth)
     state0 = spectral.init(replace(spec, convention="derived"), datum)
     gaps = []
     for t in times:

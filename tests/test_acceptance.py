@@ -16,6 +16,7 @@ from ultranet.errors import ClassificationError
 from ultranet.kernels import RadialKernel, symbol_value
 from ultranet.montecarlo import SimConfig, simulate
 from ultranet.network import NetworkSpec, aggregate_rates, build_basin_matrix, classify
+from ultranet.padic import CellAddress, enumerate_cells
 from ultranet.spectral import eval_density, evolve, init, matrix_exponential
 from ultranet.tree import compare, discretize, solve
 from ultranet.wavelets import (
@@ -94,7 +95,7 @@ def test_criterion_1_oracle_equivalence():
         spec = _random_spec(rng)
         depth = _spec_depth(spec)
         datum = _random_datum(rng, spec, depth)
-        gaps = compare(spec, datum, depth, SUITE_TIMES)
+        gaps = compare(spec, datum, SUITE_TIMES)
         worst = max(worst, max(gaps))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-8
@@ -138,7 +139,10 @@ def test_criterion_3_eigenrelation():
         R = k.j_max + 1
         gen = discretize(spec, R + 1)
         for idx in enumerate_wavelets(p, R):
-            psi = np.array([eval_wavelet(idx, cell, p) for cell in gen.states])
+            psi = np.array([
+                eval_wavelet(idx, CellAddress(0, digits), p)
+                for digits in enumerate_cells(p, R + 1)
+            ])
             gap = np.abs(gen.Q @ psi - float(eigenvalue(k, idx.r)) * psi).max()
             worst = max(worst, float(gap))
     assert worst <= 1e-10
@@ -333,7 +337,6 @@ def test_criterion_8_monte_carlo():
     u0 = CellFunction(2, 2, (0, 1), [[0.9, 0.1], [0.45, 0.7]])
     cfg = SimConfig(
         n_paths=100_000,
-        t_max=2.0,
         seed=SUITE_SEED,
         record_times=(0.3, 0.9, 1.8),
     )
@@ -345,14 +348,13 @@ def test_criterion_8_monte_carlo():
 
     again = simulate(gen, u0, cfg)
     threaded = simulate(gen, u0, SimConfig(
-        n_paths=cfg.n_paths, t_max=cfg.t_max, seed=cfg.seed,
+        n_paths=cfg.n_paths, seed=cfg.seed,
         record_times=cfg.record_times, threads=4,
     ))
     for other in (again, threaded):
         assert np.array_equal(result.estimates, other.estimates)
         assert np.array_equal(result.stderrs, other.stderrs)
         assert np.array_equal(result.n_alive, other.n_alive)
-        assert np.array_equal(result.kill_fraction, other.kill_fraction)
     elapsed = time.perf_counter() - start
     assert elapsed <= 60.0
     print(f"criterion 8 monte carlo: PASS ({elapsed:.1f}s)")

@@ -792,6 +792,76 @@ def test_simulate_deterministic_across_runs_and_threads(capsys, tmp_path):
     assert header == "t,state,estimate,stderr,n_alive"
 
 
+def test_simulate_at_time_zero_returns_the_datum(capsys, tmp_path):
+    cfgfile = tmp_path / "cfg.yaml"
+    cfgfile.write_text(
+        MINIMAL + "datum: {0: [0.25, 0.75]}\nresolution: 1\npaths: 50\ntimes: [0.0]\n"
+    )
+    code, _, err = run(capsys, "simulate", "--config", str(cfgfile), "--out", str(tmp_path))
+    assert code == 0, err
+    assert (tmp_path / "mc.csv").read_text().splitlines() == [
+        "t,state,estimate,stderr,n_alive", "0,0.0,0.25,0,50", "0,0.1,0.75,0,50",
+    ]
+
+
+# two basins, kill-free: every gain is matched by a loss (mu[b->a] = lambda[a->b])
+KILL_FREE_TWO_BASIN = """\
+prime: 2
+basins: [0, 1]
+kernels:
+  w: {0: [1.0, 0.5], 1: [0.75, 0.25]}
+  v: {0: [1.0, 0.5], 1: [0.75, 0.25]}
+cross:
+  lambda: {0->1: 0.5, 1->0: 0.25}
+  mu: {1->0: 0.5, 0->1: 0.25}
+resolution: 3
+seed: 5
+paths: 500
+record_times: [0.25, 0.5, 1.0]
+"""
+
+
+def test_t_max_does_not_change_mc_csv(capsys, tmp_path):
+    outputs = []
+    for extra in ("", "t_max: 20.0\n"):
+        cfgfile = tmp_path / "cfg.yaml"
+        cfgfile.write_text(KILL_FREE_TWO_BASIN + extra)
+        out_dir = tmp_path / f"run{len(outputs)}"
+        code, _, err = run(capsys, "simulate", "--config", str(cfgfile), "--out", str(out_dir))
+        assert code == 0, err
+        outputs.append((out_dir / "mc.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    rows = outputs[0].decode().splitlines()[1:]
+    assert len(rows) == 3 * 16
+    assert {row.rsplit(",", 1)[1] for row in rows} == {"500"}  # no path is killed
+
+
+@pytest.mark.parametrize(
+    "t_max,message",
+    [("0.0", "t_max must be positive"), ("-1.0", "t_max must be positive"),
+     ("0.5", "record_times must not exceed t_max")],
+)
+def test_t_max_below_the_record_times_exits_2(capsys, tmp_path, t_max, message):
+    cfgfile = tmp_path / "cfg.yaml"
+    cfgfile.write_text(MINIMAL + f"paths: 10\nrecord_times: [0.0, 1.0]\nt_max: {t_max}\n")
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "simulate", "--config", str(cfgfile), "--out", str(out_dir))
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_threads_below_one_exits_2(capsys, tmp_path, command, threads):
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--preset", "single_basin", "--out", str(out_dir), "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_huge_path_count_exits_2(capsys, tmp_path):
     cfgfile = tmp_path / "cfg.yaml"
     cfgfile.write_text(MINIMAL + "paths: 100000000000000000000\n")

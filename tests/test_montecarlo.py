@@ -20,15 +20,16 @@ from ultranet.montecarlo import (
     write_csv,
 )
 from ultranet.network import NetworkSpec
-from ultranet.padic import CellAddress
 from ultranet.tree import DiscreteGenerator, discretize, solve
 from ultranet.wavelets import CellFunction
 
 
 def synthetic_gen(Q, kill):
+    # one basin at depth 2, so the prime is the number of states
     Q = np.asarray(Q, dtype=float)
-    states = tuple(CellAddress(0, (d,)) for d in range(Q.shape[0]))
-    return DiscreteGenerator(N=2, states=states, Q=Q, kill=np.asarray(kill, dtype=float))
+    return DiscreteGenerator(
+        p=len(Q), N=2, basins=(0,), Q=Q, kill=np.asarray(kill, dtype=float)
+    )
 
 
 def killed_two_basin():
@@ -65,18 +66,17 @@ def test_path_seeds_distinct():
 def test_frozen_process_is_exact():
     gen = synthetic_gen(np.zeros((2, 2)), [0.0, 0.0])
     u0 = CellFunction(2, 2, (0,), [[0.75, 0.25]])
-    cfg = SimConfig(n_paths=500, t_max=3.0, seed=7, record_times=(0.0, 1.0, 3.0))
+    cfg = SimConfig(n_paths=500, seed=7, record_times=(0.0, 1.0, 3.0))
     res = simulate(gen, u0, cfg)
     assert np.array_equal(res.estimates, [[0.75, 0.25]] * 3)
     assert np.array_equal(res.stderrs, np.zeros((3, 2)))
     assert np.array_equal(res.n_alive, np.full((3, 2), 500))
-    assert np.array_equal(res.kill_fraction, [0.0, 0.0])
 
 
 def test_record_at_time_zero_is_the_start_value():
     gen = killed_two_basin()
     u0 = CellFunction(2, 2, (0, 1), [[1.0, 0.0], [0.5, 0.5]])
-    cfg = SimConfig(n_paths=200, t_max=1.0, seed=3, record_times=(0.0, 1.0))
+    cfg = SimConfig(n_paths=200, seed=3, record_times=(0.0, 1.0))
     res = simulate(gen, u0, cfg)
     assert np.array_equal(res.estimates[0], [1.0, 0.0, 0.5, 0.5])
     assert np.array_equal(res.stderrs[0], np.zeros(4))
@@ -89,7 +89,7 @@ def test_uniform_kill_matches_survival_law():
     kappa = 0.3
     gen = synthetic_gen(np.zeros((2, 2)), [kappa, kappa])
     u0 = CellFunction(2, 2, (0,), [[1.0, 1.0]])
-    cfg = SimConfig(n_paths=20000, t_max=2.0, seed=11, record_times=(0.5, 1.0, 2.0))
+    cfg = SimConfig(n_paths=20000, seed=11, record_times=(0.5, 1.0, 2.0))
     res = simulate(gen, u0, cfg)
     for j, t in enumerate(cfg.record_times):
         target = math.exp(-kappa * t)
@@ -98,7 +98,8 @@ def test_uniform_kill_matches_survival_law():
             assert gap <= 3 * res.stderrs[j, i]
             # with u0 = 1 the estimate and the alive fraction coincide
             assert res.estimates[j, i] == res.n_alive[j, i] / cfg.n_paths
-    assert 0.4 < res.kill_fraction[0] < 0.5  # 1 - e^{-0.6} = 0.451
+    # killed by the last record time, t = 2.0: 1 - e^{-0.6} = 0.451
+    assert 0.4 < 1 - res.n_alive[-1, 0] / cfg.n_paths < 0.5
 
 
 def test_single_basin_against_relaxation_value():
@@ -109,7 +110,7 @@ def test_single_basin_against_relaxation_value():
     )
     gen = discretize(spec, 2)
     u0 = CellFunction(2, 2, (0,), [[1.0, 0.0]])
-    cfg = SimConfig(n_paths=20000, t_max=2.0, seed=1, record_times=(2.0,))
+    cfg = SimConfig(n_paths=20000, seed=1, record_times=(2.0,))
     res = simulate(gen, u0, cfg)
     target = 0.5 * (1 + math.exp(-1.0))
     assert abs(res.estimates[0, 0] - target) <= 3 * res.stderrs[0, 0]
@@ -118,7 +119,7 @@ def test_single_basin_against_relaxation_value():
 def test_estimates_track_the_tree_oracle():
     gen = killed_two_basin()
     u0 = CellFunction(2, 2, (0, 1), [[1.0, 0.25], [0.0, 0.75]])
-    cfg = SimConfig(n_paths=20000, t_max=1.5, seed=42, record_times=(0.5, 1.5))
+    cfg = SimConfig(n_paths=20000, seed=42, record_times=(0.5, 1.5))
     res = simulate(gen, u0, cfg)
     for j, t in enumerate(cfg.record_times):
         exact = solve(gen, u0, t)
@@ -131,7 +132,7 @@ def test_estimates_track_the_tree_oracle():
 def test_alive_fraction_tracks_subprobability_mass():
     gen = killed_two_basin()
     ones = CellFunction(2, 2, (0, 1), [[1.0, 1.0], [1.0, 1.0]])
-    cfg = SimConfig(n_paths=20000, t_max=1.0, seed=5, record_times=(1.0,))
+    cfg = SimConfig(n_paths=20000, seed=5, record_times=(1.0,))
     res = simulate(gen, ones, cfg)
     exact = solve(gen, ones, 1.0)
     flat = exact.values.ravel()
@@ -147,7 +148,7 @@ def test_alive_fraction_tracks_subprobability_mass():
 def test_reruns_are_bit_identical():
     gen = killed_two_basin()
     u0 = CellFunction(2, 2, (0, 1), [[1.0, 0.0], [0.5, 0.25]])
-    cfg = SimConfig(n_paths=3000, t_max=1.0, seed=77, record_times=(0.3, 1.0))
+    cfg = SimConfig(n_paths=3000, seed=77, record_times=(0.3, 1.0))
     a = simulate(gen, u0, cfg)
     b = simulate(gen, u0, cfg)
     assert np.array_equal(a.estimates, b.estimates)
@@ -158,11 +159,11 @@ def test_reruns_are_bit_identical():
 def test_thread_count_does_not_change_results():
     gen = killed_two_basin()
     u0 = CellFunction(2, 2, (0, 1), [[1.0, 0.0], [0.5, 0.25]])
-    base = SimConfig(n_paths=3000, t_max=1.0, seed=77, record_times=(0.3, 1.0))
+    base = SimConfig(n_paths=3000, seed=77, record_times=(0.3, 1.0))
     ref = simulate(gen, u0, base)
     for threads in (2, 3, 7):
         cfg = SimConfig(
-            n_paths=3000, t_max=1.0, seed=77, record_times=(0.3, 1.0), threads=threads
+            n_paths=3000, seed=77, record_times=(0.3, 1.0), threads=threads
         )
         out = simulate(gen, u0, cfg)
         assert np.array_equal(ref.estimates, out.estimates)
@@ -183,8 +184,8 @@ def test_doubling_paths_keeps_the_first_half():
     def seeds(n):
         return _mix_vec(np.uint64(123) + np.arange(1, n + 1, dtype=np.uint64) * golden)
 
-    short = _simulate_chunk(seeds(50), 0, cum, totals, (0.5, 1.0), 1.0)
-    long = _simulate_chunk(seeds(100), 0, cum, totals, (0.5, 1.0), 1.0)
+    short = _simulate_chunk(seeds(50), 0, cum, totals, (0.5, 1.0))
+    long = _simulate_chunk(seeds(100), 0, cum, totals, (0.5, 1.0))
     assert np.array_equal(short, long[:50])
 
 
@@ -194,7 +195,7 @@ def test_doubling_paths_keeps_the_first_half():
 def test_csv_layout():
     gen = killed_two_basin()
     u0 = CellFunction(2, 2, (0, 1), [[1.0, 0.0], [0.0, 0.0]])
-    cfg = SimConfig(n_paths=100, t_max=1.0, seed=2, record_times=(0.5, 1.0))
+    cfg = SimConfig(n_paths=100, seed=2, record_times=(0.5, 1.0))
     res = simulate(gen, u0, cfg)
     buf = io.StringIO()
     write_csv(res, buf)
@@ -208,29 +209,27 @@ def test_csv_layout():
 
 def test_config_validation():
     with pytest.raises(UsageError):
-        SimConfig(n_paths=0, t_max=1.0, seed=0, record_times=(0.5,))
+        SimConfig(n_paths=0, seed=0, record_times=(0.5,))
     with pytest.raises(UsageError):
-        SimConfig(n_paths=10, t_max=1.0, seed=0, record_times=())
+        SimConfig(n_paths=10, seed=0, record_times=())
     with pytest.raises(UsageError):
-        SimConfig(n_paths=10, t_max=1.0, seed=0, record_times=(0.5, 0.2))
+        SimConfig(n_paths=10, seed=0, record_times=(0.5, 0.2))
     with pytest.raises(UsageError):
-        SimConfig(n_paths=10, t_max=1.0, seed=0, record_times=(-0.5,))
+        SimConfig(n_paths=10, seed=0, record_times=(-0.5,))
     with pytest.raises(UsageError):
-        SimConfig(n_paths=10, t_max=1.0, seed=0, record_times=(2.0,))
-    with pytest.raises(UsageError):
-        SimConfig(n_paths=10, t_max=1.0, seed=0, record_times=(0.5,), threads=0)
+        SimConfig(n_paths=10, seed=0, record_times=(0.5,), threads=0)
 
 
 @pytest.mark.parametrize("n_paths", [0, -3, 10**20, 2**63 - 1, montecarlo._MAX_PATHS + 1])
 def test_n_paths_out_of_range_is_refused_by_name(n_paths):
     with pytest.raises(UsageError, match=f"got {n_paths}$"):
-        SimConfig(n_paths=n_paths, t_max=1.0, seed=0, record_times=(0.5,))
+        SimConfig(n_paths=n_paths, seed=0, record_times=(0.5,))
 
 
 def test_the_largest_n_paths_fails_to_allocate():
     """At the cap the sampler gets as far as numpy's allocation, which
     fails as MemoryError (an exit-3 failure), not as a size error."""
-    cfg = SimConfig(n_paths=montecarlo._MAX_PATHS, t_max=1.0, seed=0, record_times=(0.5,))
+    cfg = SimConfig(n_paths=montecarlo._MAX_PATHS, seed=0, record_times=(0.5,))
     u0 = CellFunction.constant(2, 2, (0, 1), 0.5)
     with pytest.raises(MemoryError):
         simulate(killed_two_basin(), u0, cfg)
@@ -239,7 +238,7 @@ def test_the_largest_n_paths_fails_to_allocate():
 def test_u0_range_validation():
     gen = killed_two_basin()
     bad = CellFunction(2, 2, (0, 1), [[1.5, 0.0], [0.0, 0.0]])
-    cfg = SimConfig(n_paths=10, t_max=1.0, seed=0, record_times=(0.5,))
+    cfg = SimConfig(n_paths=10, seed=0, record_times=(0.5,))
     with pytest.raises(ValidationError):
         simulate(gen, bad, cfg)
 
@@ -268,7 +267,7 @@ def test_one_capped_pool_per_call(monkeypatch):
 
     def config(n_paths, threads):
         return SimConfig(
-            n_paths=n_paths, t_max=1.0, seed=77, record_times=(0.3, 1.0), threads=threads
+            n_paths=n_paths, seed=77, record_times=(0.3, 1.0), threads=threads
         )
 
     for n_paths, workers in ((3000, 7), (5, 5)):
@@ -281,7 +280,6 @@ def test_one_capped_pool_per_call(monkeypatch):
         assert np.array_equal(ref.estimates, out.estimates)
         assert np.array_equal(ref.stderrs, out.stderrs)
         assert np.array_equal(ref.n_alive, out.n_alive)
-        assert np.array_equal(ref.kill_fraction, out.kill_fraction)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
     simulate(gen, u0, config(100, 64))
     assert pools == []
@@ -300,7 +298,7 @@ def pinned_p2():
         v_kernels={0: RadialKernel(2, (1.5, 0.5, 0.5)), 1: RadialKernel(2, (1.0, 0.6, 0.2))},
     )
     u0 = CellFunction(2, 4, (0, 1), np.sqrt(np.arange(1, 17) / 17).reshape(2, 8))
-    cfg = SimConfig(n_paths=400, t_max=2.0, seed=2024, record_times=(0.5, 2.0))
+    cfg = SimConfig(n_paths=400, seed=2024, record_times=(0.5, 2.0))
     return discretize(spec, 4), u0, cfg
 
 
@@ -314,11 +312,11 @@ def pinned_p3():
         v_kernels={0: RadialKernel(3, (1.0, 0.4)), 1: RadialKernel(3, (0.8, 0.5))},
     )
     u0 = CellFunction(3, 3, (0, 1), (np.arange(18) / 17.0).reshape(2, 9) ** 1.5)
-    cfg = SimConfig(n_paths=300, t_max=1.5, seed=99, record_times=(0.25, 1.5))
+    cfg = SimConfig(n_paths=300, seed=99, record_times=(0.25, 1.5))
     return discretize(spec, 3), u0, cfg
 
 
-RESULT_FIELDS = ("estimates", "stderrs", "n_alive", "kill_fraction")
+RESULT_FIELDS = ("estimates", "stderrs", "n_alive")
 
 
 def same_result(a, b):
@@ -333,12 +331,15 @@ def test_draws_are_pinned(chain):
     res = simulate(gen, u0, cfg)
     for field in RESULT_FIELDS:
         assert np.array_equal(getattr(res, field), PINNED[chain][field]), field
+    # the pinned kill fraction was taken at t_max, the last record time
+    killed = (cfg.n_paths - res.n_alive[-1]) / cfg.n_paths
+    assert np.array_equal(killed, PINNED[chain]["kill_fraction"])
 
 
 def test_block_budget_does_not_change_results(monkeypatch):
     gen, u0, cfg = pinned_p2()
     ref = simulate(gen, u0, cfg)
-    cell = cfg.n_paths * (len(cfg.record_times) + 1)  # one start cell's records
+    cell = cfg.n_paths * len(cfg.record_times)  # one start cell's records
     # one start cell per block, three (the last block short), all sixteen
     for budget in (1, 3 * cell, gen.dim * cell):
         monkeypatch.setattr(montecarlo, "_RECORD_BUDGET", budget)
@@ -350,8 +351,8 @@ def test_block_memory_scales_with_record_times():
     # records of as many cells as the entry budget would hold at few times
     gen, u0, _ = pinned_p2()
     times = tuple(np.linspace(0.002, 2.0, 1000))
-    cfg = SimConfig(n_paths=100, t_max=2.0, seed=5, record_times=times)
-    cell_records = cfg.n_paths * (len(times) + 1) * 8
+    cfg = SimConfig(n_paths=100, seed=5, record_times=times)
+    cell_records = cfg.n_paths * len(times) * 8
     tracemalloc.start()
     try:
         simulate(gen, u0, cfg)
@@ -359,6 +360,26 @@ def test_block_memory_scales_with_record_times():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * cell_records
+
+
+def test_paths_stop_at_the_last_record_time(monkeypatch):
+    # every hold is 1 (to rounding) on a two-state chain of rate 1, so the
+    # jumps fall at t = 1, 2, 3; the one at 3 passes the last record time,
+    # 2.5, and every path leaves there with no target draw
+    counters = []
+
+    def uniforms(seeds, counter):
+        counters.append(counter)
+        return np.full(len(seeds), 0.5 if counter % 2 else -math.expm1(-1.0))
+
+    monkeypatch.setattr(montecarlo, "_uniforms", uniforms)
+    gen = synthetic_gen([[-1.0, 1.0], [1.0, -1.0]], [0.0, 0.0])
+    u0 = CellFunction(2, 2, (0,), [[1.0, 0.0]])
+    res = simulate(gen, u0, SimConfig(n_paths=3, seed=0, record_times=(0.5, 2.5)))
+    assert counters == [0, 1, 2, 3, 4]
+    # two jumps by t = 2.5 bring every path back to its start cell
+    assert np.array_equal(res.estimates, [[1.0, 0.0], [1.0, 0.0]])
+    assert np.array_equal(res.n_alive, np.full((2, 2), 3))
 
 
 def test_count_at_most_is_searchsorted():
@@ -406,7 +427,7 @@ def test_simulate_holds_one_dense_table():
     gen = discretize(spec, 11)
     assert gen.dim == 1024
     u0 = CellFunction(2, 11, (0,), np.linspace(0, 1, 1024)[None, :])
-    cfg = SimConfig(n_paths=4, t_max=0.5, seed=1, record_times=(0.25, 0.5))
+    cfg = SimConfig(n_paths=4, seed=1, record_times=(0.25, 0.5))
     tracemalloc.start()
     try:
         simulate(gen, u0, cfg)
@@ -430,9 +451,8 @@ def test_top_draw_stays_on_a_conservative_chain(monkeypatch):
     top_draw(monkeypatch, 0.5)
     gen = synthetic_gen([[-2.0, 1.0, 1.0], [0.5, -1.0, 0.5], [4.0, 0.0, -4.0]], [0.0] * 3)
     u0 = CellFunction(3, 2, (0,), [[0.25, 0.5, 1.0]])
-    cfg = SimConfig(n_paths=8, t_max=10.0, seed=0, record_times=(5.0, 10.0))
+    cfg = SimConfig(n_paths=8, seed=0, record_times=(5.0, 10.0))
     res = simulate(gen, u0, cfg)
-    assert np.array_equal(res.kill_fraction, np.zeros(3))
     assert np.array_equal(res.n_alive, np.full((2, 3), 8))
 
 
@@ -444,9 +464,8 @@ def test_top_draw_that_rounds_up_to_the_total_is_not_killed(monkeypatch):
     top_draw(monkeypatch, 2.0**-53)  # holding time about 7.5e306
     gen = synthetic_gen([[-r, r], [r, -r]], [0.0, 0.0])
     u0 = CellFunction(2, 2, (0,), [[1.0, 0.5]])
-    cfg = SimConfig(n_paths=2, t_max=1.0e308, seed=0, record_times=(1.0e308,))
+    cfg = SimConfig(n_paths=2, seed=0, record_times=(1.0e308,))
     res = simulate(gen, u0, cfg)
-    assert np.array_equal(res.kill_fraction, [0.0, 0.0])
     assert np.array_equal(res.n_alive, [[2, 2]])
 
 

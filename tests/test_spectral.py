@@ -120,7 +120,7 @@ def test_seventeen_basins_match_oracle():
         v_kernels={b: RadialKernel(p, (1.0,)) for b in basins},
     )
     datum = CellFunction(p, 2, basins, [rng.uniform(0.0, 1.0, p) for b in basins])
-    assert max(compare(spec, datum, 2, [0.1, 1.0, 10.0])) <= 1e-8
+    assert max(compare(spec, datum, [0.1, 1.0, 10.0])) <= 1e-8
 
 
 # ---------------------------------------------------------------- init
@@ -799,13 +799,13 @@ def test_a_chunk_whose_bound_is_within_the_margin_is_evaluated(monkeypatch, ulps
 def test_compare_zero_datum():
     spec = two_basin()
     datum = CellFunction.constant(2, 2, [0, 1], 0.0)
-    assert compare(spec, datum, 2, [0.5, 2.0]) == [0.0, 0.0]
+    assert compare(spec, datum, [0.5, 2.0]) == [0.0, 0.0]
 
 
 def test_compare_single_basin_tight():
     spec = single_basin()
     datum = CellFunction(2, 2, (0,), [[1.0, 0.0]])
-    gaps = compare(spec, datum, 2, [0.1, 1.0, 10.0])
+    gaps = compare(spec, datum, [0.1, 1.0, 10.0])
     assert max(gaps) < 1e-10
 
 
@@ -850,8 +850,8 @@ def oracle_cases(draw):
 @given(case=oracle_cases())
 @settings(max_examples=25, deadline=None)
 def test_oracle_equivalence(case):
-    spec, datum, N = case
-    gaps = compare(spec, datum, N, [0.1, 1.0, 10.0])
+    spec, datum, _ = case
+    gaps = compare(spec, datum, [0.1, 1.0, 10.0])
     assert max(gaps) <= 1e-8
 
 
@@ -926,5 +926,5 @@ def test_spectral_matches_oracle_on_killed_symmetric_spec():
     )
     N = 3
     datum = CellFunction(2, N, (0, 1), [[1.0, 0.5, 0.0, 0.25], [0.0, 0.75, 1.0, 0.5]])
-    gaps = compare(spec, datum, N, [0.1, 1.0, 10.0])
+    gaps = compare(spec, datum, [0.1, 1.0, 10.0])
     assert max(gaps) <= 1e-8

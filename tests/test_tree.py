@@ -45,7 +45,7 @@ def test_discretize_frozen_single_basin():
     assert gen.dim == 2
     assert np.allclose(gen.Q, [[-0.25, 0.25], [0.25, -0.25]], atol=1e-15)
     assert np.allclose(gen.kill, [0.0, 0.0])
-    assert gen.states == (CellAddress(0, (0,)), CellAddress(0, (1,)))
+    assert (gen.p, gen.N, gen.basins) == (2, 2, (0,))
 
 
 def test_discretize_pure_killing():
@@ -127,7 +127,7 @@ def test_datum_of_another_prime_is_refused():
     u0 = CellFunction(3, 2, (0,), [[1.0, 0.0, 0.5]])
     with pytest.raises(ValidationError, match="3 cells, the chain has 2"):
         solve(gen, u0, 1.0)
-    cfg = SimConfig(n_paths=10, t_max=1.0, seed=1, record_times=(0.0,))
+    cfg = SimConfig(n_paths=10, seed=1, record_times=(0.0,))
     with pytest.raises(ValidationError, match="3 cells, the chain has 2"):
         simulate(gen, u0, cfg)
 
@@ -171,7 +171,8 @@ def test_eigenvector_recovery(levels):
     kernel = RadialKernel(p, levels)
     for idx in enumerate_wavelets(p, N - 1):
         vec = np.array(
-            [eval_wavelet(idx, s, p) for s in gen.states], dtype=complex
+            [eval_wavelet(idx, CellAddress(0, d), p) for d in enumerate_cells(p, N)],
+            dtype=complex,
         )
         lam = float(eigenvalue(kernel, idx.r))
         assert np.abs(gen.Q @ vec - lam * vec).max() < 1e-10
@@ -217,6 +218,23 @@ def test_solve_matches_the_dense_exponential_on_both_routes(p, basins, N, conser
         out = solve(gen, u0, t)
         assert out.basins == u0.basins and out.values.shape == u0.values.shape
         assert np.abs(out.values.ravel() - exact).max() <= 1e-12 * np.abs(u).max()
+
+
+@pytest.mark.parametrize("p, basins, N", [(2, (0, 1), 7), (3, (0, 1, 2), 4)])
+def test_solve_reaches_the_stationary_limit_of_a_conservative_chain(p, basins, N):
+    """At t = 1e6 the conservative chains have long mixed: e^{tQ} u is
+    (pi . u) in every state, for pi the stationary law (pi Q = 0, sum 1).
+    The dense route is the one taken there."""
+    gen = random_chain(p, basins, N, True, seed=p + 10)
+    A = gen.Q.T.copy()
+    A[-1] = 1.0  # one balance equation replaced by the normalization
+    pi = np.linalg.solve(A, np.eye(gen.dim)[-1])
+    rng = np.random.default_rng(3)
+    u0 = CellFunction(p, N, basins, rng.uniform(-1.0, 1.0, (len(basins), p ** (N - 1))))
+    u = u0.values.ravel()
+    assert not _action_is_cheaper(-gen.Q.diagonal().min() * 1e6, gen.dim)
+    out = solve(gen, u0, 1e6).values.ravel()
+    assert np.abs(out - pi @ u).max() <= 1e-9 * np.abs(u).max()
 
 
 def test_conservative_chain_at_late_time_takes_the_dense_route(monkeypatch):
