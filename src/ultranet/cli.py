@@ -478,22 +478,20 @@ def datum_from_config(cfg: dict, spec: NetworkSpec) -> CellFunction:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return f"{x:.17g}"
-    return str(x)
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
 def emit_plotdata(name: str, labels, rows, out_dir: str):
     """Write one time-indexed family of series twice, in one pass: a
     long-format CSV (t,series,value) and a gnuplot-style columns file.
 
-    rows yields (t, values) one time at a time, values in label order;
-    nothing is kept past its row, so memory does not grow with the
-    number of times. Both files are written under temporary names and
-    renamed only after the last row; if anything fails on the way,
-    the partial files are removed, so a failed run leaves neither.
+    rows yields (t, values) one time at a time, values a 1-D array in
+    label order; nothing is kept past its row, so memory does not grow
+    with the number of times. Every number is spelled as _fmt spells it
+    (17 significant digits, inf, -inf, nan). Both files are written
+    under temporary names and renamed only after the last row; if
+    anything fails on the way, the partial files are removed, so a
+    failed run leaves neither.
     """
     paths = [f"{out_dir}/{name}.csv", f"{out_dir}/{name}.dat"]
     temps = [f"{path}.partial" for path in paths]
@@ -503,7 +501,7 @@ def emit_plotdata(name: str, labels, rows, out_dir: str):
             cols_f.write("# t " + " ".join(labels) + "\n")
             for t, values in rows:
                 t_text = _fmt(float(t))
-                texts = [_fmt(float(v)) for v in values]
+                texts = [format(v, ".17g") for v in values.tolist()]
                 long_f.writelines(
                     f"{t_text},{label},{text}\n" for label, text in zip(labels, texts)
                 )
@@ -551,10 +549,8 @@ def _run_solve(cfg, spec, args) -> int:
     datum = datum_from_config(cfg, spec)
     state = spectral.init(spec, datum)
     labels = [cell.label() for cell in datum.cells()]
-    rows = (
-        (t, spectral.eval_density(state, t).values.ravel())
-        for t in cfg.get("times", [0.0, 1.0])
-    )
+    times = cfg.get("times", [0.0, 1.0])
+    rows = ((t, values.ravel()) for t, _, values in spectral.evaluate(state, times))
     files = emit_plotdata("density", labels, rows, args.out)
     rates_path = f"{args.out}/decay_rates.csv"
     with open(rates_path, "w") as f:
@@ -666,12 +662,10 @@ def _run_folding_demo(cfg, spec, args) -> int:
     else:
         horizon = 2 * abs(report.time_constant_mode)
 
-    def rows():
-        for t in cfg.get("times", [horizon * i / 40 for i in range(41)]):
-            yield t, spectral.evolve(state, t).mean
-
+    times = cfg.get("times", [horizon * i / 40 for i in range(41)])
+    rows = ((t, mean) for t, mean, _ in spectral.evaluate(state, times))
     labels = [f"basin-{basin}" for basin in spec.basins]
-    emit_plotdata("folding_timeseries", labels, rows(), args.out)
+    emit_plotdata("folding_timeseries", labels, rows, args.out)
     print(f"wrote {args.out}/folding_timeseries.csv")
     return 0
 

@@ -21,11 +21,12 @@ Lambda depends only on the network and its convention, so the state
 builds it once, next to the scale rates, and carries one real
 (basins, R, cells) array of the scale parts; evolution scales its
 rows, synthesis sums them, both O(cells * R). e^{t Lambda} is formed in
-one place, _propagate, for evolution and for the crossing search alike.
-Absorbing times and decay tables are bookkeeping on the same arrays. No
-wavelet coefficient is formed: the mode that dominates a crossing cell
-is named from the p child-block values of each level, in real
-arithmetic.
+one place, _propagate, for a whole chunk of times at once: evaluate
+walks the output grids of solve, folding-demo and the oracle in chunks,
+and the crossing search calls it per chunk of its own grid. Absorbing
+times and decay tables are bookkeeping on the same arrays. No wavelet
+coefficient is formed: the mode that dominates a crossing cell is named
+from the p child-block values of each level, in real arithmetic.
 
 The crossing search walks its time grid in chunks. Since every s_{a,r}
 is exactly <= 0, each scale term is monotone in t, so on a chunk
@@ -55,35 +56,54 @@ from .wavelets import CellFunction, WaveletIndex
 DEFAULT_THRESHOLD = 0.99
 _TAYLOR_TERMS = 24
 MAX_GRID_STEPS = 2_000_000  # the crossing search's grid cap; dt stretches to fit
-_SCAN_BYTES = 8 * 2**20  # working set of one crossing-scan chunk
+_SCAN_BYTES = 8 * 2**20  # working set of one chunk of the crossing scan or of evaluate
 
 
-def matrix_exponential(M: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """e^{tM} by scaling and squaring of a truncated power series.
+def matrix_exponential(M: np.ndarray, t=1.0) -> np.ndarray:
+    """e^{tM} by scaling and squaring of a truncated power series; for a
+    1-D array of times, the (n, B, B) stack of e^{t_i M}.
 
     Plain and self-contained on purpose: this is the only matrix
     exponential the solver path uses, so it has to be checkable against
     the power series directly (small norm) and against itself through
-    the squaring identity (large norm).
+    the squaring identity (large norm). A stack runs the scalar steps on
+    every slice: each time gets its own norm and squaring count, the
+    Taylor terms are stacked products, and a squaring touches only the
+    times that still need it, so slice i is bit for bit the exponential
+    at t_i alone. A time where ||tM|| is beyond what 2^squarings can
+    scale back (about 4e307) gives a slice of NaN.
     """
     M = np.asarray(M, dtype=float)
+    ts = np.asarray(t, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise UsageError(f"matrix must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M)) or not math.isfinite(t):
+    if ts.ndim > 1:
+        raise UsageError(f"times must be a scalar or a 1-D array, got shape {ts.shape}")
+    if not np.all(np.isfinite(M)) or not np.all(np.isfinite(ts)):
         raise UsageError("matrix exponential needs finite entries")
-    A = M * t
-    norm = np.abs(A).sum(axis=1).max()
-    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
-    A = A / 2**squarings
-    n = A.shape[0]
-    out = np.eye(n)
-    term = np.eye(n)
+    A = M * ts.reshape(-1, 1, 1)
+    norms = np.abs(A).sum(axis=2).max(axis=1)
+    lost = ~(norms <= 2.0**1022)  # 2^squarings would leave the float range
+    norms[lost] = A[lost] = 0.0
+    squarings = np.array(
+        [math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0 for norm in norms.tolist()],
+        dtype=int,
+    )
+    A = A / np.ldexp(1.0, squarings)[:, None, None]
+    out = np.repeat(np.eye(M.shape[0])[None], len(A), axis=0)
+    term = out.copy()
     for k in range(1, _TAYLOR_TERMS + 1):
         term = term @ A / k
         out = out + term
-    for _ in range(squarings):
+    first = squarings.min() if len(A) else 0
+    for _ in range(first):  # the squarings every time takes
         out = out @ out
-    return out
+    for j in range(first, squarings.max(initial=0)):
+        need = squarings > j
+        part = out[need]
+        out[need] = part @ part
+    out[lost] = np.nan
+    return out if ts.ndim else out[0]
 
 
 @dataclass(frozen=True)
@@ -169,17 +189,58 @@ def _overflow(t: float) -> NumericError:
     )
 
 
-def _propagate(state: SpectralState, t: float, x: np.ndarray | None = None) -> np.ndarray:
+def _propagate(state: SpectralState, t, x: np.ndarray | None = None) -> np.ndarray:
     """e^{t Lambda} x for the state's basin matrix, or e^{t Lambda} when
-    x is None: the one place the basin-mean propagator is formed, and
-    refused with NumericError when it or the product overflowed."""
+    x is None; for a 1-D array of times, one row (or matrix) per time,
+    all formed in one stacked exponential. The one place the basin-mean
+    propagator is formed, and refused with NumericError, naming the
+    first time in list order, where it or the product overflowed."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = matrix_exponential(state.lam, t)
         if x is not None:
             out = out @ x
-    if not np.isfinite(out).all():
-        raise _overflow(state.t + t)
+    finite = np.isfinite(out).reshape(np.size(t), -1).all(axis=1)
+    if not finite.all():
+        raise _overflow(state.t + float(np.ravel(t)[np.argmin(finite)]))
     return out
+
+
+def evaluate(state: SpectralState, times):
+    """Yield (t, mean, values) for each of a sequence of times, in order:
+    the basin means at state.t + t and the density there on depth-(R + 1)
+    cells, one row per basin.
+
+    The times are taken in chunks. A chunk forms its means with one
+    batched _propagate and its factors e^{s t} with one exp; each row is
+    then made from its own slices alone, the means plus the scale parts
+    times those factors summed over the scales, so it has the same bits
+    whichever chunk holds its time. A chunk's working set, the stacked
+    exponential and its factors, stays within _SCAN_BYTES, and its rows
+    are made one at a time, so memory does not grow with the number of
+    times. A chunk also holds at most _TAYLOR_TERMS times: it costs
+    about _TAYLOR_TERMS stacked products whatever its length, so from
+    there on the exponential costs at most one numpy call per time, and
+    a longer chunk only holds more memory. A time where the means are
+    not finite ends the evaluation: the rows before it are yielded, then
+    NumericError names it.
+    """
+    n_basins, R, _ = state.details.shape
+    time_bytes = 8 * n_basins * (5 * n_basins + R + 1)
+    size = max(1, min(_TAYLOR_TERMS, _SCAN_BYTES // time_bytes))
+    for k0 in range(0, len(times), size):
+        ts = np.array(times[k0 : k0 + size], dtype=float)
+        if (ts < 0).any():
+            raise UsageError(f"time increment must be >= 0, got {ts[ts < 0][0]}")
+        try:
+            means = _propagate(state, ts, state.mean)
+        except NumericError:
+            if len(ts) > 1:  # one time at a time, up to the one that fails
+                for i in range(len(ts)):
+                    yield from evaluate(state, ts[i : i + 1])
+            raise
+        decay = np.exp(state.rates * ts[:, None, None])[..., None]
+        for t, mean, column, factors in zip(ts.tolist(), means, means[:, :, None], decay):
+            yield t, mean, column + (state.details * factors).sum(axis=1)
 
 
 def evolve(state: SpectralState, t: float) -> SpectralState:
@@ -196,10 +257,9 @@ def evolve(state: SpectralState, t: float) -> SpectralState:
 
 
 def eval_density(state: SpectralState, t: float = 0.0) -> CellFunction:
-    """Synthesize the density at state.t + t on depth-(R + 1) cells."""
-    if t:
-        state = evolve(state, t)
-    values = state.mean[:, None] + state.details.sum(axis=1)
+    """Synthesize the density at state.t + t on depth-(R + 1) cells: the
+    one-time case of evaluate."""
+    _, _, values = next(evaluate(state, [t]))
     return CellFunction(state.spec.p, state.R + 1, state.spec.basins, values)
 
 

@@ -9,12 +9,14 @@ import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultranet import cli
+from ultranet import cli, spectral
+from ultranet.binary import ivp2_datum
 from ultranet.cli import (
     ConfigError,
     _ConfigLoader,
@@ -24,8 +26,10 @@ from ultranet.cli import (
     load_preset,
     main,
     parse_config,
+    scenario_from_config,
     spec_from_config,
 )
+from ultranet.spectral import matrix_exponential
 
 MINIMAL = """\
 prime: 2
@@ -871,6 +875,68 @@ def test_huge_path_count_exits_2(capsys, tmp_path):
     assert "got 100000000000000000000" in err
 
 
+def reference_plotdata(labels, rows):
+    """The lines, newlines kept, of the long-format CSV and the columns
+    file for (t, values) rows, one time at a time."""
+    csv, dat = ["t,series,value\n"], ["# t " + " ".join(labels) + "\n"]
+    for t, values in rows:
+        texts = [f"{x:.17g}" for x in values]
+        csv += [f"{t:.17g},{label},{text}\n" for label, text in zip(labels, texts)]
+        dat.append(f"{t:.17g} " + " ".join(texts) + "\n")
+    return csv, dat
+
+
+def lines(path):
+    return path.read_text().splitlines(keepends=True)
+
+
+def test_solve_bytes_match_a_loop_over_single_times(capsys, tmp_path):
+    rng = random.Random(15)
+    cfg = parse_config(
+        "prime: 3\nbasins: [0, 2]\nkernels:\n"
+        "  w: {0: [0.8, 0.3], 2: [1.1, 0.2]}\n  v: {0: [1.2, 0.5], 2: [1.4, 0.4]}\n"
+        "cross: {lambda: {0->2: 0.4, 2->0: 0.7}, mu: {0->2: 1.9, 2->0: 1.5}}\n"
+    )
+    cfg["resolution"] = 3
+    cfg["datum"] = {b: [rng.uniform(0.0, 1.0) for _ in range(27)] for b in (0, 2)}
+    cfg["times"] = [0.0] + sorted(10.0 ** rng.uniform(-6.0, 3.0) for _ in range(499))
+    path = tmp_path / "net.yaml"
+    path.write_text(dump_config(cfg))
+    out = tmp_path / "out"
+    code, _, _ = run(capsys, "solve", "--config", str(path), "--out", str(out))
+    assert code == 0
+
+    spec = spec_from_config(cfg)
+    datum = cli.datum_from_config(cfg, spec)
+    state = spectral.init(spec, datum)
+
+    def rows():
+        for t in cfg["times"]:
+            mean = matrix_exponential(state.lam, t) @ state.mean
+            parts = (state.details * np.exp(state.rates * t)[:, :, None]).sum(axis=1)
+            yield t, (mean[:, None] + parts).ravel().tolist()
+
+    csv, dat = reference_plotdata([cell.label() for cell in datum.cells()], rows())
+    assert lines(out / "density.csv") == csv
+    assert lines(out / "density.dat") == dat
+
+
+def test_folding_demo_series_match_a_loop_over_single_times(capsys, tmp_path):
+    code, _, _ = run(capsys, "folding-demo", "--preset", "folding_demo", "--out", str(tmp_path))
+    assert code == 0
+    series = lines(tmp_path / "folding_timeseries.csv")
+    times = [float(line.split(",")[0]) for line in series[1::2]]
+    assert len(times) == 41
+
+    cfg = parse_config(load_preset("folding_demo"))
+    spec = spec_from_config(cfg)
+    state = spectral.init(spec, ivp2_datum(scenario_from_config(cfg, spec)))
+    rows = ((t, (matrix_exponential(state.lam, t) @ state.mean).tolist()) for t in times)
+    csv, dat = reference_plotdata(["basin-0", "basin-1"], rows)
+    assert series == csv
+    assert lines(tmp_path / "folding_timeseries.dat") == dat
+
+
 # ---------------------------------------------------------------- folding demo
 
 
@@ -1008,6 +1074,26 @@ def test_overflowing_basin_means_exit_3(capsys, tmp_path):
     assert code == 3
     assert "numeric failure: basin means are not finite at t = 1e+20" in err
     # the rows before 1e+20 were written, but a failed run publishes no file
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["late.yaml"]
+
+
+def test_first_overflowing_time_is_named_though_later_ones_overflow_too(capsys, tmp_path):
+    # 1e+20 overflows, 1e+300 comes out finite, 1e+308 is beyond the
+    # exponential's range; all sit in one chunk of times
+    text = load_preset("conservative_two_basin").replace(
+        "times: [0.0, 0.5, 1.0, 5.0]", "times: [1.0, 1.0e+9, 1.0e+20, 1.0e+300, 1.0e+308]"
+    )
+    path = tmp_path / "late.yaml"
+    path.write_text(text)
+    code, out, err = run(
+        capsys, "solve", "--config", str(path), "--convention", "paper", "--out", str(tmp_path)
+    )
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "numeric failure: basin means are not finite at t = 1e+20: "
+        "the basin-matrix exponential overflows\n"
+    )
     assert sorted(f.name for f in tmp_path.iterdir()) == ["late.yaml"]
 
 

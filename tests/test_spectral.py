@@ -1,8 +1,10 @@
 import contextlib
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -105,6 +107,97 @@ def test_expm_guards():
         matrix_exponential(np.array([[float("nan")]]))
     with pytest.raises(UsageError):
         matrix_exponential(np.zeros((2, 3)))
+
+
+def test_expm_refuses_a_non_finite_time_or_a_grid_of_times():
+    with pytest.raises(UsageError, match="finite"):
+        matrix_exponential(np.zeros((2, 2)), np.array([1.0, math.inf]))
+    with pytest.raises(UsageError, match="1-D"):
+        matrix_exponential(np.zeros((2, 2)), np.ones((2, 2)))
+
+
+def plain_expm(M, t):
+    """Scaling and squaring written out for one time: the steps every
+    slice of a stacked matrix_exponential must take, bit for bit. Raises
+    OverflowError where no squaring count can scale tM back."""
+    A = M * t
+    norm = np.abs(A).sum(axis=1).max()
+    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
+    A = A / 2**squarings
+    out = term = np.eye(len(M))
+    for k in range(1, 25):
+        term = term @ A / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+RATES = st.builds(lambda m, k: m * 10.0**k, st.floats(1.0, 10.0), st.integers(-8, 3))
+
+
+@st.composite
+def basin_matrices(draw):
+    """A basin matrix of 1-6 basins: cross gains m 10^k off the diagonal,
+    and on it minus the row's gains plus a loss or a gain of its own, so
+    both decaying and growing modes occur."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0.0), RATES)
+    off = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(off, 0.0)
+    own = draw(st.lists(st.one_of(entry, RATES.map(lambda r: -r)), min_size=n, max_size=n))
+    return off + np.diag(np.array(own) - off.sum(axis=1))
+
+
+TIMES = st.lists(
+    st.one_of(
+        st.floats(5e-324, 2.2250738585072014e-308),  # subnormal
+        st.builds(lambda m, k: m * 10.0**k, st.floats(1.0, 10.0), st.integers(-12, 30)),
+        st.sampled_from([1e100, 1e300, 1e308, 1.7976931348623157e308]),
+    ),
+    min_size=1, max_size=10,
+).map(lambda ts: sorted([0.0, 5e-324, *ts]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam=basin_matrices(), ts=TIMES, seed=st.integers(0, 2**32 - 1))
+def test_stacked_exponential_is_each_time_alone_bit_for_bit(lam, ts, seed):
+    with np.errstate(all="ignore"):
+        stack = matrix_exponential(lam, np.array(ts))
+        singles = [matrix_exponential(lam, t) for t in ts]
+        for t in ts:
+            try:
+                ref = plain_expm(lam, t)
+            except OverflowError:
+                ref = np.full_like(lam, np.nan)
+            assert matrix_exponential(lam, t).tobytes() == ref.tobytes()
+    assert stack.shape == (len(ts), *lam.shape)
+    assert [s.tobytes() for s in stack] == [s.tobytes() for s in singles]
+
+    # the propagator with a vector: the same rows, or the error at the
+    # first time in list order whose row is not finite
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, len(lam))
+    state = SimpleNamespace(lam=lam, t=0.0)  # all of a state _propagate reads
+    with np.errstate(all="ignore"):
+        rows = [single @ x for single in singles]
+    bad = [t for t, row in zip(ts, rows) if not np.isfinite(row).all()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if bad:
+            with pytest.raises(NumericError, match=re.escape(f"not finite at t = {bad[0]:g}:")):
+                spectral._propagate(state, np.array(ts), x)
+        else:
+            got = spectral._propagate(state, np.array(ts), x)
+            assert [g.tobytes() for g in got] == [r.tobytes() for r in rows]
+
+
+def test_expm_gives_nan_where_no_squaring_count_fits():
+    # ||tM|| = 2e308 overflows; 2e300 still scales back by 2^999
+    M = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    with np.errstate(over="ignore"):
+        out = matrix_exponential(M, np.array([1.0, 1e300, 1e308]))
+    assert np.isfinite(out[:2]).all()
+    assert np.isnan(out[2]).all()
 
 
 def test_seventeen_basins_match_oracle():
@@ -375,6 +468,60 @@ def test_block_means_match_wavelet_synthesis(p, R):
         )
         out = eval_density(state, t)
         assert np.abs(out.values - ref.values).max() <= 1e-12
+
+
+def random_state(spec, R, seed=0):
+    rng = np.random.default_rng(seed)
+    n = spec.p**R
+    return init(spec, CellFunction(spec.p, R + 1, spec.basins, rng.uniform(0.0, 1.0, (len(spec.basins), n))))
+
+
+def test_evaluate_does_not_depend_on_the_chunks(monkeypatch):
+    state = random_state(two_basin(cross_mu=1.5), 3)
+    times = [0.0, 1e-300, 0.3, 1.0, 2.5, 7.0, 40.0, 1e3, 1e6]
+
+    def rows():
+        return [(t, mean.tobytes(), values.tobytes()) for t, mean, values in spectral.evaluate(state, times)]
+
+    whole = rows()
+    assert [t for t, _, _ in whole] == times
+    time_bytes = 8 * 2 * (5 * 2 + 3 + 1)
+    for size in (1, 2, 4):
+        monkeypatch.setattr(spectral, "_SCAN_BYTES", size * time_bytes)
+        assert rows() == whole
+    for t, mean, values in whole:
+        assert values == eval_density(state, t).values.tobytes()
+        assert mean == evolve(state, t).mean.tobytes()
+
+
+def test_evaluate_yields_the_rows_before_the_first_overflow():
+    # paper-form [[-1, 2], [2, -1]] grows like e^t: the means overflow
+    # past t = 710, and 1e+308 is out of range for the exponential
+    # altogether, yet the error names the earlier 800
+    state = init(two_basin(cross_lam=2.0, convention="paper"), CellFunction.constant(2, 2, (0, 1), 0.5))
+    rows = spectral.evaluate(state, [0.0, 1.0, 700.0, 800.0, 1e308, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert [next(rows)[0] for _ in range(3)] == [0.0, 1.0, 700.0]
+        with pytest.raises(NumericError, match=r"not finite at t = 800:"):
+            next(rows)
+
+
+def test_evaluate_memory_does_not_grow_with_the_time_grid():
+    state = random_state(two_basin(), 6)
+    n_cells = 2**6
+    peaks = {}
+    for n_times in (1000, 1000, 100_000):  # the first run warms caches
+        times = np.linspace(0.0, 50.0, n_times)
+        tracemalloc.start()
+        try:
+            for _ in spectral.evaluate(state, times):
+                pass
+            peaks[n_times] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[100_000] <= 1.5 * peaks[1000]
+    assert peaks[100_000] <= spectral._SCAN_BYTES + 64 * 8 * 2 * 6 * n_cells
 
 
 # ---------------------------------------------------------------- tau
