@@ -143,7 +143,8 @@ def folding_tau(scenario: FoldingScenario) -> FoldingReport:
     tau_formula is the closed-form bound time ln(amplitude + alpha/A)
     divided by the slower of the chain rate (beta + gamma - A)/2 and the
     bump decay rate; tau_numeric is the true crossing of the expansion,
-    found by grid scan plus bisection.  No ordering between the two is
+    the first t >= 0 at which the peak reaches the threshold, to relative
+    1e-9 (spectral.absorbing_time).  No ordering between the two is
     asserted: the closed form tracks an upper envelope, so its crossing
     is necessary but not sufficient for the true one.
     """

@@ -580,19 +580,12 @@ def _run_tau(cfg, spec, args) -> int:
         f"tau = {_fmt(result.tau)}",
         f"crossing cell = {cell}",
         f"dominant mode = {mode}",
-        f"grid dt = {_fmt(result.dt)}",
         f"search horizon = {_fmt(result.t_max)}",
     ]
     text = "\n".join(lines)
     print(text)
     with open(f"{args.out}/tau.txt", "w") as f:
         f.write(text + "\n")
-    if result.dt_uncapped is not None:
-        print(
-            f"note: grid dt = {_fmt(result.dt)}, stretched from the default "
-            f"{_fmt(result.dt_uncapped)} by the {spectral.MAX_GRID_STEPS}-step grid cap",
-            file=sys.stderr,
-        )
     return 0
 
 
@@ -653,8 +646,6 @@ def _run_folding_demo(cfg, spec, args) -> int:
     ]
     text = "\n".join(lines)
     print(text)
-    with open(f"{args.out}/folding.txt", "w") as f:
-        f.write(text + "\n")
 
     state = spectral.init(spec, ivp2_datum(scenario))
     if math.isfinite(report.tau_numeric) and report.tau_numeric > 0:
@@ -666,6 +657,9 @@ def _run_folding_demo(cfg, spec, args) -> int:
     rows = ((t, mean) for t, mean, _ in spectral.evaluate(state, times))
     labels = [f"basin-{basin}" for basin in spec.basins]
     emit_plotdata("folding_timeseries", labels, rows, args.out)
+    # written last, so a run that fails on the series publishes nothing
+    with open(f"{args.out}/folding.txt", "w") as f:
+        f.write(text + "\n")
     print(f"wrote {args.out}/folding_timeseries.csv")
     return 0
 

@@ -23,40 +23,37 @@ builds it once, next to the scale rates, and carries one real
 rows, synthesis sums them, both O(cells * R). e^{t Lambda} is formed in
 one place, _propagate, for a whole chunk of times at once: evaluate
 walks the output grids of solve, folding-demo and the oracle in chunks,
-and the crossing search calls it per chunk of its own grid. Absorbing
-times and decay tables are bookkeeping on the same arrays. No wavelet
-coefficient is formed: the mode that dominates a crossing cell is named
-from the p child-block values of each level, in real arithmetic.
+and the crossing search the left ends of its pending intervals. Decay
+tables are bookkeeping on the same arrays. No wavelet coefficient is
+formed: the mode that dominates a crossing cell is named from the p
+child-block values of each level, in real arithmetic.
 
-The crossing search walks its time grid in chunks. Since every s_{a,r}
-is exactly <= 0, each scale term is monotone in t, so on a chunk
-[t0, t1] no cell exceeds its basin's largest mean on the chunk's grid
-points plus sum_k max(d_k e^{s_k t0}, d_k e^{s_k t1}). A chunk whose
-bound, raised by a margin that covers the rounding of both the bound
-and the evaluated peaks, stays below the threshold is skipped without
-evaluating a cell; a skipped chunk still checks its means. The margin
-keeps the hit index, and so every reported number, exactly as a full
-scan would find it.
+The absorbing time tau is the first t >= 0 at which the peak reaches
+the threshold, to relative 1e-9. It is found by certified interval
+bisection with no time grid: every s_{a,r} is exactly <= 0, so each
+scale term is monotone in t, and a log-norm bounds how far the basin
+means move on an interval (_Peak._ceiling).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import NumericError, UsageError, ValidationError
 from .kernels import symbol_value
-from .network import NetworkSpec, build_basin_matrix
+from .network import NetworkSpec, _basin_entries_exact, build_basin_matrix
 from .padic import CellAddress
 from .wavelets import CellFunction, WaveletIndex
 
 # the crossing threshold of `tau` and the folding model when none is given
 DEFAULT_THRESHOLD = 0.99
 _TAYLOR_TERMS = 24
-MAX_GRID_STEPS = 2_000_000  # the crossing search's grid cap; dt stretches to fit
-_SCAN_BYTES = 8 * 2**20  # working set of one chunk of the crossing scan or of evaluate
+_SCAN_BYTES = 8 * 2**20  # working set of one chunk of stacked times
 
 
 def matrix_exponential(M: np.ndarray, t=1.0) -> np.ndarray:
@@ -205,6 +202,14 @@ def _propagate(state: SpectralState, t, x: np.ndarray | None = None) -> np.ndarr
     return out
 
 
+def _chunk_size(state: SpectralState) -> int:
+    """Times per stacked _propagate (see evaluate): a working set within
+    _SCAN_BYTES, and at most _TAYLOR_TERMS times."""
+    n_basins, R, _ = state.details.shape
+    time_bytes = 8 * n_basins * (5 * n_basins + R + 1)
+    return max(1, min(_TAYLOR_TERMS, _SCAN_BYTES // time_bytes))
+
+
 def evaluate(state: SpectralState, times):
     """Yield (t, mean, values) for each of a sequence of times, in order:
     the basin means at state.t + t and the density there on depth-(R + 1)
@@ -224,9 +229,7 @@ def evaluate(state: SpectralState, times):
     not finite ends the evaluation: the rows before it are yielded, then
     NumericError names it.
     """
-    n_basins, R, _ = state.details.shape
-    time_bytes = 8 * n_basins * (5 * n_basins + R + 1)
-    size = max(1, min(_TAYLOR_TERMS, _SCAN_BYTES // time_bytes))
+    size = _chunk_size(state)
     for k0 in range(0, len(times), size):
         ts = np.array(times[k0 : k0 + size], dtype=float)
         if (ts < 0).any():
@@ -265,101 +268,144 @@ def eval_density(state: SpectralState, t: float = 0.0) -> CellFunction:
 
 @dataclass(frozen=True)
 class AbsorbingResult:
-    tau: float  # math.inf when no sustained crossing occurs
+    tau: float  # math.inf when the peak stays below the threshold up to t_max
     threshold: float
     crossing_cell: CellAddress | None
     mode_basin: int | None
     mode_index: object  # WaveletIndex, or None when the constant term dominates
-    dt: float
+    dt: float  # width of the bracket [tau - dt, tau] of the crossing; 0 at tau 0 or inf
     t_max: float
-    dt_uncapped: float | None = None  # the dt MAX_GRID_STEPS stretched, if it did
 
 
 class _Peak:
-    """The largest cell value of the density, at one time or along a grid.
-
-    The basin means come from _propagate alone, so every basin matrix
-    works, defective ones included.
-    """
+    """The largest cell value of the density: at one time, or bounded
+    over an interval of times. The basin means come from _propagate
+    alone, so every basin matrix works, defective ones included."""
 
     def __init__(self, state: SpectralState):
         self.state = state
+        lam = state.lam
+        self.abs_lam = np.abs(lam)
+        rows = _basin_entries_exact(state.spec)
+        # (d, mu): e^{t Lambda} grows by at most e^{t mu} in the norm
+        # max_a |x_a| / d_a, mu the log-norm max_a (Lambda d)_a / d_a of
+        # this Metzler matrix (Soederlind, BIT 46, 2006) from the exact
+        # rows: for d = 1, 0 on conservative rows whose floats may not sum
+        # to 0. If that is positive though nothing grows, d solving
+        # (c - Lambda) d = 1, c = 1 / the default horizon, gives mu < c.
+        n = len(lam)
+        self.norms = [(np.ones(n), self._log_norm(rows, np.ones(n)))]
+        if self.norms[0][1] > 0 and np.linalg.eigvals(lam).real.max() <= 0:
+            d = np.linalg.solve(_rate_pool(state).min() / 100 * np.eye(n) - lam, np.ones(n))
+            if (d > 0).all():
+                self.norms.append((d, self._log_norm(rows, d)))
+        # Lambda m(0) from the exact rows and the datum's means, rounded
+        # once, so that a datum at an exact fixed point does not move
+        mean = [Fraction(m) for m in state.mean.tolist()]
+        self.flow0 = np.array([float(sum(x * m for x, m in zip(row, mean))) for row in rows])
 
-    def _peaks(self, ts: np.ndarray, means: np.ndarray) -> np.ndarray:
-        """Max over cells at times ts, given the basin means there (rows)."""
-        best = np.full(len(ts), -np.inf)
-        for i in range(len(self.state.spec.basins)):
-            vals = np.exp(np.outer(ts, self.state.rates[i])) @ self.state.details[i]
-            vals += means[:, i : i + 1]
-            np.maximum(best, vals.max(axis=1), out=best)
-        return best
+    @staticmethod
+    def _log_norm(rows: list, d: np.ndarray) -> float:
+        """max(0, max_a (Lambda d)_a / d_a) over the exact rows, rounded up."""
+        d = [Fraction(x) for x in d.tolist()]
+        mu = float(max(sum(x * y for x, y in zip(row, d)) / y for row, y in zip(rows, d)))
+        return math.nextafter(mu, math.inf) if mu > 0 else 0.0
 
-    def at(self, t: float) -> float:
-        mean = _propagate(self.state, t, self.state.mean)
-        return float(self._peaks(np.array([t]), mean[None])[0])
+    def at(self, t: float, mean: np.ndarray) -> float:
+        """Peak at time t, given the basin means there; the cells are
+        summed as evaluate sums them."""
+        with np.errstate(over="ignore"):
+            factors = np.exp(self.state.rates * t)[..., None]
+        return float((mean[:, None] + (self.state.details * factors).sum(axis=1)).max())
 
-    def _ceiling(self, ts: np.ndarray, means: np.ndarray) -> float:
-        """An upper bound, rounding included, on every peak that
-        _peaks(ts, means) returns, for ascending ts (the chunk [t0, t1]).
+    def _ceiling(self, t0: float, t1: float, mean: np.ndarray) -> tuple:
+        """(bound, margin): every peak on [t0, t1] is at most bound +
+        margin, given the basin means at t0; an infinite bound has margin 0.
 
-        Each scale term d e^{s t} has an exact rate s <= 0, so it is
-        monotone in t and peaks at an end of the chunk: the cell value at
-        any grid point is at most the basin's largest mean there plus
-        sum_k max(d_k e^{s_k t0}, d_k e^{s_k t1}). Both that bound and the
-        peaks _peaks computes are off their exact values by at most
-        (R + 4) 2^-53 (max|mean| + max_cells sum_k |d_k|): R for the sum
-        over scales, two for each exponential and its rounded argument,
-        one for adding the mean. The margin added is twice that.
+        Each scale term d e^{s t} has an exact rate s <= 0, so it is at
+        most max(d e^{s t0}, d e^{s t1}). With w = t1 - t0 and each norm
+        (d, mu) of __init__, mean a moves by at most reach_a =
+        d_a w e^{w mu} ||Lambda m(t0)||_d, and by at most
+        w ((Lambda m(t0))_a^+ + sum_b |Lambda_ab| reach_b), as
+        m' = Lambda m, with Lambda m(t0) raised by its own rounding. The
+        bound and the peaks at are off by at most (R + 4) 2^-53 (max|mean|
+        + drift + max_cells sum_k |d_k|): R for the sum over scales, two
+        for each exponential and its argument, one each for adding the
+        mean and the drift. The margin is twice that.
         """
-        details, R = self.state.details, self.state.R
-        rates = self.state.rates[:, :, None]
-        by_basin = np.ascontiguousarray(means.T)
-        top, low = by_basin.max(axis=1), by_basin.min(axis=1)
-        parts = np.maximum(details * np.exp(rates * ts[0]), details * np.exp(rates * ts[-1]))
-        bound = (top + parts.sum(axis=1).max(axis=1)).max()
-        size = max(top.max(), -low.min()) + np.abs(details).sum(axis=1).max()
-        return float(bound + (R + 4) * 2.0**-52 * size)
-
-    def scan(self, dt: float, steps: int, threshold: float = -math.inf):
-        """Yield (k0, values at grid points k0, k0 + 1, ..) up to point
-        steps: the peaks there, or on a chunk whose _ceiling stays below
-        threshold, that ceiling at every point. Such a chunk holds no
-        point whose peak reaches the threshold, so _peaks is not called
-        for it; with no threshold every chunk is evaluated.
-
-        A chunk holds a power of two of points, sized so its working set
-        stays near _SCAN_BYTES whatever the cell count. Inside a chunk the
-        means follow the semigroup: rows already known are pushed forward
-        by e^{2^j dt Lambda}, doubling the block each time. A skipped chunk
-        still checks its means: a row that is not finite ends the scan,
-        the rows before it are yielded, and NumericError is raised only if
-        the caller asks for more.
-        """
-        _, R, n_cells = self.state.details.shape
-        row_bytes = 8 * (n_cells + R + len(self.state.mean) + 4)
-        size = 1 << (max(1, min(_SCAN_BYTES // row_bytes, steps + 1)).bit_length() - 1)
-        powers = []
-        step = _propagate(self.state, dt)
+        state = self.state
+        details, rates, lam = state.details, state.rates[:, :, None], state.lam
+        w = t1 - t0
         with np.errstate(over="ignore", invalid="ignore"):
-            while 1 << len(powers) < size:
-                powers.append(step.T)
-                step = step @ step
-        for k0 in range(0, steps + 1, size):
-            means = _propagate(self.state, k0 * dt, self.state.mean)[None]
-            with np.errstate(over="ignore", invalid="ignore"):
-                for power in powers:
-                    means = np.concatenate([means, means @ power])
-            ts = np.arange(k0, min(k0 + size, steps + 1)) * dt
-            means = means[: len(ts)]
-            n = len(ts)
-            if not np.isfinite(means).all():
-                n = int(np.argmin(np.isfinite(means).all(axis=1)))
-            if n and (ceiling := self._ceiling(ts[:n], means[:n])) < threshold:
-                yield k0, np.full(n, ceiling)
+            if t0 == 0:
+                flow, slack = self.flow0, 2.0**-52 * np.abs(self.flow0)
             else:
-                yield k0, self._peaks(ts[:n], means[:n])
-            if n < len(ts):
-                raise _overflow(self.state.t + ts[n])
+                flow = lam @ mean
+                slack = (len(mean) + 2) * 2.0**-52 * (self.abs_lam @ np.abs(mean))
+            g = np.abs(flow) + slack
+            reach = np.zeros(len(mean))
+            if g.any():
+                reach = np.min([d * (w * (g / d).max() * np.exp(w * mu)) for d, mu in self.norms], axis=0)
+            drift = np.fmin(reach, w * (np.maximum(flow + slack, 0.0) + self.abs_lam @ reach))
+            parts = np.maximum(details * np.exp(rates * t0), details * np.exp(rates * t1))
+        bound = (mean + drift + parts.sum(axis=1).max(axis=1)).max()
+        size = np.abs(mean).max() + drift.max() + np.abs(details).sum(axis=1).max()
+        if not size < math.inf:
+            return math.inf, 0.0
+        return float(bound), float((state.R + 4) * 2.0**-52 * size)
+
+    def first_crossing(self, threshold: float, t_max: float) -> tuple:
+        """(tau, dt): the first t in [0, t_max) at which the peak reaches
+        the threshold, to relative 1e-9, and the width of the bracket
+        [tau - dt, tau] that holds it; (inf, 0.0) when there is none.
+
+        Intervals are taken in time order from [0, t_max]. One whose bound
+        plus margin stays below the threshold is set aside; otherwise, if
+        the peak at its left end reaches the threshold, that end is tau.
+        An interval of width 1e-9 of its right end is set aside, and so is
+        one whose bound exceeds the peak at its left end by no more than
+        the margin while its right end stays below: there the peak rises
+        only by rounding. Any other is split, halved at t = 0 and at its
+        geometric middle further out. The pending left ends that lack
+        their basin means get them in one stacked _propagate; if that
+        overflows, they are taken one at a time up to the one that fails.
+        """
+        state = self.state
+        size = _chunk_size(state)
+        pending = [(0.0, t_max, state.mean)]  # the earliest interval last
+        lo = 0.0  # left end of the last interval set aside
+        while pending:
+            if pending[-1][2] is None:
+                n = 1
+                while n < min(size, len(pending)) and pending[-1 - n][2] is None:
+                    n += 1
+                ts = [pending[-1 - i][0] for i in range(n)]
+                try:
+                    means = _propagate(state, np.array(ts), state.mean)
+                except NumericError:
+                    if n == 1:
+                        raise
+                    size = 1
+                    continue
+                for i, mean in enumerate(means):
+                    pending[-1 - i] = (ts[i], pending[-1 - i][1], mean)
+            t0, t1, mean = pending.pop()
+            bound, margin = self._ceiling(t0, t1, mean)
+            if bound + margin < threshold:
+                lo = t0
+                continue
+            peak = self.at(t0, mean)
+            if peak >= threshold:
+                return t0, t0 - lo
+            if t1 - t0 <= 1e-9 * t1 or (
+                bound - peak <= margin
+                and self.at(t1, _propagate(state, t1, state.mean)) < threshold
+            ):
+                lo = t0
+                continue
+            mid = 0.5 * t1 if t0 == 0 else math.sqrt(t0) * math.sqrt(t1)
+            pending += [(mid, t1, None), (t0, mid, mean)]
+        return math.inf, 0.0
 
     def report(self, t: float):
         """Peak cell at time t and the term that dominates it there: the
@@ -406,42 +452,16 @@ def _rate_pool(state: SpectralState) -> np.ndarray:
     return pool[pool > 0]
 
 
-def _no_crossing(threshold, dt, t_max, dt_uncapped=None) -> AbsorbingResult:
-    return AbsorbingResult(
-        tau=math.inf, threshold=threshold, crossing_cell=None,
-        mode_basin=None, mode_index=None, dt=dt, t_max=t_max, dt_uncapped=dt_uncapped,
-    )
-
-
-def _first_sustained_crossing(chunks, threshold: float):
-    """First grid index k >= 1 with below at k-1 and at-or-above at both
-    k and k+1. Returns None when no such sustained upward crossing
-    exists on the grid (the final point alone cannot qualify)."""
-    tail = np.zeros(0, dtype=bool)  # above-flags of the last two points so far
-    for k0, peaks in chunks:
-        above = np.concatenate([tail, peaks >= threshold])
-        hits = np.flatnonzero(~above[:-2] & above[1:-1] & above[2:])
-        if hits.size:
-            return k0 - len(tail) + int(hits[0]) + 1
-        tail = above[-2:]
-    return None
-
-
 def absorbing_time(
     spec: NetworkSpec,
     datum: CellFunction,
     threshold: float = 1.0,
     t_max: float | None = None,
-    dt: float | None = None,
 ) -> AbsorbingResult:
-    """First t > 0 where the density's maximum reaches the threshold.
-
-    The crossing is upward (a strictly-below point must precede it) and
-    must hold for one grid step to count, so dt bounds the detectable
-    crossing width. The grid hit is then sharpened by bisection to
-    relative 1e-9. No sustained crossing before t_max yields an
-    inf-valued result; a datum already at the threshold that stays
-    there reports tau = 0.
+    """First t >= 0 at which the density's maximum reaches the threshold,
+    to relative 1e-9 (see _Peak.first_crossing), or inf if none does
+    before t_max: by default 100 over the slowest rate of the basin
+    matrix and the scale parts, or 0, so only t = 0 counts, with none.
     """
     if threshold <= 0:
         raise UsageError(f"threshold must be > 0, got {threshold}")
@@ -452,39 +472,15 @@ def absorbing_time(
             raise ValidationError(
                 f"datum values in basin {b} span [{lo}, {hi}], outside [0, 1]"
             )
-    rates = _rate_pool(state)
-    if rates.size == 0:
-        # nothing moves; the initial maximum is the maximum forever
-        return _no_crossing(threshold, 0.0, 0.0)
-    if dt is None:
-        dt = 1e-3 / rates.max()
     if t_max is None:
-        t_max = 100.0 / rates.min()
-    if dt <= 0 or t_max <= 0:
-        raise UsageError("dt and t_max must be > 0")
-    steps = int(math.ceil(t_max / dt))
-    dt_uncapped = None
-    if steps > MAX_GRID_STEPS:
-        dt_uncapped, dt = dt, t_max / MAX_GRID_STEPS
-        steps = MAX_GRID_STEPS
-
+        rates = _rate_pool(state)
+        t_max = min(100.0 / float(rates.min()), sys.float_info.max) if rates.size else 0.0
+    elif not 0 < t_max < math.inf:
+        raise UsageError(f"t_max must be finite and > 0, got {t_max}")
     peak = _Peak(state)
-    if all(peak.at(t) >= threshold for t in (0.0, dt, 2 * dt)):
-        tau = 0.0  # already at the threshold, and it sustains
-    else:
-        hit = _first_sustained_crossing(peak.scan(dt, steps, threshold), threshold)
-        if hit is None:
-            return _no_crossing(threshold, dt, t_max, dt_uncapped)
-        lo, tau = (hit - 1) * dt, hit * dt
-        while tau - lo > 1e-9 * max(tau, dt):
-            mid = 0.5 * (lo + tau)
-            if peak.at(mid) >= threshold:
-                tau = mid
-            else:
-                lo = mid
-    cell, mode_basin, mode_index = peak.report(tau)
+    tau, dt = peak.first_crossing(threshold, t_max)
+    cell, mode_basin, mode_index = peak.report(tau) if tau < math.inf else (None,) * 3
     return AbsorbingResult(
         tau=tau, threshold=threshold, crossing_cell=cell,
         mode_basin=mode_basin, mode_index=mode_index, dt=dt, t_max=t_max,
-        dt_uncapped=dt_uncapped,
     )

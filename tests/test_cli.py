@@ -2,7 +2,6 @@ import json
 import math
 import os
 import random
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -728,15 +727,17 @@ def test_tau_on_dying_preset(capsys, tmp_path):
 
 
 def test_tau_prints_no_grid_note_when_the_grid_fits(capsys, tmp_path):
+    # there is no grid: tau.txt states tau, its cell and mode, and the
+    # search horizon, and nothing goes to stderr
     code, out, err = run(capsys, "tau", "--preset", "dying_two_basin", "--out", str(tmp_path))
     assert code == 0
     assert err == ""
-    dt, horizon = (float(line.split(" = ")[1]) for line in out.splitlines()[4:6])
-    assert horizon / dt < 2_000_000
+    keys = [line.split(" = ")[0] for line in out.splitlines()]
+    assert keys == ["threshold", "tau", "crossing cell", "dominant mode", "search horizon"]
 
 
-# a slow cross gain stretches the search horizon: the default dt, 1e-3
-# over the fastest rate, would need about 5e8 grid steps
+# a slow cross gain stretches the search horizon to 4e5, where the old
+# time grid of 1e-3 over the fastest rate needed about 5e8 steps
 FLAT_NETWORK = """\
 prime: 2
 basins: [0, 1]
@@ -754,23 +755,44 @@ threshold: 0.99
 """
 
 
-def test_tau_notes_a_capped_grid_on_stderr(capsys, tmp_path):
+def test_tau_on_a_slow_cross_gain_reports_inf_quietly(capsys, tmp_path):
     path = tmp_path / "flat.yaml"
     path.write_text(FLAT_NETWORK)
     code, out, err = run(capsys, "tau", "--config", str(path), "--out", str(tmp_path))
-    assert code == 0
+    assert (code, err) == (0, "")
     lines = out.splitlines()
     assert lines[1] == "tau = inf"
-    dt, horizon = (line.split(" = ")[1] for line in lines[4:6])
-    assert float(horizon) / float(dt) == pytest.approx(2_000_000, rel=1e-12)
-    note = re.fullmatch(
-        r"note: grid dt = (\S+), stretched from the default (\S+) by the "
-        r"2000000-step grid cap\n",
-        err,
-    )
-    assert note and note[1] == dt
-    assert float(note[2]) < float(dt) / 100
+    assert lines[4] == "search horizon = 400000"
     assert (tmp_path / "tau.txt").read_text() == out
+
+
+# ROADMAP item 2: basin 1 starts at 0.95 and stays above 0.9 for a while;
+# basin 2, isolated with rates of 1e-12 and a datum of 0, changes nothing
+# in the others, but stretches the horizon to 3e14
+THREE_BASINS = """\
+prime: 3
+basins: [0, 1, 2]
+convention: paper
+kernels:
+  w: {0: [1.0], 1: [1.0], 2: [1.0e-12]}
+  v: {0: [1.0], 1: [1.03], 2: [1.0e-12]}
+resolution: 1
+datum:
+  0: [0.0, 0.0, 0.0]
+  1: [0.95, 0.95, 0.95]
+  2: [0.0, 0.0, 0.0]
+threshold: 0.9
+"""
+
+
+def test_an_isolated_slow_basin_does_not_hide_a_crossing_at_zero(capsys, tmp_path):
+    # the grid, stretched to dt = 1.5e8 over that horizon, reported inf
+    path = tmp_path / "three.yaml"
+    path.write_text(THREE_BASINS)
+    code, out, err = run(capsys, "tau", "--config", str(path), "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "tau = 0"
+    assert out.splitlines()[4] == "search horizon = 300000000000000"
 
 
 # ---------------------------------------------------------------- simulate
@@ -1097,6 +1119,17 @@ def test_first_overflowing_time_is_named_though_later_ones_overflow_too(capsys, 
     assert sorted(f.name for f in tmp_path.iterdir()) == ["late.yaml"]
 
 
+def test_folding_demo_that_overflows_publishes_nothing(capsys, tmp_path):
+    # the report is complete before the time series fails at 1e+308
+    path = tmp_path / "late.yaml"
+    path.write_text(load_preset("folding_demo") + "times: [1.0, 1.0e+308]\n")
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "folding-demo", "--config", str(path), "--out", str(out_dir))
+    assert code == 3
+    assert "numeric failure: basin means are not finite at t = 1e+308" in err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_non_finite_oracle_gap_exits_3(capsys, tmp_path):
     # the 4-state chain exponential is not finite at these late times; the
     # gap used to print as nan rows under a finite "max gap over grid"
@@ -1187,5 +1220,4 @@ def test_scales_that_do_not_decay_report_rate_0(capsys, tmp_path):
     assert rows[1:3] == ["0,-1,0,inf,inf", "0,-2,0,inf,inf"]
     assert rows[3].startswith("0,-3,-0.085185185185185")
     tau = (tmp_path / "tau.txt").read_text().splitlines()
-    assert "grid dt = 0.01173913043478261" in tau
     assert "search horizon = 1173.913043478261" in tau

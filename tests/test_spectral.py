@@ -1,8 +1,8 @@
-import contextlib
 import math
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -470,10 +470,13 @@ def test_block_means_match_wavelet_synthesis(p, R):
         assert np.abs(out.values - ref.values).max() <= 1e-12
 
 
-def random_state(spec, R, seed=0):
+def random_datum(spec, R, seed=0):
     rng = np.random.default_rng(seed)
-    n = spec.p**R
-    return init(spec, CellFunction(spec.p, R + 1, spec.basins, rng.uniform(0.0, 1.0, (len(spec.basins), n))))
+    return CellFunction(spec.p, R + 1, spec.basins, rng.uniform(0.0, 1.0, (len(spec.basins), spec.p**R)))
+
+
+def random_state(spec, R, seed=0):
+    return init(spec, random_datum(spec, R, seed))
 
 
 def test_evaluate_does_not_depend_on_the_chunks(monkeypatch):
@@ -536,10 +539,12 @@ def test_absorbing_time_decaying_density_never_crosses():
 
 
 def test_absorbing_time_datum_at_threshold_decaying():
+    # tau is the first t >= 0 at which the peak reaches the threshold, so
+    # a datum at the threshold gives 0 whether or not the peak stays there
     spec = single_basin(w_levels=(0.0,), v_levels=(1.0,))
     datum = CellFunction(2, 2, (0,), [[0.8, 0.8]])
     res = absorbing_time(spec, datum, threshold=0.8)
-    assert res.tau == math.inf
+    assert (res.tau, res.dt) == (0.0, 0.0)
 
 
 def test_absorbing_time_growing_mode_crosses():
@@ -547,7 +552,9 @@ def test_absorbing_time_growing_mode_crosses():
     datum = CellFunction.constant(2, 2, [0, 1], 0.5)
     res = absorbing_time(spec, datum, threshold=0.9)
     # uniform density 0.5 e^{t/2}: crossing at 2 ln(1.8)
-    assert res.tau == pytest.approx(2 * math.log(1.8), rel=1e-6)
+    assert res.tau == pytest.approx(2 * math.log(1.8), rel=1e-9)
+    assert 0 < res.dt <= 1e-9 * res.tau
+    assert res.tau - res.dt < 2 * math.log(1.8) <= res.tau
     assert res.crossing_cell is not None
     assert res.mode_index is None  # the constant mode carries the crossing
 
@@ -595,14 +602,14 @@ def test_absorbing_time_defective_matrix_on_unequal_basins():
 
 
 def test_absorbing_time_does_not_depend_on_scan_chunks(monkeypatch):
-    # budgets of 1, 2, 4 and 8 grid points per chunk put chunk edges
-    # right around the crossing
+    # budgets of 1, 2, 4 and 8 left ends per stacked exponential put the
+    # batch edges in different places along the search
     datum = CellFunction(2, 3, (0, 1), [[0.5] * 4, [0.6] * 4])
-    ref = absorbing_time(jordan_block_spec(), datum, threshold=0.65, dt=1e-2)
-    for budget in (1, 200, 400, 800):
-        monkeypatch.setattr(spectral, "_SCAN_BYTES", budget)
-        res = absorbing_time(jordan_block_spec(), datum, threshold=0.65, dt=1e-2)
-        assert res.tau == pytest.approx(ref.tau, rel=1e-12)
+    ref = absorbing_time(jordan_block_spec(), datum, threshold=0.65)
+    time_bytes = 8 * 2 * (5 * 2 + 2 + 1)
+    for budget in (1, 2, 4, 8):
+        monkeypatch.setattr(spectral, "_SCAN_BYTES", budget * time_bytes)
+        assert absorbing_time(jordan_block_spec(), datum, threshold=0.65) == ref
 
 
 def test_absorbing_time_zero_names_its_cell_on_defective_matrix():
@@ -625,28 +632,30 @@ def test_absorbing_time_names_dominant_wavelet():
     assert res.mode_index == WaveletIndex(-2, (0,), 1)
 
 
-def test_absorbing_time_memory_does_not_grow_with_resolution(monkeypatch):
-    # every chunk's bound lies below the threshold 1e9, so with skipping
-    # off the whole grid goes through _peaks, as it is measured here
-    no_skipping(monkeypatch)
-    spec = two_basin(cross_lam=1.0, cross_mu=1.0, convention="paper")
-    rng = np.random.default_rng(8)
+def test_absorbing_time_memory_does_not_grow_with_the_horizon():
+    # the decaying density never reaches the threshold, so the search runs
+    # to t_max; it holds its pending intervals' means, not a time grid
+    spec = two_basin()
+    datum = CellFunction(2, 7, (0, 1), np.random.default_rng(8).uniform(0.0, 1.0, (2, 64)))
     peaks = {}
-    for R in (4, 8):
-        datum = CellFunction(2, R + 1, (0, 1), [rng.uniform(0.0, 1.0, 2**R) for b in (0, 1)])
+    for t_max in (20.0, 20.0, 2e7):  # the first run warms caches
         tracemalloc.start()
         try:
-            res = absorbing_time(spec, datum, threshold=1e9, dt=1e-4, t_max=20.0)
-            peaks[R] = tracemalloc.get_traced_memory()[1]
+            res = absorbing_time(spec, datum, threshold=0.999, t_max=t_max)
+            peaks[t_max] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.tau == math.inf  # the whole grid was scanned
-    assert peaks[8] <= peaks[4] * 1.1
+        assert res.tau == math.inf
+    assert peaks[2e7] <= 1.5 * peaks[20.0]
 
 
 def test_absorbing_time_guards():
+    datum = CellFunction(2, 2, (0,), [[0.5, 0.5]])
     with pytest.raises(UsageError):
-        absorbing_time(single_basin(), CellFunction(2, 2, (0,), [[0.5, 0.5]]), threshold=0.0)
+        absorbing_time(single_basin(), datum, threshold=0.0)
+    for t_max in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(UsageError, match="t_max must be finite and > 0"):
+            absorbing_time(single_basin(), datum, t_max=t_max)
 
 
 def wavelet_terms(details, j, p, basin):
@@ -705,8 +714,8 @@ def test_mode_terms_match_the_wavelet_reference(p, R, offset, seed, data):
         assert label == labels[int(np.argmax(ref))]
 
 
-def test_scan_chunk_starts_are_the_evolved_means(monkeypatch):
-    # a non-symmetric three-basin matrix, chunks of 4 grid points
+def test_search_means_are_the_evolved_means(monkeypatch):
+    # a non-symmetric three-basin matrix, left ends batched four at a time
     k = RadialKernel(3, (1.0, 0.5))
     spec = NetworkSpec(
         p=3, basins=(0, 1, 2),
@@ -717,48 +726,47 @@ def test_scan_chunk_starts_are_the_evolved_means(monkeypatch):
     )
     rng = np.random.default_rng(11)
     state = init(spec, CellFunction(3, 3, (0, 1, 2), rng.uniform(0.0, 1.0, (3, 9))))
-    monkeypatch.setattr(spectral, "_SCAN_BYTES", 8 * (9 + 2 + 3 + 4) * 4)
-    peak = spectral._Peak(state)
-    # the means grow past 5 in the sixth chunk: the five before it are
-    # skipped, yet every chunk's means reach _ceiling
-    starts, evaluated = [], []
-    ceiling, peaks = peak._ceiling, peak._peaks
-    monkeypatch.setattr(peak, "_ceiling", lambda ts, means: starts.append(means[0]) or ceiling(ts, means))
-    monkeypatch.setattr(peak, "_peaks", lambda ts, means: evaluated.append(ts[0]) or peaks(ts, means))
-    dt = 0.37
-    chunks = [k0 for k0, _ in peak.scan(dt, 50, threshold=5.0)]
-    assert chunks == list(range(0, 51, 4))
-    assert 0 < len(evaluated) < len(chunks) == len(starts)
-    for k0, mean in zip(chunks, starts):
-        assert evolve(state, k0 * dt).mean.tobytes() == mean.tobytes()
+    monkeypatch.setattr(spectral, "_SCAN_BYTES", 4 * 8 * 3 * (5 * 3 + 2 + 1))
+    batches, seen = [], []
+    propagate, ceiling = spectral._propagate, spectral._Peak._ceiling
+    monkeypatch.setattr(
+        spectral, "_propagate", lambda state, t, x=None: batches.append(np.size(t)) or propagate(state, t, x)
+    )
+    monkeypatch.setattr(
+        spectral._Peak, "_ceiling", lambda self, t0, t1, mean: seen.append((t0, mean)) or ceiling(self, t0, t1, mean)
+    )
+    # the means grow past 5 well inside the horizon
+    tau, _ = spectral._Peak(state).first_crossing(5.0, 50.0)
+    assert 0 < tau < 50
+    assert max(batches) == 4 and len(seen) > len(batches)
+    for t0, mean in seen:
+        assert evolve(state, t0).mean.tobytes() == mean.tobytes()
 
 
-def test_scan_stops_at_the_first_row_that_overflows():
-    # paper-form matrix [[-1, 2], [2, -1]] grows like e^t; with dt = 1
-    # the second chunk starts finite at t = 512 and its doubled rows
-    # overflow past t = 710. The rows before the overflow are yielded,
-    # and the overflow is reported at the state's own time.
-    state = init(two_basin(cross_lam=2.0, convention="paper"), CellFunction.constant(2, 2, (0, 1), 0.5))
-    chunks = spectral._Peak(evolve(state, 0.5)).scan(1.0, 1000)
+def test_search_stops_at_the_first_interval_that_overflows():
+    # the density decays, but past 2^1022 / ||Lambda|| the exponential
+    # has no squaring count left; every interval before that is cleared,
+    # and the overflow is named at the first left end past it
+    spec = two_basin()
+    datum = CellFunction.constant(2, 2, (0, 1), 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert next(chunks)[0] == 0
-        k0, peaks = next(chunks)
-        assert (k0, len(peaks)) == (512, 198)
-        assert np.isfinite(peaks).all()
-        with pytest.raises(NumericError, match=r"not finite at t = 710\.5:"):
-            next(chunks)
+        with pytest.raises(NumericError, match="basin means are not finite") as info:
+            absorbing_time(spec, datum, threshold=0.99, t_max=1e308)
+    t = float(re.search(r"t = (\S+):", str(info.value))[1])
+    norm = np.abs(build_basin_matrix(spec)).sum(axis=1).max()
+    assert t * norm > 2.0**1022 >= 0.5 * t * norm
 
 
 def test_crossing_before_an_overflow_in_the_same_chunk_is_found():
-    # the first chunk reaches t = 1020, past the overflow near t = 710,
-    # yet the basin means cross 0.99 at ln 1.98 long before
+    # the first batch of left ends reaches t = 1000, past the overflow
+    # near t = 710, yet the basin means cross 0.99 at ln 1.98 long before
     spec = two_basin(cross_lam=2.0, convention="paper")
     datum = CellFunction.constant(2, 2, (0, 1), 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        res = absorbing_time(spec, datum, threshold=0.99, dt=4.0, t_max=2000.0)
-    assert res.tau == pytest.approx(math.log(1.98), rel=1e-8)
+        res = absorbing_time(spec, datum, threshold=0.99, t_max=2000.0)
+    assert res.tau == pytest.approx(math.log(1.98), rel=1e-9)
     assert res.mode_index is None
 
 
@@ -776,49 +784,56 @@ def nearly_split_chain(eps):
     )
 
 
-def test_overflowing_crossing_scan_fails_without_warnings():
-    # the grid is capped at 2M points, so dt is about 5e15 and the
-    # basin-matrix exponential overflows along the scan
+def test_a_fixed_point_of_a_nearly_split_chain_never_crosses(monkeypatch):
+    # the horizon is 1e16; the grid used to find a false crossing at
+    # 2.3e15, where the basin means have lost their accuracy. Lambda m(0)
+    # is exactly 0, so the whole horizon is cleared as one interval.
     datum = CellFunction.constant(3, 2, (0, 1, 2), 0.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        try:
-            res = absorbing_time(nearly_split_chain(1e-20), datum, threshold=0.99)
-        except NumericError as exc:
-            assert "basin means are not finite" in str(exc)
-        else:
-            assert res.tau == math.inf
+    calls = record_at(monkeypatch)
+    res = absorbing_time(nearly_split_chain(1e-14), datum, threshold=0.99)
+    assert (res.tau, res.t_max) == (math.inf, 100 / 1e-14)
+    assert calls == []
 
 
-def no_skipping(monkeypatch):
-    """Make every chunk of the crossing scan go through _peaks."""
-    monkeypatch.setattr(spectral._Peak, "_ceiling", lambda self, ts, means: math.inf)
+def test_overflowing_crossing_scan_fails_without_warnings():
+    # the basin means lose their accuracy long before the horizon 100 /
+    # eps (ROADMAP item 1); until that is mended, no finite tau is right
+    datum = CellFunction.constant(3, 2, (0, 1, 2), 0.5)
+    for eps in (1e-17, 1e-20):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                res = absorbing_time(nearly_split_chain(eps), datum, threshold=0.99)
+            except NumericError as exc:
+                assert "basin means are not finite" in str(exc)
+            else:
+                assert res.tau == math.inf
 
 
-def record_peaks(monkeypatch) -> list:
-    """Record the times of every _Peak._peaks call in the returned list."""
+def record_at(monkeypatch) -> list:
+    """Record the time of every _Peak.at call in the returned list."""
     calls = []
-    peaks = spectral._Peak._peaks
-    monkeypatch.setattr(spectral._Peak, "_peaks", lambda self, ts, means: calls.append(ts) or peaks(self, ts, means))
+    at = spectral._Peak.at
+    monkeypatch.setattr(spectral._Peak, "at", lambda self, t, mean: calls.append(t) or at(self, t, mean))
     return calls
 
 
 def crossing(spec, datum, **kwargs):
-    """absorbing_time's answer, or the message of the NumericError it raised."""
+    """absorbing_time's tau, or the message of the NumericError it raised."""
     try:
-        res = absorbing_time(spec, datum, **kwargs)
+        return absorbing_time(spec, datum, **kwargs).tau
     except NumericError as exc:
         return str(exc)
-    return (res.tau, res.crossing_cell, res.mode_basin, res.mode_index, res.dt, res.t_max)
 
 
 @st.composite
-def decade_networks(draw):
+def decade_networks(draw, decades=3):
     """p in {2, 3, 5}, 1-3 basins, either convention; every basin draws
-    its own rate decade, so the rates span several of them."""
+    its own rate decade, up to `decades` either side of 1, so the rates
+    span several of them."""
     p = draw(st.sampled_from([2, 3, 5]))
     basins = tuple(sorted(draw(st.sets(st.integers(0, p - 1), min_size=1, max_size=min(3, p)))))
-    scale = {a: 10.0 ** draw(st.integers(-3, 3)) for a in basins}
+    scale = {a: 10.0 ** draw(st.integers(-decades, decades)) for a in basins}
     level = st.integers(0, 10).map(lambda k: k / 10)
     # loss over gain; with none, a paper-convention network grows
     excess = st.just(0.0) if draw(st.booleans()) else st.sampled_from([0.0, 0.1, 1.0])
@@ -845,57 +860,134 @@ def decade_networks(draw):
     spec=decade_networks(),
     R=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
-    chunk=st.tuples(st.integers(0, 5000), st.integers(1, 40), st.floats(-4.0, 1.0)),
-    grid=st.tuples(
-        st.integers(10, 400), st.integers(1, 64), st.floats(0.0, 1.0),
-        st.sampled_from([1.0, 1.0 + 2**-52, 1.01, 1.5]),
-    ),
+    start=st.one_of(st.none(), st.floats(-4.0, 3.0)),
+    width=st.floats(-6.0, 1.0),
+    points=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
 )
-def test_chunk_ceiling_bounds_every_peak_and_keeps_the_hit(spec, R, seed, chunk, grid):
+def test_interval_bound_holds_inside_the_interval(spec, R, seed, start, width, points):
+    state = random_state(spec, R, seed)
+    rates = spectral._rate_pool(state)
+    assume(rates.size)  # else nothing moves
+    unit = 1.0 / rates.max()
+    t0 = 0.0 if start is None else 10.0**start * unit
+    w = 10.0**width * unit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            mean = evolve(state, t0).mean
+        except NumericError:
+            assume(False)
+        peak = spectral._Peak(state)
+        bound, margin = peak._ceiling(t0, t0 + w, mean)
+        # the density at t, propagated from the interval's left end
+        for t in [t0, t0 + w] + [t0 + u * w for u in points]:
+            inside = matrix_exponential(state.lam, t - t0) @ mean
+            assert peak.at(t, inside) <= bound + margin
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spec=decade_networks(decades=1),
+    R=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.floats(0.0, 1.0),
+    n=st.integers(20, 2000),
+    pick=st.floats(0.0, 1.0),
+)
+def test_tau_matches_a_fine_grid_where_the_grid_resolves_the_crossing(spec, R, seed, spread, n, pick):
+    # the grid the search used to scan had dt = 1e-3 over the fastest
+    # rate; this reference is a hundred times finer, over its first n
+    # steps. Rates within a decade or two, the paper convention (whose
+    # networks grow where gains match losses) and data near one level in
+    # every basin let the peak rise that early.
+    spec = replace(spec, convention="paper")
     rng = np.random.default_rng(seed)
-    n_cells = spec.p**R
-    datum = CellFunction(spec.p, R + 1, spec.basins, rng.uniform(0.0, 1.0, (len(spec.basins), n_cells)))
+    shape = (len(spec.basins), spec.p**R)
+    table = rng.uniform(0.0, 1.0) + spread * rng.uniform(-0.5, 0.5, shape)
+    datum = CellFunction(spec.p, R + 1, spec.basins, np.clip(table, 0.0, 1.0))
     state = init(spec, datum)
     rates = spectral._rate_pool(state)
-    assume(rates.size)  # else nothing moves and there is no grid
-    peak = spectral._Peak(state)
+    assume(rates.size)
+    h = 1e-5 / rates.max()
+    ts = h * np.arange(n + 1)
+    peaks = np.array([values.max() for _, _, values in spectral.evaluate(state, ts)])
+    assume(peaks.max() > 0)
+    # the grid points where the peak first rises above all before it
+    records = [k for k in range(1, n + 1) if peaks[k] > peaks[:k].max()]
+    if not records:  # a threshold clear above every grid peak is never reached
+        threshold = peaks.max() + (1e-6 + pick) * abs(peaks.max())
+        assert absorbing_time(spec, datum, threshold=threshold, t_max=n * h).tau == math.inf
+        return
+    # a threshold first reached at one of them, on a rise steep enough
+    # that rounding cannot move the crossing time by 1e-10 of itself
+    k = records[int(pick * (len(records) - 1))]
+    threshold = 0.5 * (peaks[:k].max() + peaks[k])
+    assume(threshold > 0 and k * (peaks[k] - peaks[k - 1]) > 1e-5 * abs(peaks[k]))
+    got = absorbing_time(spec, datum, threshold=threshold, t_max=n * h)
 
-    # a chunk of grid points k0 .. k0 + n - 1, dt a power of ten off the fastest rate
-    k0, n, dt_decade = chunk
-    dt = 10.0**dt_decade / rates.max()
-    ts = np.arange(k0, k0 + n) * dt
-    with np.errstate(over="ignore", invalid="ignore"):
-        means = np.array([matrix_exponential(state.lam, t) @ state.mean for t in ts])
-    assume(np.isfinite(means).all())
-    assert (peak._peaks(ts, means) <= peak._ceiling(ts, means)).all()
+    def peak(t):
+        return eval_density(state, t).values.max()
 
-    # the crossing search, with skipping and without, on short grids cut
-    # into chunks of a few points, at a threshold at or just above one of
-    # the peaks on the grid, so that some chunk bounds lie right at it
-    steps, points, pick, above = grid
-    t_max = 100.0 / rates.min()
-    row_bytes = 8 * (n_cells + R + len(spec.basins) + 4)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_SCAN_BYTES", points * row_bytes)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            values = []
-            with contextlib.suppress(NumericError):  # the means overflowed
-                for _, chunk_peaks in peak.scan(t_max / steps, steps):
-                    values.extend(chunk_peaks)
-            assume(values)
-            threshold = sorted(values)[int(pick * (len(values) - 1))] * above
-            assume(threshold > 0)
-            kwargs = dict(threshold=threshold, t_max=t_max, dt=t_max / steps)
-            got = crossing(spec, datum, **kwargs)
-            no_skipping(mp)
-            assert crossing(spec, datum, **kwargs) == got
+    if got.tau <= ts[k - 1]:  # a crossing between two earlier grid points
+        assert peak(got.tau) >= threshold
+        return
+    lo, hi = ts[k - 1], ts[k]
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if peak(mid) >= threshold else (mid, hi)
+    assert math.isclose(got.tau, hi, rel_tol=1e-9)
+    assert got.tau - got.dt < hi and hi - 1e-9 * hi < got.tau
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spec=decade_networks(),
+    R=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    slow=st.floats(-12.0, -6.0),
+    loss=st.sampled_from([1.0, 2.0]),
+    threshold=st.floats(0.05, 1.2),
+    below=st.floats(0.2, 1.0),
+    paper=st.booleans(),
+)
+def test_an_isolated_slow_basin_does_not_move_tau(spec, R, seed, slow, loss, threshold, below, paper):
+    assume(len(spec.basins) < spec.p)
+    if paper:  # more networks that grow, and so cross
+        spec = replace(spec, convention="paper")
+    b = min(set(range(spec.p)) - set(spec.basins))
+    rate = 10.0**slow
+    wider = NetworkSpec(
+        p=spec.p, basins=tuple(sorted(spec.basins + (b,))),
+        cross_lambda=spec.cross_lambda, cross_mu=spec.cross_mu,
+        w_kernels={**spec.w_kernels, b: RadialKernel(spec.p, (rate,))},
+        v_kernels={**spec.v_kernels, b: RadialKernel(spec.p, (rate * loss,))},
+        convention=spec.convention,
+    )
+    # a datum below the threshold by the factor `below` at most
+    values = random_datum(spec, R, seed).values * min(1.0, below * threshold)
+    datum = CellFunction(spec.p, R + 1, spec.basins, values)
+    rows = dict(zip(spec.basins, values))
+    rows[b] = np.zeros(spec.p**R)
+    wide_datum = CellFunction(spec.p, R + 1, wider.basins, [rows[a] for a in wider.basins])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = absorbing_time(spec, datum, threshold=threshold)
+        got = crossing(wider, wide_datum, threshold=threshold)
+    if res.tau < math.inf:
+        assert math.isclose(got, res.tau, rel_tol=1e-9)
+        return
+    # the slow basin stretches the horizon, out to where the basin means
+    # lose their accuracy (ROADMAP item 1): past the first horizon, a
+    # crossing or an overflow may show
+    if isinstance(got, str):
+        got = float(re.search(r"not finite at t = (\S+):", got)[1])
+    assert got >= res.t_max
 
 
 def flat_network():
     """tau_flat's shape: derived, two basins, p = 2, losses above gains,
     and one cross gain a thousand times slower than the other, which
-    stretches the search horizon past the grid cap."""
+    stretches the search horizon to 4e5."""
     w, v = RadialKernel(2, (0.6, 0.3)), RadialKernel(2, (0.8, 0.4))
     return NetworkSpec(
         p=2, basins=(0, 1),
@@ -905,39 +997,47 @@ def flat_network():
 
 
 def test_flat_derived_network_scans_no_grid_point(monkeypatch):
+    # the grid took 2M steps here; the search clears the horizon in a
+    # few dozen intervals, evaluating the peak only at their left ends
     datum = CellFunction(2, 4, (0, 1), np.random.default_rng(3).uniform(0.0, 0.5, (2, 8)))
-    calls = record_peaks(monkeypatch)
+    calls = record_at(monkeypatch)
     res = absorbing_time(flat_network(), datum, threshold=0.99)
     assert res.tau == math.inf and res.crossing_cell is None
-    assert res.t_max / res.dt == pytest.approx(spectral.MAX_GRID_STEPS, rel=1e-12)
-    assert res.dt_uncapped is not None and res.dt_uncapped < res.dt
-    # the one evaluation is the start check at t = 0; the scan made none
-    assert [ts.tolist() for ts in calls] == [[0.0]]
+    assert (res.t_max, res.dt) == (400000.0, 0.0)
+    assert 0 < len(calls) < 100
 
 
-@pytest.mark.parametrize("ulps", [0, 1])
-def test_a_chunk_whose_bound_is_within_the_margin_is_evaluated(monkeypatch, ulps):
-    # uniform 0.5 e^{t/2} has no scale parts: the bound of a chunk is the
-    # mean at its last point, exactly the peak there. With the threshold
-    # at that peak of point 47, the last of the sixth 8-point chunk, or
-    # one ulp above it, the bound is within the margin of the threshold.
-    spec = two_basin(cross_lam=1.0, cross_mu=1.0, convention="paper")
-    datum = CellFunction.constant(2, 2, (0, 1), 0.5)
-    monkeypatch.setattr(spectral, "_SCAN_BYTES", 8 * (2 + 1 + 2 + 4) * 8)
-    dt = 1e-2
-    values = np.concatenate([v for _, v in spectral._Peak(init(spec, datum)).scan(dt, 100)])
-    threshold = float(values[47])
-    for _ in range(ulps):
-        threshold = math.nextafter(threshold, math.inf)
-    kwargs = dict(threshold=threshold, dt=dt, t_max=1.0)
-    calls = record_peaks(monkeypatch)
-    got = crossing(spec, datum, **kwargs)
-    # chunk 40 holds the bound, chunk 48 the point that sustains the hit;
-    # the single points are the start check and the bisection
-    assert [round(ts[0] / dt) for ts in calls if len(ts) > 1] == [40, 48]
-    assert (47 + ulps - 1) * dt < got[0] <= (47 + ulps) * dt
-    no_skipping(monkeypatch)
-    assert crossing(spec, datum, **kwargs) == got
+@pytest.mark.parametrize("above", [0, 1])
+def test_a_chunk_whose_bound_is_within_the_margin_is_evaluated(monkeypatch, above):
+    # basin 0 keeps its datum: its scale -3 rate is not 0, but the datum
+    # has no scale -3 part, and its other rates are exactly 0. Basins 1
+    # and 2 trade mass, so the basin means as a whole do move. With the
+    # threshold at the peak, tau is 0; half the margin above it, the
+    # bound of [0, t_max] does not clear it, the peaks at both ends are
+    # below it, and the interval is set aside, as the peak there can rise
+    # only by rounding.
+    flat, k = RadialKernel(3, (0.0, 0.0, 2.3)), RadialKernel(3, (1.0,))
+    spec = NetworkSpec(
+        p=3, basins=(0, 1, 2),
+        cross_lambda={(1, 2): 0.5, (2, 1): 0.5}, cross_mu={(1, 2): 1.5, (2, 1): 1.5},
+        w_kernels={0: flat, 1: k, 2: k}, v_kernels={0: flat, 1: k, 2: k},
+        convention="paper",
+    )
+    rng = np.random.default_rng(5)
+    table = [np.repeat(rng.uniform(0.5, 1.0, 9), 3), np.full(27, 0.2), np.full(27, 0.4)]
+    datum = CellFunction(3, 4, (0, 1, 2), table)
+    state = init(spec, datum)
+    peak = spectral._Peak(state)
+    top = peak.at(0.0, state.mean)
+    bound, margin = peak._ceiling(0.0, 1.0, state.mean)
+    threshold = top + above * margin / 2
+    assert bound < threshold <= bound + margin or above == 0
+    calls = record_at(monkeypatch)
+    res = absorbing_time(spec, datum, threshold=threshold, t_max=1.0)
+    if above == 0:
+        assert (calls, res.tau) == ([0.0], 0.0)
+    else:  # both ends of [0, t_max] evaluated below the threshold
+        assert (calls, res.tau) == ([0.0, 1.0], math.inf)
 
 
 # ---------------------------------------------------------------- oracle
