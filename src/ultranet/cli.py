@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import json
 import math
 import os
@@ -31,16 +32,36 @@ except ImportError:
         "ultranet needs PyYAML built with libyaml: yaml.cyaml does not import"
     ) from None
 
-from . import spectral
-from .binary import FoldingScenario, folding_tau, ivp2_datum
 from .errors import NumericError, UsageError, ValidationError
 from .kernels import RadialKernel, arrhenius_kernel
-from .montecarlo import SimConfig, simulate
-from .montecarlo import write_csv as write_mc_csv
 from .network import CONVENTIONS, NetworkSpec, classify
 from .padic import parse_cell_label
-from .tree import compare, discretize
-from .wavelets import CellFunction
+
+
+def _lazy(name: str):
+    """The module `name`, whose body runs on first attribute access.
+
+    classify and --dump-normalized-config need no numpy, so the numeric
+    layers wait until a command reads one of them. A module that is
+    already imported is returned as it is: a second copy would carry
+    classes of its own, and isinstance would fail across the two."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    setattr(sys.modules[package], child, module)
+    return module
+
+
+spectral = _lazy("ultranet.spectral")
+binary = _lazy("ultranet.binary")
+montecarlo = _lazy("ultranet.montecarlo")
+tree = _lazy("ultranet.tree")
+wavelets = _lazy("ultranet.wavelets")
 
 
 class ConfigError(ValidationError):
@@ -432,12 +453,12 @@ def _ivp2_fields(text: str) -> dict:
         raise ConfigError(f"bad ivp2 parameters: {exc}") from exc
 
 
-def scenario_from_config(cfg: dict, spec: NetworkSpec) -> FoldingScenario:
+def scenario_from_config(cfg: dict, spec: NetworkSpec) -> binary.FoldingScenario:
     datum = cfg.get("datum", "")
     if not (isinstance(datum, str) and datum.startswith("ivp2:")):
         raise ConfigError("this command needs datum: 'ivp2:r=<int>,amplitude=<float>'")
     fields = _ivp2_fields(datum[len("ivp2:"):])
-    return FoldingScenario(
+    return binary.FoldingScenario(
         spec=spec,
         r=fields["r"],
         amplitude=fields["amplitude"],
@@ -445,7 +466,7 @@ def scenario_from_config(cfg: dict, spec: NetworkSpec) -> FoldingScenario:
     )
 
 
-def datum_from_config(cfg: dict, spec: NetworkSpec) -> CellFunction:
+def datum_from_config(cfg: dict, spec: NetworkSpec) -> wavelets.CellFunction:
     """The initial datum on depth-(R + 1) cells. The resolution R is the
     config's, or else the deepest kernel level."""
     R = cfg.get("resolution") or spec.j_max
@@ -453,9 +474,9 @@ def datum_from_config(cfg: dict, spec: NetworkSpec) -> CellFunction:
     datum = cfg.get("datum", "uniform")
     if isinstance(datum, dict):
         basins = sorted(datum)
-        return CellFunction(spec.p, depth, basins, [datum[b] for b in basins])
+        return wavelets.CellFunction(spec.p, depth, basins, [datum[b] for b in basins])
     if datum == "uniform":
-        return CellFunction.constant(spec.p, depth, spec.basins, 1.0)
+        return wavelets.CellFunction.constant(spec.p, depth, spec.basins, 1.0)
     if datum.startswith("delta:"):
         label = datum[len("delta:"):]
         cell = parse_cell_label(label, spec.p)
@@ -463,14 +484,14 @@ def datum_from_config(cfg: dict, spec: NetworkSpec) -> CellFunction:
             raise ConfigError(
                 f"datum cell {label!r} is deeper than the working depth {depth}"
             )
-        return CellFunction.indicator(spec.p, depth, spec.basins, cell)
+        return wavelets.CellFunction.indicator(spec.p, depth, spec.basins, cell)
     if datum.startswith("ivp2:"):
         scenario = scenario_from_config(cfg, spec)
         if depth < 1 - scenario.r:
             raise ConfigError(
                 f"resolution {R} is too coarse for the bump at r = {scenario.r}"
             )
-        return ivp2_datum(scenario, depth)
+        return binary.ivp2_datum(scenario, depth)
     raise ConfigError(f"unsupported datum {datum!r}")
 
 
@@ -592,7 +613,7 @@ def _run_tau(cfg, spec, args) -> int:
 def _run_oracle(cfg, spec, args) -> int:
     datum = datum_from_config(cfg, spec)
     times = cfg.get("times", [0.1, 1.0, 10.0])
-    gaps = compare(spec, datum, times)
+    gaps = tree.compare(spec, datum, times)
     path = f"{args.out}/oracle.csv"
     with open(path, "w") as f:
         f.write("t,max_gap\n")
@@ -603,10 +624,8 @@ def _run_oracle(cfg, spec, args) -> int:
 
 
 def _run_simulate(cfg, spec, args) -> int:
-    datum = datum_from_config(cfg, spec)
-    gen = discretize(spec, datum.depth)
     times = cfg.get("record_times", cfg.get("times", [1.0]))
-    sim_cfg = SimConfig(
+    sim_cfg = montecarlo.SimConfig(
         n_paths=cfg.get("paths", 10000),
         seed=cfg.get("seed", 0),
         record_times=tuple(times),
@@ -618,10 +637,13 @@ def _run_simulate(cfg, spec, args) -> int:
         raise UsageError("t_max must be positive")
     if times[-1] > t_max:
         raise UsageError("record_times must not exceed t_max")
-    result = simulate(gen, datum, sim_cfg)
+    # the chain is built only once the run settings are known to be good
+    datum = datum_from_config(cfg, spec)
+    gen = tree.discretize(spec, datum.depth)
+    result = montecarlo.simulate(gen, datum, sim_cfg)
     path = f"{args.out}/mc.csv"
     with open(path, "w") as f:
-        write_mc_csv(result, f)
+        montecarlo.write_csv(result, f)
     print(f"wrote {path} ({sim_cfg.n_paths} paths per start cell)")
     return 0
 
@@ -629,7 +651,7 @@ def _run_simulate(cfg, spec, args) -> int:
 def _run_folding_demo(cfg, spec, args) -> int:
     spec = replace(spec, convention=args.convention or cfg.get("convention", "paper"))
     scenario = scenario_from_config(cfg, spec)
-    report = folding_tau(scenario)
+    report = binary.folding_tau(scenario)
     lines = [
         f"coupling alpha = {_fmt(report.alpha)}",
         f"basin losses beta, gamma = {_fmt(report.beta)}, {_fmt(report.gamma)}",
@@ -647,7 +669,7 @@ def _run_folding_demo(cfg, spec, args) -> int:
     text = "\n".join(lines)
     print(text)
 
-    state = spectral.init(spec, ivp2_datum(scenario))
+    state = spectral.init(spec, binary.ivp2_datum(scenario))
     if math.isfinite(report.tau_numeric) and report.tau_numeric > 0:
         horizon = 2 * report.tau_numeric
     else:

@@ -31,7 +31,9 @@ matrix, dying at infinity) are stated. A NetworkSpec fixes one
 convention for every solver run on it; classify states its result for
 the "paper" matrix whatever the spec's convention.
 build_basin_matrix returns a plain float array; the spectral state
-builds it once and keeps it.
+builds it once and keeps it. It and aggregate_rates, the two float
+builders, import numpy in their bodies, so the exact model and classify
+load no numpy.
 """
 
 from __future__ import annotations
@@ -40,13 +42,14 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import ClassificationError, ValidationError
 from .kernels import kernel_mass
 from .padic import validate_prime
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CONVENTIONS = ("derived", "paper")
 
@@ -176,6 +179,8 @@ class NetworkSpec:
 
 def aggregate_rates(spec: NetworkSpec) -> np.ndarray:
     """The per-basin sink (loss_total - gain_total) / p as floats, basin order."""
+    import numpy as np
+
     return np.array([float((m - l) / spec.p) for l, m in zip(spec.gain_total, spec.loss_total)])
 
 
@@ -198,6 +203,8 @@ def _basin_entries_exact(spec: NetworkSpec) -> list:
 def build_basin_matrix(spec: NetworkSpec) -> np.ndarray:
     """The basin matrix as floats, rows and columns in basin order, under
     the spec's convention."""
+    import numpy as np
+
     return np.array([[float(x) for x in row] for row in _basin_entries_exact(spec)])
 
 

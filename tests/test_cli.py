@@ -14,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultranet import cli, spectral
+from ultranet import cli, spectral, tree
 from ultranet.binary import ivp2_datum
 from ultranet.cli import (
     ConfigError,
@@ -380,6 +380,49 @@ def test_deep_nesting_exits_2_without_a_crash(tmp_path):
     done = _python("-m", "ultranet.cli", "solve", "--config", str(path), "--out", str(tmp_path))
     assert done.returncode == 2, done.stderr
     assert "config error: the config nests too deeply" in done.stderr
+
+
+_LAYERING = """\
+import sys
+from ultranet.cli import _COMMANDS, list_presets, main
+names = list_presets()
+classify = [main(["classify", "--preset", name, "--out", sys.argv[1]]) for name in names]
+dumps = {main([command, "--preset", name, "--dump-normalized-config"])
+         for name in names for command in _COMMANDS}
+print("loaded:", classify, dumps, "numpy" in sys.modules)
+solve = {main(["solve", "--preset", name, "--out", sys.argv[1]]) for name in names}
+print("loaded:", solve, "concurrent.futures" in sys.modules)
+"""
+
+
+def test_classify_and_config_dumps_import_no_numpy(tmp_path):
+    """The numeric layers load on first use. classify and the config dump
+    never import numpy, and solve never runs the body of montecarlo, the
+    only importer of concurrent.futures."""
+    done = _python("-c", _LAYERING, str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    exact, solve = (line for line in done.stdout.splitlines() if line.startswith("loaded: "))
+    # folding_demo's paper-convention matrix is not substochastic: exit 3
+    classify = [3 if name == "folding_demo" else 0 for name in list_presets()]
+    assert exact == f"loaded: {classify} {{0}} False"
+    assert solve == "loaded: {0} False"
+
+
+def test_numeric_modules_imported_before_cli_are_the_ones_it_uses():
+    """A second copy of a numeric module would carry classes of its own."""
+    done = _python("-c", (
+        "import sys\n"
+        "from ultranet import spectral, wavelets\n"
+        "from ultranet import cli\n"
+        "names = ('spectral', 'binary', 'montecarlo', 'tree', 'wavelets')\n"
+        "cfg = cli.parse_config(cli.load_preset('single_basin'))\n"
+        "datum = cli.datum_from_config(cfg, cli.spec_from_config(cfg))\n"
+        "print(cli.spectral is spectral, cli.wavelets is wavelets,\n"
+        "      all(getattr(cli, name) is sys.modules['ultranet.' + name] for name in names),\n"
+        "      isinstance(datum, wavelets.CellFunction))\n"
+    ))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True True True True\n"
 
 
 def test_missing_libyaml_fails_at_import_in_one_line():
@@ -867,7 +910,11 @@ def test_t_max_does_not_change_mc_csv(capsys, tmp_path):
     [("0.0", "t_max must be positive"), ("-1.0", "t_max must be positive"),
      ("0.5", "record_times must not exceed t_max")],
 )
-def test_t_max_below_the_record_times_exits_2(capsys, tmp_path, t_max, message):
+def test_t_max_below_the_record_times_exits_2(capsys, tmp_path, monkeypatch, t_max, message):
+    def no_chain(*args):
+        raise AssertionError("the chain is built before the run settings are checked")
+
+    monkeypatch.setattr(tree, "discretize", no_chain)
     cfgfile = tmp_path / "cfg.yaml"
     cfgfile.write_text(MINIMAL + f"paths: 10\nrecord_times: [0.0, 1.0]\nt_max: {t_max}\n")
     out_dir = tmp_path / "out"
