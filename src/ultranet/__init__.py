@@ -2,6 +2,11 @@
 
 __version__ = "0.1.0"
 
+# The two basin-matrix conventions (see network). They live here, with
+# no model behind them, so the config layer can check a convention
+# without importing the model.
+CONVENTIONS = ("derived", "paper")
+
 from .errors import (
     ClassificationError,
     NumericError,
@@ -11,6 +16,7 @@ from .errors import (
 )
 
 __all__ = [
+    "CONVENTIONS",
     "ClassificationError",
     "NumericError",
     "UltranetError",

@@ -20,7 +20,7 @@ import numpy as np
 from . import spectral
 from .errors import UsageError, ValidationError
 from .network import NetworkSpec
-from .wavelets import CellFunction, WaveletIndex
+from .wavelets import CellFunction, WaveletIndex, cell_table
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ def ivp2_datum(scenario: FoldingScenario, depth: int | None = None) -> CellFunct
     flat_n = alpha / A
     r, j = scenario.r, bump_wavelet(scenario).j
     coeff = scenario.amplitude * p ** (r / 2)
-    values = np.full((2, p ** (depth - 1)), [[flat_u], [flat_n]])
+    values = cell_table(2, p, depth, [[flat_u], [flat_n]])
     span = p ** (depth - 1 + r)  # cells per oscillation digit
     for osc in range(p):
         wave = p ** (-r / 2) * np.exp(2j * np.pi * j * osc / p)

@@ -4,6 +4,10 @@ Configs are YAML.  Parsing walks the composed node tree rather than the
 plain loaded data so every complaint can point at a line number, and
 unknown keys are rejected instead of ignored.  libyaml scans the text and
 emits the normalized dump; PyYAML's own composer builds the node tree.
+
+The model (network, kernels, padic) and the numeric layers load on
+first use, so a config dump, a config error or a usage error imports
+only PyYAML and the standard library.
 """
 
 from __future__ import annotations
@@ -11,14 +15,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib.util
-import json
 import math
 import os
 import re
 import sys
 from collections.abc import Hashable
-from dataclasses import replace
-from importlib import resources
 
 import yaml
 from yaml.composer import Composer
@@ -32,19 +33,18 @@ except ImportError:
         "ultranet needs PyYAML built with libyaml: yaml.cyaml does not import"
     ) from None
 
+from . import CONVENTIONS
 from .errors import NumericError, UsageError, ValidationError
-from .kernels import RadialKernel, arrhenius_kernel
-from .network import CONVENTIONS, NetworkSpec, classify
-from .padic import parse_cell_label
 
 
 def _lazy(name: str):
     """The module `name`, whose body runs on first attribute access.
 
-    classify and --dump-normalized-config need no numpy, so the numeric
-    layers wait until a command reads one of them. A module that is
-    already imported is returned as it is: a second copy would carry
-    classes of its own, and isinstance would fail across the two."""
+    A config dump needs neither the model nor numpy, and classify needs
+    no numpy, so the model and the numeric layers wait until a command
+    reads one of them. A module that is already imported is returned as
+    it is: a second copy would carry classes of its own, and isinstance
+    would fail across the two."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
@@ -57,6 +57,9 @@ def _lazy(name: str):
     return module
 
 
+network = _lazy("ultranet.network")
+kernels = _lazy("ultranet.kernels")
+padic = _lazy("ultranet.padic")
 spectral = _lazy("ultranet.spectral")
 binary = _lazy("ultranet.binary")
 montecarlo = _lazy("ultranet.montecarlo")
@@ -192,10 +195,30 @@ def _expect_int(loader, node, what: str) -> int:
     return value
 
 
+_FLOAT_TAG = "tag:yaml.org,2002:float"
+
+
 def _expect_number_list(loader, node, what: str) -> list:
+    """The entries as floats. A float-tagged scalar that float() reads as
+    a finite number takes that one call: PyYAML's constructor drops its
+    underscores and a sign and ends in float() of the same digits, and
+    float() takes an underscore only between digits, where dropping it
+    changes nothing. Every other entry (.inf, 1:30.5, 1__0.5, an int, a
+    string) goes through _expect_number, with its reading and message."""
     if not isinstance(node, yaml.SequenceNode):
         _fail(node, f"{what} must be a list")
-    return [_expect_number(loader, child, f"{what} entry") for child in node.value]
+    out = []
+    for child in node.value:
+        if child.tag == _FLOAT_TAG and isinstance(child, yaml.ScalarNode):
+            try:
+                value = float(child.value)
+            except ValueError:
+                value = math.nan
+            if math.isfinite(value):
+                out.append(value)
+                continue
+        out.append(_expect_number(loader, child, f"{what} entry"))
+    return out
 
 
 def _expect_times(loader, node, what: str) -> list:
@@ -329,7 +352,7 @@ def _parse_arrhenius(loader, node, cfg):
     for basin, (key_node, value) in _expect_basin_mapping(fields["barriers"], "barriers").items():
         barriers = _expect_number_list(loader, value, f"barriers.{basin}")
         try:
-            kernel = arrhenius_kernel(cfg["prime"], tuple(barriers), kT)
+            kernel = kernels.arrhenius_kernel(cfg["prime"], tuple(barriers), kT)
         except (UsageError, ValidationError) as exc:
             _fail(key_node, str(exc))
         except OverflowError:
@@ -394,7 +417,7 @@ def _parse_datum(loader, node, cfg):
         kind, _, rest = value.partition(":")
         try:
             if kind == "delta":
-                basin = parse_cell_label(rest, cfg["prime"]).basin
+                basin = padic.parse_cell_label(rest, cfg["prime"]).basin
                 if basin not in cfg["basins"]:
                     raise ValidationError(
                         f"datum cell {rest!r} lies in basin {basin}, "
@@ -415,10 +438,10 @@ def dump_config(cfg: dict) -> str:
 # ---------------------------------------------------------------- build
 
 
-def spec_from_config(cfg: dict, convention: str | None = None) -> NetworkSpec:
+def spec_from_config(cfg: dict, convention: str | None = None) -> network.NetworkSpec:
     p = cfg["prime"]
     basins = tuple(cfg["basins"])
-    kernels = cfg["kernels"]
+    levels = cfg["kernels"]
     cross_lambda = {}
     cross_mu = {}
     for key, rate in cfg["cross"]["lambda"].items():
@@ -427,13 +450,13 @@ def spec_from_config(cfg: dict, convention: str | None = None) -> NetworkSpec:
     for key, rate in cfg["cross"]["mu"].items():
         a, b = key.split("->")
         cross_mu[(int(a), int(b))] = rate
-    return NetworkSpec(
+    return network.NetworkSpec(
         p=p,
         basins=basins,
         cross_lambda=cross_lambda,
         cross_mu=cross_mu,
-        w_kernels={b: RadialKernel(p, tuple(kernels["w"][b])) for b in basins},
-        v_kernels={b: RadialKernel(p, tuple(kernels["v"][b])) for b in basins},
+        w_kernels={b: kernels.RadialKernel(p, tuple(levels["w"][b])) for b in basins},
+        v_kernels={b: kernels.RadialKernel(p, tuple(levels["v"][b])) for b in basins},
         convention=convention or cfg.get("convention", "derived"),
     )
 
@@ -453,7 +476,7 @@ def _ivp2_fields(text: str) -> dict:
         raise ConfigError(f"bad ivp2 parameters: {exc}") from exc
 
 
-def scenario_from_config(cfg: dict, spec: NetworkSpec) -> binary.FoldingScenario:
+def scenario_from_config(cfg: dict, spec: network.NetworkSpec) -> binary.FoldingScenario:
     datum = cfg.get("datum", "")
     if not (isinstance(datum, str) and datum.startswith("ivp2:")):
         raise ConfigError("this command needs datum: 'ivp2:r=<int>,amplitude=<float>'")
@@ -466,7 +489,7 @@ def scenario_from_config(cfg: dict, spec: NetworkSpec) -> binary.FoldingScenario
     )
 
 
-def datum_from_config(cfg: dict, spec: NetworkSpec) -> wavelets.CellFunction:
+def datum_from_config(cfg: dict, spec: network.NetworkSpec) -> wavelets.CellFunction:
     """The initial datum on depth-(R + 1) cells. The resolution R is the
     config's, or else the deepest kernel level."""
     R = cfg.get("resolution") or spec.j_max
@@ -479,7 +502,7 @@ def datum_from_config(cfg: dict, spec: NetworkSpec) -> wavelets.CellFunction:
         return wavelets.CellFunction.constant(spec.p, depth, spec.basins, 1.0)
     if datum.startswith("delta:"):
         label = datum[len("delta:"):]
-        cell = parse_cell_label(label, spec.p)
+        cell = padic.parse_cell_label(label, spec.p)
         if cell.depth > depth:
             raise ConfigError(
                 f"datum cell {label!r} is deeper than the working depth {depth}"
@@ -541,7 +564,9 @@ def emit_plotdata(name: str, labels, rows, out_dir: str):
 
 
 def _run_classify(cfg, spec, args) -> int:
-    result = classify(spec)
+    import json
+
+    result = network.classify(spec)
     g1 = "{" + ", ".join(str(b) for b in result.g1) + "}"
     g2 = "{" + ", ".join(str(b) for b in result.g2) + "}"
     lines = [f"G1 = {g1}", f"G2 = {g2}"]
@@ -649,6 +674,8 @@ def _run_simulate(cfg, spec, args) -> int:
 
 
 def _run_folding_demo(cfg, spec, args) -> int:
+    from dataclasses import replace
+
     spec = replace(spec, convention=args.convention or cfg.get("convention", "paper"))
     scenario = scenario_from_config(cfg, spec)
     report = binary.folding_tau(scenario)
@@ -696,13 +723,19 @@ _COMMANDS = {
 }
 
 
+def _preset_dir():
+    from importlib import resources
+
+    return resources.files("ultranet").joinpath("presets")
+
+
 def list_presets() -> list:
-    base = resources.files("ultranet").joinpath("presets")
-    return sorted(path.name[: -len(".yaml")] for path in base.iterdir() if path.name.endswith(".yaml"))
+    names = (path.name for path in _preset_dir().iterdir())
+    return sorted(name[: -len(".yaml")] for name in names if name.endswith(".yaml"))
 
 
 def load_preset(name: str) -> str:
-    path = resources.files("ultranet").joinpath("presets", f"{name}.yaml")
+    path = _preset_dir().joinpath(f"{name}.yaml")
     if not path.is_file():
         raise UsageError(
             f"unknown preset {name!r}; available: {', '.join(list_presets())}"

@@ -29,7 +29,9 @@ inequalities hold. "paper" keeps the cross terms bare (no 1/p); it is
 the convention under which the classification identities (conservative
 matrix, dying at infinity) are stated. A NetworkSpec fixes one
 convention for every solver run on it; classify states its result for
-the "paper" matrix whatever the spec's convention.
+the "paper" matrix whatever the spec's convention. CONVENTIONS names
+both; it is defined in the package, so the config layer reads it
+without loading the model.
 build_basin_matrix returns a plain float array; the spectral state
 builds it once and keeps it. It and aggregate_rates, the two float
 builders, import numpy in their bodies, so the exact model and classify
@@ -44,14 +46,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
+from . import CONVENTIONS
 from .errors import ClassificationError, ValidationError
 from .kernels import kernel_mass
 from .padic import validate_prime
 
 if TYPE_CHECKING:
     import numpy as np
-
-CONVENTIONS = ("derived", "paper")
 
 
 def _frac(x) -> Fraction:

@@ -74,6 +74,18 @@ def wavelet_matrix(p: int, R: int, depth: int) -> np.ndarray:
     return W
 
 
+def cell_table(rows: int, p: int, depth: int, fill=0.0) -> np.ndarray:
+    """A float table of shape (rows, p^(depth - 1)) filled with `fill`.
+
+    numpy refuses a table whose size in bytes exceeds intp with a
+    ValueError; this refuses it first, as the MemoryError numpy raises
+    for a table it cannot allocate."""
+    shape = (rows, p ** (depth - 1))
+    if rows * shape[1] * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"a float table of shape {shape} exceeds numpy's size limit")
+    return np.full(shape, fill, dtype=float)
+
+
 class CellFunction:
     """A real function constant on depth-N cells of a set of basins.
 
@@ -109,17 +121,17 @@ class CellFunction:
 
     @classmethod
     def constant(cls, p: int, depth: int, basins, value: float) -> "CellFunction":
-        return cls(p, depth, basins, np.full((len(basins), p ** (depth - 1)), float(value)))
+        return cls(p, depth, basins, cell_table(len(basins), p, depth, float(value)))
 
     @classmethod
     def indicator(cls, p: int, depth: int, basins, cell: CellAddress) -> "CellFunction":
         """1 on the subtree below the cell, 0 elsewhere in every basin."""
-        n = p ** (depth - 1)
         if cell.depth > depth:
             raise UsageError("indicator digits deeper than the function depth")
         if cell.basin not in basins:
             raise ValidationError(f"cell basin {cell.basin} is not in basins {list(basins)}")
-        values = np.zeros((len(basins), n))
+        values = cell_table(len(basins), p, depth)
+        n = values.shape[1]
         span = n // p ** len(cell.digits)
         start = cell_index(cell.digits, p) * span
         values[basins.index(cell.basin), start : start + span] = 1.0

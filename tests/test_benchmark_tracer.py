@@ -29,18 +29,24 @@ def test_every_traced_name_resolves():
 
 
 def test_traced_runs_exit_0_and_span_the_numeric_layers(tmp_path):
-    """The tracer patches the numeric modules after `import ultranet.cli`;
-    its spans must still show each of them wrapped in a real run."""
+    """The tracer patches the model and the numeric modules after
+    `import ultranet.cli`, which loads none of them; its spans must
+    still show each of them wrapped in a real run."""
     env = {**os.environ, "PYTHONPATH": str(TRACER.parents[1] / "src")}
-    names = set()
-    for command in ("solve", "simulate"):
-        spans = tmp_path / f"{command}.json"
+    runs = {
+        "classify": ("classify", "--preset", "conservative_two_basin"),
+        "solve": ("solve", "--preset", "single_basin"),
+        "simulate": ("simulate", "--preset", "single_basin"),
+    }
+    names = {}
+    for name, argv in runs.items():
+        spans = tmp_path / f"{name}.json"
         done = subprocess.run(
-            [sys.executable, str(TRACER), str(spans), command,
-             "--preset", "single_basin", "--out", str(tmp_path / command)],
+            [sys.executable, str(TRACER), str(spans), *argv, "--out", str(tmp_path / name)],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        names |= {span[0] for span in json.loads(spans.read_text())["spans"]}
-    assert {"spectral.init", "spectral.decay_rates", "tree.discretize",
-            "montecarlo.simulate"} <= names
+        names[name] = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    assert "network.classify" in names["classify"]
+    assert {"spectral.init", "spectral.decay_rates", "network.build_basin_matrix"} <= names["solve"]
+    assert {"tree.discretize", "montecarlo.simulate"} <= names["simulate"]

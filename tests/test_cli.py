@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -363,6 +364,78 @@ def test_parse_and_dump_match_the_pure_python_yaml(text, monkeypatch):
     assert dump_config(cfg) == yaml.safe_dump(cfg, sort_keys=True, default_flow_style=None)
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e300, -1e300, 1e-300]
+)
+
+
+@st.composite
+def _exponent_spelling(draw):
+    """A finite float as mantissa, e or E, and an exponent that may lack
+    its + sign or the mantissa its dot."""
+    mantissa, _, exponent = f"{draw(_FINITE):.{draw(st.integers(0, 17))}e}".partition("e")
+    if draw(st.booleans()):
+        mantissa = mantissa.replace(".", "")
+    sign = "-" if exponent[0] == "-" else draw(st.sampled_from(["+", ""]))
+    return f"{mantissa}{draw(st.sampled_from('eE'))}{sign}{exponent[1:]}"
+
+
+@st.composite
+def _underscored(draw):
+    """A number spelling with underscores put anywhere: between digits,
+    where float() takes them, or next to the dot, the sign or the end."""
+    text = draw(_FINITE.map(repr) | st.sampled_from(["1.5", "10.25", "1.0e+3", "1:30.5"]))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + "_" + text[at:]
+    return text
+
+
+_PLAIN_SPELLING = st.one_of(
+    _FINITE.map(repr),
+    _exponent_spelling(),
+    _underscored(),
+    st.sampled_from([
+        ".5", "-.5", "1.", "+1.", "1:30.5", "-1:30.5", "190:20:30.15", "1e-3",
+        ".inf", "-.Inf", "+.INF", ".NaN", "1.0e+309", "-1.0e+400",
+    ]),
+    st.integers(-(2**1100), 2**1100).map(str),
+    st.sampled_from([str(2**1024), "017", "0x1F", "0b101", "1_000", "1:30"]),
+)
+_NUMBER_SPELLING = _PLAIN_SPELLING | st.tuples(
+    st.sampled_from(["!!float {}", '"{}"', "'{}'", '!!float "{}"']), _PLAIN_SPELLING
+).map(lambda form: form[0].format(form[1]))
+
+
+def _every_entry_by_expect_number(loader, node, what):
+    """_expect_number_list without its float() shortcut."""
+    if not isinstance(node, yaml.SequenceNode):
+        cli._fail(node, f"{what} must be a list")
+    return [cli._expect_number(loader, child, f"{what} entry") for child in node.value]
+
+
+def _parsed_or_error(text):
+    try:
+        return repr(parse_config(text))  # repr tells -0.0 from 0.0
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+@given(spellings=st.lists(_NUMBER_SPELLING, min_size=1, max_size=6))
+@settings(max_examples=400, deadline=None)
+def test_one_float_call_reads_what_pyyaml_reads(spellings):
+    """The float() shortcut of _expect_number_list returns what PyYAML's
+    constructor and _expect_number return, or fails with their message."""
+    # the whole list, and each entry alone so that one bad entry does not
+    # hide the others
+    for row in [spellings] + [[text] for text in spellings]:
+        flow = "[" + ", ".join(row) + "]"
+        for text in (MINIMAL + f"times: {flow}\n", MINIMAL + f"datum: {{0: {flow}}}\n"):
+            fast = _parsed_or_error(text)
+            with mock.patch.object(cli, "_expect_number_list", _every_entry_by_expect_number):
+                assert _parsed_or_error(text) == fast
+
+
 def _python(*args):
     """Run a fresh interpreter that imports this checkout's ultranet."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -383,46 +456,67 @@ def test_deep_nesting_exits_2_without_a_crash(tmp_path):
 
 
 _LAYERING = """\
-import sys
+import contextlib, io, sys
 from ultranet.cli import _COMMANDS, list_presets, main
+def exits(argv):
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse refuses a usage error
+            return exc.code
 names = list_presets()
-classify = [main(["classify", "--preset", name, "--out", sys.argv[1]]) for name in names]
 dumps = {main([command, "--preset", name, "--dump-normalized-config"])
          for name in names for command in _COMMANDS}
-print("loaded:", classify, dumps, "numpy" in sys.modules)
+with open(sys.argv[1] + "/bogus.yaml", "w") as f:
+    f.write("prime: 2\\nbasins: [0]\\nbogus: 1\\n")
+errors = [exits(["solve", "--config", sys.argv[1] + "/bogus.yaml"]),
+          exits(["simulate", "--preset", names[0], "--threads", "0"])]
+print("loaded:", dumps, errors, [m for m in ("fractions", "decimal", "json") if m in sys.modules])
+classify = [main(["classify", "--preset", name, "--out", sys.argv[1]]) for name in names]
+print("loaded:", classify, "numpy" in sys.modules)
 solve = {main(["solve", "--preset", name, "--out", sys.argv[1]]) for name in names}
 print("loaded:", solve, "concurrent.futures" in sys.modules)
 """
 
 
 def test_classify_and_config_dumps_import_no_numpy(tmp_path):
-    """The numeric layers load on first use. classify and the config dump
-    never import numpy, and solve never runs the body of montecarlo, the
-    only importer of concurrent.futures."""
+    """The model and the numeric layers load on first use. A config dump,
+    a config error and a usage error import none of fractions, decimal
+    and json (the model's and classify's imports); classify imports no
+    numpy, and solve never runs the body of montecarlo, the only
+    importer of concurrent.futures."""
     done = _python("-c", _LAYERING, str(tmp_path))
     assert done.returncode == 0, done.stderr
-    exact, solve = (line for line in done.stdout.splitlines() if line.startswith("loaded: "))
+    config, exact, solve = (
+        line for line in done.stdout.splitlines() if line.startswith("loaded: ")
+    )
+    assert config == "loaded: {0} [2, 2] []"
     # folding_demo's paper-convention matrix is not substochastic: exit 3
     classify = [3 if name == "folding_demo" else 0 for name in list_presets()]
-    assert exact == f"loaded: {classify} {{0}} False"
+    assert exact == f"loaded: {classify} False"
     assert solve == "loaded: {0} False"
 
 
 def test_numeric_modules_imported_before_cli_are_the_ones_it_uses():
-    """A second copy of a numeric module would carry classes of its own."""
+    """A second copy of a model or numeric module would carry classes of
+    its own."""
     done = _python("-c", (
         "import sys\n"
-        "from ultranet import spectral, wavelets\n"
+        "from ultranet import network, spectral, wavelets\n"
+        "from ultranet import kernels, padic\n"
         "from ultranet import cli\n"
-        "names = ('spectral', 'binary', 'montecarlo', 'tree', 'wavelets')\n"
+        "names = ('network', 'kernels', 'padic', 'spectral', 'binary', 'montecarlo',\n"
+        "         'tree', 'wavelets')\n"
         "cfg = cli.parse_config(cli.load_preset('single_basin'))\n"
-        "datum = cli.datum_from_config(cfg, cli.spec_from_config(cfg))\n"
-        "print(cli.spectral is spectral, cli.wavelets is wavelets,\n"
+        "spec = cli.spec_from_config(cfg)\n"
+        "datum = cli.datum_from_config(cfg, spec)\n"
+        "print(cli.network is network, cli.spectral is spectral, cli.wavelets is wavelets,\n"
         "      all(getattr(cli, name) is sys.modules['ultranet.' + name] for name in names),\n"
+        "      isinstance(spec, sys.modules['ultranet.network'].NetworkSpec),\n"
         "      isinstance(datum, wavelets.CellFunction))\n"
     ))
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "True True True True\n"
+    assert done.stdout == "True True True True True True\n"
 
 
 def test_missing_libyaml_fails_at_import_in_one_line():
@@ -1201,6 +1295,25 @@ def test_oversized_cell_table_exits_3(capsys, tmp_path):
     code, _, err = run(capsys, "solve", "--config", str(path), "--out", str(tmp_path))
     assert code == 3
     assert "numeric failure: out of memory" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "tau", "oracle", "simulate"])
+@pytest.mark.parametrize("datum", ["uniform", "ivp2"])
+def test_a_table_numpy_cannot_shape_exits_3(command, datum, tmp_path):
+    """2^70 and 2^200 cells per basin: numpy cannot even shape the table
+    (it would raise ValueError, not MemoryError), so nothing is allocated."""
+    if datum == "uniform":
+        text = MINIMAL + "resolution: 70\n"
+    else:
+        text = load_preset("folding_demo").replace("resolution: 4", "resolution: 200")
+    path = tmp_path / "huge.yaml"
+    path.write_text(text)
+    out = tmp_path / "out"
+    done = _python("-m", "ultranet.cli", command, "--config", str(path), "--out", str(out))
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("numeric failure: out of memory: ")
+    assert "Traceback" not in done.stderr
+    assert list(out.iterdir()) == []
 
 
 def test_solve_memory_does_not_grow_with_the_time_grid(tmp_path):
