@@ -594,7 +594,7 @@ def _run_classify(cfg, spec, args) -> int:
 def _run_solve(cfg, spec, args) -> int:
     datum = datum_from_config(cfg, spec)
     state = spectral.init(spec, datum)
-    labels = [cell.label() for cell in datum.cells()]
+    labels = [cell.label(spec.p) for cell in datum.cells()]
     times = cfg.get("times", [0.0, 1.0])
     rows = ((t, values.ravel()) for t, _, values in spectral.evaluate(state, times))
     files = emit_plotdata("density", labels, rows, args.out)
@@ -614,7 +614,7 @@ def _run_tau(cfg, spec, args) -> int:
     datum = datum_from_config(cfg, spec)
     threshold = cfg.get("threshold", spectral.DEFAULT_THRESHOLD)
     result = spectral.absorbing_time(spec, datum, threshold=threshold)
-    cell = result.crossing_cell.label() if result.crossing_cell else "-"
+    cell = result.crossing_cell.label(spec.p) if result.crossing_cell else "-"
     if result.mode_basin is None:
         mode = "-"
     elif result.mode_index is None:
@@ -689,7 +689,7 @@ def _run_folding_demo(cfg, spec, args) -> int:
         f"tau (closed form) = {_fmt(report.tau_formula)}",
         f"tau (numeric crossing) = {_fmt(report.tau_numeric)}",
         f"crossing cell = "
-        + (report.crossing.crossing_cell.label() if report.crossing.crossing_cell else "-"),
+        + (report.crossing.crossing_cell.label(spec.p) if report.crossing.crossing_cell else "-"),
         f"time constant (chain) = {_fmt(report.time_constant_chain)}",
         f"time constant (mode) = {_fmt(report.time_constant_mode)}",
     ]

@@ -295,7 +295,7 @@ def simulate(gen: DiscreteGenerator, u0: CellFunction, cfg: SimConfig) -> SimRes
                         stderrs[j, cell] = math.sqrt(var / n)
 
     return SimResult(
-        labels=tuple(cell.label() for cell in u0.cells()),
+        labels=tuple(cell.label(u0.p) for cell in u0.cells()),
         record_times=times,
         estimates=estimates,
         stderrs=stderrs,

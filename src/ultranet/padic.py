@@ -55,26 +55,40 @@ class CellAddress:
                 raise ValidationError(f"digit {d} out of range for p={p}")
         return self
 
-    def label(self) -> str:
-        """Stable text form: basin digit, '.', within digits (base-36 chars)."""
-        body = "".join(_DIGIT_CHARS[d] for d in self.digits)
-        return f"{self.basin}.{body}" if body else f"{self.basin}"
+    def label(self, p: int) -> str:
+        """Stable text form: the basin digit, then '.' and the within
+        digits. For p <= 36 each digit is one base-36 character ("1.0a");
+        for a larger p each is a decimal number after its own '.'
+        ("1.0.10")."""
+        if not self.digits:
+            return f"{self.basin}"
+        if p > len(_DIGIT_CHARS):
+            return ".".join(map(str, (self.basin, *self.digits)))
+        return f"{self.basin}." + "".join(_DIGIT_CHARS[d] for d in self.digits)
 
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 def parse_cell_label(text: str, p: int) -> CellAddress:
-    """Inverse of CellAddress.label for digits expressible in base 36."""
-    if p > len(_DIGIT_CHARS):
-        raise ValidationError(f"cell labels support p <= 36, got p={p}")
+    """Inverse of CellAddress.label."""
     head, _, body = text.partition(".")
     try:
         basin = int(head)
-        digits = tuple(_DIGIT_CHARS.index(c) for c in body)
+        if p > len(_DIGIT_CHARS):
+            digits = tuple(map(_decimal, body.split("."))) if body else ()
+        else:
+            digits = tuple(_DIGIT_CHARS.index(c) for c in body)
     except (ValueError, IndexError):
         raise ValidationError(f"malformed cell label {text!r}") from None
     return CellAddress(basin, digits).validate(p)
+
+
+def _decimal(text: str) -> int:
+    """A digit of a label for p > 36: ASCII decimal digits only."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
 
 
 def enumerate_cells(p: int, depth: int) -> list[tuple[int, ...]]:

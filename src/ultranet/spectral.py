@@ -38,6 +38,7 @@ means move on an interval (_Peak._ceiling).
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -162,6 +163,16 @@ def init(spec: NetworkSpec, datum: CellFunction) -> SpectralState:
     n_basins, n_cells = table.shape
     mean = table.mean(axis=1)
     coarse = mean[:, None]
+    # numpy reserves an array without touching its pages, so one that the
+    # memory cannot hold ends in a kill, not a MemoryError; evaluate holds
+    # this array and one product of its size
+    need = 2 * 8 * n_basins * R * n_cells
+    if need > _memory_bytes():
+        raise MemoryError(
+            f"the scale parts of {n_basins} basins x {R} scales x {n_cells} cells "
+            f"need {need / 2**30:.3g} GiB, more than the {_memory_bytes() / 2**30:.3g} GiB "
+            "of memory"
+        )
     details = np.empty((n_basins, R, n_cells))
     for k in range(1, R + 1):
         block = p ** (R - k)
@@ -177,6 +188,15 @@ def init(spec: NetworkSpec, datum: CellFunction) -> SpectralState:
         rates=np.array([d.s for d in decay_rates(spec, R)]).reshape(n_basins, R),
         lam=build_basin_matrix(spec),
     )
+
+
+def _memory_bytes() -> int:
+    """The physical memory of the machine, or sys.maxsize where the
+    system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return sys.maxsize
 
 
 def _overflow(t: float) -> NumericError:

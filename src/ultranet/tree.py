@@ -8,6 +8,13 @@ here is deliberately generic, the exponential of the full chain matrix
 applied to the datum, with no wavelet or ultrametric structure, so it
 can serve as the oracle for the spectral solver.
 
+It is one algebra throughout, uniformization: e^{tQ} is a Poisson
+mixture of powers of P = I + Q/L, a matrix with no negative entry. The
+action on the datum sums that series against the vector; at long times
+the series is summed for the dense e^{tQ} at a short time and squared,
+with no subtraction anywhere, so no entry can cancel, overflow or turn
+into NaN. Only numpy is used.
+
 The generator acts on functions (the backward reading): a state jumps
 with the gain family (w kernels within a basin, lambda across basins)
 and is killed at the basin sink rate.
@@ -119,27 +126,24 @@ _TAIL = 2.0**-53
 # - The action takes exactly steps x K matvecs: K = 17 at y = 1, 87 at
 #   y = 31, 193 at y = 100 and 928 at y = 700, about 1.33 per unit of L t
 #   for long times.
-# - The dense exponential takes 22/3 matrix products for its [13/13] Pade
-#   approximant (6 products and one solve) plus one squaring per doubling
-#   of ||Qt||_1 past theta_13 = 5.37 (Higham, SIMAX 26, 2005). ||Qt||_1 is
-#   counted as 2 L t, which bounds the absolute sum of every row of Qt (its
-#   infinity norm); it read 1.6-1.8 L t on seeded chains of 128-1024
-#   states. A product is dim matvecs of work but runs faster per flop,
-#   since it reuses each cached block while a matvec streams the whole
-#   array: one product took as long as dim/2.4, dim/4.3 and dim/8.8 matvecs
-#   at 128, 512 and 1024 states (one BLAS thread). It is counted as dim/8,
-#   the ratio at the large end, where a wrong route costs the most.
-# So the switch falls at L t = 710 at 512 states and 1610 at 1024. Timed on
-# a seeded non-symmetric chain (2-vCPU VM, one BLAS thread), the routes
-# cross near L t = 1000 at 256 and 512 states and 1500-2000 at 1024.
+# - The dense route (_dense_exponential) sums the same series at
+#   L tau <= 1/2, with the identity as its operand: 14 matrix products,
+#   the length of _poisson_weights(0.5) less one. It then squares the
+#   result once per doubling from tau up to t (Grassmann, Comput. Oper.
+#   Res. 4, 1977). Every factor is >= 0 entrywise, so like the GTH
+#   algorithm (Grassmann, Taksar & Heyman, Oper. Res. 33, 1985) it never
+#   subtracts, and each product errs by a few ulps per entry, relatively.
+#   A product is dim matvecs of work but runs faster per flop, since it
+#   reuses each cached block while a matvec streams the whole array: one
+#   product took as long as dim/2.4, dim/4.3 and dim/8.8 matvecs at 128,
+#   512 and 1024 states (one BLAS thread). It is counted as dim/8, the
+#   ratio at the large end, where a wrong route costs the most.
+# So the switch falls at L t = 1240 at 512 states and 2580 at 1024.
 # An action of at most _ACTION_ALWAYS_MATVECS matvecs is taken whatever the
 # count says, which on chains below 512 states means up to L t = 700. One
 # matvec of the action's loop costs 5 us up to 64 states (interpreter
 # overhead), 8 us at 128 and 16 us at 256, so such an action costs at most
-# 5-16 ms. The dense route costs 30-120 us per call up to 32 states, but
-# its first call in a process imports scipy.linalg, which takes 0.3 s.
-_PADE13_PRODUCTS = 22 / 3
-_THETA13 = 5.37
+# 5-16 ms.
 _BLAS3_SPEEDUP = 8  # per flop, of a matrix product over a matvec
 _ACTION_ALWAYS_MATVECS = 1024
 
@@ -165,6 +169,13 @@ def _schedule(rate_t: float) -> tuple:
     return steps, _poisson_weights(rate_t / steps)
 
 
+def _squarings(rate: float, t: float = 1.0) -> int:
+    """The least s >= 0 with rate * t / 2^s < 1/2. t is scaled into
+    [1/2, 1) first, so rate * t may lie past the float range."""
+    n, e = math.frexp(t)
+    return max(0, e + 1 + math.frexp(rate * n)[1])
+
+
 def _action_is_cheaper(rate_t: float, dim: int) -> bool:
     """Whether e^{tQ} u takes fewer matvecs as the uniformized action than
     through the dense e^{tQ}, for L t = rate_t on dim states. A rate_t that
@@ -173,16 +184,16 @@ def _action_is_cheaper(rate_t: float, dim: int) -> bool:
         return False
     steps, weights = _schedule(rate_t)
     matvecs = steps * (len(weights) - 1)
-    squarings = max(0, math.frexp(2 * rate_t / _THETA13)[1])
-    dense = (_PADE13_PRODUCTS + squarings) * dim / _BLAS3_SPEEDUP
+    products = len(_poisson_weights(0.5)) - 1 + _squarings(rate_t)
+    dense = products * dim / _BLAS3_SPEEDUP
     return matvecs <= max(dense, _ACTION_ALWAYS_MATVECS)
 
 
 def _uniformized(Q: np.ndarray, rate: float, t: float, u: np.ndarray) -> np.ndarray:
-    """e^{tQ} u as the uniformized sum, for rate the largest exit rate of Q.
-    P is built here, one array the size of Q, and dropped on return. A
-    datum u >= 0 gives a result >= 0 exactly: every weight and every entry
-    of P is >= 0."""
+    """e^{tQ} u as the uniformized sum, for rate the largest exit rate of Q;
+    u is a vector, or the identity for e^{tQ} itself. P is built here, one
+    array the size of Q, and dropped on return. A datum u >= 0 gives a
+    result >= 0 exactly: every weight and every entry of P is >= 0."""
     steps, weights = _schedule(rate * t)
     if len(weights) == 1:  # no jump within t, or none at all
         return weights[0] * u
@@ -198,27 +209,57 @@ def _uniformized(Q: np.ndarray, rate: float, t: float, u: np.ndarray) -> np.ndar
     return u
 
 
+def _reaches_a_kill(Q: np.ndarray, kill: np.ndarray) -> np.ndarray:
+    """Whether each state reaches a killing state, itself included, along
+    the positive off-diagonal entries of Q: a search backwards from the
+    killing states that visits each state once."""
+    jumps = Q > 0  # the diagonal is <= 0
+    reach = kill > 0
+    new = reach
+    while new.any():
+        new = jumps[:, new].any(axis=1) & ~reach
+        reach = reach | new
+    return reach
+
+
+def _dense_exponential(Q: np.ndarray, kill: np.ndarray, rate: float, t: float) -> np.ndarray:
+    """e^{tQ}: the uniformized series with the identity as its operand at
+    tau = t / 2^s, L tau <= 1/2 (L = rate), squared s times.
+
+    Every entry of P, of the weights and so of every factor is >= 0, so no
+    product cancels, and as every row sums to at most 1 no entry can
+    overflow or become NaN; past the decay of a killed state its row
+    underflows to exact zeros. A state that reaches no killing state has
+    a row of e^{tQ} that sums to exactly 1. Those rows are rescaled to sum
+    1 after the series and after each squaring, so the rounding of the
+    squarings does not add up in their long-time limit."""
+    s = _squarings(rate, t)
+    E = _uniformized(Q, rate, math.ldexp(t, -s), np.eye(len(Q)))
+    closed = ~_reaches_a_kill(Q, kill)
+    for k in range(s + 1):
+        if k:
+            E = E @ E
+        E /= np.where(closed, E.sum(axis=1), 1.0)[:, None]
+    return E
+
+
 def solve(gen: DiscreteGenerator, u0: CellFunction, t: float) -> CellFunction:
     """Propagate the cell vector, u(t) = e^{tQ} u(0); the result has the
     basins and the layout of u0.
 
-    The exponential's action on the datum is summed by uniformization in
-    numpy, so no dim x dim exponential is formed, while L t (L the largest
-    exit rate) is small against the number of states, or the sum is short.
-    Past that, the action's cost grows with t and the dense matrix
-    exponential, whose cost grows only with log t, is formed and applied
-    instead."""
+    The exponential's action on the datum is summed by uniformization, so
+    no dim x dim exponential is formed, while L t (L the largest exit rate)
+    is small against the number of states, or the sum is short. Past that,
+    the action's cost grows with t, and the same series is summed for
+    e^{tQ} at a short time and squared up to t, a cost that grows only
+    with log t."""
     u = gen.cell_vector(u0)
     t = float(t)
     rate = float(-gen.Q.diagonal().min())
     if _action_is_cheaper(rate * t, gen.dim):
         out = _uniformized(gen.Q, rate, t, u)
     else:
-        # scipy is imported here: only the dense route needs it, and this
-        # spares every other command and route the import
-        import scipy.linalg
-
-        out = scipy.linalg.expm(gen.Q * t) @ u
+        out = _dense_exponential(gen.Q, gen.kill, rate, t) @ u
     return CellFunction(u0.p, gen.N, u0.basins, out.reshape(u0.values.shape))
 
 

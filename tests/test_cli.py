@@ -828,24 +828,36 @@ def test_oracle_gap_small_on_every_preset(capsys, tmp_path, name):
 
 
 def test_oracle_imports_no_scipy(tmp_path):
-    """The chain oracle's action is numpy alone, and only its dense route
-    imports scipy: a 512-state chain at t <= 4 and every preset stay off it."""
+    """The chain oracle is numpy alone on both of its routes: a 512-state
+    chain at t <= 4 and every preset take the action, and a 16-state chain
+    at t = 1e6 the dense route."""
     rows = {b: [(7 * i + 3 * b) % 11 / 10 for i in range(256)] for b in (0, 1)}
     path = tmp_path / "chain.yaml"
     path.write_text(
         TWO_BASINS.replace("resolution: 1", "resolution: 8").split("datum:")[0]
         + f"datum: {rows}\ntimes: [0.1, 1.0, 4.0]\n"
     )
-    runs = [["--config", str(path)]] + [["--preset", name] for name in sorted(list_presets())]
+    late = tmp_path / "late.yaml"
+    late.write_text(
+        TWO_BASINS.replace("[1.0]", "[0.5]").replace(": 0.5", ": 0.75")
+        .replace("resolution: 1", "resolution: 3").split("datum:")[0]
+        + "times: [1.0e+6]\n"
+    )
+    runs = [["--config", str(path)], ["--config", str(late)]]
+    runs += [["--preset", name] for name in sorted(list_presets())]
     done = _python("-c", (
         "import sys\n"
+        "from ultranet import tree\n"
         "from ultranet.cli import main\n"
+        "dense = []\n"
+        "real = tree._dense_exponential\n"
+        "tree._dense_exponential = lambda *args: dense.append(1) or real(*args)\n"
         f"codes = [main(['oracle', *run, '--out', {str(tmp_path)!r}]) for run in {runs!r}]\n"
-        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(codes, len(dense), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     ))
     assert done.returncode == 0, done.stderr
     *gaps, last = done.stdout.splitlines()
-    assert last == f"{[0] * len(runs)} []"
+    assert last == f"{[0] * len(runs)} 1 []"
     assert len(gaps) == len(runs) and all(float(g.split("=")[1]) <= 1e-8 for g in gaps)
 
 
@@ -1079,7 +1091,7 @@ def test_solve_bytes_match_a_loop_over_single_times(capsys, tmp_path):
             parts = (state.details * np.exp(state.rates * t)[:, :, None]).sum(axis=1)
             yield t, (mean[:, None] + parts).ravel().tolist()
 
-    csv, dat = reference_plotdata([cell.label() for cell in datum.cells()], rows())
+    csv, dat = reference_plotdata([cell.label(datum.p) for cell in datum.cells()], rows())
     assert lines(out / "density.csv") == csv
     assert lines(out / "density.dat") == dat
 
@@ -1271,21 +1283,59 @@ def test_folding_demo_that_overflows_publishes_nothing(capsys, tmp_path):
     assert list(out_dir.iterdir()) == []
 
 
-def test_non_finite_oracle_gap_exits_3(capsys, tmp_path):
-    # the 4-state chain exponential is not finite at these late times; the
-    # gap used to print as nan rows under a finite "max gap over grid"
+def test_oracle_answers_after_every_state_has_died(capsys, tmp_path):
+    # every state of this 4-state chain is killed: its exponential decays to
+    # exact zeros, where the chain solver once gave NaN from t = 1e50 on
     path = tmp_path / "late.yaml"
     path.write_text(
-        MINIMAL.replace("v: {0: [1.0]}", "v: {0: [1.5]}")
+        MINIMAL.replace("w: {0: [1.0]}", "w: {0: [1.0, 0.5]}")
+        .replace("v: {0: [1.0]}", "v: {0: [1.5, 1.0]}")
         + "resolution: 2\n"
-        + "datum: {0: [1.0, 0.5, 0.25, 0.0]}\n"
-        + "times: [1.0, 1.0e+300, 1.0e+308]\n"
+        + "times: [1.0, 1.0e+20, 1.0e+50, 1.0e+300, 1.0e+308]\n"
     )
     code, out, err = run(capsys, "oracle", "--config", str(path), "--out", str(tmp_path))
-    assert code == 3
-    assert "numeric failure: oracle gap is not finite at t = 1e+300" in err
-    assert out == ""
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["late.yaml"]
+    assert (code, err) == (0, "")
+    rows = (tmp_path / "oracle.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [1.0, 1e20, 1e50, 1e300, 1e308]
+    assert max(float(row.split(",")[1]) for row in rows) <= 1e-8
+    assert float(out.split("=")[1]) <= 1e-8
+
+
+def test_every_command_runs_at_p_37(capsys, tmp_path):
+    # past base 36 a cell label spells each digit in decimal after its own
+    # '.', and a delta datum names its cell the same way
+    path = tmp_path / "p37.yaml"
+    path.write_text(
+        MINIMAL.replace("prime: 2", "prime: 37")
+        + 'resolution: 1\ndatum: "delta:0.36"\npaths: 20\n'
+    )
+    outs = {}
+    for command in ("solve", "simulate", "tau", "oracle"):
+        code, outs[command], err = run(
+            capsys, command, "--config", str(path), "--out", str(tmp_path)
+        )
+        assert (code, err) == (0, "")
+    labels = [f"0.{d}" for d in range(37)]
+    assert (tmp_path / "density.dat").read_text().splitlines()[0] == "# t " + " ".join(labels)
+    rows = [row.split(",") for row in (tmp_path / "density.csv").read_text().splitlines()[1:]]
+    assert [(label, value) for t, label, value in rows if t == "0"] == [
+        (label, "1" if label == "0.36" else "0") for label in labels
+    ]
+    mc = [row.split(",") for row in (tmp_path / "mc.csv").read_text().splitlines()[1:]]
+    assert [row[1] for row in mc] == labels
+    assert "crossing cell = 0.36" in outs["tau"].splitlines()
+    assert float(outs["oracle"].split("=")[1]) <= 1e-8
+
+
+def test_scale_parts_past_the_memory_exit_3(capsys, tmp_path, monkeypatch):
+    # with the memory taken as 1 MiB, R = 15 needs 2 x 15 x 2^15 x 8 bytes
+    monkeypatch.setattr(spectral, "_memory_bytes", lambda: 2**20)
+    path = tmp_path / "deep.yaml"
+    path.write_text(MINIMAL + "resolution: 15\n")
+    for command in ("solve", "tau"):
+        code, out, err = run(capsys, command, "--config", str(path), "--out", str(tmp_path))
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure: out of memory: the scale parts of 1 basins")
 
 
 def test_oversized_cell_table_exits_3(capsys, tmp_path):

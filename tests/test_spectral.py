@@ -1175,3 +1175,19 @@ def test_spectral_matches_oracle_on_killed_symmetric_spec():
     datum = CellFunction(2, N, (0, 1), [[1.0, 0.5, 0.0, 0.25], [0.0, 0.75, 1.0, 0.5]])
     gaps = compare(spec, datum, [0.1, 1.0, 10.0])
     assert max(gaps) <= 1e-8
+
+
+def test_init_refuses_scale_parts_larger_than_the_memory(monkeypatch):
+    """The (basins, R, cells) array and evaluate's product of its size are
+    checked against the memory before numpy reserves them; a one-basin p = 2
+    network at R = 25 (6.7 GB each) meets the same check at full size."""
+    spec = NetworkSpec(
+        p=2, basins=(0,), cross_lambda={}, cross_mu={},
+        w_kernels={0: RadialKernel(2, (1.0,))}, v_kernels={0: RadialKernel(2, (1.0,))},
+    )
+    datum = CellFunction.constant(2, 6, [0], 1.0)  # R = 5, 32 cells: 2 x 1280 bytes
+    monkeypatch.setattr(spectral, "_memory_bytes", lambda: 2 * 1280)
+    assert init(spec, datum).details.nbytes == 1280
+    monkeypatch.setattr(spectral, "_memory_bytes", lambda: 2 * 1280 - 1)
+    with pytest.raises(MemoryError, match="1 basins x 5 scales x 32 cells"):
+        init(spec, datum)

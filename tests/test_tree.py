@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultranet import tree
-from ultranet.errors import UsageError, ValidationError
+from ultranet.errors import NumericError, UsageError, ValidationError
 from ultranet.kernels import RadialKernel
 from ultranet.montecarlo import SimConfig, simulate
 from ultranet.network import NetworkSpec
@@ -202,9 +202,20 @@ def random_chain(p, basins, N, conservative, seed):
     return gen
 
 
+def stationary(gen):
+    """The stationary law pi of a conservative chain: pi Q = 0, sum 1."""
+    A = gen.Q.T.copy()
+    A[-1] = 1.0  # one balance equation replaced by the normalization
+    return np.linalg.solve(A, np.eye(gen.dim)[-1])
+
+
 @pytest.mark.parametrize("conservative", [True, False])
 @pytest.mark.parametrize("p, basins, N", [(2, (0, 1), 7), (3, (0, 1, 2), 4)])
 def test_solve_matches_the_dense_exponential_on_both_routes(p, basins, N, conservative):
+    """The reference is the extended-precision exponential, except for a
+    conservative chain at t = 1e6: there its squarings carry the roundoff
+    into the stationary mean (3.8e-12 max|u| off on the p = 2 chain, and
+    scipy's float64 expm 4.9e-11), so the reference is the limit pi . u."""
     gen = random_chain(p, basins, N, conservative, seed=p + 10 * conservative)
     rng = np.random.default_rng(3)
     u0 = CellFunction(p, N, basins, rng.uniform(-1.0, 1.0, (len(basins), p ** (N - 1))))
@@ -214,7 +225,10 @@ def test_solve_matches_the_dense_exponential_on_both_routes(p, basins, N, conser
     routes = {_action_is_cheaper(rate * t, gen.dim) for t in times}
     assert routes == {True, False}
     for t in times:
-        exact = scipy.linalg.expm(gen.Q * t) @ u
+        if conservative and t == 1e6:
+            exact = stationary(gen) @ u
+        else:
+            exact = (extended_expm(gen.Q, t) @ u).astype(float)
         out = solve(gen, u0, t)
         assert out.basins == u0.basins and out.values.shape == u0.values.shape
         assert np.abs(out.values.ravel() - exact).max() <= 1e-12 * np.abs(u).max()
@@ -237,36 +251,85 @@ def test_solve_reaches_the_stationary_limit_of_a_conservative_chain(p, basins, N
     assert np.abs(out - pi @ u).max() <= 1e-9 * np.abs(u).max()
 
 
+@pytest.mark.parametrize("t", [1e12, 1e100, 1e300])
+@pytest.mark.parametrize("p, basins, N", [(2, (0, 1), 7), (3, (0, 1, 2), 4)])
+def test_conservative_chain_stays_at_its_stationary_limit(p, basins, N, t):
+    """The rows of a conservative chain are rescaled to sum 1 after each
+    squaring, so up to 1000 squarings leave pi . u within the bound of
+    the short times."""
+    gen = random_chain(p, basins, N, True, seed=p + 10)
+    rng = np.random.default_rng(3)
+    u0 = CellFunction(p, N, basins, rng.uniform(-1.0, 1.0, (len(basins), p ** (N - 1))))
+    u = u0.values.ravel()
+    out = solve(gen, u0, t).values.ravel()
+    assert np.abs(out - stationary(gen) @ u).max() <= 1e-12 * np.abs(u).max()
+
+
+def test_dying_chain_decays_to_exact_zeros():
+    """Every state of this chain is killed, so e^{tQ} u underflows to 0 at
+    long times: no entry of the squared series cancels or turns NaN."""
+    spec = single_basin(w_levels=(1.0, 0.5), v_levels=(1.5, 1.0))
+    gen = discretize(spec, 3)
+    assert gen.dim == 4 and (gen.kill > 0).all()
+    u0 = CellFunction(2, 3, (0,), [[1.0, 0.0, 0.0, 0.0]])
+    for t in (1e20, 1e50, 1e300):
+        assert not _action_is_cheaper(-gen.Q.diagonal().min() * t, gen.dim)
+        assert (solve(gen, u0, t).values == 0).all()
+
+
+def test_dense_route_squares_past_the_float_range_of_L_t():
+    """L t past the float range still takes finitely many squarings."""
+    spec = single_basin(w_levels=(1e300, 1e300), v_levels=(1e300, 1e300))
+    gen = discretize(spec, 3)
+    assert float(-gen.Q.diagonal().min()) * 1e300 == math.inf
+    out = solve(gen, CellFunction(2, 3, (0,), [[1.0, 0.0, 0.5, 0.5]]), 1e300)
+    assert np.abs(out.values - 0.5).max() <= 1e-15
+
+
+def test_compare_refuses_a_gap_that_is_not_finite(monkeypatch):
+    """Should either side give a value that is not finite, the oracle names
+    the time rather than report the gap."""
+    spec = single_basin()
+    datum = CellFunction(2, 2, (0,), [[1.0, 0.0]])
+    broken = CellFunction(2, 2, (0,), [[math.inf, 0.0]])
+    monkeypatch.setattr(tree, "solve", lambda gen, u0, t: broken)
+    with pytest.raises(NumericError, match="oracle gap is not finite at t = 3"):
+        tree.compare(spec, datum, [3.0])
+
+
 def test_conservative_chain_at_late_time_takes_the_dense_route(monkeypatch):
     calls = []
 
     def recording(name, real):
-        def stand_in(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
+        def stand_in(*args):
+            calls.append(name(*args))
+            return real(*args)
         return stand_in
 
-    monkeypatch.setattr(scipy.linalg, "expm", recording("expm", scipy.linalg.expm))
-    monkeypatch.setattr(tree, "_uniformized", recording("action", tree._uniformized))
+    monkeypatch.setattr(tree, "_dense_exponential",
+                        recording(lambda *args: "dense", tree._dense_exponential))
+    # the dense route sums the action's series with the identity as operand
+    monkeypatch.setattr(tree, "_uniformized", recording(
+        lambda Q, rate, t, u: "action" if u.ndim == 1 else "series", tree._uniformized))
     spec = balanced_two_basin(cross=0.75, levels=(0.5,))
     N = 7
     gen = discretize(spec, N)
     rng = np.random.default_rng(5)
     u0 = CellFunction(2, N, (0, 1), rng.uniform(0, 1, (2, 2 ** (N - 1))))
     out = solve(gen, u0, 1e6)
-    assert calls == ["expm"]
+    assert calls == ["dense", "series"]
     assert abs(out.integral() - u0.integral()) < 1e-9
     calls.clear()
     solve(gen, u0, 1.0)
     assert calls == ["action"]
     calls.clear()
-    small = discretize(spec, 4)  # 16 states: a short action spares the scipy import
+    small = discretize(spec, 4)  # 16 states
     ones = CellFunction.constant(2, 4, [0, 1], 1.0)
     solve(small, ones, 1.0)
     assert calls == ["action"]
     calls.clear()
     out = solve(small, ones, 1e6)  # the action would take 1.3e6 matvecs
-    assert calls == ["expm"]
+    assert calls == ["dense", "series"]
     assert abs(out.integral() - ones.integral()) < 1e-9
 
 
@@ -285,6 +348,29 @@ def test_solve_never_forms_the_matrix_exponential():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * gen.Q.nbytes
+
+
+def test_dense_route_holds_no_more_arrays_than_scipy_expm():
+    """At its peak the dense route holds about four arrays the size of Q,
+    scipy.linalg.expm about nine."""
+    spec = balanced_two_basin(cross=0.5, levels=(1.0, 0.5))
+    N = 8
+    gen = discretize(spec, N)
+    u0 = CellFunction.constant(2, N, [0, 1], 1.0)
+    t = 1e6
+    assert not _action_is_cheaper(-gen.Q.diagonal().min() * t, gen.dim)
+    peaks = []
+    for run in (lambda: solve(gen, u0, t), lambda: scipy.linalg.expm(gen.Q * t) @ u0.values.ravel()):
+        run()  # first calls may allocate caches
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[0] <= 4.5 * gen.Q.nbytes
+    assert peaks[0] <= peaks[1]
 
 
 def poisson_tail(y, K):
