@@ -23,10 +23,13 @@ builds it once, next to the scale rates, and carries one real
 rows, synthesis sums them, both O(cells * R). e^{t Lambda} is formed in
 one place, _propagate, for a whole chunk of times at once: evaluate
 walks the output grids of solve, folding-demo and the oracle in chunks,
-and the crossing search the left ends of its pending intervals. Decay
-tables are bookkeeping on the same arrays. No wavelet coefficient is
-formed: the mode that dominates a crossing cell is named from the p
-child-block values of each level, in real arithmetic.
+and the crossing search the left ends of its pending intervals. It is
+uniformization.exponential, the function that also forms the chain
+oracle's dense e^{tQ}; nothing else of the oracle or of the Monte Carlo
+sampler is shared. Decay tables are bookkeeping on the same arrays. No
+wavelet coefficient is formed: the mode that dominates a crossing cell
+is named from the p child-block values of each level, in real
+arithmetic.
 
 The absorbing time tau is the first t >= 0 at which the peak reaches
 the threshold, to relative 1e-9. It is found by certified interval
@@ -49,59 +52,22 @@ from .errors import NumericError, UsageError, ValidationError
 from .kernels import symbol_value
 from .network import NetworkSpec, _basin_entries_exact, build_basin_matrix
 from .padic import CellAddress
+from .uniformization import exponential
 from .wavelets import CellFunction, WaveletIndex
 
 # the crossing threshold of `tau` and the folding model when none is given
 DEFAULT_THRESHOLD = 0.99
-_TAYLOR_TERMS = 24
 _SCAN_BYTES = 8 * 2**20  # working set of one chunk of stacked times
+# A stacked exponential shares its at most 14 products of P among its
+# times: per time it costs 130 us alone, 8-16 us in a chunk of 24 and 5-9 us
+# in one of 512 (two basins). Longer chunks save little and hold more memory.
+_CHUNK_TIMES = 24
 
 
-def matrix_exponential(M: np.ndarray, t=1.0) -> np.ndarray:
-    """e^{tM} by scaling and squaring of a truncated power series; for a
-    1-D array of times, the (n, B, B) stack of e^{t_i M}.
-
-    Plain and self-contained on purpose: this is the only matrix
-    exponential the solver path uses, so it has to be checkable against
-    the power series directly (small norm) and against itself through
-    the squaring identity (large norm). A stack runs the scalar steps on
-    every slice: each time gets its own norm and squaring count, the
-    Taylor terms are stacked products, and a squaring touches only the
-    times that still need it, so slice i is bit for bit the exponential
-    at t_i alone. A time where ||tM|| is beyond what 2^squarings can
-    scale back (about 4e307) gives a slice of NaN.
-    """
-    M = np.asarray(M, dtype=float)
-    ts = np.asarray(t, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise UsageError(f"matrix must be square, got shape {M.shape}")
-    if ts.ndim > 1:
-        raise UsageError(f"times must be a scalar or a 1-D array, got shape {ts.shape}")
-    if not np.all(np.isfinite(M)) or not np.all(np.isfinite(ts)):
-        raise UsageError("matrix exponential needs finite entries")
-    A = M * ts.reshape(-1, 1, 1)
-    norms = np.abs(A).sum(axis=2).max(axis=1)
-    lost = ~(norms <= 2.0**1022)  # 2^squarings would leave the float range
-    norms[lost] = A[lost] = 0.0
-    squarings = np.array(
-        [math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0 for norm in norms.tolist()],
-        dtype=int,
-    )
-    A = A / np.ldexp(1.0, squarings)[:, None, None]
-    out = np.repeat(np.eye(M.shape[0])[None], len(A), axis=0)
-    term = out.copy()
-    for k in range(1, _TAYLOR_TERMS + 1):
-        term = term @ A / k
-        out = out + term
-    first = squarings.min() if len(A) else 0
-    for _ in range(first):  # the squarings every time takes
-        out = out @ out
-    for j in range(first, squarings.max(initial=0)):
-        need = squarings > j
-        part = out[need]
-        out[need] = part @ part
-    out[lost] = np.nan
-    return out if ts.ndim else out[0]
+def matrix_exponential(M: np.ndarray, kill: np.ndarray, t=1.0) -> np.ndarray:
+    """uniformization.exponential under a function object of its own, so
+    that a count of its calls counts the basin means' and not the oracle's."""
+    return exponential(M, kill, t)
 
 
 @dataclass(frozen=True)
@@ -147,11 +113,13 @@ class SpectralState:
     details: np.ndarray  # (basins, R, cells); row k - 1 is the scale -k part
     rates: np.ndarray  # (basins, R); s_{a,-k} of row k - 1
     lam: np.ndarray  # the basin matrix under the spec's convention
+    kill: np.ndarray  # minus the exact row sums of lam, rounded once; < 0 where a row grows
 
 
 def init(spec: NetworkSpec, datum: CellFunction) -> SpectralState:
     """Split an initial datum into basin means and scale parts at
-    R = depth - 1, and build the basin matrix under the spec's convention."""
+    R = depth - 1, and build the basin matrix under the spec's convention
+    with its row sums from the exact rows."""
     if datum.p != spec.p:
         raise ValidationError(f"datum has p={datum.p}, network has p={spec.p}")
     datum.require_basins(spec.basins)
@@ -161,8 +129,6 @@ def init(spec: NetworkSpec, datum: CellFunction) -> SpectralState:
     p = spec.p
     table = datum.values
     n_basins, n_cells = table.shape
-    mean = table.mean(axis=1)
-    coarse = mean[:, None]
     # numpy reserves an array without touching its pages, so one that the
     # memory cannot hold ends in a kill, not a MemoryError; evaluate holds
     # this array and one product of its size
@@ -174,11 +140,18 @@ def init(spec: NetworkSpec, datum: CellFunction) -> SpectralState:
             "of memory"
         )
     details = np.empty((n_basins, R, n_cells))
-    for k in range(1, R + 1):
-        block = p ** (R - k)
-        fine = table.reshape(n_basins, -1, block).mean(axis=2)
-        details[:, k - 1] = np.repeat(fine, block, axis=1) - np.repeat(coarse, block * p, axis=1)
-        coarse = fine
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = table.mean(axis=1)
+        coarse = mean[:, None]
+        for k in range(1, R + 1):
+            block = p ** (R - k)
+            fine = table.reshape(n_basins, -1, block).mean(axis=2)
+            details[:, k - 1] = np.repeat(fine, block, axis=1) - np.repeat(coarse, block * p, axis=1)
+            coarse = fine
+    if not (np.isfinite(mean).all() and np.isfinite(details).all()):
+        raise NumericError(
+            "the block means of the datum are not finite: its values lie too near the float range"
+        )
     return SpectralState(
         spec=spec,
         R=R,
@@ -187,6 +160,7 @@ def init(spec: NetworkSpec, datum: CellFunction) -> SpectralState:
         details=details,
         rates=np.array([d.s for d in decay_rates(spec, R)]).reshape(n_basins, R),
         lam=build_basin_matrix(spec),
+        kill=np.array([float(-sum(row)) for row in _basin_entries_exact(spec)]),
     )
 
 
@@ -211,9 +185,11 @@ def _propagate(state: SpectralState, t, x: np.ndarray | None = None) -> np.ndarr
     x is None; for a 1-D array of times, one row (or matrix) per time,
     all formed in one stacked exponential. The one place the basin-mean
     propagator is formed, and refused with NumericError, naming the
-    first time in list order, where it or the product overflowed."""
+    first time in list order, where it or the product overflowed. With
+    minus the exact row sums as the killing rates, the rows of a closed
+    class that loses nothing keep their limit at any time."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = matrix_exponential(state.lam, t)
+        out = matrix_exponential(state.lam, state.kill, t)
         if x is not None:
             out = out @ x
     finite = np.isfinite(out).reshape(np.size(t), -1).all(axis=1)
@@ -224,10 +200,10 @@ def _propagate(state: SpectralState, t, x: np.ndarray | None = None) -> np.ndarr
 
 def _chunk_size(state: SpectralState) -> int:
     """Times per stacked _propagate (see evaluate): a working set within
-    _SCAN_BYTES, and at most _TAYLOR_TERMS times."""
+    _SCAN_BYTES, and at most _CHUNK_TIMES times."""
     n_basins, R, _ = state.details.shape
     time_bytes = 8 * n_basins * (5 * n_basins + R + 1)
-    return max(1, min(_TAYLOR_TERMS, _SCAN_BYTES // time_bytes))
+    return max(1, min(_CHUNK_TIMES, _SCAN_BYTES // time_bytes))
 
 
 def evaluate(state: SpectralState, times):
@@ -239,13 +215,10 @@ def evaluate(state: SpectralState, times):
     batched _propagate and its factors e^{s t} with one exp; each row is
     then made from its own slices alone, the means plus the scale parts
     times those factors summed over the scales, so it has the same bits
-    whichever chunk holds its time. A chunk's working set, the stacked
-    exponential and its factors, stays within _SCAN_BYTES, and its rows
-    are made one at a time, so memory does not grow with the number of
-    times. A chunk also holds at most _TAYLOR_TERMS times: it costs
-    about _TAYLOR_TERMS stacked products whatever its length, so from
-    there on the exponential costs at most one numpy call per time, and
-    a longer chunk only holds more memory. A time where the means are
+    whichever chunk holds its time. A chunk holds at most _CHUNK_TIMES
+    times, and its working set, the stacked exponential and its factors,
+    stays within _SCAN_BYTES; its rows are made one at a time, so memory
+    does not grow with the number of times. A time where the means are
     not finite ends the evaluation: the rows before it are yielded, then
     NumericError names it.
     """

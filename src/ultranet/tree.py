@@ -8,12 +8,12 @@ here is deliberately generic, the exponential of the full chain matrix
 applied to the datum, with no wavelet or ultrametric structure, so it
 can serve as the oracle for the spectral solver.
 
-It is one algebra throughout, uniformization: e^{tQ} is a Poisson
-mixture of powers of P = I + Q/L, a matrix with no negative entry. The
-action on the datum sums that series against the vector; at long times
-the series is summed for the dense e^{tQ} at a short time and squared,
-with no subtraction anywhere, so no entry can cancel, overflow or turn
-into NaN. Only numpy is used.
+It is one algebra throughout, uniformization: the action sums its
+series against the datum, and at long times the dense e^{tQ} comes from
+uniformization.exponential, which also forms the spectral solver's basin
+means. Nothing is subtracted, so no entry can cancel, overflow or turn
+into NaN. The chain matrix (discretize), the action and the Monte Carlo
+sampler stay independent of the spectral solver. Only numpy is used.
 
 The generator acts on functions (the backward reading): a state jumps
 with the gain family (w kernels within a basin, lambda across basins)
@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import NumericError, UsageError, ValidationError
 from .network import NetworkSpec, aggregate_rates
+from .uniformization import _TERMS, _poisson_weights, _squarings, exponential
 from .wavelets import CellFunction
 
 # The chain matrix Q is held dense: dim^2 float64 entries, 4096 states
@@ -119,20 +120,14 @@ def _pairwise_levels(kernel, p: int, N: int) -> np.ndarray:
 # below 2^-53; every P^k u is bounded by max|u|, so a step errs by at most
 # 2^-53 max|u| plus rounding.
 _STEP_MEAN = 700.0
-_TAIL = 2.0**-53
 
 # Route choice by an operation count, in units of one product of a
 # dim x dim array with a vector (a matvec).
 # - The action takes exactly steps x K matvecs: K = 17 at y = 1, 87 at
 #   y = 31, 193 at y = 100 and 928 at y = 700, about 1.33 per unit of L t
 #   for long times.
-# - The dense route (_dense_exponential) sums the same series at
-#   L tau <= 1/2, with the identity as its operand: 14 matrix products,
-#   the length of _poisson_weights(0.5) less one. It then squares the
-#   result once per doubling from tau up to t (Grassmann, Comput. Oper.
-#   Res. 4, 1977). Every factor is >= 0 entrywise, so like the GTH
-#   algorithm (Grassmann, Taksar & Heyman, Oper. Res. 33, 1985) it never
-#   subtracts, and each product errs by a few ulps per entry, relatively.
+# - The dense route (uniformization.exponential) takes _TERMS - 1 = 14
+#   matrix products, and one per doubling.
 #   A product is dim matvecs of work but runs faster per flop, since it
 #   reuses each cached block while a matvec streams the whole array: one
 #   product took as long as dim/2.4, dim/4.3 and dim/8.8 matvecs at 128,
@@ -148,32 +143,11 @@ _BLAS3_SPEEDUP = 8  # per flop, of a matrix product over a matvec
 _ACTION_ALWAYS_MATVECS = 1024
 
 
-def _poisson_weights(y: float) -> np.ndarray:
-    """The Poisson weights e^{-y} y^k / k! for k = 0..K. Once K + 2 > y,
-    each term past w_{K+1} is at most y / (K + 2) times the one before, so
-    the tail beyond K is at most w_{K+1} / (1 - y / (K + 2)); K is the
-    first index where that bound falls below 2^-53."""
-    weights = [math.exp(-y)]
-    while True:
-        k = len(weights)
-        w = weights[-1] * y / k
-        if k + 1 > y and w < _TAIL * (1.0 - y / (k + 1)):
-            return np.array(weights)
-        weights.append(w)
-
-
 def _schedule(rate_t: float) -> tuple:
     """Equal steps of Poisson mean at most _STEP_MEAN that sum to rate_t,
     and the weights of one step."""
     steps = max(1, math.ceil(rate_t / _STEP_MEAN))
     return steps, _poisson_weights(rate_t / steps)
-
-
-def _squarings(rate: float, t: float = 1.0) -> int:
-    """The least s >= 0 with rate * t / 2^s < 1/2. t is scaled into
-    [1/2, 1) first, so rate * t may lie past the float range."""
-    n, e = math.frexp(t)
-    return max(0, e + 1 + math.frexp(rate * n)[1])
 
 
 def _action_is_cheaper(rate_t: float, dim: int) -> bool:
@@ -184,16 +158,16 @@ def _action_is_cheaper(rate_t: float, dim: int) -> bool:
         return False
     steps, weights = _schedule(rate_t)
     matvecs = steps * (len(weights) - 1)
-    products = len(_poisson_weights(0.5)) - 1 + _squarings(rate_t)
+    products = _TERMS - 1 + _squarings(rate_t)
     dense = products * dim / _BLAS3_SPEEDUP
     return matvecs <= max(dense, _ACTION_ALWAYS_MATVECS)
 
 
 def _uniformized(Q: np.ndarray, rate: float, t: float, u: np.ndarray) -> np.ndarray:
-    """e^{tQ} u as the uniformized sum, for rate the largest exit rate of Q;
-    u is a vector, or the identity for e^{tQ} itself. P is built here, one
-    array the size of Q, and dropped on return. A datum u >= 0 gives a
-    result >= 0 exactly: every weight and every entry of P is >= 0."""
+    """e^{tQ} u as the uniformized sum, for rate the largest exit rate of Q
+    and u a vector. P is built here, one array the size of Q, and dropped
+    on return. A datum u >= 0 gives a result >= 0 exactly: every weight
+    and every entry of P is >= 0."""
     steps, weights = _schedule(rate * t)
     if len(weights) == 1:  # no jump within t, or none at all
         return weights[0] * u
@@ -209,40 +183,6 @@ def _uniformized(Q: np.ndarray, rate: float, t: float, u: np.ndarray) -> np.ndar
     return u
 
 
-def _reaches_a_kill(Q: np.ndarray, kill: np.ndarray) -> np.ndarray:
-    """Whether each state reaches a killing state, itself included, along
-    the positive off-diagonal entries of Q: a search backwards from the
-    killing states that visits each state once."""
-    jumps = Q > 0  # the diagonal is <= 0
-    reach = kill > 0
-    new = reach
-    while new.any():
-        new = jumps[:, new].any(axis=1) & ~reach
-        reach = reach | new
-    return reach
-
-
-def _dense_exponential(Q: np.ndarray, kill: np.ndarray, rate: float, t: float) -> np.ndarray:
-    """e^{tQ}: the uniformized series with the identity as its operand at
-    tau = t / 2^s, L tau <= 1/2 (L = rate), squared s times.
-
-    Every entry of P, of the weights and so of every factor is >= 0, so no
-    product cancels, and as every row sums to at most 1 no entry can
-    overflow or become NaN; past the decay of a killed state its row
-    underflows to exact zeros. A state that reaches no killing state has
-    a row of e^{tQ} that sums to exactly 1. Those rows are rescaled to sum
-    1 after the series and after each squaring, so the rounding of the
-    squarings does not add up in their long-time limit."""
-    s = _squarings(rate, t)
-    E = _uniformized(Q, rate, math.ldexp(t, -s), np.eye(len(Q)))
-    closed = ~_reaches_a_kill(Q, kill)
-    for k in range(s + 1):
-        if k:
-            E = E @ E
-        E /= np.where(closed, E.sum(axis=1), 1.0)[:, None]
-    return E
-
-
 def solve(gen: DiscreteGenerator, u0: CellFunction, t: float) -> CellFunction:
     """Propagate the cell vector, u(t) = e^{tQ} u(0); the result has the
     basins and the layout of u0.
@@ -250,16 +190,15 @@ def solve(gen: DiscreteGenerator, u0: CellFunction, t: float) -> CellFunction:
     The exponential's action on the datum is summed by uniformization, so
     no dim x dim exponential is formed, while L t (L the largest exit rate)
     is small against the number of states, or the sum is short. Past that,
-    the action's cost grows with t, and the same series is summed for
-    e^{tQ} at a short time and squared up to t, a cost that grows only
-    with log t."""
+    the action's cost grows with t, and the dense e^{tQ} is formed
+    instead, at a cost that grows only with log t."""
     u = gen.cell_vector(u0)
     t = float(t)
     rate = float(-gen.Q.diagonal().min())
     if _action_is_cheaper(rate * t, gen.dim):
         out = _uniformized(gen.Q, rate, t, u)
     else:
-        out = _dense_exponential(gen.Q, gen.kill, rate, t) @ u
+        out = exponential(gen.Q, gen.kill, t) @ u
     return CellFunction(u0.p, gen.N, u0.basins, out.reshape(u0.values.shape))
 
 

@@ -50,3 +50,31 @@ def test_traced_runs_exit_0_and_span_the_numeric_layers(tmp_path):
     assert "network.classify" in names["classify"]
     assert {"spectral.init", "spectral.decay_rates", "network.build_basin_matrix"} <= names["solve"]
     assert {"tree.discretize", "montecarlo.simulate"} <= names["simulate"]
+
+
+def test_the_exponential_count_leaves_out_the_chain_oracle(tmp_path):
+    """spectral.matrix_exponential and the oracle's dense route share one
+    exponential, but the tracer rebinds only the spectral name's function
+    object: an oracle run at a time where the chain takes its dense route
+    counts the spectral side's one chunk of times, as solve does."""
+    from ultranet import tree
+    from ultranet.cli import load_preset, parse_config, spec_from_config
+
+    text = load_preset("single_basin").replace("times: [0.0, 0.5, 1.0, 2.0]", "times: [1.0e+6]")
+    cfg = parse_config(text)
+    gen = tree.discretize(spec_from_config(cfg), cfg["resolution"] + 1)
+    assert not tree._action_is_cheaper(-gen.Q.diagonal().min() * 1e6, gen.dim)
+    config = tmp_path / "late.yaml"
+    config.write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(TRACER.parents[1] / "src")}
+    counts = {}
+    for command in ("solve", "oracle"):
+        spans = tmp_path / f"{command}.json"
+        done = subprocess.run(
+            [sys.executable, str(TRACER), str(spans), command, "--config", str(config),
+             "--out", str(tmp_path / command)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        counts[command] = json.loads(spans.read_text())["counts"]["spectral.matrix_exponential"]
+    assert counts == {"solve": 1, "oracle": 1}

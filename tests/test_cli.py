@@ -29,7 +29,6 @@ from ultranet.cli import (
     scenario_from_config,
     spec_from_config,
 )
-from ultranet.spectral import matrix_exponential
 
 MINIMAL = """\
 prime: 2
@@ -830,7 +829,9 @@ def test_oracle_gap_small_on_every_preset(capsys, tmp_path, name):
 def test_oracle_imports_no_scipy(tmp_path):
     """The chain oracle is numpy alone on both of its routes: a 512-state
     chain at t <= 4 and every preset take the action, and a 16-state chain
-    at t = 1e6 the dense route."""
+    at t = 1e6 the dense route. Only the oracle's dense route is counted:
+    the spectral side of each comparison calls the same exponential
+    through spectral, not through tree."""
     rows = {b: [(7 * i + 3 * b) % 11 / 10 for i in range(256)] for b in (0, 1)}
     path = tmp_path / "chain.yaml"
     path.write_text(
@@ -850,8 +851,8 @@ def test_oracle_imports_no_scipy(tmp_path):
         "from ultranet import tree\n"
         "from ultranet.cli import main\n"
         "dense = []\n"
-        "real = tree._dense_exponential\n"
-        "tree._dense_exponential = lambda *args: dense.append(1) or real(*args)\n"
+        "real = tree.exponential\n"
+        "tree.exponential = lambda *args: dense.append(1) or real(*args)\n"
         f"codes = [main(['oracle', *run, '--out', {str(tmp_path)!r}]) for run in {runs!r}]\n"
         "print(codes, len(dense), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     ))
@@ -1087,7 +1088,7 @@ def test_solve_bytes_match_a_loop_over_single_times(capsys, tmp_path):
 
     def rows():
         for t in cfg["times"]:
-            mean = matrix_exponential(state.lam, t) @ state.mean
+            mean = spectral._propagate(state, t, state.mean)
             parts = (state.details * np.exp(state.rates * t)[:, :, None]).sum(axis=1)
             yield t, (mean[:, None] + parts).ravel().tolist()
 
@@ -1106,7 +1107,7 @@ def test_folding_demo_series_match_a_loop_over_single_times(capsys, tmp_path):
     cfg = parse_config(load_preset("folding_demo"))
     spec = spec_from_config(cfg)
     state = spectral.init(spec, ivp2_datum(scenario_from_config(cfg, spec)))
-    rows = ((t, (matrix_exponential(state.lam, t) @ state.mean).tolist()) for t in times)
+    rows = ((t, spectral._propagate(state, t, state.mean).tolist()) for t in times)
     csv, dat = reference_plotdata(["basin-0", "basin-1"], rows)
     assert series == csv
     assert lines(tmp_path / "folding_timeseries.dat") == dat
@@ -1234,42 +1235,57 @@ def test_ivp2_datum_with_zero_A_exits_2(capsys, tmp_path, command):
     assert "A = 0" in err
 
 
-def test_overflowing_basin_means_exit_3(capsys, tmp_path):
-    # the exact density stays 1, but scaling and squaring doubles the rounding
-    # error at every squaring, and by t = 1e20 the basin means overflow
-    text = load_preset("conservative_two_basin").replace(
-        "times: [0.0, 0.5, 1.0, 5.0]", "times: [1.0e+9, 1.0e+15, 1.0e+20]"
-    )
-    assert "1.0e+20" in text
-    path = tmp_path / "late.yaml"
-    path.write_text(text)
-    code, _, err = run(
-        capsys, "solve", "--config", str(path), "--convention", "paper", "--out", str(tmp_path)
-    )
-    assert code == 3
-    assert "numeric failure: basin means are not finite at t = 1e+20" in err
-    # the rows before 1e+20 were written, but a failed run publishes no file
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["late.yaml"]
+def test_late_basin_means_of_a_conservative_network_are_exact(capsys, tmp_path):
+    # the paper rows sum to exactly 0, so the density tends to the datum's
+    # mean at every late time; an error that grew like t ||Lambda|| 2^-53
+    # would reach the second datum's mean by t = 1e15
+    times = [1.0e9, 1.0e12, 1.0e15, 1.0e18, 1.0e20, 1.0e100, 1.0e300, 1.0e308]
+    listed = ", ".join(f"{t:.1e}" for t in times)  # YAML 1.1 floats: 1.0e+09
+    for datum, exact in (("uniform", 1.0), ("{0: [0.2, 0.6], 1: [0.9, 0.1]}", 0.45)):
+        text = load_preset("conservative_two_basin").replace(
+            "times: [0.0, 0.5, 1.0, 5.0]", f"times: [{listed}]"
+        ).replace("datum: uniform", f"datum: {datum}")
+        path = tmp_path / "late.yaml"
+        path.write_text(text)
+        code, _, err = run(
+            capsys, "solve", "--config", str(path), "--convention", "paper", "--out", str(tmp_path)
+        )
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in (tmp_path / "density.csv").read_text().splitlines()[1:]]
+        assert sorted({float(row[0]) for row in rows}) == times
+        assert max(abs(float(row[2]) - exact) for row in rows) <= 1e-12
 
 
 def test_first_overflowing_time_is_named_though_later_ones_overflow_too(capsys, tmp_path):
-    # 1e+20 overflows, 1e+300 comes out finite, 1e+308 is beyond the
-    # exponential's range; all sit in one chunk of times
-    text = load_preset("conservative_two_basin").replace(
-        "times: [0.0, 0.5, 1.0, 5.0]", "times: [1.0, 1.0e+9, 1.0e+20, 1.0e+300, 1.0e+308]"
-    )
+    # folding_demo's means grow like e^{2.5 t}: 1e+3 and 1e+308 both
+    # overflow, in one chunk of times, and the first is named
     path = tmp_path / "late.yaml"
-    path.write_text(text)
-    code, out, err = run(
-        capsys, "solve", "--config", str(path), "--convention", "paper", "--out", str(tmp_path)
-    )
+    path.write_text(load_preset("folding_demo") + "times: [1.0, 1.0e+3, 1.0e+308]\n")
+    code, out, err = run(capsys, "solve", "--config", str(path), "--out", str(tmp_path))
     assert code == 3
     assert out == ""
     assert err == (
-        "numeric failure: basin means are not finite at t = 1e+20: "
+        "numeric failure: basin means are not finite at t = 1000: "
         "the basin-matrix exponential overflows\n"
     )
     assert sorted(f.name for f in tmp_path.iterdir()) == ["late.yaml"]
+
+
+def test_a_datum_near_the_float_range_exits_3_with_one_line(tmp_path):
+    # the block means of this datum overflow; numpy's own warning must not
+    # reach stderr
+    path = tmp_path / "huge.yaml"
+    path.write_text(
+        MINIMAL + "resolution: 2\n"
+        "datum: {0: [1.7e+308, 1.7e+308, 1.7e+308, -1.7e+308]}\ntimes: [1.0]\n"
+    )
+    for command in ("solve", "oracle"):
+        done = _python("-m", "ultranet.cli", command, "--config", str(path), "--out", str(tmp_path))
+        assert done.returncode == 3
+        assert done.stderr == (
+            "numeric failure: the block means of the datum are not finite: "
+            "its values lie too near the float range\n"
+        )
 
 
 def test_folding_demo_that_overflows_publishes_nothing(capsys, tmp_path):

@@ -17,6 +17,7 @@ from ultranet.padic import CellAddress, enumerate_cells
 from ultranet.tree import _action_is_cheaper, discretize, solve
 from ultranet.wavelets import CellFunction, WaveletIndex, enumerate_wavelets
 
+from expm_reference import extended_expm
 from wavelet_reference import eigenvalue, eval_wavelet
 
 
@@ -302,22 +303,21 @@ def test_conservative_chain_at_late_time_takes_the_dense_route(monkeypatch):
 
     def recording(name, real):
         def stand_in(*args):
-            calls.append(name(*args))
+            calls.append(name)
             return real(*args)
         return stand_in
 
-    monkeypatch.setattr(tree, "_dense_exponential",
-                        recording(lambda *args: "dense", tree._dense_exponential))
-    # the dense route sums the action's series with the identity as operand
-    monkeypatch.setattr(tree, "_uniformized", recording(
-        lambda Q, rate, t, u: "action" if u.ndim == 1 else "series", tree._uniformized))
+    # the dense route forms e^{tQ} with the exponential the spectral
+    # solver shares; the action sums the series against the vector
+    monkeypatch.setattr(tree, "exponential", recording("dense", tree.exponential))
+    monkeypatch.setattr(tree, "_uniformized", recording("action", tree._uniformized))
     spec = balanced_two_basin(cross=0.75, levels=(0.5,))
     N = 7
     gen = discretize(spec, N)
     rng = np.random.default_rng(5)
     u0 = CellFunction(2, N, (0, 1), rng.uniform(0, 1, (2, 2 ** (N - 1))))
     out = solve(gen, u0, 1e6)
-    assert calls == ["dense", "series"]
+    assert calls == ["dense"]
     assert abs(out.integral() - u0.integral()) < 1e-9
     calls.clear()
     solve(gen, u0, 1.0)
@@ -329,7 +329,7 @@ def test_conservative_chain_at_late_time_takes_the_dense_route(monkeypatch):
     assert calls == ["action"]
     calls.clear()
     out = solve(small, ones, 1e6)  # the action would take 1.3e6 matvecs
-    assert calls == ["dense", "series"]
+    assert calls == ["dense"]
     assert abs(out.integral() - ones.integral()) < 1e-9
 
 
@@ -413,25 +413,6 @@ def random_generator(p, rates, N, kill, seed):
     spec = NetworkSpec(p=p, basins=basins, cross_lambda=lam, cross_mu=mu,
                        w_kernels=w, v_kernels=v)
     return discretize(spec, N)
-
-
-def extended_expm(Q, t):
-    """e^{tQ} in extended precision (64-bit significand on x86-64), by
-    Taylor's series to 18 terms at ||tQ / 2^s||_inf <= 1/2 and s squarings.
-    scipy's float64 expm errs by 1.2e-12 max|u| on a conservative 32-state
-    chain at L t = 2450, where its squarings carry the float64 roundoff into
-    the stationary mean; this reference errs by 3e-16 there (50 digits)."""
-    A = np.asarray(Q, dtype=np.longdouble) * np.longdouble(t)
-    norm = float(np.abs(A).sum(axis=1).max())
-    s = max(0, math.ceil(math.log2(2 * norm))) if norm > 0 else 0
-    B = A / np.longdouble(2) ** s
-    eye = np.eye(len(A), dtype=np.longdouble)
-    E = eye
-    for k in range(18, 0, -1):
-        E = eye + (B @ E) / k
-    for _ in range(s):
-        E = E @ E
-    return E
 
 
 @settings(max_examples=40, deadline=None)

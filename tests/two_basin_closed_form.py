@@ -1,6 +1,7 @@
 """Closed forms of the symmetric 2x2 coarse generator [[-beta, alpha],
 [alpha, -gamma]]: reference code that the binary-model tests and the
-acceptance gate compare with spectral.matrix_exponential."""
+acceptance gate compare with spectral.matrix_exponential, the
+uniformized exponential that the basin means are formed with."""
 
 import math
 from dataclasses import dataclass
