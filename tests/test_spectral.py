@@ -73,6 +73,10 @@ def test_expm_zero_and_diagonal():
     D = np.diag([-1.0, -2.0])
     out = matrix_exponential(D, np.array([1.0, 2.0]), 0.5)
     assert np.allclose(out, np.diag(np.exp([-0.5, -1.0])), rtol=1e-15, atol=0)
+    # a growing entry (kill < 0) goes through the shifted series
+    D = np.diag([-1.0, 2.0])
+    out = matrix_exponential(D, np.array([1.0, -2.0]), 0.5)
+    assert np.allclose(out, np.diag(np.exp([-0.5, 1.0])), rtol=2e-15, atol=0)
 
 
 def test_expm_frozen_symmetric_pair():
@@ -153,7 +157,7 @@ def test_basin_means_match_the_exponential_and_its_exact_limit(spec, seed, short
     state = init(spec, random_datum(spec, 1, seed))
     assert (state.kill >= 0).all()  # no row grows
     rows = _basin_entries_exact(spec)
-    lam = np.array([[np.longdouble(x.numerator) / np.longdouble(x.denominator) for x in row] for row in rows])
+    lam = exact_basin_matrix(spec)
     m0 = state.mean
     size = np.abs(m0).max()
     rates = np.abs(state.lam)[state.lam != 0]
@@ -166,6 +170,51 @@ def test_basin_means_match_the_exponential_and_its_exact_limit(spec, seed, short
     for e in long:
         got = evolve(state, 10.0**e).mean
         assert np.abs(got - limit).max() <= 2.0**-53 * 64 * S * size
+
+
+def exact_basin_matrix(spec):
+    """The exact basin matrix in extended precision."""
+    rows = _basin_entries_exact(spec)
+    return np.array([[np.longdouble(x.numerator) / np.longdouble(x.denominator) for x in row] for row in rows])
+
+
+@st.composite
+def growing_networks(draw):
+    """closed_class_networks under "paper" with each mu drawn as j lambda,
+    j from 1 to p: a basin whose mu fall short of p lambda gains more than
+    it loses, and its row of the basin matrix grows."""
+    spec = draw(closed_class_networks())
+    mu = {(b, a): draw(st.integers(1, spec.p)) * x for (a, b), x in spec.cross_lambda.items()}
+    return replace(spec, cross_mu=mu, convention="paper")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spec=growing_networks(),
+    seed=st.integers(0, 2**32 - 1),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+def test_growing_basin_means_match_the_exponential(spec, seed, fractions):
+    """Where rows grow (kill < 0, c the largest growth) the series is that
+    of Lambda - cI, times e^{c t / 2^s} before the squarings. Up to t = 4,
+    and short of e^{ct} = e^600, the means match an extended-precision
+    exponential of the exact basin matrix within 64 (1 + (L + c) t) 2^-53
+    ||e^{t Lambda}||_inf max|m(0)|, L the largest rate on the diagonal:
+    every factor is >= 0, so the rounding is relative to the exponential's
+    own size. 3000 draws needed at most 12.7."""
+    state = init(spec, random_datum(spec, 1, seed))
+    assume((state.kill < 0).any())
+    lam = exact_basin_matrix(spec)
+    c = -state.kill.min()
+    L = -state.lam.diagonal().min()
+    m0 = state.mean
+    for u in fractions:
+        t = u * min(4.0, 600.0 / c)
+        E = extended_expm(lam, t)
+        exact = (E @ m0.astype(np.longdouble)).astype(float)
+        got = evolve(state, t).mean
+        size = float(E.sum(axis=1).max()) * np.abs(m0).max()
+        assert np.abs(got - exact).max() <= 2.0**-53 * 64 * (1 + (L + c) * t) * size
 
 
 def test_a_growing_network_is_refused_at_the_first_time_its_means_overflow():
