@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import importlib.util
 import math
 import os
@@ -804,5 +805,22 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """Process entry of `python -m ultranet.cli` and the `ultranet` script.
+
+    Module state (numpy, PyYAML, ultranet) lives until exit, so the cyclic
+    collector can find no garbage in it. Generation 0 is collected after
+    100 000 net allocations instead of 700, and the heap is frozen before
+    the interpreter finalizes, so its last collection skips those objects.
+    `main` leaves the collector alone: tests and library callers keep the
+    default policy.
+    """
+    gc.set_threshold(100_000, 50, 50)
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -263,7 +262,14 @@ def simulate(gen: DiscreteGenerator, u0: CellFunction, cfg: SimConfig) -> SimRes
     stderrs = np.zeros((n_times, dim))
     n_alive = np.zeros((n_times, dim), dtype=np.int64)
 
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    if workers > 1:
+        # concurrent.futures imports logging: only a threaded run pays for it
+        from concurrent.futures import ThreadPoolExecutor
+
+        executor = ThreadPoolExecutor(max_workers=workers)
+    else:
+        executor = nullcontext()
+    with executor as pool:
         pool_map = pool.map if pool else map
         for first in range(0, dim, cells_per_block):
             cells = np.arange(first, min(first + cells_per_block, dim))

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -475,6 +476,9 @@ classify = [main(["classify", "--preset", name, "--out", sys.argv[1]]) for name 
 print("loaded:", classify, "numpy" in sys.modules)
 solve = {main(["solve", "--preset", name, "--out", sys.argv[1]]) for name in names}
 print("loaded:", solve, "concurrent.futures" in sys.modules)
+simulate = {main(["simulate", "--preset", name, "--out", sys.argv[1], "--threads", "1"])
+            for name in names}
+print("loaded:", simulate, "concurrent.futures" in sys.modules)
 """
 
 
@@ -482,11 +486,12 @@ def test_classify_and_config_dumps_import_no_numpy(tmp_path):
     """The model and the numeric layers load on first use. A config dump,
     a config error and a usage error import none of fractions, decimal
     and json (the model's and classify's imports); classify imports no
-    numpy, and solve never runs the body of montecarlo, the only
-    importer of concurrent.futures."""
+    numpy. montecarlo imports concurrent.futures only for a simulate on
+    more than one thread, so neither solve nor a 1-thread simulate
+    loads it."""
     done = _python("-c", _LAYERING, str(tmp_path))
     assert done.returncode == 0, done.stderr
-    config, exact, solve = (
+    config, exact, solve, simulate = (
         line for line in done.stdout.splitlines() if line.startswith("loaded: ")
     )
     assert config == "loaded: {0} [2, 2] []"
@@ -494,6 +499,7 @@ def test_classify_and_config_dumps_import_no_numpy(tmp_path):
     classify = [3 if name == "folding_demo" else 0 for name in list_presets()]
     assert exact == f"loaded: {classify} False"
     assert solve == "loaded: {0} False"
+    assert simulate == "loaded: {0} False"
 
 
 def test_numeric_modules_imported_before_cli_are_the_ones_it_uses():
@@ -524,6 +530,53 @@ def test_missing_libyaml_fails_at_import_in_one_line():
     assert done.stderr.splitlines()[-1] == (
         "ImportError: ultranet needs PyYAML built with libyaml: yaml.cyaml does not import"
     )
+
+
+# ---------------------------------------------------------------- process entry
+
+
+def test_main_leaves_the_collector_alone(capsys, tmp_path):
+    """Only the process entry sets the collector's policy; a caller of
+    main keeps its own, on success and on a config error."""
+    before = gc.get_threshold(), gc.get_freeze_count()
+    code, _, _ = run(capsys, "solve", "--preset", "single_basin", "--out", str(tmp_path))
+    assert code == 0
+    assert (gc.get_threshold(), gc.get_freeze_count()) == before
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("prime: 2\nbasins: [0]\nbogus: 1\n")
+    code, _, _ = run(capsys, "solve", "--config", str(bad), "--out", str(tmp_path))
+    assert code == 2
+    assert (gc.get_threshold(), gc.get_freeze_count()) == before
+
+
+_PROCESS_ENTRY = """\
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("gc:", gc.get_freeze_count() > 0, gc.get_threshold()))
+sys.argv = ["ultranet", "solve", "--preset", "single_basin", "--out", sys.argv[1]]
+runpy.run_module("ultranet.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_process_entry_freezes_the_heap_and_writes_what_main_writes(capsys, tmp_path):
+    """`python -m ultranet.cli` raises the generation-0 threshold and
+    freezes the heap before exit; its outputs are main's, byte for byte."""
+    entry, direct = tmp_path / "entry", tmp_path / "direct"
+    done = _python("-c", _PROCESS_ENTRY, str(entry))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "gc: True (100000, 50, 50)"
+    code, _, _ = run(capsys, "solve", "--preset", "single_basin", "--out", str(direct))
+    assert code == 0
+    names = sorted(path.name for path in direct.iterdir())
+    assert names and sorted(path.name for path in entry.iterdir()) == names
+    for name in names:
+        assert (entry / name).read_bytes() == (direct / name).read_bytes()
+
+
+def test_the_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"ultranet": "ultranet.cli:run"}
 
 
 # ---------------------------------------------------------------- exit codes

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import math
 import tracemalloc
@@ -260,7 +261,8 @@ def test_one_capped_pool_per_call(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    # simulate imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 7)
     gen = killed_two_basin()
     u0 = CellFunction(2, 2, (0, 1), [[1.0, 0.0], [0.5, 0.25]])
