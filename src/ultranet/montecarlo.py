@@ -8,24 +8,27 @@ never contributes again.
 Randomness is counter-based (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC11), so results are bit-identical however the paths
 are split into blocks and across threads: draw k of path i is a pure
-integer function of (master seed, start cell, i, k).
+integer function of (master seed, start cell, i, k), and each path
+counts its own draws.
 
-The paths of a block of start cells advance in lockstep as flat arrays,
-one jump of Gillespie's direct method (J. Phys. Chem. 81, 1977) per step
-for every path at once, and a path leaves the arrays in the step that
-takes it past the last record time, so nothing later is sampled. A
-block holds whole start cells, at least one, and otherwise
-at most _RECORD_BUDGET recorded (path, time) entries. The jump target is
-found by a binary search in the state's row of one dense table of
-cumulative rates, O(log states) per jump. The estimate and its standard
-error need the sums of u0 and of u0^2 over a start cell's paths; these
-are counted per state and summed exactly, so they are the correctly
-rounded sums over the paths.
+The paths of a block of start cells follow Gillespie's direct method
+(J. Phys. Chem. 81, 1977) one record time at a time: the paths whose
+next jump falls at or before a record time jump and draw their next
+hold until none is left, and then every path's state is recorded.
+Nothing is drawn past the last record time, and a state of zero total
+rate holds forever. A block holds whole start cells, at least one, and
+otherwise at most _RECORD_BUDGET recorded (path, time) entries. The
+jump target is found by a binary search in the state's row of one
+dense table of cumulative rates, O(log states) per jump. The estimate
+and its standard error need the sums of u0 and of u0^2 over a start
+cell's paths; these are counted per state and summed exactly, so they
+are the correctly rounded sums over the paths.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -46,7 +49,7 @@ _MIX_B = 0x94D049BB133111EB
 # allocate, so the cap keeps a factor of two in hand.
 _MAX_PATHS = np.iinfo(np.intp).max // 16
 
-# Recorded (path, time) entries of one lockstep block. A block's record
+# Recorded (path, time) entries of one block. A block's record
 # array, int64, is its largest: 3 * 2^15 entries (768 KiB) is 32 768 paths
 # at three record times, and fewer paths at more times. A block holds
 # whole start cells, so one cell's paths at every time is the floor.
@@ -79,9 +82,11 @@ def _mix_vec(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _uniforms(seeds: np.ndarray, counter: int) -> np.ndarray:
-    """Draw number `counter` from every stream at once, mapped to [0, 1)."""
-    offset = np.uint64(((counter + 1) * _GOLDEN) & _MASK)
+def _uniforms(seeds: np.ndarray, counter) -> np.ndarray:
+    """Draw number `counter` of every stream, mapped to [0, 1). `counter`
+    is one count for all streams or an array of one per stream; either
+    way the offset is ((counter + 1) * golden) mod 2^64."""
+    offset = (np.array(counter, dtype=np.uint64, ndmin=1) + np.uint64(1)) * np.uint64(_GOLDEN)
     bits = _mix_vec(seeds + offset)
     return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
@@ -98,9 +103,15 @@ class SimConfig:
             raise UsageError(
                 f"n_paths must be an integer from 1 to {_MAX_PATHS}, got {self.n_paths!r}"
             )
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise UsageError(f"seed must be an integer, got {self.seed!r}") from None
         times = tuple(float(t) for t in self.record_times)
         if not times:
             raise UsageError("record_times must not be empty")
+        if not all(map(math.isfinite, times)):
+            raise UsageError(f"record_times must be finite, got {times!r}")
         if any(t < 0 for t in times) or any(
             a > b for a, b in zip(times, times[1:])
         ):
@@ -108,7 +119,7 @@ class SimConfig:
         if self.threads < 1:
             raise UsageError("threads must be >= 1")
         object.__setattr__(self, "record_times", times)
-        object.__setattr__(self, "seed", self.seed & _MASK)
+        object.__setattr__(self, "seed", seed & _MASK)
 
 
 @dataclass(frozen=True)
@@ -154,56 +165,45 @@ def _count_at_most(table, state, x):
     return probe - row
 
 
+def _hold(t, rate, u):
+    """t + Exp(rate) by inversion of u; inf where the rate is zero."""
+    moving = rate > 0.0
+    return np.where(moving, t + -np.log1p(-u) / np.where(moving, rate, 1.0), np.inf)
+
+
 def _simulate_chunk(seeds, start, cum_rates, totals, times):
-    """Lockstep Gillespie over one block of paths; `start` is the start
-    cell of every path, or one per path.
+    """Gillespie over one block of paths, one record time at a time;
+    `start` is the start cell of every path, or one per path.
 
     Returns the state index of each path at each requested time (the trap
-    is index dim).  Every path consumes draws 2k and 2k+1 at step k, so
-    the outcome depends only on its seed and start cell.  A jump goes to
-    the first column of the path's row in cum_rates above u * rate, found
-    by binary search.  A path that cannot move or would jump past the
-    last time records its state at every time left and leaves the arrays.
+    is index dim).  Each path counts its own draws: 0 is its first hold,
+    and its jump k = 0, 1, ... draws its target with 2k + 1 and the next
+    hold with 2k + 2, so the outcome depends only on its seed and start
+    cell.  A target is the first column of its row in cum_rates above
+    u * rate.
     """
-    times = np.asarray(times, dtype=float)
-    rec = np.empty((len(seeds), len(times)), dtype=np.int64)
-    path = np.arange(len(seeds))
-    state = np.array(np.broadcast_to(start, path.shape), dtype=np.int64)
-    t_now = np.zeros(len(path))
-    filled = np.zeros(len(path), dtype=np.int64)  # times recorded so far
-    step = 0
-    while len(path):
-        rate = totals[state]
-        moving = rate > 0.0
-        u_hold = _uniforms(seeds, 2 * step)
-        dt = np.where(moving, -np.log1p(-u_hold) / np.where(moving, rate, 1.0), np.inf)
-        t_next = t_now + dt
-        # the state holds on [t_now, t_next), so it is the record at the
-        # times from index `filled` up to `reached`
-        reached = np.searchsorted(times, t_next)
-        new = np.flatnonzero(reached > filled)
-        if len(new):
-            lo, hi = filled[new], reached[new]
-            for j in range(lo.min(), hi.max()):
-                hit = new[(lo <= j) & (j < hi)]
-                rec[path[hit], j] = state[hit]
-        # a path that outlives the last time (or cannot move) is finished
-        # for good and leaves the arrays
-        cont = moving & (t_next <= times[-1])
-        if not cont.all():
-            path, seeds, state, rate, t_next, reached = (
-                a[cont] for a in (path, seeds, state, rate, t_next, reached)
-            )
-            if not len(path):
-                break
-        # u * rate < rate unless it rounds up to it (a subnormal rate); the
-        # clamp sends such a draw to the last column where the row rises
-        threshold = np.minimum(
-            _uniforms(seeds, 2 * step + 1) * rate, np.nextafter(rate, -np.inf)
-        )
-        target = _count_at_most(cum_rates, state, threshold)
-        state, t_now, filled = target, t_next, reached
-        step += 1
+    n = len(seeds)
+    rec = np.empty((n, len(times)), dtype=np.int64)
+    state = np.array(np.broadcast_to(start, (n,)), dtype=np.int64)
+    counter = np.zeros(n, dtype=np.uint64)  # each path's last draw
+    t_next = _hold(0.0, totals[state], _uniforms(seeds, counter))
+    for j, tau in enumerate(times):
+        live = np.flatnonzero(t_next <= tau)
+        while len(live):
+            live_seeds = seeds[live]
+            src = state[live]
+            rate = totals[src]
+            draw = counter[live] + np.uint64(1)
+            # u * rate < rate unless it rounds up to it (a subnormal rate);
+            # the clamp sends such a draw to the last column where the row rises
+            u = _uniforms(live_seeds, draw)
+            threshold = np.minimum(u * rate, np.nextafter(rate, -np.inf))
+            dst = _count_at_most(cum_rates, src, threshold)
+            draw += np.uint64(1)
+            t = _hold(t_next[live], totals[dst], _uniforms(live_seeds, draw))
+            state[live], t_next[live], counter[live] = dst, t, draw
+            live = live[t <= tau]
+        rec[:, j] = state
     return rec
 
 
@@ -220,13 +220,12 @@ def _exact_sum(counts, terms) -> float:
     the multiset rounds it: an exact integer sum and one int / int
     division, which Python rounds correctly."""
     values, nums, den = terms
-    present = np.flatnonzero(counts).tolist()
     c = counts.tolist()
-    total = sum(c[s] * nums[s] for s in present)
+    total = sum(map(operator.mul, c, nums))
     if total:
         return total / den
     # every term is a signed zero; fsum gives the sum its sign
-    return math.fsum(values[s] for s in present)
+    return math.fsum(v for k, v in zip(c, values) if k)
 
 
 def simulate(gen: DiscreteGenerator, u0: CellFunction, cfg: SimConfig) -> SimResult:

@@ -2,9 +2,13 @@ import concurrent.futures
 import io
 import math
 import tracemalloc
+from unittest import mock
 
+import mc_reference
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultranet import montecarlo
 from ultranet.errors import UsageError, ValidationError
@@ -221,6 +225,28 @@ def test_config_validation():
         SimConfig(n_paths=10, seed=0, record_times=(0.5,), threads=0)
 
 
+@pytest.mark.parametrize(
+    "times", [(math.nan,), (1.0, math.nan), (math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0)]
+)
+def test_non_finite_record_times_are_refused(times):
+    # nan compares false with every time, and on a conservative chain
+    # no path ever passes an inf record time
+    with pytest.raises(UsageError, match="record_times must be finite"):
+        SimConfig(n_paths=10, seed=0, record_times=times)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, "7", None])
+def test_non_integer_seed_is_refused(seed):
+    with pytest.raises(UsageError, match="seed must be an integer"):
+        SimConfig(n_paths=10, seed=seed, record_times=(0.5,))
+
+
+def test_integer_seeds_are_taken_mod_two_to_the_64():
+    for seed in (-1, np.int64(-1), 2**65 - 1, True):
+        cfg = SimConfig(n_paths=10, seed=seed, record_times=(0.5,))
+        assert cfg.seed == int(seed) % 2**64
+
+
 @pytest.mark.parametrize("n_paths", [0, -3, 10**20, 2**63 - 1, montecarlo._MAX_PATHS + 1])
 def test_n_paths_out_of_range_is_refused_by_name(n_paths):
     with pytest.raises(UsageError, match=f"got {n_paths}$"):
@@ -368,20 +394,85 @@ def test_paths_stop_at_the_last_record_time(monkeypatch):
     # every hold is 1 (to rounding) on a two-state chain of rate 1, so the
     # jumps fall at t = 1, 2, 3; the one at 3 passes the last record time,
     # 2.5, and every path leaves there with no target draw
-    counters = []
+    counters = {}  # each path's draws in order, keyed by its seed
 
     def uniforms(seeds, counter):
-        counters.append(counter)
-        return np.full(len(seeds), 0.5 if counter % 2 else -math.expm1(-1.0))
+        counter = np.broadcast_to(counter, seeds.shape)
+        for seed, k in zip(seeds.tolist(), counter.tolist()):
+            counters.setdefault(seed, []).append(k)
+        return np.where(counter % 2 == 1, 0.5, -math.expm1(-1.0))
 
     monkeypatch.setattr(montecarlo, "_uniforms", uniforms)
     gen = synthetic_gen([[-1.0, 1.0], [1.0, -1.0]], [0.0, 0.0])
     u0 = CellFunction(2, 2, (0,), [[1.0, 0.0]])
     res = simulate(gen, u0, SimConfig(n_paths=3, seed=0, record_times=(0.5, 2.5)))
-    assert counters == [0, 1, 2, 3, 4]
+    # two start cells of three paths
+    assert len(counters) == 6
+    assert all(draws == [0, 1, 2, 3, 4] for draws in counters.values())
     # two jumps by t = 2.5 bring every path back to its start cell
     assert np.array_equal(res.estimates, [[1.0, 0.0], [1.0, 0.0]])
     assert np.array_equal(res.n_alive, np.full((2, 2), 3))
+
+
+def coarse(u):
+    # a draw rounded down to a multiple of 1/8: zero holds and zero target
+    # draws happen, and jumps of different paths fall at the same times
+    return np.floor(u * 8) / 8
+
+
+@st.composite
+def small_chains(draw):
+    # one basin at depth 2 with p states; zero rates, kills and rows of
+    # zero total rate, which hold forever
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    rate = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
+    Q = np.array(draw(st.lists(st.lists(rate, min_size=p, max_size=p), min_size=p, max_size=p)))
+    kill = np.array(draw(st.lists(rate, min_size=p, max_size=p)))
+    frozen = np.array(draw(st.lists(st.booleans(), min_size=p, max_size=p)))
+    Q[frozen] = 0.0
+    kill[frozen] = 0.0
+    return synthetic_gen(Q, kill)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_simulate_matches_the_one_path_reference(data):
+    gen = data.draw(small_chains())
+    p = gen.p
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
+    u0 = CellFunction(p, 2, (0,), [data.draw(st.lists(value, min_size=p, max_size=p))])
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    real = montecarlo._uniforms
+    if data.draw(st.booleans()):
+        fake, ref_draw = real, mc_reference.uniform
+    else:
+        def fake(seeds, counter):
+            return coarse(real(seeds, counter))
+
+        def ref_draw(seed, k):
+            return coarse(mc_reference.uniform(seed, k))
+
+    # record times with 0 and repeats, and a jump time of the first path
+    # of the first start cell, so that a record falls exactly on a jump
+    time = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 2.0))
+    times = sorted(data.draw(st.lists(time, min_size=1, max_size=4)))
+    rows = mc_reference.cumulative_rows(gen.Q, gen.kill)
+    first = path_seed(path_seed(seed, 0), 0)
+    jumps, _ = mc_reference.path_jumps(first, 0, rows, times[-1], ref_draw)
+    times = sorted(times + data.draw(st.lists(st.sampled_from(jumps), max_size=2)))
+    cfg = SimConfig(
+        n_paths=data.draw(st.integers(1, 12)), seed=seed, record_times=tuple(times),
+        threads=data.draw(st.integers(1, 3)),
+    )
+    budget = data.draw(st.sampled_from([montecarlo._RECORD_BUDGET, 1]))
+    want = mc_reference.simulate(gen, u0.values.ravel(), cfg, ref_draw)
+    with mock.patch.object(montecarlo, "_uniforms", fake), \
+            mock.patch.object(montecarlo, "_RECORD_BUDGET", budget):
+        res = simulate(gen, u0, cfg)
+    for field, expected in zip(RESULT_FIELDS, want):
+        got = getattr(res, field)
+        # bit for bit, signed zeros included
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), field
 
 
 def test_count_at_most_is_searchsorted():
@@ -442,7 +533,8 @@ def test_simulate_holds_one_dense_table():
 def top_draw(monkeypatch, hold):
     # every target draw is the largest uniform, 1 - 2^-53
     def uniforms(seeds, counter):
-        return np.full(len(seeds), 1 - 2.0**-53 if counter % 2 else hold)
+        counter = np.broadcast_to(counter, seeds.shape)
+        return np.where(counter % 2 == 1, 1 - 2.0**-53, hold)
 
     monkeypatch.setattr(montecarlo, "_uniforms", uniforms)
 
