@@ -533,24 +533,27 @@ def emit_plotdata(name: str, labels, rows, out_dir: str):
     rows yields (t, values) one time at a time, values a 1-D array in
     label order; nothing is kept past its row, so memory does not grow
     with the number of times. Every number is spelled as _fmt spells it
-    (17 significant digits, inf, -inf, nan). Both files are written
-    under temporary names and renamed only after the last row; if
-    anything fails on the way, the partial files are removed, so a
-    failed run leaves neither.
+    (17 significant digits, inf, -inf, nan). A row's values are spelled
+    once, by one %-template, and those texts fill both files: the
+    columns line as they stand, the CSV lines through a template that
+    holds every label. Both files are written under temporary names and
+    renamed only after the last row; if anything fails on the way, the
+    partial files are removed, so a failed run leaves neither.
     """
     paths = [f"{out_dir}/{name}.csv", f"{out_dir}/{name}.dat"]
     temps = [f"{path}.partial" for path in paths]
+    row_template = " ".join(["%.17g"] * len(labels))
+    # "\0" stands for the time of the row: no label holds it
+    long_template = "".join(f"\0,{label.replace('%', '%%')},%s\n" for label in labels)
     try:
         with open(temps[0], "w") as long_f, open(temps[1], "w") as cols_f:
             long_f.write("t,series,value\n")
             cols_f.write("# t " + " ".join(labels) + "\n")
             for t, values in rows:
                 t_text = _fmt(float(t))
-                texts = [format(v, ".17g") for v in values.tolist()]
-                long_f.writelines(
-                    f"{t_text},{label},{text}\n" for label, text in zip(labels, texts)
-                )
-                cols_f.write(f"{t_text} {' '.join(texts)}\n")
+                texts = row_template % tuple(values.tolist())
+                long_f.write(long_template.replace("\0", t_text) % tuple(texts.split(" ")))
+                cols_f.write(f"{t_text} {texts}\n")
         for temp, path in zip(temps, paths):
             os.replace(temp, path)
     except BaseException:
@@ -595,7 +598,7 @@ def _run_classify(cfg, spec, args) -> int:
 def _run_solve(cfg, spec, args) -> int:
     datum = datum_from_config(cfg, spec)
     state = spectral.init(spec, datum)
-    labels = [cell.label(spec.p) for cell in datum.cells()]
+    labels = padic.cell_labels(spec.p, datum.depth, datum.basins)
     times = cfg.get("times", [0.0, 1.0])
     rows = ((t, values.ravel()) for t, _, values in spectral.evaluate(state, times))
     files = emit_plotdata("density", labels, rows, args.out)

@@ -28,6 +28,7 @@ are the correctly rounded sums over the paths.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 from contextlib import nullcontext
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError, ValidationError
+from .padic import cell_labels
 from .tree import DiscreteGenerator
 from .wavelets import CellFunction
 
@@ -91,6 +93,14 @@ def _uniforms(seeds: np.ndarray, counter) -> np.ndarray:
     return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     n_paths: int
@@ -99,7 +109,7 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.n_paths, int) or not 1 <= self.n_paths <= _MAX_PATHS:
+        if not _is_int(self.n_paths) or not 1 <= self.n_paths <= _MAX_PATHS:
             raise UsageError(
                 f"n_paths must be an integer from 1 to {_MAX_PATHS}, got {self.n_paths!r}"
             )
@@ -107,7 +117,13 @@ class SimConfig:
             seed = operator.index(self.seed)
         except TypeError:
             raise UsageError(f"seed must be an integer, got {self.seed!r}") from None
-        times = tuple(float(t) for t in self.record_times)
+        try:
+            times = tuple(self.record_times)
+        except TypeError:
+            times = None
+        if times is None or not all(_is_real(t) for t in times):
+            raise UsageError(f"record_times must be a sequence of numbers, got {self.record_times!r}")
+        times = tuple(map(float, times))
         if not times:
             raise UsageError("record_times must not be empty")
         if not all(map(math.isfinite, times)):
@@ -116,8 +132,8 @@ class SimConfig:
             a > b for a, b in zip(times, times[1:])
         ):
             raise UsageError("record_times must be sorted and non-negative")
-        if self.threads < 1:
-            raise UsageError("threads must be >= 1")
+        if not _is_int(self.threads) or self.threads < 1:
+            raise UsageError(f"threads must be an integer >= 1, got {self.threads!r}")
         object.__setattr__(self, "record_times", times)
         object.__setattr__(self, "seed", seed & _MASK)
 
@@ -233,7 +249,7 @@ def simulate(gen: DiscreteGenerator, u0: CellFunction, cfg: SimConfig) -> SimRes
 
     u0 must cover exactly the network's basins at the generator's depth
     (the datum check of spectral.init); its rows end to end, labelled by
-    u0.cells(), are its values on the chain's states.
+    padic.cell_labels, are its values on the chain's states.
     """
     dim = gen.dim
     u0_vec = gen.cell_vector(u0)
@@ -300,7 +316,7 @@ def simulate(gen: DiscreteGenerator, u0: CellFunction, cfg: SimConfig) -> SimRes
                         stderrs[j, cell] = math.sqrt(var / n)
 
     return SimResult(
-        labels=tuple(cell.label(u0.p) for cell in u0.cells()),
+        labels=tuple(cell_labels(u0.p, u0.depth, u0.basins)),
         record_times=times,
         estimates=estimates,
         stderrs=stderrs,

@@ -98,6 +98,23 @@ def enumerate_cells(p: int, depth: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(p), repeat=depth - 1))
 
 
+def cell_labels(p: int, depth: int, basins) -> list[str]:
+    """CellAddress(basin, digits).label(p) for every basin in turn and
+    every digits of enumerate_cells(p, depth), in that order, spelled
+    from the digit strings without forming an address."""
+    if depth < 1:
+        raise UsageError(f"depth must be >= 1, got {depth}")
+    if p > len(_DIGIT_CHARS):
+        pieces, heads = [f".{d}" for d in range(p)], [f"{b}" for b in basins]
+    else:
+        pieces = list(_DIGIT_CHARS[:p])
+        heads = [f"{b}." if depth > 1 else f"{b}" for b in basins]
+    tails = [""]
+    for _ in range(depth - 1):
+        tails = [tail + piece for tail in tails for piece in pieces]
+    return [head + tail for head in heads for tail in tails]
+
+
 def cell_index(digits: tuple[int, ...], p: int) -> int:
     """Position of a digit string in enumerate_cells(p, len(digits)+1)."""
     idx = 0

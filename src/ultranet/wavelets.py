@@ -144,12 +144,6 @@ class CellFunction:
                 f"datum covers basins {list(self.basins)}, network has {list(basins)}"
             )
 
-    def cells(self):
-        """Yield the cell of each entry of values.ravel(), in that order."""
-        for basin in self.basins:
-            for digits in enumerate_cells(self.p, self.depth):
-                yield CellAddress(basin, digits)
-
     def basin_integral(self, basin: int) -> float:
         """Integral over one basin's subtree (depth-N cells weigh p^{-N})."""
         return float(self.values[self.basins.index(basin)].sum()) * self.p ** (-self.depth)

@@ -30,6 +30,7 @@ from ultranet.cli import (
     scenario_from_config,
     spec_from_config,
 )
+from wavelet_reference import cells
 
 MINIMAL = """\
 prime: 2
@@ -1120,34 +1121,37 @@ def lines(path):
 
 
 def test_solve_bytes_match_a_loop_over_single_times(capsys, tmp_path):
-    rng = random.Random(15)
-    cfg = parse_config(
-        "prime: 3\nbasins: [0, 2]\nkernels:\n"
-        "  w: {0: [0.8, 0.3], 2: [1.1, 0.2]}\n  v: {0: [1.2, 0.5], 2: [1.4, 0.4]}\n"
-        "cross: {lambda: {0->2: 0.4, 2->0: 0.7}, mu: {0->2: 1.9, 2->0: 1.5}}\n"
-    )
-    cfg["resolution"] = 3
-    cfg["datum"] = {b: [rng.uniform(0.0, 1.0) for _ in range(27)] for b in (0, 2)}
-    cfg["times"] = [0.0] + sorted(10.0 ** rng.uniform(-6.0, 3.0) for _ in range(499))
-    path = tmp_path / "net.yaml"
-    path.write_text(dump_config(cfg))
-    out = tmp_path / "out"
-    code, _, _ = run(capsys, "solve", "--config", str(path), "--out", str(out))
-    assert code == 0
+    # past p = 36 each digit of a label is a decimal after its own '.'
+    for p, R, n_times in [(3, 3, 500), (37, 2, 60)]:
+        rng = random.Random(15)
+        cfg = parse_config(
+            f"prime: {p}\nbasins: [0, 2]\nkernels:\n"
+            "  w: {0: [0.8, 0.3], 2: [1.1, 0.2]}\n  v: {0: [1.2, 0.5], 2: [1.4, 0.4]}\n"
+            "cross: {lambda: {0->2: 0.4, 2->0: 0.7}, mu: {0->2: 1.9, 2->0: 1.5}}\n"
+        )
+        cfg["resolution"] = R
+        cfg["datum"] = {b: [rng.uniform(0.0, 1.0) for _ in range(p**R)] for b in (0, 2)}
+        cfg["times"] = [0.0] + sorted(10.0 ** rng.uniform(-6.0, 3.0) for _ in range(n_times - 1))
+        path = tmp_path / f"net{p}.yaml"
+        path.write_text(dump_config(cfg))
+        out = tmp_path / f"out{p}"
+        code, _, _ = run(capsys, "solve", "--config", str(path), "--out", str(out))
+        assert code == 0
 
-    spec = spec_from_config(cfg)
-    datum = cli.datum_from_config(cfg, spec)
-    state = spectral.init(spec, datum)
+        spec = spec_from_config(cfg)
+        datum = cli.datum_from_config(cfg, spec)
+        state = spectral.init(spec, datum)
 
-    def rows():
-        for t in cfg["times"]:
-            mean = spectral._propagate(state, t, state.mean)
-            parts = (state.details * np.exp(state.rates * t)[:, :, None]).sum(axis=1)
-            yield t, (mean[:, None] + parts).ravel().tolist()
+        def rows():
+            for t in cfg["times"]:
+                mean = spectral._propagate(state, t, state.mean)
+                parts = (state.details * np.exp(state.rates * t)[:, :, None]).sum(axis=1)
+                yield t, (mean[:, None] + parts).ravel().tolist()
 
-    csv, dat = reference_plotdata([cell.label(datum.p) for cell in datum.cells()], rows())
-    assert lines(out / "density.csv") == csv
-    assert lines(out / "density.dat") == dat
+        csv, dat = reference_plotdata([cell.label(p) for cell in cells(datum)], rows())
+        assert lines(out / "density.csv") == csv
+        assert lines(out / "density.dat") == dat
+    assert [line.split(",")[1] for line in csv[1:3]] == ["0.0.0", "0.0.1"]
 
 
 def test_folding_demo_series_match_a_loop_over_single_times(capsys, tmp_path):

@@ -226,6 +226,32 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"threads": 1.5}, "threads must be an integer"),
+        ({"threads": 2.0}, "threads must be an integer"),
+        ({"threads": True}, "threads must be an integer"),
+        ({"n_paths": True}, "n_paths must be an integer"),
+        ({"record_times": ("a",)}, "record_times must be a sequence of numbers"),
+        ({"record_times": (0.5, None)}, "record_times must be a sequence of numbers"),
+        ({"record_times": (True,)}, "record_times must be a sequence of numbers"),
+        ({"record_times": 0.5}, "record_times must be a sequence of numbers"),
+    ],
+)
+def test_ill_typed_settings_are_refused_by_name(kwargs, message):
+    # each reached the sampler before, and failed there with a raw
+    # TypeError or ValueError
+    settings = {"n_paths": 10, "seed": 0, "record_times": (0.5,), **kwargs}
+    with pytest.raises(UsageError, match=message):
+        SimConfig(**settings)
+
+
+def test_numeric_record_times_of_any_kind_are_taken_as_floats():
+    cfg = SimConfig(n_paths=10, seed=0, record_times=np.array([1, 2]))
+    assert cfg.record_times == (1.0, 2.0) and all(type(t) is float for t in cfg.record_times)
+
+
+@pytest.mark.parametrize(
     "times", [(math.nan,), (1.0, math.nan), (math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0)]
 )
 def test_non_finite_record_times_are_refused(times):

@@ -4,10 +4,13 @@ from ultranet.errors import UsageError, ValidationError
 from ultranet.padic import (
     CellAddress,
     cell_index,
+    cell_labels,
     enumerate_cells,
     parse_cell_label,
     validate_prime,
 )
+from ultranet.wavelets import CellFunction
+from wavelet_reference import cells
 
 
 def test_validate_prime_accepts_small_primes():
@@ -58,6 +61,19 @@ def test_cell_labels_for_every_supported_prime():
     for bad in ("1..3", "1.3.", "1.+3", "1. 3", "1.a", "1.\u0663", "1.37"):
         with pytest.raises(ValidationError):
             parse_cell_label(bad, 37)
+    # cell_labels spells the labels of every cell of a cell function in
+    # its order, base-36 characters and dotted decimals alike
+    for p in (2, 3, 5, 37, 97):
+        for depth in (1, 2, 3, 4):
+            for basins in ((p - 1,), (0, p - 1), tuple(range(0, p, 2))):
+                if p ** (depth - 1) * len(basins) > 10**5:
+                    basins = (p // 2,)
+                f = CellFunction.constant(p, depth, basins, 0.0)
+                labels = cell_labels(p, depth, basins)
+                assert len(labels) == f.values.size
+                assert labels == [cell.label(p) for cell in cells(f)]
+    with pytest.raises(UsageError):
+        cell_labels(2, 0, (0,))
 
 
 def test_enumerate_cells_and_index():

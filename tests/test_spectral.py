@@ -562,13 +562,30 @@ def test_evaluate_does_not_depend_on_the_chunks(monkeypatch):
 
     whole = rows()
     assert [t for t, _, _ in whole] == times
-    time_bytes = 8 * 2 * (5 * 2 + 3 + 1)
-    for size in (1, 2, 4):
-        monkeypatch.setattr(spectral, "_SCAN_BYTES", size * time_bytes)
+    time_bytes = 8 * 2 * (5 * 2 + 3 + 1)  # one time of a stacked exponential
+    row_bytes = 2 * 8 * 2 * 8  # a row of 2 x 8 cells and one product of its size
+    # chunks of 1, 2 and 4 times, the last formed 3 rows and then 1; chunks
+    # of 2 formed one row at a time; chunks of 6 formed 5 rows and then 1
+    for scan_bytes, chunk, batch in [
+        (time_bytes, 1, 1), (2 * time_bytes, 2, 1), (4 * time_bytes, 4, 3),
+        (480, 2, 1), (1344, 6, 5),
+    ]:
+        monkeypatch.setattr(spectral, "_SCAN_BYTES", scan_bytes)
+        assert (spectral._chunk_size(state), max(1, scan_bytes // row_bytes)) == (chunk, batch)
         assert rows() == whole
     for t, mean, values in whole:
         assert values == eval_density(state, t).values.tobytes()
         assert mean == evolve(state, t).mean.tobytes()
+
+
+@pytest.mark.parametrize("R", [1, 3, 9, 12])
+def test_evaluate_rows_sum_the_scales_as_one_sum_over_them(R):
+    # past 8 scales a pairwise sum would round differently
+    state = random_state(two_basin(cross_mu=1.5), R, seed=R)
+    times = [0.0, 0.05, 1.0, 3.0, 60.0]
+    for t, mean, values in spectral.evaluate(state, times):
+        parts = (state.details * np.exp(state.rates * t)[:, :, None]).sum(axis=1)
+        assert values.tobytes() == (mean[:, None] + parts).tobytes()
 
 
 def test_evaluate_yields_the_rows_before_the_first_overflow():

@@ -1,6 +1,7 @@
 """Reference code that the tests compare the package with: single
-wavelets, their eigenvalues under a radial kernel, and synthesis from
-wavelet coefficients. The package forms none of them."""
+wavelets, their eigenvalues under a radial kernel, synthesis from
+wavelet coefficients, and the cell address of each entry of a cell
+function. The package forms none of them."""
 
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import numpy as np
 
 from ultranet.errors import UsageError
 from ultranet.kernels import RadialKernel, kernel_mass, symbol_value
-from ultranet.padic import CellAddress
+from ultranet.padic import CellAddress, enumerate_cells
 from ultranet.wavelets import CellFunction, Expansion, WaveletIndex, wavelet_matrix
 
 
@@ -41,3 +42,9 @@ def reconstruct_all(expansion: Expansion, depth: int) -> CellFunction:
     values = p**0.5 * expansion.c0[:, None] + (expansion.coeffs @ W).real
     return CellFunction(p, depth, expansion.basins, values)
 
+
+def cells(f: CellFunction):
+    """Yield the cell of each entry of f.values.ravel(), in that order."""
+    for basin in f.basins:
+        for digits in enumerate_cells(f.p, f.depth):
+            yield CellAddress(basin, digits)
