@@ -19,10 +19,11 @@ Nothing is drawn past the last record time, and a state of zero total
 rate holds forever. A block holds whole start cells, at least one, and
 otherwise at most _RECORD_BUDGET recorded (path, time) entries. The
 jump target is found by a binary search in the state's row of one
-dense table of cumulative rates, O(log states) per jump. The estimate
-and its standard error need the sums of u0 and of u0^2 over a start
-cell's paths; these are counted per state and summed exactly, so they
-are the correctly rounded sums over the paths.
+dense table of cumulative rates, formed from the chain's level rates,
+O(log states) per jump. The estimate and its standard error need the
+sums of u0 and of u0^2 over a start cell's paths; these are counted per
+state and summed exactly, so they are the correctly rounded sums over
+the paths.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import UsageError, ValidationError
 from .padic import cell_labels
-from .tree import DiscreteGenerator
+from .tree import DiscreteGenerator, require_dense
 from .wavelets import CellFunction
 
 _MASK = (1 << 64) - 1
@@ -151,13 +152,14 @@ def _jump_table(gen: DiscreteGenerator) -> np.ndarray:
     """Cumulative jump rates, (dim + 1, dim + 1): row i runs over the
     rates from state i to the states 0 .. dim-1 and, in column dim, to
     the trap (the kill rate), so its last entry is the total rate out of
-    i. The trap's row is zero. Built in place: it is the one dense array
-    simulate holds besides gen.Q."""
+    i. The trap's row is zero. Built in place from the level rates, the
+    one dense array simulate holds; its limit counts the dim^2 entries
+    of the chain."""
     dim = gen.dim
+    require_dense(dim, "the sampler's jump table")
     table = np.zeros((dim + 1, dim + 1))
-    table[:dim, :dim] = gen.Q
-    np.fill_diagonal(table, 0.0)
-    table[:dim, dim] = gen.kill
+    gen.fill_jumps(table[:dim, :dim])
+    table[:dim, dim] = np.repeat(gen.kill, gen.per_basin)
     np.cumsum(table, axis=1, out=table)
     return table
 

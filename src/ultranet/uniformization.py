@@ -67,14 +67,16 @@ def _reaches_a_kill(Q: np.ndarray, kill: np.ndarray) -> np.ndarray:
     return reach
 
 
-def exponential(Q: np.ndarray, kill: np.ndarray, t=1.0) -> np.ndarray:
+def exponential(Q: np.ndarray, kill: np.ndarray, t=1.0, *, overwrite=False) -> np.ndarray:
     """e^{tQ} for a Metzler Q whose rows sum to -kill; for a 1-D array of
     times, the (n, B, B) stack of e^{t_i Q}. Where a row grows (kill < 0)
     the series is that of Q - cI, c the largest growth, times e^{c t / 2^s},
     so the result overflows only where e^{tQ} does. The _TERMS - 1 powers
     of P are formed once, one at a time, and added to every time's slice
     with its own Poisson weights; a squaring touches only the times that
-    need it. So slice i is bit for bit the exponential at t_i alone."""
+    need it. So slice i is bit for bit the exponential at t_i alone. With
+    overwrite, a float Q is turned into P in place, so the caller holds one
+    array fewer."""
     Q = np.asarray(Q, dtype=float)
     ts = np.asarray(t, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
@@ -97,10 +99,12 @@ def exponential(Q: np.ndarray, kill: np.ndarray, t=1.0) -> np.ndarray:
     out = np.zeros((len(times), *Q.shape))
     diagonal = np.arange(len(Q))
     out[:, diagonal, diagonal] = weights[:, :1]
+    closed = ~_reaches_a_kill(Q, kill)
     if rate > 0:
-        P = Q / rate
         # L >= -q_ii, so L + q_ii rounds to no negative number
-        np.fill_diagonal(P, (L + Q.diagonal()) / rate)
+        stay = (L + Q.diagonal()) / rate
+        P = np.divide(Q, rate, out=Q if overwrite else None)
+        np.fill_diagonal(P, stay)
         power = P
         for k in range(1, _TERMS):
             if k > 1:
@@ -109,7 +113,6 @@ def exponential(Q: np.ndarray, kill: np.ndarray, t=1.0) -> np.ndarray:
         del P, power
     if shift:
         out *= np.array([math.exp(shift * x) for x in taus.tolist()])[:, None, None]
-    closed = ~_reaches_a_kill(Q, kill)
 
     def rescale(E):
         if closed.any():

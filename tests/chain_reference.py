@@ -1,0 +1,37 @@
+"""Reference code for the chain's level rates (tree.DiscreteGenerator):
+the dense generator matrix, entry by entry from the ultrametric level of
+each pair of cells."""
+
+import math
+
+import numpy as np
+
+from ultranet.padic import enumerate_cells
+
+
+def levels(p, N):
+    """The level of each pair of a basin's cells, in enumerate_cells
+    order: the 1-based place of the first digit where their addresses
+    differ, and 0 on the diagonal."""
+    digits = np.array(enumerate_cells(p, N))
+    differ = digits[:, None, :] != digits[None, :, :]
+    return np.where(differ.any(axis=2), differ.argmax(axis=2) + 1, 0)
+
+
+def dense_chain(gen):
+    """(Q, kill) with one row per state: Q[i, k] is the within-basin rate
+    at the level of (i, k), or the cross rate between their basins, and
+    q_ii is minus the row's rates and kill, summed by math.fsum."""
+    n = gen.per_basin
+    level = levels(gen.p, gen.N)
+    Q = np.zeros((gen.dim, gen.dim))
+    for a in range(len(gen.basins)):
+        for b in range(len(gen.basins)):
+            block = Q[a * n:(a + 1) * n, b * n:(b + 1) * n]
+            if a == b:
+                block[...] = np.concatenate([[0.0], gen.within[a]])[level]
+            else:
+                block[...] = gen.cross[a, b]
+    kill = np.repeat(gen.kill, n)
+    np.fill_diagonal(Q, [-math.fsum([*row, k]) for row, k in zip(Q.tolist(), kill.tolist())])
+    return Q, kill

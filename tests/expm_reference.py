@@ -49,13 +49,11 @@ def fraction_solve(A, b):
     return [M[i][n] / M[i][i] for i in range(n)]
 
 
-def exact_limit(rows, m0):
-    """lim e^{t Lambda} m0 as t -> inf, in Fractions, for the exact rows of
-    a Metzler Lambda that sum to <= 0. A state that loses nothing, and
-    whose reachable states do the same and all reach it back, lies in a
-    closed class C and tends to pi_C . m0 (pi_C Lambda_CC = 0, sum 1). The
-    transient states T tend to -Lambda_TT^-1 Lambda_TC m_C of those limits
-    m_C."""
+def closed_states(rows):
+    """For the exact rows of a Metzler Lambda that sum to <= 0: the states
+    each state reaches (itself included), and whether it lies in a closed
+    class: a state that loses nothing, and whose reachable states do the
+    same and all reach it back."""
     n = len(rows)
     reach = [{a} for a in range(n)]
     grew = True
@@ -67,6 +65,16 @@ def exact_limit(rows, m0):
                 reach[a] |= more
                 grew = True
     closed = [all(sum(rows[b]) == 0 and a in reach[b] for b in reach[a]) for a in range(n)]
+    return reach, closed
+
+
+def exact_limit(rows, m0):
+    """lim e^{t Lambda} m0 as t -> inf, in Fractions, for the exact rows of
+    a Metzler Lambda that sum to <= 0. A state of a closed class C tends
+    to pi_C . m0 (pi_C Lambda_CC = 0, sum 1). The transient states T tend
+    to -Lambda_TT^-1 Lambda_TC m_C of those limits m_C."""
+    n = len(rows)
+    reach, closed = closed_states(rows)
     limit = [None] * n
     for a in range(n):
         if closed[a] and limit[a] is None:

@@ -58,11 +58,11 @@ def path_states(seed, start, rows, record_times, draw=uniform):
     return [states[bisect.bisect_right(times, tau) - 1] for tau in record_times]
 
 
-def simulate(gen, u0_vec, cfg, draw=uniform):
+def simulate(rows, u0_vec, cfg, draw=uniform):
     """(estimates, stderrs, n_alive) as montecarlo.simulate defines them,
-    from the paths of each start cell one at a time and math.fsum sums."""
-    rows = cumulative_rows(gen.Q, gen.kill)
-    dim, n, times = gen.dim, cfg.n_paths, cfg.record_times
+    on the chain of cumulative rows `rows`, from the paths of each start
+    cell one at a time and math.fsum sums."""
+    dim, n, times = len(rows) - 1, cfg.n_paths, cfg.record_times
     values = [float(v) for v in u0_vec] + [0.0]
     estimates = np.zeros((len(times), dim))
     stderrs = np.zeros((len(times), dim))

@@ -63,7 +63,7 @@ def test_the_exponential_count_leaves_out_the_chain_oracle(tmp_path):
     text = load_preset("single_basin").replace("times: [0.0, 0.5, 1.0, 2.0]", "times: [1.0e+6]")
     cfg = parse_config(text)
     gen = tree.discretize(spec_from_config(cfg), cfg["resolution"] + 1)
-    assert not tree._action_is_cheaper(-gen.Q.diagonal().min() * 1e6, gen.dim)
+    assert not tree._action_is_cheaper(gen.rate * 1e6, gen.dim)
     config = tmp_path / "late.yaml"
     config.write_text(text)
     env = {**os.environ, "PYTHONPATH": str(TRACER.parents[1] / "src")}

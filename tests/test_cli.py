@@ -906,7 +906,7 @@ def test_oracle_imports_no_scipy(tmp_path):
         "from ultranet.cli import main\n"
         "dense = []\n"
         "real = tree.exponential\n"
-        "tree.exponential = lambda *args: dense.append(1) or real(*args)\n"
+        "tree.exponential = lambda *args, **kw: dense.append(1) or real(*args, **kw)\n"
         f"codes = [main(['oracle', *run, '--out', {str(tmp_path)!r}]) for run in {runs!r}]\n"
         "print(codes, len(dense), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     ))
@@ -1103,6 +1103,50 @@ def test_huge_path_count_exits_2(capsys, tmp_path):
     assert code == 2
     assert "n_paths must be an integer from 1 to" in err
     assert "got 100000000000000000000" in err
+
+
+def test_simulate_refuses_only_a_table_past_the_dense_limit(capsys, tmp_path, monkeypatch):
+    """The limit counts states^2 floats, so a chain at the limit is run
+    although its table has one row and column more; one past it exits 2,
+    naming the bytes, and writes nothing."""
+    monkeypatch.setattr(tree, "MAX_CHAIN_BYTES", 16 * 16 * 8)
+    for resolution, code_wanted in ((3, 0), (4, 2)):  # 16 and 32 states
+        cfgfile = tmp_path / f"r{resolution}.yaml"
+        cfgfile.write_text(
+            TWO_BASINS.replace("resolution: 1", f"resolution: {resolution}").split("datum:")[0]
+            + "paths: 10\nrecord_times: [0.5]\n"
+        )
+        out_dir = tmp_path / f"out{resolution}"
+        code, _, err = run(capsys, "simulate", "--config", str(cfgfile), "--out", str(out_dir))
+        assert code == code_wanted, err
+        assert (out_dir / "mc.csv").exists() == (code == 0)
+    assert err == (
+        "error: the sampler's jump table: 32 states need 0.007812 MiB, "
+        "over the 0.001953 MiB limit of a dense chain array\n"
+    )
+
+
+def test_oracle_refuses_only_a_dense_route_past_the_limit(capsys, tmp_path):
+    """A chain of 8192 states, past the 128 MiB limit, runs the oracle at
+    short times, where the action forms no dense array; at t = 1e9 the
+    dense route would need the chain matrix, and the run exits 2 naming
+    its bytes."""
+    rows = {b: [(7 * i + 3 * b) % 11 / 10 for i in range(4096)] for b in (0, 1)}
+    text = (TWO_BASINS.replace("resolution: 1", "resolution: 12").split("datum:")[0]
+            + f"datum: {rows}\n")
+    cfgfile = tmp_path / "big.yaml"
+    cfgfile.write_text(text + "times: [0.1, 1.0]\n")
+    code, out, err = run(capsys, "oracle", "--config", str(cfgfile), "--out", str(tmp_path / "a"))
+    assert code == 0, err
+    assert float(out.split("=")[1]) <= 1e-8
+    cfgfile.write_text(text + "times: [1.0, 1.0e+9]\n")
+    code, out, err = run(capsys, "oracle", "--config", str(cfgfile), "--out", str(tmp_path / "b"))
+    assert code == 2
+    assert err == (
+        "error: the chain matrix for the dense route at t = 1e+09: 8192 states need "
+        "512 MiB, over the 128 MiB limit of a dense chain array\n"
+    )
+    assert not (tmp_path / "b" / "oracle.csv").exists()
 
 
 def reference_plotdata(labels, rows):

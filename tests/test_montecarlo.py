@@ -5,6 +5,7 @@ import tracemalloc
 from unittest import mock
 
 import mc_reference
+from chain_reference import dense_chain
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,12 +30,17 @@ from ultranet.tree import DiscreteGenerator, discretize, solve
 from ultranet.wavelets import CellFunction
 
 
-def synthetic_gen(Q, kill):
-    # one basin at depth 2, so the prime is the number of states
-    Q = np.asarray(Q, dtype=float)
+def level_gen(p, within, cross, kill, N=2):
+    # level rates as given, one row per basin; at depth 2 a basin holds p
+    # states, each jumping at rate within[a][0] to the others
     return DiscreteGenerator(
-        p=len(Q), N=2, basins=(0,), Q=Q, kill=np.asarray(kill, dtype=float)
+        p=p, N=N, basins=tuple(range(len(kill))), within=np.array(within, dtype=float),
+        cross=np.array(cross, dtype=float), kill=np.array(kill, dtype=float),
     )
+
+
+def one_basin(p, rate, kill):
+    return level_gen(p, [[rate]], [[0.0]], [kill])
 
 
 def killed_two_basin():
@@ -69,7 +75,7 @@ def test_path_seeds_distinct():
 
 
 def test_frozen_process_is_exact():
-    gen = synthetic_gen(np.zeros((2, 2)), [0.0, 0.0])
+    gen = one_basin(2, 0.0, 0.0)
     u0 = CellFunction(2, 2, (0,), [[0.75, 0.25]])
     cfg = SimConfig(n_paths=500, seed=7, record_times=(0.0, 1.0, 3.0))
     res = simulate(gen, u0, cfg)
@@ -92,7 +98,7 @@ def test_record_at_time_zero_is_the_start_value():
 
 def test_uniform_kill_matches_survival_law():
     kappa = 0.3
-    gen = synthetic_gen(np.zeros((2, 2)), [kappa, kappa])
+    gen = one_basin(2, 0.0, kappa)
     u0 = CellFunction(2, 2, (0,), [[1.0, 1.0]])
     cfg = SimConfig(n_paths=20000, seed=11, record_times=(0.5, 1.0, 2.0))
     res = simulate(gen, u0, cfg)
@@ -178,12 +184,8 @@ def test_thread_count_does_not_change_results():
 
 def test_doubling_paths_keeps_the_first_half():
     gen = killed_two_basin()
-    rates = np.asarray(gen.Q, dtype=float).copy()
-    np.fill_diagonal(rates, 0.0)
-    per_state = np.concatenate([rates, np.asarray(gen.kill)[:, None]], axis=1)
-    cum = np.cumsum(per_state, axis=1)
-    totals = np.append(cum[:, -1], 0.0)
-    cum = np.vstack([cum, np.zeros(gen.dim + 1)])
+    cum = np.array(mc_reference.cumulative_rows(*dense_chain(gen)))
+    totals = cum[:, -1].copy()
     golden = np.uint64(0x9E3779B97F4A7C15)
 
     def seeds(n):
@@ -429,7 +431,7 @@ def test_paths_stop_at_the_last_record_time(monkeypatch):
         return np.where(counter % 2 == 1, 0.5, -math.expm1(-1.0))
 
     monkeypatch.setattr(montecarlo, "_uniforms", uniforms)
-    gen = synthetic_gen([[-1.0, 1.0], [1.0, -1.0]], [0.0, 0.0])
+    gen = one_basin(2, 1.0, 0.0)
     u0 = CellFunction(2, 2, (0,), [[1.0, 0.0]])
     res = simulate(gen, u0, SimConfig(n_paths=3, seed=0, record_times=(0.5, 2.5)))
     # two start cells of three paths
@@ -446,10 +448,34 @@ def coarse(u):
     return np.floor(u * 8) / 8
 
 
+# (p, basins, N) of every chain of 2 to 10 states
+SMALL_SHAPES = [(2, 1, 2), (2, 2, 2), (2, 1, 3), (2, 2, 3), (3, 1, 2), (3, 2, 2), (3, 3, 2),
+                (3, 1, 3), (5, 1, 2), (5, 2, 2), (7, 1, 2)]
+
+
 @st.composite
-def small_chains(draw):
-    # one basin at depth 2 with p states; zero rates, kills and rows of
-    # zero total rate, which hold forever
+def small_level_chains(draw):
+    # level chains with zero rates, kills, and basins of zero total
+    # rate, whose states hold forever
+    p, B, N = draw(st.sampled_from(SMALL_SHAPES))
+    rate = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
+    within = np.array(draw(st.lists(st.lists(rate, min_size=N - 1, max_size=N - 1),
+                                    min_size=B, max_size=B)))
+    cross = np.array(draw(st.lists(st.lists(rate, min_size=B, max_size=B),
+                                   min_size=B, max_size=B)))
+    np.fill_diagonal(cross, 0.0)
+    kill = np.array(draw(st.lists(rate, min_size=B, max_size=B)))
+    frozen = np.array(draw(st.lists(st.booleans(), min_size=B, max_size=B)))
+    within[frozen] = cross[frozen] = kill[frozen] = 0.0
+    return level_gen(p, within, cross, kill, N)
+
+
+@st.composite
+def small_dense_chains(draw):
+    # any chain of p = 2 to 7 states, outside the level form: its own
+    # rate to each target and kill per state, zero rates, and single
+    # states of zero total rate among live ones. The generator only
+    # shapes the run (one basin at depth 2); the rows are the chain.
     p = draw(st.sampled_from([2, 3, 5, 7]))
     rate = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
     Q = np.array(draw(st.lists(st.lists(rate, min_size=p, max_size=p), min_size=p, max_size=p)))
@@ -457,16 +483,39 @@ def small_chains(draw):
     frozen = np.array(draw(st.lists(st.booleans(), min_size=p, max_size=p)))
     Q[frozen] = 0.0
     kill[frozen] = 0.0
-    return synthetic_gen(Q, kill)
+    return one_basin(p, 0.0, 0.0), mc_reference.cumulative_rows(Q, kill)
+
+
+def small_chains():
+    # (gen, rows): a level chain and the rows of its dense reference, or
+    # a dense chain whose rows the sampler is given in place of its table
+    return st.one_of(
+        small_level_chains().map(lambda gen: (gen, None)),
+        small_dense_chains(),
+    )
+
+
+@given(gen=small_level_chains())
+@settings(max_examples=100, deadline=None)
+def test_jump_table_is_the_reference_rows(gen):
+    """The sampler's table, formed from the level rates, is bit for bit
+    the rows of the dense reference chain summed left to right."""
+    want = np.array(mc_reference.cumulative_rows(*dense_chain(gen)))
+    assert montecarlo._jump_table(gen).tobytes() == want.tobytes()
 
 
 @given(data=st.data())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_simulate_matches_the_one_path_reference(data):
-    gen = data.draw(small_chains())
-    p = gen.p
+    gen, rows = data.draw(small_chains())
+    table = montecarlo._jump_table if rows is None else (lambda _: np.array(rows))
+    if rows is None:
+        rows = mc_reference.cumulative_rows(*dense_chain(gen))
+    p, n = gen.p, gen.per_basin
     value = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
-    u0 = CellFunction(p, 2, (0,), [data.draw(st.lists(value, min_size=p, max_size=p))])
+    u0 = CellFunction(p, gen.N, gen.basins, [
+        data.draw(st.lists(value, min_size=n, max_size=n)) for _ in gen.basins
+    ])
     seed = data.draw(st.integers(0, 2**64 - 1))
     real = montecarlo._uniforms
     if data.draw(st.booleans()):
@@ -482,7 +531,6 @@ def test_simulate_matches_the_one_path_reference(data):
     # of the first start cell, so that a record falls exactly on a jump
     time = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 2.0))
     times = sorted(data.draw(st.lists(time, min_size=1, max_size=4)))
-    rows = mc_reference.cumulative_rows(gen.Q, gen.kill)
     first = path_seed(path_seed(seed, 0), 0)
     jumps, _ = mc_reference.path_jumps(first, 0, rows, times[-1], ref_draw)
     times = sorted(times + data.draw(st.lists(st.sampled_from(jumps), max_size=2)))
@@ -491,9 +539,10 @@ def test_simulate_matches_the_one_path_reference(data):
         threads=data.draw(st.integers(1, 3)),
     )
     budget = data.draw(st.sampled_from([montecarlo._RECORD_BUDGET, 1]))
-    want = mc_reference.simulate(gen, u0.values.ravel(), cfg, ref_draw)
+    want = mc_reference.simulate(rows, u0.values.ravel(), cfg, ref_draw)
     with mock.patch.object(montecarlo, "_uniforms", fake), \
-            mock.patch.object(montecarlo, "_RECORD_BUDGET", budget):
+            mock.patch.object(montecarlo, "_RECORD_BUDGET", budget), \
+            mock.patch.object(montecarlo, "_jump_table", table):
         res = simulate(gen, u0, cfg)
     for field, expected in zip(RESULT_FIELDS, want):
         got = getattr(res, field)
@@ -553,7 +602,7 @@ def test_simulate_holds_one_dense_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * gen.Q.nbytes
+    assert peak <= 1.5 * gen.dim**2 * 8
 
 
 def top_draw(monkeypatch, hold):
@@ -567,12 +616,27 @@ def top_draw(monkeypatch, hold):
 
 def test_top_draw_stays_on_a_conservative_chain(monkeypatch):
     # totals are powers of two and there is no kill: the largest draw
-    # goes to the last state with a positive rate, never to the trap
+    # goes to the last state with a positive rate, never to the trap. The
+    # rows of basin 1 rise only in basin 0's columns, then stay flat over
+    # basin 1 (no jump within it) and the trap.
     top_draw(monkeypatch, 0.5)
-    gen = synthetic_gen([[-2.0, 1.0, 1.0], [0.5, -1.0, 0.5], [4.0, 0.0, -4.0]], [0.0] * 3)
-    u0 = CellFunction(3, 2, (0,), [[0.25, 0.5, 1.0]])
+    gen = level_gen(2, [[1.0], [0.0]], [[0.0, 0.5], [1.0, 0.0]], [0.0, 0.0])
+    u0 = CellFunction(2, 2, (0, 1), [[0.25, 0.5], [1.0, 0.75]])
     cfg = SimConfig(n_paths=8, seed=0, record_times=(5.0, 10.0))
     res = simulate(gen, u0, cfg)
+    assert np.array_equal(res.n_alive, np.full((2, 4), 8))
+
+
+def test_top_draw_stays_on_a_conservative_dense_chain(monkeypatch):
+    # the same on a chain outside the level form, whose rows the sampler
+    # is given in place of its table: the last row rises in column 0 only
+    top_draw(monkeypatch, 0.5)
+    Q = [[-2.0, 1.0, 1.0], [0.5, -1.0, 0.5], [4.0, 0.0, -4.0]]
+    rows = np.array(mc_reference.cumulative_rows(Q, [0.0] * 3))
+    monkeypatch.setattr(montecarlo, "_jump_table", lambda _: rows)
+    u0 = CellFunction(3, 2, (0,), [[0.25, 0.5, 1.0]])
+    cfg = SimConfig(n_paths=8, seed=0, record_times=(5.0, 10.0))
+    res = simulate(one_basin(3, 0.0, 0.0), u0, cfg)
     assert np.array_equal(res.n_alive, np.full((2, 3), 8))
 
 
@@ -582,7 +646,7 @@ def test_top_draw_that_rounds_up_to_the_total_is_not_killed(monkeypatch):
     r = 3 * 5e-324
     assert (1 - 2.0**-53) * r == r
     top_draw(monkeypatch, 2.0**-53)  # holding time about 7.5e306
-    gen = synthetic_gen([[-r, r], [r, -r]], [0.0, 0.0])
+    gen = one_basin(2, r, 0.0)
     u0 = CellFunction(2, 2, (0,), [[1.0, 0.5]])
     cfg = SimConfig(n_paths=2, seed=0, record_times=(1.0e308,))
     res = simulate(gen, u0, cfg)
