@@ -24,8 +24,8 @@ rows, synthesis sums them, both O(cells * R). e^{t Lambda} is formed in
 one place, _propagate, for a whole chunk of times at once: evaluate
 walks the output grids of solve, folding-demo and the oracle in chunks,
 and the crossing search the left ends of its pending intervals. It is
-uniformization.exponential, the function that also forms the chain
-oracle's dense e^{tQ}; nothing else of the oracle or of the Monte Carlo
+uniformization.exponential; the chain oracle takes the same steps in its
+own level algebra, and nothing of the oracle or of the Monte Carlo
 sampler is shared. Decay tables are bookkeeping on the same arrays. No
 wavelet coefficient is formed: the mode that dominates a crossing cell
 is named from the p child-block values of each level, in real
@@ -72,7 +72,7 @@ _BATCH_ROWS = 8
 
 def matrix_exponential(M: np.ndarray, kill: np.ndarray, t=1.0) -> np.ndarray:
     """uniformization.exponential under a function object of its own, so
-    that a count of its calls counts the basin means' and not the oracle's."""
+    that a count of its calls counts the basin means' exponentials."""
     return exponential(M, kill, t)
 
 

@@ -7,21 +7,17 @@ represents the integral operator with no truncation error. Within a
 basin the rate between two cells depends only on their ultrametric
 level, and across two basins it is one constant, so the chain is held as
 those level rates, O(basins * N) numbers (a hierarchically block-constant
-matrix: Ogielski & Stein, PRL 55, 1985), and no dense Q is stored. The
-oracle uses that structure only to apply Q; it takes no wavelet,
-eigenvalue or basin matrix, so it can serve as the oracle for the
-spectral solver.
-
-It is one algebra throughout, uniformization: the action sums its
-series against the datum, each product with P = I + Q/L taken by block
-sums (or, on small chains, with P formed densely), and at long times
-the dense e^{tQ} comes from uniformization.exponential, which also forms
-the spectral solver's basin means. Nothing is subtracted but block sums
-from their parents, so no entry can cancel, overflow or turn into NaN.
-A dense array of states^2 floats is formed only by that dense route and
-by the Monte Carlo sampler's table, and is refused past
-MAX_CHAIN_BYTES. The chain (discretize), the action and the sampler stay
-independent of the spectral solver. Only numpy is used.
+matrix: Ogielski & Stein, PRL 55, 1985), and no dense Q is stored. Such
+matrices form an algebra, so e^{tQ} is one of them too. The oracle forms
+it there by uniformization (_level_exponential: the series at a short
+time, then squarings; Jensen, 1953, and Grassmann, 1977) and applies it
+to the datum once by block sums (_apply). Nothing is subtracted but
+block sums from their parents, so no entry can cancel, overflow or turn
+into NaN, and the oracle holds no array of more than O(states) floats at
+any time. It takes no wavelet, eigenvalue or basin matrix, so it can
+serve as the oracle for the spectral solver. A dense array of states^2
+floats is formed only for the Monte Carlo sampler's table, and is
+refused past MAX_CHAIN_BYTES. Only numpy is used.
 
 The generator acts on functions (the backward reading): a state jumps
 with the gain family (w kernels within a basin, lambda across basins)
@@ -39,13 +35,13 @@ import numpy as np
 
 from .errors import NumericError, UsageError, ValidationError
 from .network import NetworkSpec, aggregate_rates
-from .uniformization import _TERMS, _poisson_weights, _squarings, exponential
+from .uniformization import _TERMS, _reaches_a_kill, _squarings, _weights
 from .wavelets import CellFunction
 
-# A dense array of states^2 floats is formed only where a dense route needs
-# one: the chain matrix for the oracle's dense e^{tQ}, and the Monte
-# Carlo sampler's table of cumulative rates. Either is refused past this
-# limit, 4096 states; the level rates themselves take O(basins * N).
+# A dense array of states^2 floats is formed only for the Monte Carlo
+# sampler's table of cumulative rates, and for Q itself by matrix, which
+# no oracle path calls. Either is refused past this limit, 4096 states;
+# the level rates themselves take O(basins * N).
 MAX_CHAIN_BYTES = 128 * 2**20
 
 
@@ -137,10 +133,10 @@ class DiscreteGenerator:
             tiles[basin, block, :, basin, block, :] = self.within[:, j - 1, None, None, None]
         np.fill_diagonal(out, 0.0)
 
-    def matrix(self, what: str = "the chain matrix") -> np.ndarray:
+    def matrix(self) -> np.ndarray:
         """Q as one dense array, formed from the levels; refused past
         MAX_CHAIN_BYTES."""
-        require_dense(self.dim, what)
+        require_dense(self.dim, "the chain matrix")
         Q = np.empty((self.dim, self.dim))
         self.fill_jumps(Q)
         np.fill_diagonal(Q, -np.repeat(self.exits, self.per_basin))
@@ -169,170 +165,144 @@ def discretize(spec: NetworkSpec, N: int) -> DiscreteGenerator:
     )
 
 
-# The action is a uniformized sum (Jensen, Skand. Aktuarietidskr. 36, 1953;
-# Moler & Van Loan, SIAM Rev. 45, 2003, method 4). With L the largest exit
-# rate, P = I + Q/L has no negative entry, its rows sum to 1 - kill/L, and
-#     e^{tQ} u = sum_k e^{-Lt} (Lt)^k / k! P^k u.
-# L t is split into equal steps of Poisson mean y <= 700: e^-700 = 9.9e-305
-# is still a normal float (the least is 2.2e-308), so the first weight keeps
-# its precision. Each step is summed to the first K whose Poisson tail lies
-# below 2^-53; every P^k u is bounded by max|u|, so a step errs by at most
-# 2^-53 max|u| plus rounding.
-_STEP_MEAN = 700.0
+def _level_algebra(gen: DiscreteGenerator):
+    """The product and the row sums of the level algebra on gen's shape.
+    An element (beta, c) is a states x states matrix that is constant on
+    the level blocks: beta[a, b] is its entry from a cell of basin a to one
+    of basin b != a (beta[a, a] = 0), and c[a, k] its entry between two
+    cells of basin a that share k leading digits, k = N - 1 the diagonal.
+    A cell sees count[k] cells at level k: (p - 1) p^(N-2-k), and at N - 1
+    itself. Take x and z of basin a at level m, and y of basin a at level
+    i from x. For i < m, y is at level i from z; for i > m at level m;
+    for i = m, y is at level m from z but for the p^(N-2-m) cells that
+    share z's next digit, which see z at each level j > m in count[j].
+    So with r = c count, the basins' within row sums, and n the cells per
+    basin,
+        c''_m = sum_{i<m} c_i c'_i count_i + c'_m sum_{i>m} c_i count_i
+                + c_m (same_m c'_m + sum_{j>m} c'_j count_j) + n (beta beta')_aa,
+        beta'' = n beta beta' + diag(r) beta' + beta diag(r')  (off the diagonal),
+    same_m = (p - 2) p^(N-2-m), and 1 at m = N - 1. Every term multiplies
+    entries >= 0 and counts, so nothing is subtracted."""
+    p, N, n = gen.p, gen.N, float(gen.per_basin)
+    count = np.array([(p - 1) * float(p) ** (N - 2 - k) for k in range(N - 1)] + [1.0])
+    same = np.array([(p - 2) * float(p) ** (N - 2 - k) for k in range(N - 1)] + [1.0])
 
-# Route choice by measured cost, in microseconds on one core (one BLAS
-# thread; medians, p = 2 chains unless noted).
-# - The action takes exactly steps x K products with P: K = 17 at y = 1,
-#   87 at y = 31, 193 at y = 100 and 928 at y = 700, about 1.33 per unit
-#   of L t for long times. A product, with its share of the loop, costs
-#   about 1.5 + 1.3e-4 dim^2 with a dense P: 1.5 us up to 32 states, 6.2
-#   at 256, 35 at 512, 258 at 1024. With block sums it costs about
-#   30 + 0.022 dim: 34 us at 256 states, 42 at 512, 58 at 1024, 122 at
-#   4096 (less on small chains and larger p, which have fewer levels per
-#   state: 15 us at 16 states, 17 at 375 on p = 5, 31 at 1875 on p = 5).
-#   Forming P densely from the levels costs about 15 + 1.2e-3 dim^2: 18 us
-#   at 16 states, 103 at 256, 350 at 512, 1230 at 1024. So P is formed
-#   densely when the action's products save more than that over block
-#   sums: on every action up to 64 states, from 2 products at 128 states,
-#   from 4 at 256 and from 58 at 512 (so the short actions of a 512-state
-#   oracle, L t <= 4, take block sums, and one of L t = 700 takes 30 ms
-#   with a dense P against 40 ms with block sums); never from about 600
-#   states on, where a dense product costs more than one by block sums.
-# - The dense route (uniformization.exponential) takes _TERMS - 1 = 14
-#   matrix products and one per doubling, about 1.9e-5 dim^3 each: 2.7 ms
-#   at 512 states, 20 ms at 1024, 152 ms at 2048.
-# So the switch falls at about L t = 1400 at 512 states, 8200 at 1024,
-# 51 000 at 2048 and 279 000 at 4096. An action of at most
-# _ACTION_ALWAYS_PRODUCTS products is taken whatever the costs say, which
-# on small chains means up to L t = 700: such an action costs at most
-# about 6 ms up to 256 states.
-_ACTION_ALWAYS_PRODUCTS = 1024
+    def below(x):
+        """sum_{i<m} x_i for each m."""
+        out = np.zeros_like(x)
+        np.cumsum(x[:, :-1], axis=1, out=out[:, 1:])
+        return out
 
+    def above(x):
+        """sum_{i>m} x_i for each m."""
+        out = np.zeros_like(x)
+        out[:, :-1] = np.cumsum(x[:, :0:-1], axis=1)[:, ::-1]
+        return out
 
-def _costs_us(dim: int) -> tuple:
-    """The measured costs above on dim states: forming P densely, one
-    product with a dense P, one product by block sums."""
-    return 15.0 + 1.2e-3 * dim * dim, 1.5 + 1.3e-4 * dim * dim, 30.0 + 0.022 * dim
+    def product(E, F):
+        (b1, c1), (b2, c2) = E, F
+        beta = n * (b1 @ b2)
+        c = below(c1 * c2 * count) + c2 * above(c1 * count)
+        c += c1 * (same * c2 + above(c2 * count))
+        c += beta.diagonal()[:, None]
+        beta += (c1 @ count)[:, None] * b2
+        beta += b1 * (c2 @ count)
+        np.fill_diagonal(beta, 0.0)
+        return beta, c
 
+    def sums(E):
+        beta, c = E
+        return c @ count + n * beta.sum(axis=1)
 
-def _dense_p_pays(products: int, dim: int) -> bool:
-    """Whether an action of this many products on dim states costs less
-    with P formed densely than with block sums."""
-    form, dense, level = _costs_us(dim)
-    return form + products * dense < products * level
-
-
-def _action_us(products: int, dim: int) -> float:
-    """The cost of an action of this many products on dim states, with P
-    in the cheaper of its two forms."""
-    form, dense, level = _costs_us(dim)
-    return min(form + products * dense, products * level)
+    return product, sums
 
 
-def _schedule(rate_t: float) -> tuple:
-    """Equal steps of Poisson mean at most _STEP_MEAN that sum to rate_t,
-    and the weights of one step."""
-    steps = max(1, math.ceil(rate_t / _STEP_MEAN))
-    return steps, _poisson_weights(rate_t / steps)
+def _level_exponential(gen: DiscreteGenerator, t: float) -> tuple:
+    """e^{tQ} as an element (beta, c) of the level algebra, by the steps
+    of uniformization.exponential: the series of P = I + (Q - shift I)/rate
+    at tau = t / 2^s, rate tau < 1/2, shift the largest growth; then s
+    squarings. The rows of basins that reach no killing (or growing) basin
+    along the cross rates are rescaled to sum 1 after the series and after
+    each squaring, and the squarings stop once one returns its argument
+    bit for bit. O(basins^3 + basins N) work per product, none per state."""
+    product, sums = _level_algebra(gen)
+    L = max(0.0, gen.rate)
+    rate = L + max(0.0, -float(gen.kill.min()))
+    shift = rate - L  # exact where the shift is <= L (Sterbenz)
+    s = int(_squarings(rate, t)) if rate > 0 else 0
+    tau = math.ldexp(t, -s)
+    weights = _weights(np.array([rate * tau]))[0]
+    beta, c = np.zeros_like(gen.cross), np.zeros((len(gen.basins), gen.N))
+    c[:, -1] = weights[0]
+    if rate > 0:
+        # L >= every exit rate, so L - exit rounds to no negative number
+        P = gen.cross / rate, np.column_stack([gen.within / rate, (L - gen.exits) / rate])
+        power = P
+        for k in range(1, _TERMS):
+            if k > 1:
+                power = product(P, power)
+            beta += weights[k] * power[0]
+            c += weights[k] * power[1]
+    if shift:
+        beta *= math.exp(shift * tau)
+        c *= math.exp(shift * tau)
+    closed = ~_reaches_a_kill(gen.cross, gen.kill)
+
+    def rescale(E):
+        scale = np.where(closed, sums(E), 1.0)[:, None]
+        return E[0] / scale, E[1] / scale
+
+    E = rescale((beta, c))
+    for _ in range(s):
+        square = rescale(product(E, E))
+        if all(np.array_equal(x, y) for x, y in zip(square, E)):
+            break
+        E = square
+    return E
 
 
-def _action_is_cheaper(rate_t: float, dim: int) -> bool:
-    """Whether e^{tQ} u costs less as the uniformized action than through
-    the dense e^{tQ}, for L t = rate_t on dim states. A rate_t that is
-    negative or not finite takes the dense route."""
-    if not 0 <= rate_t < math.inf:
-        return False
-    steps, weights = _schedule(rate_t)
-    products = steps * (len(weights) - 1)  # with P
-    if products <= _ACTION_ALWAYS_PRODUCTS:
-        return True
-    matrix_products = _TERMS - 1 + _squarings(rate_t)
-    return _action_us(products, dim) <= matrix_products * 1.9e-5 * float(dim) ** 3
-
-
-def _jump_product(gen: DiscreteGenerator, rate: float, dense: bool):
-    """v -> P v for P = I + Q/rate, rate >= every exit rate. If dense, P is
-    one dense array, formed from the levels and dropped with the closure.
-    Otherwise it is never formed: each basin's cells are summed in blocks
-    of p, p^2, .., p^(N-1) cells, S_0 = v up to S_(N-1), the basin total.
-    The cells a cell reaches at level j are those of its block of p^(N-j)
-    cells outside its block of p^(N-j-1), so (P v)_i is
-        (rate - exit_a) / rate v_i
-        + sum_j within[a, j-1] / rate (S_(N-j) - S_(N-j-1))
-        + sum_b cross[a, b] / rate S_(N-1)(b),
+def _apply(gen: DiscreteGenerator, E: tuple, v: np.ndarray) -> np.ndarray:
+    """E v for an element E = (beta, c) of the level algebra, E never
+    formed densely: each basin's cells are summed in blocks of p, p^2, ..,
+    p^(N-1) cells, S_0 = v up to S_(N-1), the basin total. The cells a cell
+    sees at level k are those of its block of p^(N-1-k) cells outside its
+    block of p^(N-2-k), so (E v)_i, for i in basin a, is
+        c[a, N-1] v_i + sum_k c[a, k] (S_(N-1-k) - S_(N-2-k))
+        + sum_b beta[a, b] S_(N-1)(b),
     formed top down, one level at a time: O(states) work. Every term is
-    >= 0 for v >= 0: rate >= exit_a, and a block sum is >= each of its
-    parts, since float rounding is monotone. So a datum >= 0 gives a
-    result >= 0 exactly, on either form."""
-    stay = (rate - gen.exits) / rate
-    if dense:
-        P = gen.matrix()
-        P /= rate
-        np.fill_diagonal(P, np.repeat(stay, gen.per_basin))
-        return P.__matmul__
+    >= 0 for v >= 0: E has no negative entry, and a block sum is >= each
+    of its parts, since float rounding is monotone. So a datum >= 0 gives
+    a result >= 0 exactly."""
+    beta, c = E
     B, p = len(gen.basins), gen.p
-    stay = stay[:, None]
-    cross = gen.cross / rate
-    within = [w[:, None, None] for w in (gen.within / rate).T]
-
-    def product(v):
-        v = v.reshape(B, -1)
-        sums = [v]
-        for _ in within:
-            sums.append(sums[-1].reshape(B, -1, p).sum(axis=2))
-        parent = sums.pop()
-        out = cross @ parent
-        for w in within:  # level 1 (the whole basin) to N - 1 (siblings)
-            child = sums.pop()
-            step = parent[:, :, None] - child.reshape(B, -1, p)
-            step *= w
-            step += out[:, :, None]
-            out = step.reshape(B, -1)
-            parent = child
-        out += stay * v
-        return out.ravel()
-
-    return product
-
-
-def _uniformized(gen: DiscreteGenerator, t: float, u: np.ndarray) -> np.ndarray:
-    """e^{tQ} u as the uniformized sum, for u a vector. A datum u >= 0
-    gives a result >= 0 exactly: every weight is >= 0, and so is every
-    term of a product with P."""
-    rate = gen.rate
-    steps, weights = _schedule(rate * t)
-    if len(weights) == 1:  # no jump within t, or none at all
-        return weights[0] * u
-    products = steps * (len(weights) - 1)
-    product = _jump_product(gen, rate, _dense_p_pays(products, gen.dim))
-    for _ in range(steps):
-        v = u
-        u = weights[0] * v
-        for w in weights[1:]:
-            v = product(v)
-            u += w * v
-    return u
+    v = v.reshape(B, -1)
+    sums = [v]
+    for _ in range(gen.N - 1):
+        sums.append(sums[-1].reshape(B, -1, p).sum(axis=2))
+    parent = sums.pop()
+    out = beta @ parent
+    for w in c[:, :-1].T:  # level 0 (the whole basin) to N - 2 (siblings)
+        child = sums.pop()
+        step = parent[:, :, None] - child.reshape(B, -1, p)
+        step *= w[:, None, None]
+        step += out[:, :, None]
+        out = step.reshape(B, -1)
+        parent = child
+    out += c[:, -1:] * v
+    return out.ravel()
 
 
 def solve(gen: DiscreteGenerator, u0: CellFunction, t: float) -> CellFunction:
     """Propagate the cell vector, u(t) = e^{tQ} u(0); the result has the
-    basins and the layout of u0.
-
-    The exponential's action on the datum is summed by uniformization, so
-    no dim x dim exponential is formed, while that costs less than the
-    dense route, whose matrix products grow as dim^3; the action forms a
-    dense P only where that costs less than block sums, on small chains.
-    The action's cost grows with L t (L the largest exit rate); past the
-    switch the dense e^{tQ} is formed instead, at a cost that grows only
-    with log t, and a chain whose matrix would pass MAX_CHAIN_BYTES is
-    refused there."""
+    basins and the layout of u0. e^{tQ} is formed in the level algebra,
+    at a cost that grows with basins^3 + basins N per squaring and with
+    log t, and applied to the datum once by block sums: no array of more
+    than O(states) floats is formed."""
     u = gen.cell_vector(u0)
     t = float(t)
-    if _action_is_cheaper(gen.rate * t, gen.dim):
-        out = _uniformized(gen, t, u)
-    else:
-        Q = gen.matrix(f"the chain matrix for the dense route at t = {t:g}")
-        out = exponential(Q, np.repeat(gen.kill, gen.per_basin), t, overwrite=True) @ u
+    if not 0 <= t < math.inf:
+        raise UsageError(f"the oracle needs a finite time >= 0, got {t:g}")
+    out = _apply(gen, _level_exponential(gen, t), u)
     return CellFunction(u0.p, gen.N, u0.basins, out.reshape(u0.values.shape))
 
 

@@ -1,4 +1,4 @@
-"""The one matrix exponential of the package, by uniformization.
+"""The matrix exponential by uniformization, and its shared steps.
 
 For a Metzler Q (no negative entry off the diagonal) and L >= -min q_ii,
 P = I + Q/L has no negative entry and e^{tQ} = sum_k e^{-Lt} (Lt)^k / k!
@@ -11,10 +11,12 @@ states that reach no killing (or growing) row sum to exactly 1 and are
 rescaled to 1 after the series and after each squaring, so a
 conservative chain keeps its limit at any time.
 
-Both routes use it: the spectral solver for its basin means
-(spectral._propagate), the chain oracle for its dense e^{tQ}
-(tree.solve). The chain matrix, the oracle's action and the Monte Carlo
-sampler stay independent of the spectral solver.
+exponential forms the spectral solver's basin means (spectral._propagate).
+The chain oracle takes the same steps in its own level algebra
+(tree._level_exponential), over the same weights, squaring count and
+closed-state search; its chain and its algebra stay independent of the
+spectral solver. Once a squaring returns its argument bit for bit,
+every later one would too, so both stop there.
 """
 
 from __future__ import annotations
@@ -25,25 +27,20 @@ import numpy as np
 
 from .errors import UsageError
 
-_TAIL = 2.0**-53
+# Terms of the series at y = L t / 2^s < 1/2. Past w_{K+1} each weight
+# w_k = e^{-y} y^k / k! is at most y / (K + 2) times the one before, so the
+# tail past w_K is at most w_{K+1} / (1 - y / (K + 2)). At y = 1/2 that is
+# 1.5e-17 for K = 14, below 2^-53 = 1.1e-16, while w_14 = 4.2e-16 alone is
+# above it; the tail grows with y, so K = 14 holds at every y < 1/2.
+_TERMS = 15
 
 
-def _poisson_weights(y: float) -> np.ndarray:
-    """The Poisson weights e^{-y} y^k / k! for k = 0..K. Once K + 2 > y,
-    each term past w_{K+1} is at most y / (K + 2) times the one before, so
-    the tail beyond K is at most w_{K+1} / (1 - y / (K + 2)); K is the
-    first index where that bound falls below 2^-53."""
-    weights = [math.exp(-y)]
-    while True:
-        k = len(weights)
-        w = weights[-1] * y / k
-        if k + 1 > y and w < _TAIL * (1.0 - y / (k + 1)):
-            return np.array(weights)
-        weights.append(w)
-
-
-# Terms of the series at y <= 1/2: the tail past them lies below 2^-53.
-_TERMS = len(_poisson_weights(0.5))
+def _weights(y: np.ndarray) -> np.ndarray:
+    """The Poisson weights e^{-y} y^k / k!, k < _TERMS, one row per y."""
+    weights = np.empty((len(y), _TERMS))
+    weights[:, 0] = [math.exp(-x) for x in y.tolist()]
+    weights[:, 1:] = y[:, None] / np.arange(1, _TERMS)
+    return np.cumprod(weights, axis=1)
 
 
 def _squarings(rate: float, t=1.0):
@@ -67,16 +64,15 @@ def _reaches_a_kill(Q: np.ndarray, kill: np.ndarray) -> np.ndarray:
     return reach
 
 
-def exponential(Q: np.ndarray, kill: np.ndarray, t=1.0, *, overwrite=False) -> np.ndarray:
+def exponential(Q: np.ndarray, kill: np.ndarray, t=1.0) -> np.ndarray:
     """e^{tQ} for a Metzler Q whose rows sum to -kill; for a 1-D array of
     times, the (n, B, B) stack of e^{t_i Q}. Where a row grows (kill < 0)
     the series is that of Q - cI, c the largest growth, times e^{c t / 2^s},
     so the result overflows only where e^{tQ} does. The _TERMS - 1 powers
     of P are formed once, one at a time, and added to every time's slice
     with its own Poisson weights; a squaring touches only the times that
-    need it. So slice i is bit for bit the exponential at t_i alone. With
-    overwrite, a float Q is turned into P in place, so the caller holds one
-    array fewer."""
+    need it, and a time stops squaring once a squaring returns its slice bit
+    for bit. So slice i is bit for bit the exponential at t_i alone."""
     Q = np.asarray(Q, dtype=float)
     ts = np.asarray(t, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
@@ -91,11 +87,7 @@ def exponential(Q: np.ndarray, kill: np.ndarray, t=1.0, *, overwrite=False) -> n
     shift = rate - L  # P = I + (Q - shift I) / rate; exact where c <= L (Sterbenz)
     squarings = _squarings(rate, times) if rate > 0 else np.zeros(len(times), dtype=int)
     taus = np.ldexp(times, -squarings)
-    y = rate * taus
-    weights = np.empty((len(times), _TERMS))  # e^{-y} y^k / k!, one row per time
-    weights[:, 0] = [math.exp(-x) for x in y.tolist()]
-    weights[:, 1:] = y[:, None] / np.arange(1, _TERMS)
-    weights = np.cumprod(weights, axis=1)
+    weights = _weights(rate * taus)
     out = np.zeros((len(times), *Q.shape))
     diagonal = np.arange(len(Q))
     out[:, diagonal, diagonal] = weights[:, :1]
@@ -103,7 +95,7 @@ def exponential(Q: np.ndarray, kill: np.ndarray, t=1.0, *, overwrite=False) -> n
     if rate > 0:
         # L >= -q_ii, so L + q_ii rounds to no negative number
         stay = (L + Q.diagonal()) / rate
-        P = np.divide(Q, rate, out=Q if overwrite else None)
+        P = Q / rate
         np.fill_diagonal(P, stay)
         power = P
         for k in range(1, _TERMS):
@@ -120,11 +112,11 @@ def exponential(Q: np.ndarray, kill: np.ndarray, t=1.0, *, overwrite=False) -> n
         return E
 
     rescale(out)
-    first = squarings.min() if len(times) else 0
-    for _ in range(first):  # the squarings every time takes
-        out = rescale(out @ out)
-    for j in range(first, squarings.max(initial=0)):
-        need = squarings > j
+    left = squarings  # the squarings each time still takes
+    while left.any():
+        need = left > 0
         part = out[need]
-        out[need] = rescale(part @ part)
+        square = rescale(part @ part)
+        out[need] = square
+        left[need] = np.where((square == part).all(axis=(1, 2)), 0, left[need] - 1)
     return out if ts.ndim else out[0]

@@ -1,6 +1,7 @@
-"""Reference code for the chain's level rates (tree.DiscreteGenerator):
-the dense generator matrix, entry by entry from the ultrametric level of
-each pair of cells."""
+"""Reference code for the chain's level rates (tree.DiscreteGenerator)
+and its level algebra (tree._level_algebra): the dense generator matrix,
+and the dense form of an element, entry by entry from the ultrametric
+level of each pair of cells."""
 
 import math
 
@@ -35,3 +36,17 @@ def dense_chain(gen):
     kill = np.repeat(gen.kill, n)
     np.fill_diagonal(Q, [-math.fsum([*row, k]) for row, k in zip(Q.tolist(), kill.tolist())])
     return Q, kill
+
+
+def dense_element(gen, beta, c):
+    """An element (beta, c) of the level algebra on gen's shape as one
+    dense array: beta[a, b] between the cells of basins a != b, and
+    c[a, k] between two cells of basin a that share k leading digits,
+    c[a, N - 1] on the diagonal."""
+    n = gen.per_basin
+    level = levels(gen.p, gen.N)
+    shared = np.where(level == 0, gen.N - 1, level - 1)
+    E = np.repeat(np.repeat(beta, n, axis=0), n, axis=1)
+    for a in range(len(gen.basins)):
+        E[a * n:(a + 1) * n, a * n:(a + 1) * n] = c[a][shared]
+    return E

@@ -1,6 +1,6 @@
-"""Reference code for the package's one matrix exponential,
+"""Reference code for the package's matrix exponentials:
 uniformization.exponential (spectral.matrix_exponential on the basin
-matrix, the dense route of tree.solve on the chain matrix)."""
+matrix) and the chain's level exponential (tree.solve)."""
 
 import math
 from fractions import Fraction

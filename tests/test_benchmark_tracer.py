@@ -53,17 +53,13 @@ def test_traced_runs_exit_0_and_span_the_numeric_layers(tmp_path):
 
 
 def test_the_exponential_count_leaves_out_the_chain_oracle(tmp_path):
-    """spectral.matrix_exponential and the oracle's dense route share one
-    exponential, but the tracer rebinds only the spectral name's function
-    object: an oracle run at a time where the chain takes its dense route
-    counts the spectral side's one chunk of times, as solve does."""
-    from ultranet import tree
-    from ultranet.cli import load_preset, parse_config, spec_from_config
+    """The oracle forms its e^{tQ} in the chain's own level algebra, not
+    by spectral.matrix_exponential: an oracle run at a late time counts
+    the spectral side's one chunk of times, as solve does."""
+    from ultranet.cli import load_preset
 
     text = load_preset("single_basin").replace("times: [0.0, 0.5, 1.0, 2.0]", "times: [1.0e+6]")
-    cfg = parse_config(text)
-    gen = tree.discretize(spec_from_config(cfg), cfg["resolution"] + 1)
-    assert not tree._action_is_cheaper(gen.rate * 1e6, gen.dim)
+    assert "1.0e+6" in text
     config = tmp_path / "late.yaml"
     config.write_text(text)
     env = {**os.environ, "PYTHONPATH": str(TRACER.parents[1] / "src")}

@@ -881,11 +881,9 @@ def test_oracle_gap_small_on_every_preset(capsys, tmp_path, name):
 
 
 def test_oracle_imports_no_scipy(tmp_path):
-    """The chain oracle is numpy alone on both of its routes: a 512-state
-    chain at t <= 4 and every preset take the action, and a 16-state chain
-    at t = 1e6 the dense route. Only the oracle's dense route is counted:
-    the spectral side of each comparison calls the same exponential
-    through spectral, not through tree."""
+    """The chain oracle is numpy alone at short and late times: on a
+    512-state chain at t <= 4, a 16-state chain at t = 1e6, and every
+    preset."""
     rows = {b: [(7 * i + 3 * b) % 11 / 10 for i in range(256)] for b in (0, 1)}
     path = tmp_path / "chain.yaml"
     path.write_text(
@@ -902,17 +900,13 @@ def test_oracle_imports_no_scipy(tmp_path):
     runs += [["--preset", name] for name in sorted(list_presets())]
     done = _python("-c", (
         "import sys\n"
-        "from ultranet import tree\n"
         "from ultranet.cli import main\n"
-        "dense = []\n"
-        "real = tree.exponential\n"
-        "tree.exponential = lambda *args, **kw: dense.append(1) or real(*args, **kw)\n"
         f"codes = [main(['oracle', *run, '--out', {str(tmp_path)!r}]) for run in {runs!r}]\n"
-        "print(codes, len(dense), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     ))
     assert done.returncode == 0, done.stderr
     *gaps, last = done.stdout.splitlines()
-    assert last == f"{[0] * len(runs)} 1 []"
+    assert last == f"{[0] * len(runs)} []"
     assert len(gaps) == len(runs) and all(float(g.split("=")[1]) <= 1e-8 for g in gaps)
 
 
@@ -1126,27 +1120,40 @@ def test_simulate_refuses_only_a_table_past_the_dense_limit(capsys, tmp_path, mo
     )
 
 
-def test_oracle_refuses_only_a_dense_route_past_the_limit(capsys, tmp_path):
-    """A chain of 8192 states, past the 128 MiB limit, runs the oracle at
-    short times, where the action forms no dense array; at t = 1e9 the
-    dense route would need the chain matrix, and the run exits 2 naming
-    its bytes."""
+def test_oracle_on_8192_states_at_a_late_time_exits_0(capsys, tmp_path):
+    """A chain of 8192 states, whose dense matrix (512 MiB) is past the
+    128 MiB limit, runs the oracle at t = 1e9 as at short times: e^{tQ} is
+    formed in the level algebra, and no dense array is refused."""
     rows = {b: [(7 * i + 3 * b) % 11 / 10 for i in range(4096)] for b in (0, 1)}
     text = (TWO_BASINS.replace("resolution: 1", "resolution: 12").split("datum:")[0]
             + f"datum: {rows}\n")
     cfgfile = tmp_path / "big.yaml"
-    cfgfile.write_text(text + "times: [0.1, 1.0]\n")
-    code, out, err = run(capsys, "oracle", "--config", str(cfgfile), "--out", str(tmp_path / "a"))
+    cfgfile.write_text(text + "times: [0.1, 1.0, 1.0e+9]\n")
+    code, out, err = run(capsys, "oracle", "--config", str(cfgfile), "--out", str(tmp_path))
     assert code == 0, err
     assert float(out.split("=")[1]) <= 1e-8
-    cfgfile.write_text(text + "times: [1.0, 1.0e+9]\n")
-    code, out, err = run(capsys, "oracle", "--config", str(cfgfile), "--out", str(tmp_path / "b"))
-    assert code == 2
-    assert err == (
-        "error: the chain matrix for the dense route at t = 1e+09: 8192 states need "
-        "512 MiB, over the 128 MiB limit of a dense chain array\n"
-    )
-    assert not (tmp_path / "b" / "oracle.csv").exists()
+    rows = (tmp_path / "oracle.csv").read_text().splitlines()
+    assert rows[0] == "t,max_gap" and len(rows) == 4
+
+
+def test_no_oracle_path_forms_a_dense_chain_array(capsys, tmp_path, monkeypatch):
+    """compare on every preset, and `oracle` on one, run with the two
+    builders of a states^2 array, the chain matrix and the sampler's jump
+    table, made to raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense chain array was formed")
+
+    monkeypatch.setattr(tree.DiscreteGenerator, "matrix", refuse)
+    monkeypatch.setattr(tree.DiscreteGenerator, "fill_jumps", refuse)
+    for name in list_presets():
+        cfg = parse_config(load_preset(name))
+        spec = spec_from_config(cfg)
+        datum = cli.datum_from_config(cfg, spec)
+        tree.compare(spec, datum, cfg.get("times", [0.1, 1.0, 10.0]) + [1e6, 1e300])
+    code, _, err = run(capsys, "oracle", "--preset", "dying_two_basin", "--out", str(tmp_path))
+    assert code == 0, err
+    assert (tmp_path / "oracle.csv").exists()
 
 
 def reference_plotdata(labels, rows):
