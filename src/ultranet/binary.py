@@ -19,7 +19,7 @@ import numpy as np
 
 from . import spectral
 from .errors import UsageError, ValidationError
-from .network import NetworkSpec
+from .network import DEFAULT_THRESHOLD, NetworkSpec
 from .wavelets import CellFunction, WaveletIndex, cell_table
 
 
@@ -36,7 +36,7 @@ class FoldingScenario:
     spec: NetworkSpec
     r: int
     amplitude: float
-    threshold: float = spectral.DEFAULT_THRESHOLD
+    threshold: float = DEFAULT_THRESHOLD
     # the 2x2 rates, as floats from the spec's exact totals: alpha, beta,
     # gamma rounded once, A = hypot(2 alpha, beta - gamma) with the
     # difference formed exactly

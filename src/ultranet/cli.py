@@ -486,15 +486,20 @@ def scenario_from_config(cfg: dict, spec: network.NetworkSpec) -> binary.Folding
         spec=spec,
         r=fields["r"],
         amplitude=fields["amplitude"],
-        threshold=cfg.get("threshold", spectral.DEFAULT_THRESHOLD),
+        threshold=cfg.get("threshold", network.DEFAULT_THRESHOLD),
     )
 
 
+def _depth(cfg: dict, spec: network.NetworkSpec) -> int:
+    """The depth R + 1 of the datum's cells. The resolution R is the
+    config's, or else the deepest kernel level, so R >= 1."""
+    return (cfg.get("resolution") or spec.j_max) + 1
+
+
 def datum_from_config(cfg: dict, spec: network.NetworkSpec) -> wavelets.CellFunction:
-    """The initial datum on depth-(R + 1) cells. The resolution R is the
-    config's, or else the deepest kernel level."""
-    R = cfg.get("resolution") or spec.j_max
-    depth = R + 1
+    """The initial datum on depth-(R + 1) cells (see _depth)."""
+    depth = _depth(cfg, spec)
+    R = depth - 1
     datum = cfg.get("datum", "uniform")
     if isinstance(datum, dict):
         basins = sorted(datum)
@@ -614,23 +619,46 @@ def _run_solve(cfg, spec, args) -> int:
     return 0
 
 
+def _table_never_reaches(cfg, spec, threshold) -> bool:
+    """Whether t = 0 decides `tau` as inf for a basin-to-values datum
+    (network.decide_tau), read off the config's lists with no numeric
+    layer loaded; otherwise spectral.absorbing_time answers.
+
+    The lists are refused as the CellFunction and the absorbing time of
+    that route refuse them, in the same order. Values outside [0, 1] go
+    to that route too, which refuses them, or block means that overflow
+    before them."""
+    table = cfg.get("datum")
+    if not isinstance(table, dict):
+        return False
+    basins = sorted(table)
+    rows = [table[b] for b in basins]
+    padic.check_cell_rows(spec.p, _depth(cfg, spec), basins, [(len(row),) for row in rows])
+    tau = network.decide_tau(spec, max(map(max, rows)), threshold)
+    padic.require_basins(basins, spec.basins)
+    return tau == math.inf and all(network.datum_in_range(min(row), max(row)) for row in rows)
+
+
 def _run_tau(cfg, spec, args) -> int:
-    datum = datum_from_config(cfg, spec)
-    threshold = cfg.get("threshold", spectral.DEFAULT_THRESHOLD)
-    result = spectral.absorbing_time(spec, datum, threshold=threshold)
-    cell = result.crossing_cell.label(spec.p) if result.crossing_cell else "-"
-    if result.mode_basin is None:
-        mode = "-"
-    elif result.mode_index is None:
-        mode = f"constant mode of basin {result.mode_basin}"
+    threshold = cfg.get("threshold", network.DEFAULT_THRESHOLD)
+    if _table_never_reaches(cfg, spec, threshold):
+        tau, cell, mode, horizon = math.inf, "-", "-", math.inf
     else:
-        mode = f"oscillating mode {result.mode_index} of basin {result.mode_basin}"
+        result = spectral.absorbing_time(spec, datum_from_config(cfg, spec), threshold=threshold)
+        tau, horizon = result.tau, result.t_max
+        cell = result.crossing_cell.label(spec.p) if result.crossing_cell else "-"
+        if result.mode_basin is None:
+            mode = "-"
+        elif result.mode_index is None:
+            mode = f"constant mode of basin {result.mode_basin}"
+        else:
+            mode = f"oscillating mode {result.mode_index} of basin {result.mode_basin}"
     lines = [
         f"threshold = {_fmt(threshold)}",
-        f"tau = {_fmt(result.tau)}",
+        f"tau = {_fmt(tau)}",
         f"crossing cell = {cell}",
         f"dominant mode = {mode}",
-        f"search horizon = {_fmt(result.t_max)}",
+        f"search horizon = {_fmt(horizon)}",
     ]
     text = "\n".join(lines)
     print(text)

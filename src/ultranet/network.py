@@ -36,6 +36,11 @@ build_basin_matrix returns a plain float array; the spectral state
 builds it once and keeps it. It and aggregate_rates, the two float
 builders, import numpy in their bodies, so the exact model and classify
 load no numpy.
+
+decide_tau answers the absorbing time where t = 0 decides it, from the
+datum's peak and the exact rows of the basin matrix: where no row sums
+above 0 the density never rises above its start, so tau is 0 or inf for
+all time, with no numeric layer loaded.
 """
 
 from __future__ import annotations
@@ -47,12 +52,15 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
 from . import CONVENTIONS
-from .errors import ClassificationError, ValidationError
+from .errors import ClassificationError, UsageError, ValidationError
 from .kernels import kernel_mass
 from .padic import validate_prime
 
 if TYPE_CHECKING:
     import numpy as np
+
+# the crossing threshold of `tau` and the folding model when none is given
+DEFAULT_THRESHOLD = 0.99
 
 
 def _frac(x) -> Fraction:
@@ -207,6 +215,35 @@ def build_basin_matrix(spec: NetworkSpec) -> np.ndarray:
     import numpy as np
 
     return np.array([[float(x) for x in row] for row in _basin_entries_exact(spec)])
+
+
+def datum_in_range(lo: float, hi: float) -> bool:
+    """Whether a datum's values from lo to hi lie in [0, 1], up to 1e-12."""
+    return lo >= -1e-12 and hi <= 1 + 1e-12
+
+
+def decide_tau(spec: NetworkSpec, peak: float, threshold: float) -> float | None:
+    """The absorbing time where t = 0 decides it, or None where it takes
+    a search.
+
+    It is 0 when the datum's peak reaches the threshold. It is inf when
+    no exact row of the basin matrix, under the spec's convention, sums
+    above 0. The density then evolves by a jump process whose killing
+    rate in basin a is minus that row sum: the gains are its jumps and
+    loss_total / p its exit rate. So u(t) = E[u0(X_t); alive] <=
+    max(peak, 0) for all t (Norris, Markov Chains, 1997, sections 2-3;
+    Berman & Plemmons, Nonnegative Matrices in the Mathematical
+    Sciences, 1994, ch. 6), and a peak below the threshold is never
+    reached. That holds for every "derived" network and for every "paper"
+    network whose exact gaps are all >= 0.
+    """
+    if threshold <= 0:
+        raise UsageError(f"threshold must be > 0, got {threshold}")
+    if peak >= threshold:
+        return 0.0
+    if all(sum(row) <= 0 for row in _basin_entries_exact(spec)):
+        return math.inf
+    return None
 
 
 @dataclass(frozen=True)

@@ -121,3 +121,35 @@ def cell_index(digits: tuple[int, ...], p: int) -> int:
     for d in digits:
         idx = idx * p + d
     return idx
+
+
+def check_cell_rows(p: int, depth: int, basins, shapes) -> tuple:
+    """Refuse a table of depth-N cell values, one row per basin, unless
+    p is a supported prime, N >= 1, the basins are strictly increasing
+    digits below p, and the row shapes are one (p^(N - 1),) per basin;
+    return the basins as a tuple. Rows are given by their shapes, so a
+    config's lists are checked without building an array."""
+    validate_prime(p)
+    if depth < 1:
+        raise UsageError(f"depth must be >= 1, got {depth}")
+    basins = tuple(basins)
+    if not basins:
+        raise ValidationError("a cell function needs at least one basin")
+    for basin in basins:
+        if not 0 <= basin < p:
+            raise ValidationError(f"basin digit {basin} out of range for p={p}")
+    if list(basins) != sorted(set(basins)):
+        raise ValidationError(f"basins {basins} must be strictly increasing")
+    if len(shapes) != len(basins):
+        raise ValidationError(f"{len(basins)} basins need as many rows, got {len(shapes)}")
+    n = p ** (depth - 1)
+    for basin, shape in zip(basins, shapes):
+        if shape != (n,):
+            raise ValidationError(f"basin {basin}: expected {n} values, got shape {shape}")
+    return basins
+
+
+def require_basins(covered, basins) -> None:
+    """Refuse a datum unless it covers exactly these basins."""
+    if tuple(covered) != tuple(basins):
+        raise ValidationError(f"datum covers basins {list(covered)}, network has {list(basins)}")

@@ -32,10 +32,12 @@ is named from the p child-block values of each level, in real
 arithmetic.
 
 The absorbing time tau is the first t >= 0 at which the peak reaches
-the threshold, to relative 1e-9. It is found by certified interval
-bisection with no time grid: every s_{a,r} is exactly <= 0, so each
-scale term is monotone in t, and a log-norm bounds how far the basin
-means move on an interval (_Peak._ceiling).
+the threshold, to relative 1e-9. Where t = 0 decides it
+(network.decide_tau), no search runs. Elsewhere some row of the basin
+matrix grows, and tau is found by certified interval bisection with no
+time grid: every s_{a,r} is exactly <= 0, so each scale term is
+monotone in t, and a log-norm bounds how far the basin means move on an
+interval (_Peak._ceiling).
 """
 
 from __future__ import annotations
@@ -50,13 +52,16 @@ import numpy as np
 
 from .errors import NumericError, UsageError, ValidationError
 from .kernels import symbol_value
-from .network import NetworkSpec, _basin_entries_exact, build_basin_matrix
-from .padic import CellAddress
+from .network import (
+    NetworkSpec,
+    _basin_entries_exact,
+    build_basin_matrix,
+    datum_in_range,
+    decide_tau,
+)
+from .padic import CellAddress, require_basins
 from .uniformization import exponential
 from .wavelets import CellFunction, WaveletIndex
-
-# the crossing threshold of `tau` and the folding model when none is given
-DEFAULT_THRESHOLD = 0.99
 _SCAN_BYTES = 8 * 2**20  # working set of one chunk of stacked times, or of one batch of rows
 # A chunk shares the at most 14 products of its stacked exponential among
 # its times, and a batch of rows the numpy calls that form them. evaluate
@@ -128,7 +133,7 @@ def init(spec: NetworkSpec, datum: CellFunction) -> SpectralState:
     with its row sums from the exact rows."""
     if datum.p != spec.p:
         raise ValidationError(f"datum has p={datum.p}, network has p={spec.p}")
-    datum.require_basins(spec.basins)
+    require_basins(datum.basins, spec.basins)
     R = datum.depth - 1
     if R < 1:
         raise UsageError("the expansion needs R >= 1 (datum depth >= 2)")
@@ -276,13 +281,13 @@ def eval_density(state: SpectralState, t: float = 0.0) -> CellFunction:
 
 @dataclass(frozen=True)
 class AbsorbingResult:
-    tau: float  # math.inf when the peak stays below the threshold up to t_max
+    tau: float  # math.inf when the peak never reaches the threshold, or not up to t_max
     threshold: float
     crossing_cell: CellAddress | None
     mode_basin: int | None
     mode_index: object  # WaveletIndex, or None when the constant term dominates
     dt: float  # width of the bracket [tau - dt, tau] of the crossing; 0 at tau 0 or inf
-    t_max: float
+    t_max: float  # the end of the search; inf where t = 0 decided tau
 
 
 class _Peak:
@@ -415,25 +420,26 @@ class _Peak:
             pending += [(mid, t1, None), (t0, mid, mean)]
         return math.inf, 0.0
 
-    def report(self, t: float):
-        """Peak cell at time t and the term that dominates it there: the
-        basin mean, or one mode of a scale part (see _mode_terms), named
-        by its wavelet index."""
-        state = evolve(self.state, t)
-        p, R = state.spec.p, state.R
-        values = state.mean[:, None] + state.details.sum(axis=1)
-        i, j = np.unravel_index(int(values.argmax()), values.shape)
-        basin = state.spec.basins[i]
-        cell = CellAddress(basin, tuple(int(d) for d in np.unravel_index(j, (p,) * R)))
-        terms = np.concatenate([[state.mean[i]], _mode_terms(state.details[i], j, p).ravel()])
-        # terms equal up to rounding (a delta datum splits evenly between
-        # mean and details; phases q and p - q are conjugate) go to the first
-        sizes = np.abs(terms)
-        n = int(np.argmax(sizes >= sizes.max() * (1 - 1e-12)))
-        if n == 0:
-            return cell, basin, None
-        k, q = divmod(n - 1, p - 1)
-        return cell, basin, WaveletIndex(-k - 1, cell.digits[:k], q + 1)
+
+def _report(state: SpectralState, t: float):
+    """Peak cell at time t and the term that dominates it there: the
+    basin mean, or one mode of a scale part (see _mode_terms), named by
+    its wavelet index."""
+    state = evolve(state, t)
+    p, R = state.spec.p, state.R
+    values = state.mean[:, None] + state.details.sum(axis=1)
+    i, j = np.unravel_index(int(values.argmax()), values.shape)
+    basin = state.spec.basins[i]
+    cell = CellAddress(basin, tuple(int(d) for d in np.unravel_index(j, (p,) * R)))
+    terms = np.concatenate([[state.mean[i]], _mode_terms(state.details[i], j, p).ravel()])
+    # terms equal up to rounding (a delta datum splits evenly between
+    # mean and details; phases q and p - q are conjugate) go to the first
+    sizes = np.abs(terms)
+    n = int(np.argmax(sizes >= sizes.max() * (1 - 1e-12)))
+    if n == 0:
+        return cell, basin, None
+    k, q = divmod(n - 1, p - 1)
+    return cell, basin, WaveletIndex(-k - 1, cell.digits[:k], q + 1)
 
 
 def _mode_terms(details: np.ndarray, j: int, p: int) -> np.ndarray:
@@ -460,6 +466,16 @@ def _rate_pool(state: SpectralState) -> np.ndarray:
     return pool[pool > 0]
 
 
+def _search(state: SpectralState, threshold: float, t_max: float | None = None) -> tuple:
+    """(tau, dt, t_max): _Peak.first_crossing on [0, t_max], by default
+    100 over the slowest rate of the basin matrix and the scale parts,
+    or 0, so only t = 0 counts, with none."""
+    if t_max is None:
+        rates = _rate_pool(state)
+        t_max = min(100.0 / float(rates.min()), sys.float_info.max) if rates.size else 0.0
+    return (*_Peak(state).first_crossing(threshold, t_max), t_max)
+
+
 def absorbing_time(
     spec: NetworkSpec,
     datum: CellFunction,
@@ -467,27 +483,35 @@ def absorbing_time(
     t_max: float | None = None,
 ) -> AbsorbingResult:
     """First t >= 0 at which the density's maximum reaches the threshold,
-    to relative 1e-9 (see _Peak.first_crossing), or inf if none does
-    before t_max: by default 100 over the slowest rate of the basin
-    matrix and the scale parts, or 0, so only t = 0 counts, with none.
+    to relative 1e-9, or inf if none does.
+
+    t = 0 decides it where it can (network.decide_tau): tau is 0 when the
+    datum's maximum reaches the threshold, and inf for all time when no
+    exact row of the basin matrix sums above 0, as the density then never
+    rises above its start. Either comes with dt = 0 and t_max = inf, and
+    no search runs. Elsewhere some row grows, and _search looks for the
+    crossing on [0, t_max], by default 100 over the slowest rate; inf
+    then means no crossing before t_max.
+
+    The datum is refused as init refuses it, and where its values leave
+    [0, 1] by more than 1e-12, in that order.
     """
-    if threshold <= 0:
-        raise UsageError(f"threshold must be > 0, got {threshold}")
+    values = datum.values
+    spans = zip(datum.basins, values.min(axis=1).tolist(), values.max(axis=1).tolist())
+    tau = decide_tau(spec, float(values.max()), threshold)
     state = init(spec, datum)
-    for b, row in zip(datum.basins, datum.values):
-        lo, hi = row.min(), row.max()
-        if lo < -1e-12 or hi > 1 + 1e-12:
+    for b, lo, hi in spans:
+        if not datum_in_range(lo, hi):
             raise ValidationError(
                 f"datum values in basin {b} span [{lo}, {hi}], outside [0, 1]"
             )
-    if t_max is None:
-        rates = _rate_pool(state)
-        t_max = min(100.0 / float(rates.min()), sys.float_info.max) if rates.size else 0.0
-    elif not 0 < t_max < math.inf:
+    if t_max is not None and not 0 < t_max < math.inf:
         raise UsageError(f"t_max must be finite and > 0, got {t_max}")
-    peak = _Peak(state)
-    tau, dt = peak.first_crossing(threshold, t_max)
-    cell, mode_basin, mode_index = peak.report(tau) if tau < math.inf else (None,) * 3
+    if tau is None:
+        tau, dt, t_max = _search(state, threshold, t_max)
+    else:
+        dt, t_max = 0.0, math.inf
+    cell, mode_basin, mode_index = _report(state, tau) if tau < math.inf else (None,) * 3
     return AbsorbingResult(
         tau=tau, threshold=threshold, crossing_cell=cell,
         mode_basin=mode_basin, mode_index=mode_index, dt=dt, t_max=t_max,

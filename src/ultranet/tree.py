@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import NumericError, UsageError, ValidationError
 from .network import NetworkSpec, aggregate_rates
+from .padic import require_basins
 from .uniformization import _TERMS, _reaches_a_kill, _squarings, _weights
 from .wavelets import CellFunction
 
@@ -101,13 +102,34 @@ class DiscreteGenerator:
         """L, the largest exit rate: P = I + Q/L has no negative entry."""
         return float(self.exits.max())
 
+    @cached_property
+    def series(self) -> tuple:
+        """(rate, shift, powers) of _level_exponential, which depend on no
+        time, so every time of a run shares them: the uniformization rate,
+        L plus the largest growth; that growth, by which Q is shifted; and
+        P, P^2, .., P^(_TERMS - 1) of P = I + (Q - shift I) / rate as
+        elements of the level algebra, none where the rate is 0."""
+        product, _ = _level_algebra(self)
+        L = max(0.0, self.rate)
+        rate = L + max(0.0, -float(self.kill.min()))
+        powers = []
+        if rate > 0:
+            # L >= every exit rate, so L - exit rounds to no negative number
+            powers.append((
+                self.cross / rate,
+                np.column_stack([self.within / rate, (L - self.exits) / rate]),
+            ))
+            for _ in range(2, _TERMS):
+                powers.append(product(powers[0], powers[-1]))
+        return rate, rate - L, powers  # the shift is exact where it is <= L (Sterbenz)
+
     def cell_vector(self, u0: CellFunction) -> np.ndarray:
         """u0 as one vector in state order: its rows end to end. States
         run basin-major in enumerate_cells order, the layout of
         u0.values, so a datum of the same p, depth and basins lines up."""
         if u0.depth != self.N:
             raise UsageError(f"datum depth {u0.depth} must equal the level {self.N}")
-        u0.require_basins(self.basins)
+        require_basins(u0.basins, self.basins)
         if u0.p != self.p:
             raise ValidationError(f"datum has {u0.values.size} cells, the chain has {self.dim}")
         return u0.values.ravel()
@@ -224,25 +246,18 @@ def _level_exponential(gen: DiscreteGenerator, t: float) -> tuple:
     squarings. The rows of basins that reach no killing (or growing) basin
     along the cross rates are rescaled to sum 1 after the series and after
     each squaring, and the squarings stop once one returns its argument
-    bit for bit. O(basins^3 + basins N) work per product, none per state."""
+    bit for bit. The powers of P come from gen.series, formed once per
+    chain. O(basins^3 + basins N) work per product, none per state."""
     product, sums = _level_algebra(gen)
-    L = max(0.0, gen.rate)
-    rate = L + max(0.0, -float(gen.kill.min()))
-    shift = rate - L  # exact where the shift is <= L (Sterbenz)
+    rate, shift, powers = gen.series
     s = int(_squarings(rate, t)) if rate > 0 else 0
     tau = math.ldexp(t, -s)
     weights = _weights(np.array([rate * tau]))[0]
     beta, c = np.zeros_like(gen.cross), np.zeros((len(gen.basins), gen.N))
     c[:, -1] = weights[0]
-    if rate > 0:
-        # L >= every exit rate, so L - exit rounds to no negative number
-        P = gen.cross / rate, np.column_stack([gen.within / rate, (L - gen.exits) / rate])
-        power = P
-        for k in range(1, _TERMS):
-            if k > 1:
-                power = product(P, power)
-            beta += weights[k] * power[0]
-            c += weights[k] * power[1]
+    for weight, power in zip(weights[1:], powers):
+        beta += weight * power[0]
+        c += weight * power[1]
     if shift:
         beta *= math.exp(shift * tau)
         c *= math.exp(shift * tau)

@@ -27,7 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .padic import CellAddress, cell_index, enumerate_cells, validate_prime
+from .padic import (
+    CellAddress,
+    cell_index,
+    check_cell_rows,
+    enumerate_cells,
+    validate_prime,
+)
 
 
 @dataclass(frozen=True)
@@ -95,28 +101,9 @@ class CellFunction:
     """
 
     def __init__(self, p: int, depth: int, basins, values):
-        validate_prime(p)
-        if depth < 1:
-            raise UsageError(f"depth must be >= 1, got {depth}")
-        basins = tuple(basins)
-        if not basins:
-            raise ValidationError("a cell function needs at least one basin")
-        for basin in basins:
-            if not 0 <= basin < p:
-                raise ValidationError(f"basin digit {basin} out of range for p={p}")
-        if list(basins) != sorted(set(basins)):
-            raise ValidationError(f"basins {basins} must be strictly increasing")
-        if len(values) != len(basins):
-            raise ValidationError(f"{len(basins)} basins need as many rows, got {len(values)}")
-        n = p ** (depth - 1)
-        for basin, row in zip(basins, values):
-            if np.shape(row) != (n,):
-                raise ValidationError(
-                    f"basin {basin}: expected {n} values, got shape {np.shape(row)}"
-                )
+        self.basins = check_cell_rows(p, depth, basins, [np.shape(row) for row in values])
         self.p = p
         self.depth = depth
-        self.basins = basins
         self.values = np.asarray(values, dtype=float)
 
     @classmethod
@@ -136,13 +123,6 @@ class CellFunction:
         start = cell_index(cell.digits, p) * span
         values[basins.index(cell.basin), start : start + span] = 1.0
         return cls(p, depth, basins, values)
-
-    def require_basins(self, basins) -> None:
-        """Refuse unless the function covers exactly these basins."""
-        if self.basins != tuple(basins):
-            raise ValidationError(
-                f"datum covers basins {list(self.basins)}, network has {list(basins)}"
-            )
 
     def basin_integral(self, basin: int) -> float:
         """Integral over one basin's subtree (depth-N cells weigh p^{-N})."""

@@ -11,9 +11,16 @@ import numpy as np
 def extended_expm(Q, t):
     """e^{tQ} in extended precision (64-bit significand on x86-64), by
     Taylor's series to 18 terms at ||tQ / 2^s||_inf <= 1/2 and s squarings.
-    scipy's float64 expm errs by 1.2e-12 max|u| on a conservative 32-state
-    chain at L t = 2450, where its squarings carry the float64 roundoff into
-    the stationary mean; this reference errs by 3e-16 there (50 digits)."""
+    Its squarings carry its own roundoff into a stationary mean, so on a
+    chain that keeps its mass the error grows like L t (L the largest exit
+    rate). On the conservative 4-state chain of
+    test_tree.random_generator(2, [1e3], 3, False, 0), L = 380, e^{tQ} u is
+    7.4e-15 max|u| off the exact mean at L t = 380, 7.4e-12 at 3.8e5 and
+    7.3e-9 at 3.8e8. scipy's float64 expm errs by 1.2e-12 max|u| on a
+    conservative 32-state chain at L t = 2450, where this reference errs by
+    3e-16 (50 digits). The tests rely on it only up to L t = 1e3, on chains
+    that die (where no stationary mean carries the drift), or against a
+    bound that grows like L t 2^-53 by more than the drift does."""
     A = np.asarray(Q, dtype=np.longdouble) * np.longdouble(t)
     norm = float(np.abs(A).sum(axis=1).max())
     s = max(0, math.ceil(math.log2(2 * norm))) if norm > 0 else 0

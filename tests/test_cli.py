@@ -475,6 +475,8 @@ errors = [exits(["solve", "--config", sys.argv[1] + "/bogus.yaml"]),
 print("loaded:", dumps, errors, [m for m in ("fractions", "decimal", "json") if m in sys.modules])
 classify = [main(["classify", "--preset", name, "--out", sys.argv[1]]) for name in names]
 print("loaded:", classify, "numpy" in sys.modules)
+tau = main(["tau", "--config", sys.argv[1] + "/flat.yaml", "--out", sys.argv[1]])
+print("loaded:", tau, "numpy" in sys.modules)
 solve = {main(["solve", "--preset", name, "--out", sys.argv[1]]) for name in names}
 print("loaded:", solve, "concurrent.futures" in sys.modules)
 simulate = {main(["simulate", "--preset", name, "--out", sys.argv[1], "--threads", "1"])
@@ -487,18 +489,21 @@ def test_classify_and_config_dumps_import_no_numpy(tmp_path):
     """The model and the numeric layers load on first use. A config dump,
     a config error and a usage error import none of fractions, decimal
     and json (the model's and classify's imports); classify imports no
-    numpy. montecarlo imports concurrent.futures only for a simulate on
+    numpy, and nor does a tau that t = 0 answers as inf for a table
+    datum. montecarlo imports concurrent.futures only for a simulate on
     more than one thread, so neither solve nor a 1-thread simulate
     loads it."""
+    (tmp_path / "flat.yaml").write_text(FLAT_NETWORK)
     done = _python("-c", _LAYERING, str(tmp_path))
     assert done.returncode == 0, done.stderr
-    config, exact, solve, simulate = (
+    config, exact, tau, solve, simulate = (
         line for line in done.stdout.splitlines() if line.startswith("loaded: ")
     )
     assert config == "loaded: {0} [2, 2] []"
     # folding_demo's paper-convention matrix is not substochastic: exit 3
     classify = [3 if name == "folding_demo" else 0 for name in list_presets()]
     assert exact == f"loaded: {classify} False"
+    assert tau == "loaded: 0 False"
     assert solve == "loaded: {0} False"
     assert simulate == "loaded: {0} False"
 
@@ -934,8 +939,9 @@ def test_tau_prints_no_grid_note_when_the_grid_fits(capsys, tmp_path):
     assert keys == ["threshold", "tau", "crossing cell", "dominant mode", "search horizon"]
 
 
-# a slow cross gain stretches the search horizon to 4e5, where the old
-# time grid of 1e-3 over the fastest rate needed about 5e8 steps
+# a slow cross gain stretched the search horizon to 4e5, where the old
+# time grid of 1e-3 over the fastest rate needed about 5e8 steps; no row
+# of this derived network grows, so t = 0 decides tau
 FLAT_NETWORK = """\
 prime: 2
 basins: [0, 1]
@@ -960,13 +966,99 @@ def test_tau_on_a_slow_cross_gain_reports_inf_quietly(capsys, tmp_path):
     assert (code, err) == (0, "")
     lines = out.splitlines()
     assert lines[1] == "tau = inf"
-    assert lines[4] == "search horizon = 400000"
+    assert lines[4] == "search horizon = inf"
     assert (tmp_path / "tau.txt").read_text() == out
+
+
+def test_tau_answered_inf_at_zero_builds_no_spectral_state(capsys, tmp_path, monkeypatch):
+    # a table datum that t = 0 answers as inf reaches neither the state nor the search
+    def refuse(*args, **kwargs):
+        raise AssertionError("no spectral state is built")
+
+    monkeypatch.setattr(spectral, "init", refuse)
+    monkeypatch.setattr(spectral._Peak, "first_crossing", refuse)
+    path = tmp_path / "flat.yaml"
+    path.write_text(FLAT_NETWORK)
+    code, out, err = run(capsys, "tau", "--config", str(path), "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "tau = inf"
+
+
+def _workload_tau_configs() -> dict:
+    """The generated `tau` configs of the benchmark's workloads at seed 1,
+    by workload and config name."""
+    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    out = {}
+    for name in ("presets", "deep_tree", "long_grid", "chain"):
+        built = workloads.build(name, 1)
+        for inv in built.invocations:
+            if inv.command == "tau" and not inv.preset:
+                out[f"{name}:{inv.source}"] = yaml.safe_dump(built.configs[inv.source])
+    return out
+
+
+def test_tau_where_no_row_grows_runs_no_search(capsys, tmp_path, monkeypatch):
+    # every preset and workload config whose basin matrix has no growing
+    # row is answered 0 or inf at t = 0
+    texts = {name: load_preset(name) for name in list_presets()}
+    texts.update(_workload_tau_configs())
+    monkeypatch.setattr(
+        spectral._Peak, "first_crossing", mock.Mock(side_effect=AssertionError("searched"))
+    )
+    answered = {}
+    for name, text in texts.items():
+        spec = spec_from_config(parse_config(text))
+        if any(sum(row) > 0 for row in cli.network._basin_entries_exact(spec)):
+            continue
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        code, out, err = run(capsys, "tau", "--config", str(path), "--out", str(tmp_path))
+        assert (code, err) == (0, ""), name
+        answered[name] = out.splitlines()[1]
+    assert answered == {
+        "single_basin": "tau = 0",
+        "conservative_two_basin": "tau = 0",
+        "dying_two_basin": "tau = 0",
+        "long_grid:tau_flat": "tau = inf",
+    }
+
+
+@pytest.mark.parametrize(
+    "edit, code, message",
+    [
+        (("0: [0.1, 0.5, 0.2, 0.3, 0.0, 0.4, 0.5, 0.1]", "0: [0.1, 0.5]"), 2,
+         "error: basin 0: expected 8 values, got shape (2,)"),
+        (("0.4, 0.5, 0.1]", "0.4, 0.5, 0.1, 0.7]"), 2,
+         "error: basin 0: expected 8 values, got shape (9,)"),
+        (("0.3, 0.3, 0.1", "0.3, 1.5, 0.1"), 2,
+         "error: datum values in basin 1 span [0.0, 1.5], outside [0, 1]"),
+        (("0.3, 0.3, 0.1", "0.3, -0.5, 0.1"), 2,
+         "error: datum values in basin 1 span [-0.5, 0.5], outside [0, 1]"),
+        (("0.3, 0.3, 0.1, 0.0", "1.7e+308, 1.7e+308, 1.7e+308, 1.7e+308"), 3,
+         "numeric failure: the block means of the datum are not finite: "
+         "its values lie too near the float range"),
+        (("threshold: 0.99", "threshold: 0.0"), 2, "error: threshold must be > 0, got 0.0"),
+        (("threshold: 0.99", "threshold: -1.0"), 2, "error: threshold must be > 0, got -1.0"),
+    ],
+    ids=["short_row", "long_row", "above_1", "below_0", "huge", "threshold_0", "threshold_negative"],
+)
+def test_tau_refuses_a_table_datum_where_no_row_grows(capsys, tmp_path, edit, code, message):
+    # the route that t = 0 decides refuses as the spectral route does
+    path = tmp_path / "flat.yaml"
+    path.write_text(FLAT_NETWORK.replace(*edit))
+    got, out, err = run(capsys, "tau", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert (got, out, err) == (code, "", message + "\n")
+    assert not (tmp_path / "out" / "tau.txt").exists()
 
 
 # ROADMAP item 2: basin 1 starts at 0.95 and stays above 0.9 for a while;
 # basin 2, isolated with rates of 1e-12 and a datum of 0, changes nothing
-# in the others, but stretches the horizon to 3e14
+# in the others, but would stretch a search horizon to 3e14
 THREE_BASINS = """\
 prime: 3
 basins: [0, 1, 2]
@@ -990,7 +1082,7 @@ def test_an_isolated_slow_basin_does_not_hide_a_crossing_at_zero(capsys, tmp_pat
     code, out, err = run(capsys, "tau", "--config", str(path), "--out", str(tmp_path))
     assert (code, err) == (0, "")
     assert out.splitlines()[1] == "tau = 0"
-    assert out.splitlines()[4] == "search horizon = 300000000000000"
+    assert out.splitlines()[4] == "search horizon = inf"
 
 
 # ---------------------------------------------------------------- simulate
@@ -1554,4 +1646,9 @@ def test_scales_that_do_not_decay_report_rate_0(capsys, tmp_path):
     assert rows[1:3] == ["0,-1,0,inf,inf", "0,-2,0,inf,inf"]
     assert rows[3].startswith("0,-3,-0.085185185185185")
     tau = (tmp_path / "tau.txt").read_text().splitlines()
-    assert "search horizon = 1173.913043478261" in tau
+    assert "search horizon = inf" in tau  # t = 0 decides tau
+    # the horizon a search would take skips the zero rates
+    cfg = parse_config(path.read_text())
+    spec = spec_from_config(cfg)
+    state = spectral.init(spec, cli.datum_from_config(cfg, spec))
+    assert 100 / spectral._rate_pool(state).min() == 1173.913043478261

@@ -769,11 +769,11 @@ def test_absorbing_time_memory_does_not_grow_with_the_horizon():
     for t_max in (20.0, 20.0, 2e7):  # the first run warms caches
         tracemalloc.start()
         try:
-            res = absorbing_time(spec, datum, threshold=0.999, t_max=t_max)
+            tau, _, _ = search(spec, datum, 0.999, t_max)
             peaks[t_max] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.tau == math.inf
+        assert tau == math.inf
     assert peaks[2e7] <= 1.5 * peaks[20.0]
 
 
@@ -831,7 +831,7 @@ def test_mode_terms_match_the_wavelet_reference(p, R, offset, seed, data):
     spec = single_basin(p=p)
     datum = CellFunction(p, R + 1, (0,), [offset + rng.uniform(-1.0, 1.0, p**R)])
     state = init(spec, datum)
-    cell, basin, label = spectral._Peak(state).report(0.0)
+    cell, basin, label = spectral._report(state, 0.0)
     values = eval_density(state).values[0]
     j = int(values.argmax())
     assert cell == CellAddress(0, tuple(int(d) for d in np.unravel_index(j, (p,) * R)))
@@ -878,7 +878,9 @@ def test_search_clears_a_decaying_density_up_to_the_float_range():
     datum = CellFunction.constant(2, 2, (0, 1), 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
+        tau, dt, _ = search(spec, datum, 0.99, 1e308)
         res = absorbing_time(spec, datum, threshold=0.99, t_max=1e308)
+    assert (tau, dt) == (math.inf, 0.0)
     assert (res.tau, res.crossing_cell) == (math.inf, None)
 
 
@@ -930,6 +932,12 @@ def test_a_nearly_split_chain_never_crosses_out_to_a_far_horizon():
         assert res.tau == math.inf
 
 
+def search(spec, datum, threshold, t_max=None) -> tuple:
+    """(tau, dt, t_max) of the certified search itself, on absorbing_time's
+    horizon by default; absorbing_time runs it only where a row grows."""
+    return spectral._search(init(spec, datum), threshold, t_max)
+
+
 def record_at(monkeypatch) -> list:
     """Record the time of every _Peak.at call in the returned list."""
     calls = []
@@ -938,10 +946,10 @@ def record_at(monkeypatch) -> list:
     return calls
 
 
-def crossing(spec, datum, **kwargs):
-    """absorbing_time's tau, or the message of the NumericError it raised."""
+def crossing(spec, datum, threshold):
+    """The search's tau, or the message of the NumericError it raised."""
     try:
-        return absorbing_time(spec, datum, **kwargs).tau
+        return search(spec, datum, threshold)[0]
     except NumericError as exc:
         return str(exc)
 
@@ -1077,27 +1085,27 @@ def test_tau_matches_a_fine_grid_where_the_grid_resolves_the_crossing(spec, R, s
     records = [k for k in range(1, n + 1) if peaks[k] > peaks[:k].max()]
     if not records:  # a threshold clear above every grid peak is never reached
         threshold = peaks.max() + (1e-6 + pick) * abs(peaks.max())
-        assert absorbing_time(spec, datum, threshold=threshold, t_max=n * h).tau == math.inf
+        assert search(spec, datum, threshold, n * h)[0] == math.inf
         return
     # a threshold first reached at one of them, on a rise steep enough
     # that rounding cannot move the crossing time by 1e-10 of itself
     k = records[int(pick * (len(records) - 1))]
     threshold = 0.5 * (peaks[:k].max() + peaks[k])
     assume(threshold > 0 and k * (peaks[k] - peaks[k - 1]) > 1e-5 * abs(peaks[k]))
-    got = absorbing_time(spec, datum, threshold=threshold, t_max=n * h)
+    tau, dt, _ = search(spec, datum, threshold, n * h)
 
     def peak(t):
         return eval_density(state, t).values.max()
 
-    if got.tau <= ts[k - 1]:  # a crossing between two earlier grid points
-        assert peak(got.tau) >= threshold
+    if tau <= ts[k - 1]:  # a crossing between two earlier grid points
+        assert peak(tau) >= threshold
         return
     lo, hi = ts[k - 1], ts[k]
     while hi - lo > 1e-9 * hi:
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if peak(mid) >= threshold else (mid, hi)
-    assert math.isclose(got.tau, hi, rel_tol=1e-9)
-    assert got.tau - got.dt < hi and hi - 1e-9 * hi < got.tau
+    assert math.isclose(tau, hi, rel_tol=1e-9)
+    assert tau - dt < hi and hi - 1e-9 * hi < tau
 
 
 @settings(max_examples=100, deadline=None)
@@ -1132,22 +1140,82 @@ def test_an_isolated_slow_basin_does_not_move_tau(spec, R, seed, slow, loss, thr
     wide_datum = CellFunction(spec.p, R + 1, wider.basins, [rows[a] for a in wider.basins])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        res = absorbing_time(spec, datum, threshold=threshold)
-        got = crossing(wider, wide_datum, threshold=threshold)
-    if res.tau < math.inf:
-        assert math.isclose(got, res.tau, rel_tol=1e-9)
+        tau, _, t_max = search(spec, datum, threshold)
+        got = crossing(wider, wide_datum, threshold)
+    if tau < math.inf:
+        assert math.isclose(got, tau, rel_tol=1e-9)
         return
     # the slow basin stretches the horizon: past the first one, a growing
     # network may cross or overflow
     if isinstance(got, str):
         got = float(re.search(r"not finite at t = (\S+):", got)[1])
-    assert got >= res.t_max
+    assert got >= t_max
+
+
+@st.composite
+def steady_networks(draw):
+    """p in {2, 3, 5}, 1-3 basins, either convention, and no row of the
+    basin matrix that grows: losses at least the gains level by level,
+    and under "paper" each cross loss at least p times its gain, so every
+    exact gap is >= 0. Rates are multiples of 1/8, so a factor p is exact
+    and gaps of exactly 0 occur."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    basins = tuple(sorted(draw(st.sets(st.integers(0, p - 1), min_size=1, max_size=min(3, p)))))
+    convention = draw(st.sampled_from(["derived", "paper"]))
+    rate = st.integers(0, 16).map(lambda k: k / 8)
+    floor = p if convention == "paper" else 1
+    w, v = {}, {}
+    for a in basins:
+        gains = draw(st.lists(rate, min_size=1, max_size=3))
+        w[a] = RadialKernel(p, tuple(gains))
+        v[a] = RadialKernel(p, tuple(g + draw(rate) for g in gains))
+    lam, mu = {}, {}
+    for a in basins:
+        for b in basins:
+            if a != b:
+                lam[(a, b)] = draw(rate)
+                mu[(b, a)] = lam[(a, b)] * draw(st.sampled_from([floor, floor + 1, 2 * floor]))
+    assume(any(x > 0 for k in v.values() for x in k.levels) or any(mu.values()))
+    spec = NetworkSpec(
+        p=p, basins=basins, cross_lambda=lam, cross_mu=mu, w_kernels=w, v_kernels=v,
+        convention=convention,
+    )
+    assert all(sum(row) <= 0 for row in _basin_entries_exact(spec))
+    return spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spec=steady_networks(),
+    R=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.0, 1.0),
+    threshold=st.one_of(st.none(), st.floats(0.01, 1.5)),
+)
+@example(spec=two_basin(), R=2, seed=4, scale=0.7, threshold=None)
+def test_the_peak_never_rises_where_no_row_grows(spec, R, seed, scale, threshold):
+    # u(t) = E[u0(X_t); alive] <= max u0, so tau is decided at t = 0: 0
+    # exactly when the datum reaches the threshold (None: at its maximum
+    # exactly), and inf otherwise
+    values = scale * np.random.default_rng(seed).uniform(0.0, 1.0, (len(spec.basins), spec.p**R))
+    datum = CellFunction(spec.p, R + 1, spec.basins, values)
+    top = values.max()
+    times = np.geomspace(1e-4, 1e6, 200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        peaks = [rows.max() for _, _, rows in spectral.evaluate(init(spec, datum), times)]
+    assert max(peaks) <= top + 8 * 2.0**-53
+    threshold = top if threshold is None else threshold
+    assume(threshold > 0)
+    res = absorbing_time(spec, datum, threshold=threshold)
+    assert res.tau == (0.0 if top >= threshold else math.inf)
+    assert (res.dt, res.t_max) == (0.0, math.inf)
 
 
 def flat_network():
     """tau_flat's shape: derived, two basins, p = 2, losses above gains,
     and one cross gain a thousand times slower than the other, which
-    stretches the search horizon to 4e5."""
+    stretches the search horizon to 4e5. No row grows."""
     w, v = RadialKernel(2, (0.6, 0.3)), RadialKernel(2, (0.8, 0.4))
     return NetworkSpec(
         p=2, basins=(0, 1),
@@ -1158,12 +1226,15 @@ def flat_network():
 
 def test_flat_derived_network_scans_no_grid_point(monkeypatch):
     # the grid took 2M steps here; the search clears the horizon in a
-    # few dozen intervals, evaluating the peak only at their left ends
+    # few dozen intervals, evaluating the peak only at their left ends.
+    # absorbing_time runs no search at all: no row grows.
     datum = CellFunction(2, 4, (0, 1), np.random.default_rng(3).uniform(0.0, 0.5, (2, 8)))
     calls = record_at(monkeypatch)
     res = absorbing_time(flat_network(), datum, threshold=0.99)
     assert res.tau == math.inf and res.crossing_cell is None
-    assert (res.t_max, res.dt) == (400000.0, 0.0)
+    assert (res.t_max, res.dt) == (math.inf, 0.0)
+    assert calls == []
+    assert search(flat_network(), datum, 0.99) == (math.inf, 0.0, 400000.0)
     assert 0 < len(calls) < 100
 
 
@@ -1193,11 +1264,11 @@ def test_a_chunk_whose_bound_is_within_the_margin_is_evaluated(monkeypatch, abov
     threshold = top + above * margin / 2
     assert bound < threshold <= bound + margin or above == 0
     calls = record_at(monkeypatch)
-    res = absorbing_time(spec, datum, threshold=threshold, t_max=1.0)
+    tau, _ = peak.first_crossing(threshold, 1.0)  # no row grows: the search itself
     if above == 0:
-        assert (calls, res.tau) == ([0.0], 0.0)
+        assert (calls, tau) == ([0.0], 0.0)
     else:  # both ends of [0, t_max] evaluated below the threshold
-        assert (calls, res.tau) == ([0.0, 1.0], math.inf)
+        assert (calls, tau) == ([0.0, 1.0], math.inf)
 
 
 # ---------------------------------------------------------------- oracle

@@ -351,6 +351,32 @@ def test_compare_refuses_a_gap_that_is_not_finite(monkeypatch):
         tree.compare(spec, datum, [3.0])
 
 
+def test_compare_forms_the_series_powers_once(monkeypatch):
+    """The powers of P depend on the chain alone: a compare over k times
+    takes the _TERMS - 2 products of the series once, and then only each
+    time's squarings, with the gaps each time gives alone."""
+    products = []
+    algebra = tree._level_algebra
+
+    def counting(gen):
+        product, sums = algebra(gen)
+        return (lambda E, F: products.append(1) or product(E, F)), sums
+
+    monkeypatch.setattr(tree, "_level_algebra", counting)
+    spec = balanced_two_basin(cross=0.75, levels=(0.5,))
+    datum = CellFunction(2, 4, (0, 1), np.random.default_rng(3).uniform(0, 1, (2, 8)))
+    times = [0.1, 1.0, 10.0, 1e3]
+    alone, squarings = [], []
+    for t in times:
+        products.clear()
+        alone += tree.compare(spec, datum, [t])
+        squarings.append(len(products) - (_TERMS - 2))
+    products.clear()
+    assert tree.compare(spec, datum, times) == alone
+    assert len(products) == _TERMS - 2 + sum(squarings)
+    assert squarings[-1] > 0
+
+
 def test_conservative_chain_at_late_time_keeps_its_mass():
     """One route at every time: on 128 and 16 states, at t = 1 and at
     t = 1e6 (where a uniformized action would take 1.3e6 products with P),
