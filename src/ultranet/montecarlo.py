@@ -20,10 +20,11 @@ rate holds forever. A block holds whole start cells, at least one, and
 otherwise at most _RECORD_BUDGET recorded (path, time) entries. The
 jump target is found by a binary search in the state's row of one
 dense table of cumulative rates, formed from the chain's level rates,
-O(log states) per jump. The estimate and its standard error need the
-sums of u0 and of u0^2 over a start cell's paths; these are counted per
-state and summed exactly, so they are the correctly rounded sums over
-the paths.
+O(log states) per jump: the one dense array of the chain, states^2
+floats, refused past MAX_CHAIN_BYTES. The estimate and its standard
+error need the sums of u0 and of u0^2 over a start cell's paths; these
+are counted per state and summed exactly, so they are the correctly
+rounded sums over the paths.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError, ValidationError
+from .network import datum_in_range
 from .padic import cell_labels
-from .tree import DiscreteGenerator, require_dense
+from .tree import DiscreteGenerator
 from .wavelets import CellFunction
 
 _MASK = (1 << 64) - 1
@@ -57,6 +59,10 @@ _MAX_PATHS = np.iinfo(np.intp).max // 16
 # at three record times, and fewer paths at more times. A block holds
 # whole start cells, so one cell's paths at every time is the floor.
 _RECORD_BUDGET = 3 << 15
+
+# The jump table is refused where the chain's dim^2 entries pass this
+# limit, 4096 states; the level rates themselves take O(basins * N).
+MAX_CHAIN_BYTES = 128 * 2**20
 
 
 def _mix_int(z: int) -> int:
@@ -148,17 +154,45 @@ class SimResult:
     n_alive: np.ndarray  # (n_times, n_states) ints
 
 
+def require_dense(dim: int) -> None:
+    """Refuse dim x dim floats past MAX_CHAIN_BYTES, naming the bytes."""
+    need = dim * dim * 8
+    if need > MAX_CHAIN_BYTES:
+        raise UsageError(
+            f"the sampler's jump table: {dim} states need {need / 2**20:.4g} MiB, "
+            f"over the {MAX_CHAIN_BYTES / 2**20:.4g} MiB limit of a dense chain array"
+        )
+
+
+def fill_jumps(gen: DiscreteGenerator, out: np.ndarray) -> None:
+    """Write gen's jump rates into out, a dim x dim array or view, zero on
+    the diagonal: the cross rates, then, coarse to fine, each level's rate
+    in the diagonal blocks of p^(N-j) cells sharing j - 1 digits. Splitting
+    an axis of a view never copies, so each reshape writes through to out."""
+    B, n, p, N = len(gen.basins), gen.per_basin, gen.p, gen.N
+    blocks = out.reshape(B, n, B, n)
+    assert np.may_share_memory(blocks, out)
+    blocks[...] = gen.cross[:, None, :, None]
+    basin = np.arange(B)[:, None]
+    for j in range(1, N):
+        size = p ** (N - j)
+        block = np.arange(n // size)[None, :]
+        tiles = out.reshape(B, n // size, size, B, n // size, size)
+        assert np.may_share_memory(tiles, out)
+        tiles[basin, block, :, basin, block, :] = gen.within[:, j - 1, None, None, None]
+    np.fill_diagonal(out, 0.0)
+
+
 def _jump_table(gen: DiscreteGenerator) -> np.ndarray:
     """Cumulative jump rates, (dim + 1, dim + 1): row i runs over the
     rates from state i to the states 0 .. dim-1 and, in column dim, to
     the trap (the kill rate), so its last entry is the total rate out of
     i. The trap's row is zero. Built in place from the level rates, the
-    one dense array simulate holds; its limit counts the dim^2 entries
-    of the chain."""
+    one dense array simulate holds."""
     dim = gen.dim
-    require_dense(dim, "the sampler's jump table")
+    require_dense(dim)
     table = np.zeros((dim + 1, dim + 1))
-    gen.fill_jumps(table[:dim, :dim])
+    fill_jumps(gen, table[:dim, :dim])
     table[:dim, dim] = np.repeat(gen.kill, gen.per_basin)
     np.cumsum(table, axis=1, out=table)
     return table
@@ -250,12 +284,13 @@ def simulate(gen: DiscreteGenerator, u0: CellFunction, cfg: SimConfig) -> SimRes
     """Estimate u(I, t) = E_I[u0(X_t); alive] for every start cell I.
 
     u0 must cover exactly the network's basins at the generator's depth
-    (the datum check of spectral.init); its rows end to end, labelled by
+    (the datum check of spectral.init), within [0, 1] as tau takes it
+    (network.datum_in_range); its rows end to end, labelled by
     padic.cell_labels, are its values on the chain's states.
     """
     dim = gen.dim
     u0_vec = gen.cell_vector(u0)
-    if not (np.all(u0_vec >= 0.0) and np.all(u0_vec <= 1.0)):
+    if not datum_in_range(u0_vec.min(), u0_vec.max()):
         raise ValidationError("u0 must take values in [0, 1]")
 
     table = _jump_table(gen)

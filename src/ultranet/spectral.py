@@ -191,18 +191,16 @@ def _overflow(t: float) -> NumericError:
     )
 
 
-def _propagate(state: SpectralState, t, x: np.ndarray | None = None) -> np.ndarray:
-    """e^{t Lambda} x for the state's basin matrix, or e^{t Lambda} when
-    x is None; for a 1-D array of times, one row (or matrix) per time,
-    all formed in one stacked exponential. The one place the basin-mean
-    propagator is formed, and refused with NumericError, naming the
-    first time in list order, where it or the product overflowed. With
-    minus the exact row sums as the killing rates, the rows of a closed
-    class that loses nothing keep their limit at any time."""
+def _propagate(state: SpectralState, t) -> np.ndarray:
+    """The basin means e^{t Lambda} state.mean for the state's basin
+    matrix; for a 1-D array of times, one row per time, all formed in one
+    stacked exponential. The one place the basin-mean propagator is
+    formed, and refused with NumericError, naming the first time in list
+    order, where it or the product overflowed. With minus the exact row
+    sums as the killing rates, the rows of a closed class that loses
+    nothing keep their limit at any time."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = matrix_exponential(state.lam, state.kill, t)
-        if x is not None:
-            out = out @ x
+        out = matrix_exponential(state.lam, state.kill, t) @ state.mean
     finite = np.isfinite(out).reshape(np.size(t), -1).all(axis=1)
     if not finite.all():
         raise _overflow(state.t + float(np.ravel(t)[np.argmin(finite)]))
@@ -243,13 +241,14 @@ def evaluate(state: SpectralState, times):
         if (ts < 0).any():
             raise UsageError(f"time increment must be >= 0, got {ts[ts < 0][0]}")
         try:
-            means = _propagate(state, ts, state.mean)
+            means = _propagate(state, ts)
         except NumericError:
             if len(ts) > 1:  # one time at a time, up to the one that fails
                 for i in range(len(ts)):
                     yield from evaluate(state, ts[i : i + 1])
             raise
-        decay = np.exp(state.rates * ts[:, None, None])[..., None]
+        with np.errstate(over="ignore"):  # s t may round to -inf: e^{s t} = 0
+            decay = np.exp(state.rates * ts[:, None, None])[..., None]
         for b0 in range(0, len(ts), batch):
             cut = slice(b0, b0 + batch)
             rows = details[:, 0] * decay[cut, :, 0]
@@ -264,12 +263,9 @@ def evolve(state: SpectralState, t: float) -> SpectralState:
     each scale part by its own exponential."""
     if t < 0:
         raise UsageError(f"time increment must be >= 0, got {t}")
-    return replace(
-        state,
-        t=state.t + t,
-        mean=_propagate(state, t, state.mean),
-        details=state.details * np.exp(state.rates * t)[:, :, None],
-    )
+    with np.errstate(over="ignore"):
+        decay = np.exp(state.rates * t)[:, :, None]
+    return replace(state, t=state.t + t, mean=_propagate(state, t), details=state.details * decay)
 
 
 def eval_density(state: SpectralState, t: float = 0.0) -> CellFunction:
@@ -394,7 +390,7 @@ class _Peak:
                     n += 1
                 ts = [pending[-1 - i][0] for i in range(n)]
                 try:
-                    means = _propagate(state, np.array(ts), state.mean)
+                    means = _propagate(state, np.array(ts))
                 except NumericError:
                     if n == 1:
                         raise
@@ -412,7 +408,7 @@ class _Peak:
                 return t0, t0 - lo
             if t1 - t0 <= 1e-9 * t1 or (
                 bound - peak <= margin
-                and self.at(t1, _propagate(state, t1, state.mean)) < threshold
+                and self.at(t1, _propagate(state, t1)) < threshold
             ):
                 lo = t0
                 continue
@@ -466,22 +462,15 @@ def _rate_pool(state: SpectralState) -> np.ndarray:
     return pool[pool > 0]
 
 
-def _search(state: SpectralState, threshold: float, t_max: float | None = None) -> tuple:
-    """(tau, dt, t_max): _Peak.first_crossing on [0, t_max], by default
-    100 over the slowest rate of the basin matrix and the scale parts,
-    or 0, so only t = 0 counts, with none."""
-    if t_max is None:
-        rates = _rate_pool(state)
-        t_max = min(100.0 / float(rates.min()), sys.float_info.max) if rates.size else 0.0
+def _search(state: SpectralState, threshold: float) -> tuple:
+    """(tau, dt, t_max): _Peak.first_crossing on [0, t_max], t_max 100 over
+    the slowest rate of the basin matrix and the scale parts, or 0 if none."""
+    rates = _rate_pool(state)
+    t_max = min(100.0 / float(rates.min()), sys.float_info.max) if rates.size else 0.0
     return (*_Peak(state).first_crossing(threshold, t_max), t_max)
 
 
-def absorbing_time(
-    spec: NetworkSpec,
-    datum: CellFunction,
-    threshold: float = 1.0,
-    t_max: float | None = None,
-) -> AbsorbingResult:
+def absorbing_time(spec: NetworkSpec, datum: CellFunction, threshold: float = 1.0) -> AbsorbingResult:
     """First t >= 0 at which the density's maximum reaches the threshold,
     to relative 1e-9, or inf if none does.
 
@@ -490,8 +479,8 @@ def absorbing_time(
     exact row of the basin matrix sums above 0, as the density then never
     rises above its start. Either comes with dt = 0 and t_max = inf, and
     no search runs. Elsewhere some row grows, and _search looks for the
-    crossing on [0, t_max], by default 100 over the slowest rate; inf
-    then means no crossing before t_max.
+    crossing up to 100 over the slowest rate; inf then means no crossing
+    before that horizon, t_max.
 
     The datum is refused as init refuses it, and where its values leave
     [0, 1] by more than 1e-12, in that order.
@@ -505,10 +494,8 @@ def absorbing_time(
             raise ValidationError(
                 f"datum values in basin {b} span [{lo}, {hi}], outside [0, 1]"
             )
-    if t_max is not None and not 0 < t_max < math.inf:
-        raise UsageError(f"t_max must be finite and > 0, got {t_max}")
     if tau is None:
-        tau, dt, t_max = _search(state, threshold, t_max)
+        tau, dt, t_max = _search(state, threshold)
     else:
         dt, t_max = 0.0, math.inf
     cell, mode_basin, mode_index = _report(state, tau) if tau < math.inf else (None,) * 3

@@ -12,12 +12,11 @@ matrices form an algebra, so e^{tQ} is one of them too. The oracle forms
 it there by uniformization (_level_exponential: the series at a short
 time, then squarings; Jensen, 1953, and Grassmann, 1977) and applies it
 to the datum once by block sums (_apply). Nothing is subtracted but
-block sums from their parents, so no entry can cancel, overflow or turn
-into NaN, and the oracle holds no array of more than O(states) floats at
-any time. It takes no wavelet, eigenvalue or basin matrix, so it can
-serve as the oracle for the spectral solver. A dense array of states^2
-floats is formed only for the Monte Carlo sampler's table, and is
-refused past MAX_CHAIN_BYTES. Only numpy is used.
+block sums from their parents, so no entry can cancel (one can still
+overflow, and compare reports it), and the oracle holds no array of
+more than O(states) floats at any time. It takes no wavelet, eigenvalue
+or basin matrix, so it can serve as the oracle for the spectral solver.
+Only numpy is used.
 
 The generator acts on functions (the backward reading): a state jumps
 with the gain family (w kernels within a basin, lambda across basins)
@@ -38,23 +37,6 @@ from .network import NetworkSpec, aggregate_rates
 from .padic import require_basins
 from .uniformization import _TERMS, _reaches_a_kill, _squarings, _weights
 from .wavelets import CellFunction
-
-# A dense array of states^2 floats is formed only for the Monte Carlo
-# sampler's table of cumulative rates, and for Q itself by matrix, which
-# no oracle path calls. Either is refused past this limit, 4096 states;
-# the level rates themselves take O(basins * N).
-MAX_CHAIN_BYTES = 128 * 2**20
-
-
-def require_dense(dim: int, what: str) -> None:
-    """Refuse a dense dim x dim array of floats past MAX_CHAIN_BYTES,
-    naming the bytes it needs."""
-    need = dim * dim * 8
-    if need > MAX_CHAIN_BYTES:
-        raise UsageError(
-            f"{what}: {dim} states need {need / 2**20:.4g} MiB, "
-            f"over the {MAX_CHAIN_BYTES / 2**20:.4g} MiB limit of a dense chain array"
-        )
 
 
 @dataclass(frozen=True)
@@ -133,36 +115,6 @@ class DiscreteGenerator:
         if u0.p != self.p:
             raise ValidationError(f"datum has {u0.values.size} cells, the chain has {self.dim}")
         return u0.values.ravel()
-
-    def fill_jumps(self, out: np.ndarray) -> None:
-        """Write the jump rates into out, a dim x dim array or view: entry
-        (i, k) the rate from state i to state k, zero on the diagonal.
-        The cross rates fill each pair of basins; then, coarse to fine,
-        each level's rate fills the diagonal blocks of p^(N-j) cells that
-        share the first j - 1 digits, so every pair ends at its level.
-        Splitting an axis of a view into two never copies, so each
-        reshape below writes through to out."""
-        B, n, p = len(self.basins), self.per_basin, self.p
-        blocks = out.reshape(B, n, B, n)
-        assert np.may_share_memory(blocks, out)
-        blocks[...] = self.cross[:, None, :, None]
-        basin = np.arange(B)[:, None]
-        for j in range(1, self.N):
-            size = p ** (self.N - j)
-            block = np.arange(n // size)[None, :]
-            tiles = out.reshape(B, n // size, size, B, n // size, size)
-            assert np.may_share_memory(tiles, out)
-            tiles[basin, block, :, basin, block, :] = self.within[:, j - 1, None, None, None]
-        np.fill_diagonal(out, 0.0)
-
-    def matrix(self) -> np.ndarray:
-        """Q as one dense array, formed from the levels; refused past
-        MAX_CHAIN_BYTES."""
-        require_dense(self.dim, "the chain matrix")
-        Q = np.empty((self.dim, self.dim))
-        self.fill_jumps(Q)
-        np.fill_diagonal(Q, -np.repeat(self.exits, self.per_basin))
-        return Q
 
 
 def discretize(spec: NetworkSpec, N: int) -> DiscreteGenerator:
@@ -312,12 +264,13 @@ def solve(gen: DiscreteGenerator, u0: CellFunction, t: float) -> CellFunction:
     basins and the layout of u0. e^{tQ} is formed in the level algebra,
     at a cost that grows with basins^3 + basins N per squaring and with
     log t, and applied to the datum once by block sums: no array of more
-    than O(states) floats is formed."""
+    than O(states) floats is formed; an overflow is left to compare's check."""
     u = gen.cell_vector(u0)
     t = float(t)
     if not 0 <= t < math.inf:
         raise UsageError(f"the oracle needs a finite time >= 0, got {t:g}")
-    out = _apply(gen, _level_exponential(gen, t), u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _apply(gen, _level_exponential(gen, t), u)
     return CellFunction(u0.p, gen.N, u0.basins, out.reshape(u0.values.shape))
 
 

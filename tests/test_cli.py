@@ -16,7 +16,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultranet import cli, spectral, tree
+from ultranet import cli, montecarlo, spectral, tree
 from ultranet.binary import ivp2_datum
 from ultranet.cli import (
     ConfigError,
@@ -1195,7 +1195,7 @@ def test_simulate_refuses_only_a_table_past_the_dense_limit(capsys, tmp_path, mo
     """The limit counts states^2 floats, so a chain at the limit is run
     although its table has one row and column more; one past it exits 2,
     naming the bytes, and writes nothing."""
-    monkeypatch.setattr(tree, "MAX_CHAIN_BYTES", 16 * 16 * 8)
+    monkeypatch.setattr(montecarlo, "MAX_CHAIN_BYTES", 16 * 16 * 8)
     for resolution, code_wanted in ((3, 0), (4, 2)):  # 16 and 32 states
         cfgfile = tmp_path / f"r{resolution}.yaml"
         cfgfile.write_text(
@@ -1229,15 +1229,17 @@ def test_oracle_on_8192_states_at_a_late_time_exits_0(capsys, tmp_path):
 
 
 def test_no_oracle_path_forms_a_dense_chain_array(capsys, tmp_path, monkeypatch):
-    """compare on every preset, and `oracle` on one, run with the two
-    builders of a states^2 array, the chain matrix and the sampler's jump
-    table, made to raise."""
+    """tree defines no builder of a states^2 array, and compare on every
+    preset, and `oracle` on one, run with the sampler's, its jump table,
+    made to raise."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a dense chain array was formed")
 
-    monkeypatch.setattr(tree.DiscreteGenerator, "matrix", refuse)
-    monkeypatch.setattr(tree.DiscreteGenerator, "fill_jumps", refuse)
+    for name in ("matrix", "fill_jumps", "require_dense", "MAX_CHAIN_BYTES"):
+        assert not hasattr(tree, name) and not hasattr(tree.DiscreteGenerator, name)
+    monkeypatch.setattr(montecarlo, "_jump_table", refuse)
+    monkeypatch.setattr(montecarlo, "fill_jumps", refuse)
     for name in list_presets():
         cfg = parse_config(load_preset(name))
         spec = spec_from_config(cfg)
@@ -1246,6 +1248,79 @@ def test_no_oracle_path_forms_a_dense_chain_array(capsys, tmp_path, monkeypatch)
     code, _, err = run(capsys, "oracle", "--preset", "dying_two_basin", "--out", str(tmp_path))
     assert code == 0, err
     assert (tmp_path / "oracle.csv").exists()
+
+
+# a scale rate of -1e9 times t = 1e300 rounds to -inf, where e^{s t} is 0
+FAST_DECAY = """\
+prime: 2
+basins: [0]
+kernels: {w: {0: [1.0e+9]}, v: {0: [1.0e+9]}}
+resolution: 1
+datum: delta:0.0
+times: [0.0, 1.0e+300]
+"""
+
+# derived, and no row grows; basin 0 leaks at rates of 1e-13, which the
+# one uniformization rate, about 25000, of both rows rounds away
+STIFF = """\
+prime: 2
+basins: [0, 1]
+kernels: {w: {0: [1.0], 1: [1.0e+5]}, v: {0: [1.0], 1: [2.0e+5]}}
+cross: {lambda: {0->1: 1.0e-13, 1->0: 1.0}, mu: {1->0: 2.0e-13, 0->1: 1.0}}
+resolution: 1
+datum: uniform
+"""
+
+
+def test_a_scale_factor_past_the_float_range_warns_nothing(tmp_path):
+    path = tmp_path / "fast.yaml"
+    path.write_text(FAST_DECAY)
+    for command, out in (("solve", "wrote "), ("oracle", "max gap over grid = 0\n")):
+        done = _python("-m", "ultranet.cli", command, "--config", str(path), "--out", str(tmp_path))
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith(out)
+    assert (tmp_path / "density.dat").read_text() == (
+        "# t 0.0 0.1\n0 1 0\n1.0000000000000001e+300 0.5 0.5\n"
+    )
+    assert (tmp_path / "oracle.csv").read_text() == "t,max_gap\n0,0\n1.0000000000000001e+300,0\n"
+
+
+def test_an_oracle_that_overflows_says_so_once(tmp_path):
+    """The chain's exponential overflows at t = 1e15 on the stiff network
+    at depth 3; compare's gap check is the one report."""
+    path = tmp_path / "stiff.yaml"
+    path.write_text(STIFF.replace("resolution: 1", "resolution: 2") + "times: [1.0e+15]\n")
+    done = _python("-m", "ultranet.cli", "oracle", "--config", str(path), "--out", str(tmp_path))
+    assert done.returncode == 3
+    assert done.stderr == "numeric failure: oracle gap is not finite at t = 1e+15\n"
+    assert not (tmp_path / "oracle.csv").exists()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="one uniformization rate serves both rows, and the rows that are "
+    "not closed drift by about L t 2^-53 until the means overflow",
+)
+def test_a_stiff_network_that_only_decays_is_solved_at_a_late_time(capsys, tmp_path):
+    path = tmp_path / "stiff.yaml"
+    path.write_text(STIFF + "times: [1.0e+20]\n")
+    code, _, err = run(capsys, "solve", "--config", str(path), "--out", str(tmp_path))
+    assert code == 0, err
+
+
+def test_tau_and_simulate_take_one_datum_range(capsys, tmp_path):
+    """A value 1e-13 past 1 runs under both commands, and one 1e-11 past
+    1 exits 2 under both."""
+    for value, wanted in (("1.0000000000001", 0), ("1.00000000001", 2)):
+        path = tmp_path / f"{value}.yaml"
+        path.write_text(
+            TWO_BASINS.split("datum:")[0]
+            + f"datum: {{0: [{value}, 0.5], 1: [0.2, 0.3]}}\npaths: 10\nrecord_times: [0.5]\n"
+        )
+        for command in ("tau", "simulate"):
+            code, _, err = run(capsys, command, "--config", str(path), "--out", str(tmp_path))
+            assert code == wanted, (command, err)
+    assert err == "error: u0 must take values in [0, 1]\n"
 
 
 def reference_plotdata(labels, rows):
@@ -1287,7 +1362,7 @@ def test_solve_bytes_match_a_loop_over_single_times(capsys, tmp_path):
 
         def rows():
             for t in cfg["times"]:
-                mean = spectral._propagate(state, t, state.mean)
+                mean = spectral._propagate(state, t)
                 parts = (state.details * np.exp(state.rates * t)[:, :, None]).sum(axis=1)
                 yield t, (mean[:, None] + parts).ravel().tolist()
 
@@ -1307,7 +1382,7 @@ def test_folding_demo_series_match_a_loop_over_single_times(capsys, tmp_path):
     cfg = parse_config(load_preset("folding_demo"))
     spec = spec_from_config(cfg)
     state = spectral.init(spec, ivp2_datum(scenario_from_config(cfg, spec)))
-    rows = ((t, spectral._propagate(state, t, state.mean).tolist()) for t in times)
+    rows = ((t, spectral._propagate(state, t).tolist()) for t in times)
     csv, dat = reference_plotdata(["basin-0", "basin-1"], rows)
     assert series == csv
     assert lines(tmp_path / "folding_timeseries.dat") == dat

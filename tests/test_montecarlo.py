@@ -291,11 +291,15 @@ def test_the_largest_n_paths_fails_to_allocate():
 
 
 def test_u0_range_validation():
+    """u0 may leave [0, 1] by 1e-12, as under tau (network.datum_in_range);
+    past that, and at NaN, it is refused."""
     gen = killed_two_basin()
-    bad = CellFunction(2, 2, (0, 1), [[1.5, 0.0], [0.0, 0.0]])
     cfg = SimConfig(n_paths=10, seed=0, record_times=(0.5,))
-    with pytest.raises(ValidationError):
-        simulate(gen, bad, cfg)
+    simulate(gen, CellFunction(2, 2, (0, 1), [[1 + 1e-13, 0.5], [0.2, -1e-13]]), cfg)
+    for bad in (1.5, 1 + 1e-11, -1e-11, math.nan):
+        u0 = CellFunction(2, 2, (0, 1), [[bad, 0.5], [0.2, 0.3]])
+        with pytest.raises(ValidationError, match=r"^u0 must take values in \[0, 1\]$"):
+            simulate(gen, u0, cfg)
 
 
 def test_one_capped_pool_per_call(monkeypatch):
@@ -502,6 +506,16 @@ def test_jump_table_is_the_reference_rows(gen):
     the rows of the dense reference chain summed left to right."""
     want = np.array(mc_reference.cumulative_rows(*dense_chain(gen)))
     assert montecarlo._jump_table(gen).tobytes() == want.tobytes()
+
+
+def test_the_dense_limit_counts_states_squared():
+    """The limit counts the chain's states^2 floats, so 4096 states pass
+    and 4097 do not, and the message names the bytes."""
+    montecarlo.require_dense(4096)
+    with pytest.raises(
+        UsageError, match="^the sampler's jump table: 4097 states need 128.1 MiB, over the 128 MiB"
+    ):
+        montecarlo.require_dense(4097)
 
 
 @given(data=st.data())

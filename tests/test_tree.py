@@ -45,7 +45,7 @@ def balanced_two_basin(cross=1.0, levels=(1.0,)):
 def test_discretize_frozen_single_basin():
     gen = discretize(single_basin(), 2)
     assert gen.dim == 2
-    assert np.allclose(gen.matrix(), [[-0.25, 0.25], [0.25, -0.25]], atol=1e-15)
+    assert np.allclose(dense_chain(gen)[0], [[-0.25, 0.25], [0.25, -0.25]], atol=1e-15)
     assert np.allclose(gen.kill, [0.0])
     assert (gen.p, gen.N, gen.basins) == (2, 2, (0,))
 
@@ -53,14 +53,14 @@ def test_discretize_frozen_single_basin():
 def test_discretize_pure_killing():
     spec = single_basin(w_levels=(0.0,), v_levels=(1.0,))
     gen = discretize(spec, 2)
-    assert np.allclose(gen.matrix(), [[-0.25, 0.0], [0.0, -0.25]])
+    assert np.allclose(dense_chain(gen)[0], [[-0.25, 0.0], [0.0, -0.25]])
     assert np.allclose(gen.kill, [0.25])
 
 
 def test_discretize_balanced_two_basin_rows_sum_to_zero():
     gen = discretize(balanced_two_basin(), 2)
     assert gen.dim == 4
-    Q = gen.matrix()
+    Q = dense_chain(gen)[0]
     assert np.allclose(Q.sum(axis=1), 0.0, atol=1e-12)
     assert np.allclose(np.diag(Q), -0.75)
     # cross rates are constant across basin pairs
@@ -77,7 +77,7 @@ def test_row_sums_equal_minus_kill():
     )
     gen = discretize(spec, 3)
     assert gen.dim == 18
-    Q = gen.matrix()
+    Q = dense_chain(gen)[0]
     assert np.abs(Q.sum(axis=1) + np.repeat(gen.kill, gen.per_basin)).max() < 1e-12
     off = Q - np.diag(np.diag(Q))
     assert off.min() >= 0
@@ -85,22 +85,13 @@ def test_row_sums_equal_minus_kill():
 
 def test_discretize_depth_guard_and_cap():
     """discretize refuses a depth that is not exact, and no size: the
-    level rates take O(basins * N). The limit applies where a dense array
-    is formed, and counts states^2 floats, so 4096 states pass and 4097
-    do not."""
+    level rates take O(basins * N), and tree forms no dense array."""
     with pytest.raises(UsageError, match="not be exact"):
         discretize(single_basin(w_levels=(1.0, 0.5)), 2)
     gen = discretize(single_basin(), 14)
     assert gen.dim == 8192 and gen.within.shape == (1, 13)
-    with pytest.raises(
-        UsageError,
-        match=r"^the chain matrix: 8192 states need 512 MiB, "
-        "over the 128 MiB limit of a dense chain array$",
-    ):
-        gen.matrix()
-    tree.require_dense(4096, "a table")
-    with pytest.raises(UsageError, match="^a table: 4097 states need 128.1 MiB"):
-        tree.require_dense(4097, "a table")
+    for name in ("matrix", "fill_jumps", "require_dense", "MAX_CHAIN_BYTES"):
+        assert not hasattr(tree, name) and not hasattr(gen, name)
 
 
 def test_solve_identity_at_time_zero():
@@ -501,9 +492,9 @@ def test_action_matches_the_dense_exponential(p, kill, seed, data):
 
 def test_discretize_holds_the_level_rates():
     """The level rates are the floats the dense assembly held: w_j p^-N
-    within a basin, lambda p^-N across, and the sink per basin. Their
-    dense form is the reference chain bit for bit, diagonal included: both
-    round the exact row sum once."""
+    within a basin, lambda p^-N across, and the sink per basin. The
+    uniformization rate is the reference chain's largest exit rate bit for
+    bit: both round the exact row sum once."""
     spec = NetworkSpec(
         p=3, basins=(0, 2),
         cross_lambda={(0, 2): 0.5, (2, 0): 0.25},
@@ -517,7 +508,6 @@ def test_discretize_holds_the_level_rates():
     assert gen.cross.tolist() == [[0.0, 0.5 * weight], [0.25 * weight, 0.0]]
     assert gen.kill.tolist() == aggregate_rates(spec).tolist()
     Q = dense_chain(gen)[0]
-    assert gen.matrix().tobytes() == Q.tobytes()
     assert gen.rate == -Q.diagonal().min()
 
 
