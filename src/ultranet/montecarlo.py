@@ -17,14 +17,14 @@ next jump falls at or before a record time jump and draw their next
 hold until none is left, and then every path's state is recorded.
 Nothing is drawn past the last record time, and a state of zero total
 rate holds forever. A block holds whole start cells, at least one, and
-otherwise at most _RECORD_BUDGET recorded (path, time) entries. The
-jump target is found by a binary search in the state's row of one
-dense table of cumulative rates, formed from the chain's level rates,
-O(log states) per jump: the one dense array of the chain, states^2
-floats, refused past MAX_CHAIN_BYTES. The estimate and its standard
-error need the sums of u0 and of u0^2 over a start cell's paths; these
-are counted per state and summed exactly, so they are the correctly
-rounded sums over the paths.
+otherwise at most _RECORD_BUDGET recorded (path, time) entries. A rate
+depends only on the ultrametric level of two cells or on their basins,
+so each state's row is held as basins + 2 N - 1 runs of equal rates
+(_jump_runs): a target is found by a binary search over the runs'
+cumulative masses and one division in the run, with no states^2 array.
+The estimate and its standard error need the sums of u0 and of u0^2
+over a start cell's paths; these are counted per state and summed
+exactly over the states reached: the correctly rounded path sums.
 """
 
 from __future__ import annotations
@@ -59,11 +59,6 @@ _MAX_PATHS = np.iinfo(np.intp).max // 16
 # at three record times, and fewer paths at more times. A block holds
 # whole start cells, so one cell's paths at every time is the floor.
 _RECORD_BUDGET = 3 << 15
-
-# The jump table is refused where the chain's dim^2 entries pass this
-# limit, 4096 states; the level rates themselves take O(basins * N).
-MAX_CHAIN_BYTES = 128 * 2**20
-
 
 def _mix_int(z: int) -> int:
     z &= _MASK
@@ -154,48 +149,39 @@ class SimResult:
     n_alive: np.ndarray  # (n_times, n_states) ints
 
 
-def require_dense(dim: int) -> None:
-    """Refuse dim x dim floats past MAX_CHAIN_BYTES, naming the bytes."""
-    need = dim * dim * 8
-    if need > MAX_CHAIN_BYTES:
-        raise UsageError(
-            f"the sampler's jump table: {dim} states need {need / 2**20:.4g} MiB, "
-            f"over the {MAX_CHAIN_BYTES / 2**20:.4g} MiB limit of a dense chain array"
-        )
-
-
-def fill_jumps(gen: DiscreteGenerator, out: np.ndarray) -> None:
-    """Write gen's jump rates into out, a dim x dim array or view, zero on
-    the diagonal: the cross rates, then, coarse to fine, each level's rate
-    in the diagonal blocks of p^(N-j) cells sharing j - 1 digits. Splitting
-    an axis of a view never copies, so each reshape writes through to out."""
-    B, n, p, N = len(gen.basins), gen.per_basin, gen.p, gen.N
-    blocks = out.reshape(B, n, B, n)
-    assert np.may_share_memory(blocks, out)
-    blocks[...] = gen.cross[:, None, :, None]
-    basin = np.arange(B)[:, None]
-    for j in range(1, N):
-        size = p ** (N - j)
-        block = np.arange(n // size)[None, :]
-        tiles = out.reshape(B, n // size, size, B, n // size, size)
-        assert np.may_share_memory(tiles, out)
-        tiles[basin, block, :, basin, block, :] = gen.within[:, j - 1, None, None, None]
-    np.fill_diagonal(out, 0.0)
-
-
-def _jump_table(gen: DiscreteGenerator) -> np.ndarray:
-    """Cumulative jump rates, (dim + 1, dim + 1): row i runs over the
-    rates from state i to the states 0 .. dim-1 and, in column dim, to
-    the trap (the kill rate), so its last entry is the total rate out of
-    i. The trap's row is zero. Built in place from the level rates, the
-    one dense array simulate holds."""
-    dim = gen.dim
-    require_dense(dim)
-    table = np.zeros((dim + 1, dim + 1))
-    fill_jumps(gen, table[:dim, :dim])
-    table[:dim, dim] = np.repeat(gen.kill, gen.per_basin)
-    np.cumsum(table, axis=1, out=table)
-    return table
+def _jump_runs(gen: DiscreteGenerator):
+    """Each state's row of jump rates as runs of equal rates in state
+    order: (start, rate, length, cum), each (dim + 1, basins + 2 N), cum
+    the masses rate * length summed left to right. Each row opens with
+    an empty run, so cum opens with 0. Then a state of basin a has a run
+    per basin b < a; in its own basin, for levels 1 .. N - 1, the cells
+    of the level's block before its own sub-block, itself at rate 0, and
+    for levels N - 1 .. 1 the cells after it; a run per basin b > a; and
+    the kill, at the trap. The trap's row is zero."""
+    B, n, p, N, dim = len(gen.basins), gen.per_basin, gen.p, gen.N, gen.dim
+    width = B + 2 * N
+    start, length = np.zeros((2, dim + 1, width), dtype=np.int64)
+    rate = np.zeros((dim + 1, width))
+    # a cell's runs in its basin start at its block of each level j,
+    # coarse to fine, at itself, and then past its sub-block of each level
+    # (the block of level j + 1, of sub cells), fine to coarse; they tile
+    # the basin, so each ends where the next starts
+    cell = np.arange(n)[:, None]
+    block = p ** np.arange(N - 1, 0, -1)
+    sub = block // p
+    own_start = np.hstack([cell // block * block, cell, (cell // sub * sub + sub)[:, ::-1]])
+    own_length = np.diff(own_start, append=n)
+    for a in range(B):
+        rows = slice(a * n, (a + 1) * n)
+        own = slice(a + 1, a + 2 * N)
+        start[rows, own] = a * n + own_start
+        length[rows, own] = own_length
+        rate[rows, own] = np.concatenate([gen.within[a], [0.0], gen.within[a, ::-1]])
+        others, cross = np.r_[0:a, a + 1:B], np.r_[1:a + 1, a + 2 * N:width - 1]
+        start[rows, cross], length[rows, cross] = others * n, n
+        rate[rows, cross] = gen.cross[a, others]
+    start[:dim, -1], length[:dim, -1], rate[:dim, -1] = dim, 1, np.repeat(gen.kill, n)
+    return start, rate, length, np.cumsum(rate * length, axis=1)
 
 
 def _count_at_most(table, state, x):
@@ -223,7 +209,7 @@ def _hold(t, rate, u):
     return np.where(moving, t + -np.log1p(-u) / np.where(moving, rate, 1.0), np.inf)
 
 
-def _simulate_chunk(seeds, start, cum_rates, totals, times):
+def _simulate_chunk(seeds, start, runs, totals, times):
     """Gillespie over one block of paths, one record time at a time;
     `start` is the start cell of every path, or one per path.
 
@@ -231,9 +217,12 @@ def _simulate_chunk(seeds, start, cum_rates, totals, times):
     is index dim).  Each path counts its own draws: 0 is its first hold,
     and its jump k = 0, 1, ... draws its target with 2k + 1 and the next
     hold with 2k + 2, so the outcome depends only on its seed and start
-    cell.  A target is the first column of its row in cum_rates above
-    u * rate.
+    cell.  A target x = u * rate falls in the first run (_jump_runs)
+    whose cumulative mass passes x, on its cell floor((x - the mass
+    before the run) / its rate), clamped to the run.
     """
+    first, rate, length, cum = (a.ravel() for a in runs)
+    width = runs[0].shape[1]
     n = len(seeds)
     rec = np.empty((n, len(times)), dtype=np.int64)
     state = np.array(np.broadcast_to(start, (n,)), dtype=np.int64)
@@ -244,13 +233,16 @@ def _simulate_chunk(seeds, start, cum_rates, totals, times):
         while len(live):
             live_seeds = seeds[live]
             src = state[live]
-            rate = totals[src]
+            total = totals[src]
             draw = counter[live] + np.uint64(1)
-            # u * rate < rate unless it rounds up to it (a subnormal rate);
-            # the clamp sends such a draw to the last column where the row rises
+            # u * total < total unless it rounds up to it (a subnormal
+            # total); the clamp sends such a draw to the last run that rises
             u = _uniforms(live_seeds, draw)
-            threshold = np.minimum(u * rate, np.nextafter(rate, -np.inf))
-            dst = _count_at_most(cum_rates, src, threshold)
+            x = np.minimum(u * total, np.nextafter(total, -np.inf))
+            # cum opens with 0 <= x, so the count is at least 1
+            at = src * width + _count_at_most(runs[3], src, x)
+            step = np.floor((x - cum[at - 1]) / rate[at])
+            dst = first[at] + np.minimum(step, length[at] - 1).astype(np.int64)
             draw += np.uint64(1)
             t = _hold(t_next[live], totals[dst], _uniforms(live_seeds, draw))
             state[live], t_next[live], counter[live] = dst, t, draw
@@ -267,17 +259,16 @@ def _exact_terms(values: np.ndarray):
     return values.tolist(), [num * (den // d) for num, d in ratios], den
 
 
-def _exact_sum(counts, terms) -> float:
-    """sum_s counts[s] * values[s], correctly rounded as math.fsum over
-    the multiset rounds it: an exact integer sum and one int / int
-    division, which Python rounds correctly."""
+def _exact_sum(states, counts, terms) -> float:
+    """sum_k counts[k] * values[states[k]] over the states reached,
+    correctly rounded as math.fsum over the multiset rounds it: an exact
+    integer sum and one int / int division, which Python rounds correctly."""
     values, nums, den = terms
-    c = counts.tolist()
-    total = sum(map(operator.mul, c, nums))
+    total = sum(map(operator.mul, counts, map(nums.__getitem__, states)))
     if total:
         return total / den
     # every term is a signed zero; fsum gives the sum its sign
-    return math.fsum(v for k, v in zip(c, values) if k)
+    return math.fsum(map(values.__getitem__, states))
 
 
 def simulate(gen: DiscreteGenerator, u0: CellFunction, cfg: SimConfig) -> SimResult:
@@ -293,8 +284,8 @@ def simulate(gen: DiscreteGenerator, u0: CellFunction, cfg: SimConfig) -> SimRes
     if not datum_in_range(u0_vec.min(), u0_vec.max()):
         raise ValidationError("u0 must take values in [0, 1]")
 
-    table = _jump_table(gen)
-    totals = table[:, dim].copy()  # the trap's total is 0: it never moves
+    runs = _jump_runs(gen)
+    totals = runs[3][:, -1].copy()  # the trap's total is 0: it never moves
 
     times = cfg.record_times
     n_times = len(times)
@@ -332,7 +323,7 @@ def simulate(gen: DiscreteGenerator, u0: CellFunction, cfg: SimConfig) -> SimRes
             starts = np.repeat(cells, n)
             cuts = np.linspace(0, len(seeds), workers + 1).astype(int)[1:-1]
             parts = pool_map(
-                lambda part: _simulate_chunk(*part, table, totals, times),
+                lambda part: _simulate_chunk(*part, runs, totals, times),
                 zip(np.split(seeds, cuts), np.split(starts, cuts)),
             )
             parts = list(parts)
@@ -344,7 +335,9 @@ def simulate(gen: DiscreteGenerator, u0: CellFunction, cfg: SimConfig) -> SimRes
                     cell_rec.ravel(), minlength=n_times * (dim + 1)
                 ).reshape(n_times, dim + 1)
                 for j in range(n_times):
-                    total, total_sq = (_exact_sum(counts[j], t) for t in terms)
+                    reached = np.flatnonzero(counts[j])
+                    tally = reached.tolist(), counts[j, reached].tolist()
+                    total, total_sq = (_exact_sum(*tally, t) for t in terms)
                     mean = total / n
                     estimates[j, cell] = mean
                     n_alive[j, cell] = n - counts[j, dim]

@@ -3,11 +3,28 @@ and its level algebra (tree._level_algebra): the dense generator matrix,
 and the dense form of an element, entry by entry from the ultrametric
 level of each pair of cells."""
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 
+import ultranet
 from ultranet.padic import enumerate_cells
+from ultranet.tree import DiscreteGenerator
+
+# the names under which the library once formed a dense chain array
+DENSE_BUILDERS = ("matrix", "fill_jumps", "require_dense", "MAX_CHAIN_BYTES", "_jump_table")
+
+
+def dense_chain_builders():
+    """(module, name) of each ultranet module, or DiscreteGenerator, that
+    defines one of DENSE_BUILDERS."""
+    modules = [importlib.import_module(f"ultranet.{m.name}")
+               for m in pkgutil.iter_modules(ultranet.__path__)]
+    return [(getattr(owner, "__name__", owner), name)
+            for owner in [*modules, DiscreteGenerator] for name in DENSE_BUILDERS
+            if hasattr(owner, name)]
 
 
 def levels(p, N):

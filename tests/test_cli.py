@@ -16,7 +16,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultranet import cli, montecarlo, spectral, tree
+from ultranet import cli, spectral, tree
 from ultranet.binary import ivp2_datum
 from ultranet.cli import (
     ConfigError,
@@ -30,6 +30,7 @@ from ultranet.cli import (
     scenario_from_config,
     spec_from_config,
 )
+from chain_reference import dense_chain_builders
 from wavelet_reference import cells
 
 MINIMAL = """\
@@ -1191,31 +1192,34 @@ def test_huge_path_count_exits_2(capsys, tmp_path):
     assert "got 100000000000000000000" in err
 
 
-def test_simulate_refuses_only_a_table_past_the_dense_limit(capsys, tmp_path, monkeypatch):
-    """The limit counts states^2 floats, so a chain at the limit is run
-    although its table has one row and column more; one past it exits 2,
-    naming the bytes, and writes nothing."""
-    monkeypatch.setattr(montecarlo, "MAX_CHAIN_BYTES", 16 * 16 * 8)
-    for resolution, code_wanted in ((3, 0), (4, 2)):  # 16 and 32 states
-        cfgfile = tmp_path / f"r{resolution}.yaml"
-        cfgfile.write_text(
-            TWO_BASINS.replace("resolution: 1", f"resolution: {resolution}").split("datum:")[0]
-            + "paths: 10\nrecord_times: [0.5]\n"
-        )
-        out_dir = tmp_path / f"out{resolution}"
-        code, _, err = run(capsys, "simulate", "--config", str(cfgfile), "--out", str(out_dir))
-        assert code == code_wanted, err
-        assert (out_dir / "mc.csv").exists() == (code == 0)
-    assert err == (
-        "error: the sampler's jump table: 32 states need 0.007812 MiB, "
-        "over the 0.001953 MiB limit of a dense chain array\n"
-    )
+def test_simulate_on_9375_states_exits_0(capsys, tmp_path):
+    """The deep_tree shape with p = 5, three basins and R = 5 has 9375
+    states, whose dense table of cumulative rates would take 670.6 MiB;
+    the sampler holds each row as a few runs, so simulate runs it."""
+    cfgfile = tmp_path / "big.yaml"
+    cfgfile.write_text("""\
+prime: 5
+basins: [0, 2, 4]
+kernels:
+  w: {0: [1.0, 0.5], 2: [0.75, 0.25], 4: [0.5, 0.5]}
+  v: {0: [1.5, 0.5], 2: [1.0, 0.5], 4: [1.0, 0.75]}
+cross:
+  lambda: {0->2: 0.5, 2->0: 0.25, 2->4: 0.5, 4->2: 0.25}
+  mu: {0->2: 1.0, 2->0: 1.5, 2->4: 1.0, 4->2: 1.5}
+resolution: 5
+paths: 2
+record_times: [0.1]
+""")
+    code, _, err = run(capsys, "simulate", "--config", str(cfgfile), "--out", str(tmp_path))
+    assert code == 0, err
+    rows = (tmp_path / "mc.csv").read_text().splitlines()
+    assert len(rows) == 1 + 9375 and rows[1].startswith("0.10000000000000001,0.00000,")
 
 
 def test_oracle_on_8192_states_at_a_late_time_exits_0(capsys, tmp_path):
-    """A chain of 8192 states, whose dense matrix (512 MiB) is past the
-    128 MiB limit, runs the oracle at t = 1e9 as at short times: e^{tQ} is
-    formed in the level algebra, and no dense array is refused."""
+    """A chain of 8192 states, whose dense matrix would take 512 MiB,
+    runs the oracle at t = 1e9 as at short times: e^{tQ} is formed in the
+    level algebra, and no dense array."""
     rows = {b: [(7 * i + 3 * b) % 11 / 10 for i in range(4096)] for b in (0, 1)}
     text = (TWO_BASINS.replace("resolution: 1", "resolution: 12").split("datum:")[0]
             + f"datum: {rows}\n")
@@ -1228,18 +1232,11 @@ def test_oracle_on_8192_states_at_a_late_time_exits_0(capsys, tmp_path):
     assert rows[0] == "t,max_gap" and len(rows) == 4
 
 
-def test_no_oracle_path_forms_a_dense_chain_array(capsys, tmp_path, monkeypatch):
-    """tree defines no builder of a states^2 array, and compare on every
-    preset, and `oracle` on one, run with the sampler's, its jump table,
-    made to raise."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a dense chain array was formed")
-
-    for name in ("matrix", "fill_jumps", "require_dense", "MAX_CHAIN_BYTES"):
-        assert not hasattr(tree, name) and not hasattr(tree.DiscreteGenerator, name)
-    monkeypatch.setattr(montecarlo, "_jump_table", refuse)
-    monkeypatch.setattr(montecarlo, "fill_jumps", refuse)
+def test_no_oracle_path_forms_a_dense_chain_array(capsys, tmp_path):
+    """No ultranet module defines a builder of a states^2 array, and
+    compare on every preset, at short and late times, and `oracle` on
+    one run."""
+    assert dense_chain_builders() == []
     for name in list_presets():
         cfg = parse_config(load_preset(name))
         spec = spec_from_config(cfg)

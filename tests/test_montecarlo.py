@@ -184,15 +184,15 @@ def test_thread_count_does_not_change_results():
 
 def test_doubling_paths_keeps_the_first_half():
     gen = killed_two_basin()
-    cum = np.array(mc_reference.cumulative_rows(*dense_chain(gen)))
-    totals = cum[:, -1].copy()
+    runs = montecarlo._jump_runs(gen)
+    totals = runs[3][:, -1].copy()
     golden = np.uint64(0x9E3779B97F4A7C15)
 
     def seeds(n):
         return _mix_vec(np.uint64(123) + np.arange(1, n + 1, dtype=np.uint64) * golden)
 
-    short = _simulate_chunk(seeds(50), 0, cum, totals, (0.5, 1.0))
-    long = _simulate_chunk(seeds(100), 0, cum, totals, (0.5, 1.0))
+    short = _simulate_chunk(seeds(50), 0, runs, totals, (0.5, 1.0))
+    long = _simulate_chunk(seeds(100), 0, runs, totals, (0.5, 1.0))
     assert np.array_equal(short, long[:50])
 
 
@@ -487,12 +487,25 @@ def small_dense_chains(draw):
     frozen = np.array(draw(st.lists(st.booleans(), min_size=p, max_size=p)))
     Q[frozen] = 0.0
     kill[frozen] = 0.0
-    return one_basin(p, 0.0, 0.0), mc_reference.cumulative_rows(Q, kill)
+    return one_basin(p, 0.0, 0.0), mc_reference.dense_rows(Q, kill)
+
+
+def run_table(rows):
+    # the sampler's run arrays (montecarlo._jump_runs) from reference
+    # rows of equal length: each opens with an empty run, and the trap's
+    # empty row is zeros
+    table = np.zeros((4, len(rows), 1 + len(rows[0])))
+    for i, row in enumerate(rows):
+        if row:
+            table[:, i, 1:] = np.array(row).T
+    start, rate, length, cum = table
+    return start.astype(np.int64), rate, length.astype(np.int64), cum
 
 
 def small_chains():
-    # (gen, rows): a level chain and the rows of its dense reference, or
-    # a dense chain whose rows the sampler is given in place of its table
+    # (gen, rows): a level chain and no rows, or a dense chain and its
+    # rows as runs of one column, which the sampler is given in place of
+    # its own
     return st.one_of(
         small_level_chains().map(lambda gen: (gen, None)),
         small_dense_chains(),
@@ -501,30 +514,36 @@ def small_chains():
 
 @given(gen=small_level_chains())
 @settings(max_examples=100, deadline=None)
-def test_jump_table_is_the_reference_rows(gen):
-    """The sampler's table, formed from the level rates, is bit for bit
-    the rows of the dense reference chain summed left to right."""
-    want = np.array(mc_reference.cumulative_rows(*dense_chain(gen)))
-    assert montecarlo._jump_table(gen).tobytes() == want.tobytes()
-
-
-def test_the_dense_limit_counts_states_squared():
-    """The limit counts the chain's states^2 floats, so 4096 states pass
-    and 4097 do not, and the message names the bytes."""
-    montecarlo.require_dense(4096)
-    with pytest.raises(
-        UsageError, match="^the sampler's jump table: 4097 states need 128.1 MiB, over the 128 MiB"
-    ):
-        montecarlo.require_dense(4097)
+def test_jump_runs_expand_to_the_dense_chain(gen):
+    """Each state's runs cover every column once, in state order, at the
+    rate of the dense reference chain off its diagonal and 0 on it, and
+    the last run is the kill at the trap. Without its empty runs, the row
+    and its cumulative masses are those of the reference rows, bit for
+    bit; the trap's row is zero."""
+    Q, kill = dense_chain(gen)
+    start, rate, length, cum = montecarlo._jump_runs(gen)
+    dim = gen.dim
+    want = mc_reference.level_rows(gen)
+    for i in range(dim):
+        cols = np.concatenate([np.arange(s, s + n) for s, n in zip(start[i], length[i])])
+        assert np.array_equal(cols, np.arange(dim + 1))
+        off = np.where(np.arange(dim) == i, 0.0, Q[i])
+        assert np.repeat(rate[i], length[i]).tobytes() == np.append(off, kill[i]).tobytes()
+        assert (start[i, -1], rate[i, -1], length[i, -1]) == (dim, kill[i], 1)
+        full = length[i] > 0
+        got = list(zip(start[i, full].tolist(), rate[i, full].tolist(),
+                       length[i, full].tolist(), cum[i, full].tolist()))
+        assert got == want[i] and cum[i, 0] == 0.0
+    assert not (start[dim].any() or rate[dim].any() or length[dim].any() or cum[dim].any())
 
 
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_simulate_matches_the_one_path_reference(data):
     gen, rows = data.draw(small_chains())
-    table = montecarlo._jump_table if rows is None else (lambda _: np.array(rows))
+    runs = montecarlo._jump_runs if rows is None else (lambda _: run_table(rows))
     if rows is None:
-        rows = mc_reference.cumulative_rows(*dense_chain(gen))
+        rows = mc_reference.level_rows(gen)
     p, n = gen.p, gen.per_basin
     value = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
     u0 = CellFunction(p, gen.N, gen.basins, [
@@ -556,7 +575,7 @@ def test_simulate_matches_the_one_path_reference(data):
     want = mc_reference.simulate(rows, u0.values.ravel(), cfg, ref_draw)
     with mock.patch.object(montecarlo, "_uniforms", fake), \
             mock.patch.object(montecarlo, "_RECORD_BUDGET", budget), \
-            mock.patch.object(montecarlo, "_jump_table", table):
+            mock.patch.object(montecarlo, "_jump_runs", runs):
         res = simulate(gen, u0, cfg)
     for field, expected in zip(RESULT_FIELDS, want):
         got = getattr(res, field)
@@ -583,24 +602,31 @@ def test_count_at_most_is_searchsorted():
 
 
 def test_exact_sum_is_fsum():
+    def tally(counts):
+        # the states reached and their counts, as simulate passes them
+        reached = np.flatnonzero(counts)
+        return reached.tolist(), np.asarray(counts)[reached].tolist()
+
     rng = np.random.default_rng(3)
     values = np.concatenate([rng.random(20) ** 7, [0.0, 1.0, 5e-324, 2.0**-1000]])
     counts = rng.integers(0, 50, size=len(values))
     want = math.fsum(np.repeat(values, counts))
-    assert _exact_sum(counts, _exact_terms(values)) == want
+    assert _exact_sum(*tally(counts), _exact_terms(values)) == want
     squares = values * values
     want_sq = math.fsum(np.repeat(values, counts) ** 2)
-    assert _exact_sum(counts, _exact_terms(squares)) == want_sq
+    assert _exact_sum(*tally(counts), _exact_terms(squares)) == want_sq
     # all terms signed zeros: the sign is fsum's
     zeros = np.array([-0.0, 0.0])
     for c in ([3, 0], [3, 1], [0, 2]):
-        got = _exact_sum(np.array(c), _exact_terms(zeros))
+        got = _exact_sum(*tally(c), _exact_terms(zeros))
         want = math.fsum(np.repeat(zeros, c))
         assert got == want and math.copysign(1, got) == math.copysign(1, want)
 
 
-def test_simulate_holds_one_dense_table():
-    # 1024 states: the cumulative table is (dim + 1)^2 floats, built in place
+def test_simulate_memory_is_linear_in_states():
+    # 1024 states at depth 11: the run table is four arrays of (dim + 1)
+    # rows of 23 runs, 0.75 MB, where a dense table of cumulative rates
+    # would be (dim + 1)^2 floats, 8.4 MB
     spec = NetworkSpec(
         p=2, basins=(0,), cross_lambda={}, cross_mu={},
         w_kernels={0: RadialKernel(2, (1.0, 0.5))},
@@ -610,13 +636,15 @@ def test_simulate_holds_one_dense_table():
     assert gen.dim == 1024
     u0 = CellFunction(2, 11, (0,), np.linspace(0, 1, 1024)[None, :])
     cfg = SimConfig(n_paths=4, seed=1, record_times=(0.25, 0.5))
+    table = sum(a.nbytes for a in montecarlo._jump_runs(gen))
+    assert table == 4 * (gen.dim + 1) * 23 * 8
     tracemalloc.start()
     try:
         simulate(gen, u0, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * gen.dim**2 * 8
+    assert peak <= 4 * table
 
 
 def top_draw(monkeypatch, hold):
@@ -643,11 +671,11 @@ def test_top_draw_stays_on_a_conservative_chain(monkeypatch):
 
 def test_top_draw_stays_on_a_conservative_dense_chain(monkeypatch):
     # the same on a chain outside the level form, whose rows the sampler
-    # is given in place of its table: the last row rises in column 0 only
+    # is given in place of its own: the last row rises in column 0 only
     top_draw(monkeypatch, 0.5)
     Q = [[-2.0, 1.0, 1.0], [0.5, -1.0, 0.5], [4.0, 0.0, -4.0]]
-    rows = np.array(mc_reference.cumulative_rows(Q, [0.0] * 3))
-    monkeypatch.setattr(montecarlo, "_jump_table", lambda _: rows)
+    runs = run_table(mc_reference.dense_rows(Q, [0.0] * 3))
+    monkeypatch.setattr(montecarlo, "_jump_runs", lambda _: runs)
     u0 = CellFunction(3, 2, (0,), [[0.25, 0.5, 1.0]])
     cfg = SimConfig(n_paths=8, seed=0, record_times=(5.0, 10.0))
     res = simulate(one_basin(3, 0.0, 0.0), u0, cfg)

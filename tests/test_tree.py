@@ -17,7 +17,7 @@ from ultranet.tree import discretize, solve
 from ultranet.uniformization import _TERMS, _reaches_a_kill, _squarings, _weights, exponential
 from ultranet.wavelets import CellFunction, WaveletIndex, enumerate_wavelets
 
-from chain_reference import dense_chain, dense_element
+from chain_reference import dense_chain, dense_chain_builders, dense_element
 from expm_reference import extended_expm
 from wavelet_reference import eigenvalue, eval_wavelet
 
@@ -85,13 +85,12 @@ def test_row_sums_equal_minus_kill():
 
 def test_discretize_depth_guard_and_cap():
     """discretize refuses a depth that is not exact, and no size: the
-    level rates take O(basins * N), and tree forms no dense array."""
+    level rates take O(basins * N), and no module forms a dense array."""
     with pytest.raises(UsageError, match="not be exact"):
         discretize(single_basin(w_levels=(1.0, 0.5)), 2)
     gen = discretize(single_basin(), 14)
     assert gen.dim == 8192 and gen.within.shape == (1, 13)
-    for name in ("matrix", "fill_jumps", "require_dense", "MAX_CHAIN_BYTES"):
-        assert not hasattr(tree, name) and not hasattr(gen, name)
+    assert dense_chain_builders() == []
 
 
 def test_solve_identity_at_time_zero():
@@ -582,8 +581,8 @@ def test_level_product_matches_the_dense_product(chain):
 
 def test_oracle_on_a_9375_state_chain():
     """The deep_tree shape with p = 5, three basins and R = 5 has 9375
-    states, whose dense chain matrix (703 MB) is past the limit; the
-    oracle never forms it, at short times or at t = 1e12. The gap is
+    states, whose dense chain matrix would take 703 MB; the oracle never
+    forms it, at short times or at t = 1e12. The gap is
     within the usual bound, and the peak of compare, the spectral side
     included, is that of 16 vectors of the chain's size."""
     rng = np.random.default_rng(9)
