@@ -18,12 +18,13 @@ leading within-basin digits, and
 where the basin means m (sqrt(p) times the constant coefficients c0)
 are coupled through the basin matrix Lambda and evolve by e^{t Lambda}.
 Lambda depends only on the network and its convention, so the state
-builds it once, next to the scale rates, and carries one real
-(basins, R, cells) array of the scale parts; evolution scales its
-rows, synthesis sums them, both O(cells * R). e^{t Lambda} is formed in
-one place, _propagate, for a whole chunk of times at once: evaluate
-walks the output grids of solve, folding-demo and the oracle in chunks,
-and the crossing search the left ends of its pending intervals. It is
+builds it once, next to the scale rates. It holds scale -k on its p^k
+blocks of k digits, cells * p / (p - 1) values a basin in all; evolution
+scales each level, and synthesis is the inverse pyramid pass (Mallat,
+IEEE PAMI 11, 1989), both O(cells). e^{t Lambda} is formed in one
+place, _propagate, for a whole chunk of times at once: evaluate walks
+the output grids of solve, folding-demo and the oracle in chunks, and
+the crossing search the left ends of its pending intervals. It is
 uniformization.exponential; the chain oracle takes the same steps in its
 own level algebra, and nothing of the oracle or of the Monte Carlo
 sampler is shared. Decay tables are bookkeeping on the same arrays. No
@@ -47,6 +48,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -59,18 +61,15 @@ from .network import (
     datum_in_range,
     decide_tau,
 )
-from .padic import CellAddress, require_basins
+from .padic import CellAddress, cell_index, require_basins
 from .uniformization import exponential
 from .wavelets import CellFunction, WaveletIndex
 _SCAN_BYTES = 8 * 2**20  # working set of one chunk of stacked times, or of one batch of rows
 # A chunk shares the at most 14 products of its stacked exponential among
-# its times, and a batch of rows the numpy calls that form them. evaluate
-# at 1000 times, two basins of 16 or 27 cells (2-vCPU x86_64, numpy 2.4),
-# takes 6.0 ms in chunks of 24 with one row at a time, and with rows
-# formed 8 at a time 4.7 ms in chunks of 24, 3.2 ms in chunks of 48 and
-# 2.3 ms in chunks of 128. Memory grows by about 0.5 KB a time and 2 KB a
-# row of 64 cells: at 48 and 8, solve at 2000 times peaks at 1.33 times
-# its peak at 20; at 64 and 8 at 1.50, at 128 and 128 at 3.2.
+# its times, and a batch of rows the numpy calls that form them. Memory
+# grows by about 0.3 KB a time and 2.5 KB a row of 64 cells: at 48 times
+# and 8 rows, solve at 2000 times peaks at 1.24 times its peak at 20; at
+# 64 times at 1.34, at 128 at 1.71, and at 16 rows at 1.55.
 _CHUNK_TIMES = 48
 _BATCH_ROWS = 8
 
@@ -121,8 +120,8 @@ class SpectralState:
     R: int
     t: float
     mean: np.ndarray  # basin means of the density, basin order
-    details: np.ndarray  # (basins, R, cells); row k - 1 is the scale -k part
-    rates: np.ndarray  # (basins, R); s_{a,-k} of row k - 1
+    details: tuple  # R levels; entry k - 1, (basins, p^k), is scale -k: M_k - M_{k-1}
+    rates: np.ndarray  # (basins, R); s_{a,-k} of details entry k - 1
     lam: np.ndarray  # the basin matrix under the spec's convention
     kill: np.ndarray  # minus the exact row sums of lam, rounded once; < 0 where a row grows
 
@@ -141,25 +140,21 @@ def init(spec: NetworkSpec, datum: CellFunction) -> SpectralState:
     table = datum.values
     n_basins, n_cells = table.shape
     # numpy reserves an array without touching its pages, so one that the
-    # memory cannot hold ends in a kill, not a MemoryError; evaluate holds
-    # this array and one product of its size
-    need = 2 * 8 * n_basins * R * n_cells
+    # memory cannot hold ends in a kill, not a MemoryError; evaluate and
+    # the search hold at most three rows of cells besides the levels
+    need = 8 * n_basins * ((n_cells - 1) * p // (p - 1) + 3 * n_cells)
     if need > _memory_bytes():
         raise MemoryError(
             f"the scale parts of {n_basins} basins x {R} scales x {n_cells} cells "
             f"need {need / 2**30:.3g} GiB, more than the {_memory_bytes() / 2**30:.3g} GiB "
             "of memory"
         )
-    details = np.empty((n_basins, R, n_cells))
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = table.mean(axis=1)
-        coarse = mean[:, None]
-        for k in range(1, R + 1):
-            block = p ** (R - k)
-            fine = table.reshape(n_basins, -1, block).mean(axis=2)
-            details[:, k - 1] = np.repeat(fine, block, axis=1) - np.repeat(coarse, block * p, axis=1)
-            coarse = fine
-    if not (np.isfinite(mean).all() and np.isfinite(details).all()):
+        # the block means at 0, 1, .., R leading digits, each over the datum
+        means = [table.reshape(n_basins, p**k, -1).mean(axis=2) for k in range(R + 1)]
+        details = tuple(fine - coarse.repeat(p, axis=1) for coarse, fine in zip(means, means[1:]))
+    mean = means[0][:, 0]
+    if not (np.isfinite(mean).all() and all(np.isfinite(level).all() for level in details)):
         raise NumericError(
             "the block means of the datum are not finite: its values lie too near the float range"
         )
@@ -184,13 +179,6 @@ def _memory_bytes() -> int:
         return sys.maxsize
 
 
-def _overflow(t: float) -> NumericError:
-    return NumericError(
-        f"basin means are not finite at t = {t:g}: "
-        "the basin-matrix exponential overflows"
-    )
-
-
 def _propagate(state: SpectralState, t) -> np.ndarray:
     """The basin means e^{t Lambda} state.mean for the state's basin
     matrix; for a 1-D array of times, one row per time, all formed in one
@@ -203,16 +191,34 @@ def _propagate(state: SpectralState, t) -> np.ndarray:
         out = matrix_exponential(state.lam, state.kill, t) @ state.mean
     finite = np.isfinite(out).reshape(np.size(t), -1).all(axis=1)
     if not finite.all():
-        raise _overflow(state.t + float(np.ravel(t)[np.argmin(finite)]))
+        t = state.t + float(np.ravel(t)[np.argmin(finite)])
+        raise NumericError(f"basin means are not finite at t = {t:g}: the basin-matrix exponential overflows")
     return out
 
 
 def _chunk_size(state: SpectralState) -> int:
     """Times per stacked _propagate (see evaluate): a working set within
     _SCAN_BYTES, and at most _CHUNK_TIMES times."""
-    n_basins, R, _ = state.details.shape
+    n_basins, R = state.rates.shape
     time_bytes = 8 * n_basins * (5 * n_basins + R + 1)
     return max(1, min(_CHUNK_TIMES, _SCAN_BYTES // time_bytes))
+
+
+def _synthesize(parts, p: int) -> np.ndarray:
+    """Sum an iterator of scale parts, coarsest first, part k - 1 of shape
+    (..., p^k), on the finest cells top-down: v <- v on each of its p
+    children + the next part. Each cell adds them as a sum over scales does."""
+    v = next(parts)
+    for part in parts:
+        v = v.repeat(p, axis=-1)
+        v += part
+    return v
+
+
+def _factors(state: SpectralState, times) -> np.ndarray:
+    """e^{s t} at each time, (R, times, basins, 1): entry k - 1 scales details entry k - 1."""
+    with np.errstate(over="ignore"):  # s t may round to -inf: e^{s t} = 0
+        return np.exp(state.rates.T[:, None, :, None] * np.asarray(times)[:, None, None])
 
 
 def evaluate(state: SpectralState, times):
@@ -222,20 +228,19 @@ def evaluate(state: SpectralState, times):
 
     The times are taken in chunks of at most _CHUNK_TIMES. A chunk forms
     its means with one batched _propagate and its factors e^{s t} with
-    one exp. Its rows are then formed _BATCH_ROWS at a time: the scale
-    parts times their factors, added up in scale order as a sum over
-    that axis adds them, plus the means. So each row has the bits it has
-    when its time is evaluated alone, whichever chunk or batch holds it.
-    The stacked exponential stays within _SCAN_BYTES, and so do a batch's
-    rows and the one product it holds besides; memory is bounded by
-    these, not by the number of times. A time where the means are not
-    finite ends the evaluation: the rows before it are yielded, then
-    NumericError names it.
+    one exp, and its rows _BATCH_ROWS at a time by _synthesize, plus the
+    means. So each row has the bits it has when its time is evaluated
+    alone, whichever chunk or batch holds it. The stacked exponential
+    stays within _SCAN_BYTES, and so do a batch's rows and the one
+    product it holds besides; memory is bounded by these, not by the
+    number of times. A time where the means are not finite ends the
+    evaluation: the rows before it are yielded, then NumericError names
+    it.
     """
     size = _chunk_size(state)
-    details = state.details
-    # a batch holds its rows and one product of a scale part
-    batch = max(1, min(_BATCH_ROWS, _SCAN_BYTES // (2 * details[:, 0].nbytes)))
+    p, details = state.spec.p, state.details
+    # a batch holds its rows and the finest scale part times its factors
+    batch = max(1, min(_BATCH_ROWS, _SCAN_BYTES // (2 * details[-1].nbytes)))
     for k0 in range(0, len(times), size):
         ts = np.array(times[k0 : k0 + size], dtype=float)
         if (ts < 0).any():
@@ -247,13 +252,10 @@ def evaluate(state: SpectralState, times):
                 for i in range(len(ts)):
                     yield from evaluate(state, ts[i : i + 1])
             raise
-        with np.errstate(over="ignore"):  # s t may round to -inf: e^{s t} = 0
-            decay = np.exp(state.rates * ts[:, None, None])[..., None]
+        decay = _factors(state, ts)
         for b0 in range(0, len(ts), batch):
             cut = slice(b0, b0 + batch)
-            rows = details[:, 0] * decay[cut, :, 0]
-            for k in range(1, state.R):  # in place, one scale at a time
-                rows += details[:, k] * decay[cut, :, k]
+            rows = _synthesize(map(np.multiply, details, decay[:, cut]), p)
             rows += means[cut, :, None]
             yield from zip(ts[cut].tolist(), means[cut], rows)
 
@@ -263,9 +265,8 @@ def evolve(state: SpectralState, t: float) -> SpectralState:
     each scale part by its own exponential."""
     if t < 0:
         raise UsageError(f"time increment must be >= 0, got {t}")
-    with np.errstate(over="ignore"):
-        decay = np.exp(state.rates * t)[:, :, None]
-    return replace(state, t=state.t + t, mean=_propagate(state, t), details=state.details * decay)
+    details = tuple(map(np.multiply, state.details, _factors(state, [t])[:, 0]))
+    return replace(state, t=state.t + t, mean=_propagate(state, t), details=details)
 
 
 def eval_density(state: SpectralState, t: float = 0.0) -> CellFunction:
@@ -312,6 +313,8 @@ class _Peak:
         # once, so that a datum at an exact fixed point does not move
         mean = [Fraction(m) for m in state.mean.tolist()]
         self.flow0 = np.array([float(sum(x * m for x, m in zip(row, mean))) for row in rows])
+        # max_cells sum_k |d_k|, the scale parts' share of the margin
+        self.spread = _synthesize(map(np.abs, state.details), state.spec.p).max()
 
     @staticmethod
     def _log_norm(rows: list, d: np.ndarray) -> float:
@@ -323,9 +326,8 @@ class _Peak:
     def at(self, t: float, mean: np.ndarray) -> float:
         """Peak at time t, given the basin means there; the cells are
         summed as evaluate sums them."""
-        with np.errstate(over="ignore"):
-            factors = np.exp(self.state.rates * t)[..., None]
-        return float((mean[:, None] + (self.state.details * factors).sum(axis=1)).max())
+        parts = map(np.multiply, self.state.details, _factors(self.state, [t])[:, 0])
+        return float((mean[:, None] + _synthesize(parts, self.state.spec.p)).max())
 
     def _ceiling(self, t0: float, t1: float, mean: np.ndarray) -> tuple:
         """(bound, margin): every peak on [t0, t1] is at most bound +
@@ -343,22 +345,22 @@ class _Peak:
         mean and the drift. The margin is twice that.
         """
         state = self.state
-        details, rates, lam = state.details, state.rates[:, :, None], state.lam
         w = t1 - t0
         with np.errstate(over="ignore", invalid="ignore"):
             if t0 == 0:
                 flow, slack = self.flow0, 2.0**-52 * np.abs(self.flow0)
             else:
-                flow = lam @ mean
+                flow = state.lam @ mean
                 slack = (len(mean) + 2) * 2.0**-52 * (self.abs_lam @ np.abs(mean))
             g = np.abs(flow) + slack
             reach = np.zeros(len(mean))
             if g.any():
-                reach = np.min([d * (w * (g / d).max() * np.exp(w * mu)) for d, mu in self.norms], axis=0)
+                reach = reduce(np.minimum, [d * (w * (g / d).max() * np.exp(w * mu)) for d, mu in self.norms])
             drift = np.fmin(reach, w * (np.maximum(flow + slack, 0.0) + self.abs_lam @ reach))
-            parts = np.maximum(details * np.exp(rates * t0), details * np.exp(rates * t1))
-        bound = (mean + drift + parts.sum(axis=1).max(axis=1)).max()
-        size = np.abs(mean).max() + drift.max() + np.abs(details).sum(axis=1).max()
+        ends = map(np.multiply, state.details, _factors(state, [t0, t1]))
+        parts = _synthesize((np.maximum(*both) for both in ends), state.spec.p)
+        bound = (mean + drift + parts.max(axis=1)).max()
+        size = np.abs(mean).max() + drift.max() + self.spread
         if not size < math.inf:
             return math.inf, 0.0
         return float(bound), float((state.R + 4) * 2.0**-52 * size)
@@ -423,11 +425,11 @@ def _report(state: SpectralState, t: float):
     its wavelet index."""
     state = evolve(state, t)
     p, R = state.spec.p, state.R
-    values = state.mean[:, None] + state.details.sum(axis=1)
+    values = state.mean[:, None] + _synthesize(iter(state.details), p)
     i, j = np.unravel_index(int(values.argmax()), values.shape)
     basin = state.spec.basins[i]
     cell = CellAddress(basin, tuple(int(d) for d in np.unravel_index(j, (p,) * R)))
-    terms = np.concatenate([[state.mean[i]], _mode_terms(state.details[i], j, p).ravel()])
+    terms = np.concatenate([[state.mean[i]], _mode_terms(state.details, i, cell.digits, p).ravel()])
     # terms equal up to rounding (a delta datum splits evenly between
     # mean and details; phases q and p - q are conjugate) go to the first
     sizes = np.abs(terms)
@@ -438,20 +440,17 @@ def _report(state: SpectralState, t: float):
     return cell, basin, WaveletIndex(-k - 1, cell.digits[:k], q + 1)
 
 
-def _mode_terms(details: np.ndarray, j: int, p: int) -> np.ndarray:
-    """(R, p - 1) values on cell j of the modes of one basin's scale parts
-    (row k - 1 of details is scale -k). With v the p values of the scale
-    -k part on the children of the cell's depth-k block and x the cell's
-    k-th digit, the phase q mode, the real part of wavelet
-    (-k, digits[:k - 1], q) times its coefficient, is
+def _mode_terms(details: tuple, i: int, digits: tuple, p: int) -> np.ndarray:
+    """(R, p - 1) values of the modes of basin row i of the scale parts on
+    its cell with these digits. With v the p values of the scale -k part
+    on the children of the cell's depth-k block and x the cell's k-th
+    digit, the phase q mode, the real part of wavelet (-k, digits[:k - 1],
+    q) times its coefficient, is
 
         (1/p) sum_osc v_osc cos(2 pi q (x - osc) / p)."""
-    R = len(details)
-    blocks = p ** np.arange(R - 1, -1, -1)  # cells sharing k digits
-    first = j // (blocks * p) * blocks * p  # first cell sharing k - 1 digits with j
+    v = np.array([level[i].reshape(-1, p)[cell_index(digits[:k], p)] for k, level in enumerate(details)])
     osc = np.arange(p)
-    v = details[np.arange(R)[:, None], first[:, None] + osc * blocks[:, None]]
-    x = j // blocks % p  # the cell's k-th digit
+    x = np.array(digits)
     q = np.arange(1, p)
     angle = 2 * np.pi * q[None, :, None] * (x[:, None, None] - osc) / p
     return (v[:, None, :] * np.cos(angle)).sum(axis=2) / p

@@ -36,11 +36,12 @@ _TERMS = 15
 
 
 def _weights(y: np.ndarray) -> np.ndarray:
-    """The Poisson weights e^{-y} y^k / k!, k < _TERMS, one row per y."""
+    """Poisson weights e^{-y} y^k / k!, k < _TERMS, a row per y; in place, as np.cumprod copies."""
     weights = np.empty((len(y), _TERMS))
     weights[:, 0] = [math.exp(-x) for x in y.tolist()]
-    weights[:, 1:] = y[:, None] / np.arange(1, _TERMS)
-    return np.cumprod(weights, axis=1)
+    for k in range(1, _TERMS):
+        np.multiply(weights[:, k - 1], y / k, out=weights[:, k])
+    return weights
 
 
 def _squarings(rate: float, t=1.0):

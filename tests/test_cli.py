@@ -31,7 +31,7 @@ from ultranet.cli import (
     spec_from_config,
 )
 from chain_reference import dense_chain_builders
-from wavelet_reference import cells
+from wavelet_reference import cells, dense_details
 
 MINIMAL = """\
 prime: 2
@@ -1356,11 +1356,12 @@ def test_solve_bytes_match_a_loop_over_single_times(capsys, tmp_path):
         spec = spec_from_config(cfg)
         datum = cli.datum_from_config(cfg, spec)
         state = spectral.init(spec, datum)
+        details = dense_details(state.details, p)
 
         def rows():
             for t in cfg["times"]:
                 mean = spectral._propagate(state, t)
-                parts = (state.details * np.exp(state.rates * t)[:, :, None]).sum(axis=1)
+                parts = (details * np.exp(state.rates * t)[:, :, None]).sum(axis=1)
                 yield t, (mean[:, None] + parts).ravel().tolist()
 
         csv, dat = reference_plotdata([cell.label(p) for cell in cells(datum)], rows())
@@ -1616,14 +1617,33 @@ def test_every_command_runs_at_p_37(capsys, tmp_path):
 
 
 def test_scale_parts_past_the_memory_exit_3(capsys, tmp_path, monkeypatch):
-    # with the memory taken as 1 MiB, R = 15 needs 2 x 15 x 2^15 x 8 bytes
+    # with the memory taken as 1 MiB, R = 16 needs 8 x (2^17 - 2) bytes for
+    # the levels and 8 x 3 x 2^16 for three rows of cells, 2.5 MiB
     monkeypatch.setattr(spectral, "_memory_bytes", lambda: 2**20)
     path = tmp_path / "deep.yaml"
-    path.write_text(MINIMAL + "resolution: 15\n")
+    path.write_text(MINIMAL + "resolution: 16\n")
     for command in ("solve", "tau"):
         code, out, err = run(capsys, command, "--config", str(path), "--out", str(tmp_path))
         assert (code, out) == (3, "")
         assert err.startswith("numeric failure: out of memory: the scale parts of 1 basins")
+
+
+def test_tau_runs_where_a_scale_by_cell_array_would_not_fit(capsys, tmp_path, monkeypatch):
+    # folding_demo at R = 12, two basins of 4096 cells: with the memory
+    # taken as 1 MiB, the levels and three rows of cells need 320 KiB; a
+    # (basins, R, cells) array and one product of its size took 1.5 MiB
+    path = tmp_path / "deep.yaml"
+    path.write_text(load_preset("folding_demo").replace("resolution: 4", "resolution: 12"))
+    outs = []
+    for memory in (None, 2**20):
+        if memory:
+            monkeypatch.setattr(spectral, "_memory_bytes", lambda: memory)
+        out = tmp_path / str(memory)
+        code, text, err = run(capsys, "tau", "--config", str(path), "--out", str(out))
+        assert (code, err) == (0, "")
+        outs.append((text, (out / "tau.txt").read_text()))
+    assert outs[0] == outs[1]
+    assert "crossing cell" in outs[0][0]
 
 
 def test_oversized_cell_table_exits_3(capsys, tmp_path):

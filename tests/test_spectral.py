@@ -36,7 +36,7 @@ from ultranet.wavelets import (
 )
 
 from expm_reference import closed_states, exact_limit, extended_expm
-from wavelet_reference import eval_wavelet, reconstruct_all
+from wavelet_reference import dense_details, eval_wavelet, reconstruct_all
 
 SQRT2 = math.sqrt(2.0)
 
@@ -620,8 +620,9 @@ def test_evaluate_rows_sum_the_scales_as_one_sum_over_them(R):
     # past 8 scales a pairwise sum would round differently
     state = random_state(two_basin(cross_mu=1.5), R, seed=R)
     times = [0.0, 0.05, 1.0, 3.0, 60.0]
+    details = dense_details(state.details, 2)
     for t, mean, values in spectral.evaluate(state, times):
-        parts = (state.details * np.exp(state.rates * t)[:, :, None]).sum(axis=1)
+        parts = (details * np.exp(state.rates * t)[:, :, None]).sum(axis=1)
         assert values.tobytes() == (mean[:, None] + parts).tobytes()
 
 
@@ -817,10 +818,12 @@ def wavelet_terms(details, j, p, basin):
 )
 def test_mode_terms_match_the_wavelet_reference(p, R, offset, seed, data):
     rng = np.random.default_rng(seed)
-    details = rng.uniform(-1.0, 1.0, (R, p**R))
+    levels = [rng.uniform(-1.0, 1.0, (1, p**k)) for k in range(1, R + 1)]
+    details = dense_details(levels, p)[0]
     j = data.draw(st.integers(0, p**R - 1))
     _, ref = wavelet_terms(details, j, p, 0)
-    got = spectral._mode_terms(details, j, p).ravel()
+    digits = tuple(int(d) for d in np.unravel_index(j, (p,) * R))
+    got = spectral._mode_terms(levels, 0, digits, p).ravel()
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(details).max()
 
     # the label report gives at its peak cell, on a datum whose scale
@@ -832,7 +835,7 @@ def test_mode_terms_match_the_wavelet_reference(p, R, offset, seed, data):
     values = eval_density(state).values[0]
     j = int(values.argmax())
     assert cell == CellAddress(0, tuple(int(d) for d in np.unravel_index(j, (p,) * R)))
-    labels, ref = wavelet_terms(state.details[0], j, p, 0)
+    labels, ref = wavelet_terms(dense_details(state.details, p)[0], j, p, 0)
     labels, ref = [None] + labels, np.abs(np.concatenate([[state.mean[0]], ref]))
     second, top = np.sort(ref)[-2:]
     if top - second > 1e-9 * top:
@@ -897,7 +900,7 @@ def test_a_scale_factor_past_the_float_range_is_zero():
     # s t = -1e9 * 1e300 rounds to -inf, and e^{s t} to 0, with no warning
     state = init(single_basin(w_levels=(1e9,)), CellFunction(2, 2, (0,), [[1.0, 0.0]]))
     later = evolve(state, 1e300)
-    assert later.details.tolist() == [[[0.0, 0.0]]] and later.mean.tolist() == [0.5]
+    assert dense_details(later.details, 2).tolist() == [[[0.0, 0.0]]] and later.mean.tolist() == [0.5]
     assert eval_density(state, 1e300).values.tolist() == [[0.5, 0.5]]
 
 
@@ -1449,16 +1452,37 @@ def test_spectral_matches_oracle_on_killed_symmetric_spec():
 
 
 def test_init_refuses_scale_parts_larger_than_the_memory(monkeypatch):
-    """The (basins, R, cells) array and evaluate's product of its size are
-    checked against the memory before numpy reserves them; a one-basin p = 2
-    network at R = 25 (6.7 GB each) meets the same check at full size."""
+    """The levels of the scale parts, and the three rows of cells that
+    evaluate and the search hold besides, are checked against the memory
+    before numpy reserves them; at full size a one-basin p = 2 network at
+    R = 25 needs 1.3 GB (its levels 0.5 GB), where a (basins, R, cells)
+    array and one product of its size took 6.7 GB each."""
     spec = NetworkSpec(
         p=2, basins=(0,), cross_lambda={}, cross_mu={},
         w_kernels={0: RadialKernel(2, (1.0,))}, v_kernels={0: RadialKernel(2, (1.0,))},
     )
-    datum = CellFunction.constant(2, 6, [0], 1.0)  # R = 5, 32 cells: 2 x 1280 bytes
-    monkeypatch.setattr(spectral, "_memory_bytes", lambda: 2 * 1280)
-    assert init(spec, datum).details.nbytes == 1280
-    monkeypatch.setattr(spectral, "_memory_bytes", lambda: 2 * 1280 - 1)
+    datum = CellFunction.constant(2, 6, [0], 1.0)  # R = 5, 32 cells: 62 floats of levels
+    need = 8 * (62 + 3 * 32)
+    monkeypatch.setattr(spectral, "_memory_bytes", lambda: need)
+    assert sum(level.nbytes for level in init(spec, datum).details) == 8 * 62
+    monkeypatch.setattr(spectral, "_memory_bytes", lambda: need - 1)
     with pytest.raises(MemoryError, match="1 basins x 5 scales x 32 cells"):
         init(spec, datum)
+
+
+@pytest.mark.parametrize("p, R", [(2, 9), (3, 6), (5, 4)])
+def test_init_holds_each_scale_part_at_its_own_tree_level(p, R):
+    # sum_k p^k floats a basin, at most p / (p - 1) times the datum; a
+    # (basins, R, cells) array would hold R times the datum
+    spec = NetworkSpec(
+        p=p, basins=(0, 1), cross_lambda={(0, 1): 0.5, (1, 0): 0.5},
+        cross_mu={(0, 1): 1.0, (1, 0): 1.0},
+        w_kernels={0: RadialKernel(p, (1.0,)), 1: RadialKernel(p, (0.5,))},
+        v_kernels={0: RadialKernel(p, (1.0,)), 1: RadialKernel(p, (0.5,))},
+    )
+    datum = random_datum(spec, R)
+    details = init(spec, datum).details
+    assert [level.shape for level in details] == [(2, p**k) for k in range(1, R + 1)]
+    held = sum(level.nbytes for level in details)
+    assert held == 8 * 2 * sum(p**k for k in range(1, R + 1))
+    assert held <= p / (p - 1) * datum.values.nbytes

@@ -1,7 +1,8 @@
 """Reference code that the tests compare the package with: single
 wavelets, their eigenvalues under a radial kernel, synthesis from
-wavelet coefficients, and the cell address of each entry of a cell
-function. The package forms none of them."""
+wavelet coefficients, the scale parts repeated out to the finest cells,
+and the cell address of each entry of a cell function. The package
+forms none of them."""
 
 from fractions import Fraction
 
@@ -41,6 +42,17 @@ def reconstruct_all(expansion: Expansion, depth: int) -> CellFunction:
     W = wavelet_matrix(p, expansion.R, depth)
     values = p**0.5 * expansion.c0[:, None] + (expansion.coeffs @ W).real
     return CellFunction(p, depth, expansion.basins, values)
+
+
+def dense_details(levels, p: int) -> np.ndarray:
+    """Scale parts held per tree level (entry k - 1 of shape (..., p^k),
+    as in SpectralState.details) repeated over the p^(R - k) finest cells
+    of each block and stacked: (..., R, p^R), the scale axis before the
+    cells."""
+    R = len(levels)
+    return np.stack(
+        [np.repeat(level, p ** (R - k), axis=-1) for k, level in enumerate(levels, 1)], axis=-2
+    )
 
 
 def cells(f: CellFunction):
