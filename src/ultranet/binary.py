@@ -120,6 +120,10 @@ def ivp2_datum(scenario: FoldingScenario, depth: int | None = None) -> CellFunct
 
 @dataclass(frozen=True)
 class FoldingReport:
+    """folding_tau's figures: the scenario's couplings, bump and
+    threshold, both crossing times and both time constants; crossing is
+    the absorbing_time result behind tau_numeric."""
+
     alpha: float
     beta: float
     gamma: float
@@ -132,7 +136,6 @@ class FoldingReport:
     tau_numeric: float
     time_constant_chain: float
     time_constant_mode: float
-    fast_mode: WaveletIndex
     crossing: spectral.AbsorbingResult
 
 
@@ -177,7 +180,6 @@ def folding_tau(scenario: FoldingScenario) -> FoldingReport:
         tau_numeric=crossing.tau,
         time_constant_chain=1.0 / chain_rate if chain_rate != 0 else math.inf,
         time_constant_mode=1.0 / fast_rate if fast_rate != 0 else math.inf,
-        fast_mode=bump_wavelet(scenario),
         crossing=crossing,
     )
 

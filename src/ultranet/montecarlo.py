@@ -7,9 +7,11 @@ never contributes again.
 
 Randomness is counter-based (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC11), so results are bit-identical however the paths
-are split into blocks and across threads: draw k of path i is a pure
-integer function of (master seed, start cell, i, k), and each path
-counts its own draws.
+are split into blocks and across threads. One splitmix generator,
+_streams, gives every number: value c of the stream of the master seed
+seeds start cell c, value i of that stream seeds the cell's path i, and
+value k of the path's stream is its draw k. Each path counts its own
+draws.
 
 The paths of a block of start cells follow Gillespie's direct method
 (J. Phys. Chem. 81, 1977) one record time at a time: the paths whose
@@ -60,24 +62,6 @@ _MAX_PATHS = np.iinfo(np.intp).max // 16
 # whole start cells, so one cell's paths at every time is the floor.
 _RECORD_BUDGET = 3 << 15
 
-def _mix_int(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK
-    return z ^ (z >> 31)
-
-
-def path_seed(master_seed: int, path_index: int) -> int:
-    """Derive the 64-bit stream seed for one path (splitmix-style).
-
-    Pure integer arithmetic, so the value is identical on every platform
-    and independent of how paths are batched.
-    """
-    if path_index < 0:
-        raise UsageError("path_index must be >= 0")
-    return _mix_int(master_seed + (path_index + 1) * _GOLDEN)
-
-
 def _mix_vec(z: np.ndarray) -> np.ndarray:
     z = z ^ (z >> np.uint64(30))
     z = z * np.uint64(_MIX_A)
@@ -86,13 +70,18 @@ def _mix_vec(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _streams(seeds, k) -> np.ndarray:
+    """Value k of the splitmix stream of each seed (Steele, Lea & Flood,
+    OOPSLA 2014), seeds and k broadcast: mix(seed + (k + 1) golden) mod
+    2^64."""
+    step = (np.array(k, dtype=np.uint64, ndmin=1) + np.uint64(1)) * np.uint64(_GOLDEN)
+    return _mix_vec(np.asarray(seeds, dtype=np.uint64) + step)
+
+
 def _uniforms(seeds: np.ndarray, counter) -> np.ndarray:
-    """Draw number `counter` of every stream, mapped to [0, 1). `counter`
-    is one count for all streams or an array of one per stream; either
-    way the offset is ((counter + 1) * golden) mod 2^64."""
-    offset = (np.array(counter, dtype=np.uint64, ndmin=1) + np.uint64(1)) * np.uint64(_GOLDEN)
-    bits = _mix_vec(seeds + offset)
-    return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    """Draw number `counter` of every stream, one count for all streams
+    or one per stream, mapped to [0, 1): the top 53 bits."""
+    return (_streams(seeds, counter) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def _is_int(x) -> bool:
@@ -211,7 +200,7 @@ def _hold(t, rate, u):
 
 def _simulate_chunk(seeds, start, runs, totals, times):
     """Gillespie over one block of paths, one record time at a time;
-    `start` is the start cell of every path, or one per path.
+    `start` holds each path's start cell.
 
     Returns the state index of each path at each requested time (the trap
     is index dim).  Each path counts its own draws: 0 is its first hold,
@@ -225,7 +214,7 @@ def _simulate_chunk(seeds, start, runs, totals, times):
     width = runs[0].shape[1]
     n = len(seeds)
     rec = np.empty((n, len(times)), dtype=np.int64)
-    state = np.array(np.broadcast_to(start, (n,)), dtype=np.int64)
+    state = start.astype(np.int64)
     counter = np.zeros(n, dtype=np.uint64)  # each path's last draw
     t_next = _hold(0.0, totals[state], _uniforms(seeds, counter))
     for j, tau in enumerate(times):
@@ -300,7 +289,7 @@ def simulate(gen: DiscreteGenerator, u0: CellFunction, cfg: SimConfig) -> SimRes
     # the path, so neither the blocks nor the split change an output bit
     workers = min(cfg.threads, n, os.cpu_count() or 1)
     cells_per_block = max(1, _RECORD_BUDGET // (n * n_times))
-    path_steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    path_index = np.arange(n)
     estimates = np.zeros((n_times, dim))
     stderrs = np.zeros((n_times, dim))
     n_alive = np.zeros((n_times, dim), dtype=np.int64)
@@ -316,10 +305,8 @@ def simulate(gen: DiscreteGenerator, u0: CellFunction, cfg: SimConfig) -> SimRes
         pool_map = pool.map if pool else map
         for first in range(0, dim, cells_per_block):
             cells = np.arange(first, min(first + cells_per_block, dim))
-            cell_seeds = np.array(
-                [path_seed(cfg.seed, c) for c in cells.tolist()], dtype=np.uint64
-            )
-            seeds = _mix_vec(cell_seeds[:, None] + path_steps).ravel()
+            cell_seeds = _streams(cfg.seed, cells)
+            seeds = _streams(cell_seeds[:, None], path_index).ravel()
             starts = np.repeat(cells, n)
             cuts = np.linspace(0, len(seeds), workers + 1).astype(int)[1:-1]
             parts = pool_map(

@@ -278,8 +278,9 @@ def eval_density(state: SpectralState, t: float = 0.0) -> CellFunction:
 
 @dataclass(frozen=True)
 class AbsorbingResult:
+    """What absorbing_time found for the threshold its caller passed."""
+
     tau: float  # math.inf when the peak never reaches the threshold, or not up to t_max
-    threshold: float
     crossing_cell: CellAddress | None
     mode_basin: int | None
     mode_index: object  # WaveletIndex, or None when the constant term dominates
@@ -469,7 +470,7 @@ def _search(state: SpectralState, threshold: float) -> tuple:
     return (*_Peak(state).first_crossing(threshold, t_max), t_max)
 
 
-def absorbing_time(spec: NetworkSpec, datum: CellFunction, threshold: float = 1.0) -> AbsorbingResult:
+def absorbing_time(spec: NetworkSpec, datum: CellFunction, threshold: float) -> AbsorbingResult:
     """First t >= 0 at which the density's maximum reaches the threshold,
     to relative 1e-9, or inf if none does.
 
@@ -499,6 +500,6 @@ def absorbing_time(spec: NetworkSpec, datum: CellFunction, threshold: float = 1.
         dt, t_max = 0.0, math.inf
     cell, mode_basin, mode_index = _report(state, tau) if tau < math.inf else (None,) * 3
     return AbsorbingResult(
-        tau=tau, threshold=threshold, crossing_cell=cell,
-        mode_basin=mode_basin, mode_index=mode_index, dt=dt, t_max=t_max,
+        tau=tau, crossing_cell=cell, mode_basin=mode_basin, mode_index=mode_index,
+        dt=dt, t_max=t_max,
     )

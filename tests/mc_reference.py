@@ -1,7 +1,8 @@
 """Reference code for montecarlo.simulate: Gillespie's direct method one
-path at a time, in scalar Python, on the same counter-based draws. Path i
-of start cell c has the stream path_seed(path_seed(seed, c), i); its jump
-k (from 0) is drawn with 2k (the hold before it) and 2k + 1 (its
+path at a time, in scalar Python, on the same counter-based draws, which
+it derives itself with path_seed, a splitmix in Python integers. Path i
+of start cell c has the stream path_seed(path_seed(seed, c), i); its
+jump k (from 0) is drawn with 2k (the hold before it) and 2k + 1 (its
 target), and it stops at the first hold that passes the last record
 time. A row of the chain is a list of runs of equal rates, as the
 sampler holds it: a target draw picks the first run whose cumulative
@@ -15,7 +16,16 @@ import math
 import numpy as np
 from chain_reference import dense_chain, levels
 
-from ultranet.montecarlo import path_seed
+MASK = (1 << 64) - 1
+
+
+def path_seed(seed, k):
+    """Value k of the splitmix stream `seed` (Steele, Lea & Flood, OOPSLA
+    2014), in Python integers: mix(seed + (k + 1) golden) mod 2^64."""
+    z = (seed + (k + 1) * 0x9E3779B97F4A7C15) & MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
 
 
 def uniform(seed, k):

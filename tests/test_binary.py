@@ -219,7 +219,6 @@ def test_folding_tau_pinned_paper_convention(demo_scenario):
     assert report.crossing.crossing_cell == CellAddress(1, (0, 0, 0, 0))
     assert report.time_constant_chain == pytest.approx(-0.4)
     assert report.time_constant_mode == pytest.approx(0.32)
-    assert report.fast_mode == bump_wavelet(demo_scenario)
     assert report.A == 10.0
 
 

@@ -1305,6 +1305,76 @@ def test_a_stiff_network_that_only_decays_is_solved_at_a_late_time(capsys, tmp_p
     assert code == 0, err
 
 
+# basin 1's exact row sums to +1, so t = 0 decides nothing, yet every
+# eigenvalue of the basin matrix is negative (-3.70, -0.63, -2.2e-13):
+# the means never grow, and only _Peak's second norm, built from the
+# spectrum, bounds them tightly enough for the search to set the
+# intervals aside
+RUGGED = """\
+prime: 3
+basins: [0, 1, 2]
+convention: paper
+kernels: {w: {0: [1.0], 1: [1.0], 2: [0.0]}, v: {0: [13.0], 1: [1.0], 2: [1.0e-12]}}
+cross: {lambda: {0->1: 0.5, 1->0: 2.0}, mu: {1->0: 2.0, 0->1: 3.0}}
+resolution: 2
+datum:
+  0: [0.98, 0.98, 0.98, 0.98, 0.98, 0.98, 0.98, 0.98, 0.98]
+  1: [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5]
+  2: [0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1]
+threshold: 0.99
+"""
+
+
+def test_a_rugged_network_with_a_growing_row_never_crosses(capsys, tmp_path):
+    path = tmp_path / "rugged.yaml"
+    path.write_text(RUGGED)
+    ceiling, calls = spectral._Peak._ceiling, []
+
+    def counted(peak, *interval):
+        # stop a search that does not end, rather than wait for it
+        calls.append(interval)
+        assert len(calls) <= 1000, "the search passed 1000 intervals"
+        return ceiling(peak, *interval)
+
+    with mock.patch.object(spectral._Peak, "_ceiling", counted):
+        code, out, err = run(capsys, "tau", "--config", str(path), "--out", str(tmp_path))
+    assert code == 0, err
+    assert "tau = inf\n" in out
+    assert "search horizon = 450000000000000\n" in out
+    assert (tmp_path / "tau.txt").read_text() == out
+
+
+def item_1_reproducer(tmp_path):
+    """folding_demo with mu 9.98 both ways: both exact rows sum to +0.01."""
+    cfg = yaml.safe_load(load_preset("folding_demo"))
+    cfg["cross"]["mu"] = {"0->1": 9.98, "1->0": 9.98}
+    path = tmp_path / "slow_growth.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return path
+
+
+def printed(out, name):
+    [line] = [line for line in out.splitlines() if line.startswith(f"{name} = ")]
+    return float(line.split(" = ")[1])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="where a row grows, the search still ends at 100 over the slowest "
+    "rate, here 20.04, far short of the crossing",
+)
+def test_a_slowly_growing_network_crosses_past_the_rate_horizon(capsys, tmp_path):
+    # once the bump decays, both basin means are 0.5 e^{0.01 t}
+    want = 100 * math.log(1.98)
+    path = item_1_reproducer(tmp_path)
+    code, out, err = run(capsys, "tau", "--config", str(path), "--out", str(tmp_path))
+    assert code == 0, err
+    assert printed(out, "tau") == pytest.approx(want, rel=1e-9)
+    code, out, err = run(capsys, "folding-demo", "--config", str(path), "--out", str(tmp_path))
+    assert code == 0, err
+    assert printed(out, "tau (numeric crossing)") == pytest.approx(want, rel=1e-9)
+
+
 def test_tau_and_simulate_take_one_datum_range(capsys, tmp_path):
     """A value 1e-13 past 1 runs under both commands, and one 1e-11 past
     1 exits 2 under both."""

@@ -6,6 +6,7 @@ from unittest import mock
 
 import mc_reference
 from chain_reference import dense_chain
+from mc_reference import path_seed
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,9 +20,8 @@ from ultranet.montecarlo import (
     _count_at_most,
     _exact_sum,
     _exact_terms,
-    _mix_vec,
     _simulate_chunk,
-    path_seed,
+    _streams,
     simulate,
     write_csv,
 )
@@ -57,18 +57,33 @@ def killed_two_basin():
 # ---------------------------------------------------------------- seeds
 
 
+GOLDEN_VALUES = {
+    (0, 0): 0xE220A8397B1DCDAF,
+    (0, 1): 0x6E789E6AA1B965F4,
+    (0, 2): 0x06C45D188009454F,
+    (12345, 0): 0x22118258A9D111A0,
+}
+
+
 def test_path_seed_golden_values():
-    assert path_seed(0, 0) == 0xE220A8397B1DCDAF
-    assert path_seed(0, 1) == 0x6E789E6AA1B965F4
-    assert path_seed(0, 2) == 0x06C45D188009454F
-    assert path_seed(12345, 0) == 0x22118258A9D111A0
+    for (seed, k), value in GOLDEN_VALUES.items():
+        assert path_seed(seed, k) == value
 
 
 def test_path_seeds_distinct():
     seeds = {path_seed(999, i) for i in range(1000)}
     assert len(seeds) == 1000
-    with pytest.raises(UsageError):
-        path_seed(0, -1)
+
+
+def test_streams_is_the_scalar_splitmix():
+    k = np.arange(1001)
+    for seed in (0, 12345, 2**64 - 1):
+        want = [path_seed(seed, i) for i in range(1001)]
+        assert _streams(seed, k).tolist() == want
+        # one seed per stream, and one count for all of them
+        assert _streams(np.full(3, seed, dtype=np.uint64), 1000).tolist() == [want[-1]] * 3
+    for (seed, k), value in GOLDEN_VALUES.items():
+        assert _streams(seed, k).tolist() == [value]
 
 
 # ---------------------------------------------------------------- exact
@@ -186,13 +201,13 @@ def test_doubling_paths_keeps_the_first_half():
     gen = killed_two_basin()
     runs = montecarlo._jump_runs(gen)
     totals = runs[3][:, -1].copy()
-    golden = np.uint64(0x9E3779B97F4A7C15)
 
-    def seeds(n):
-        return _mix_vec(np.uint64(123) + np.arange(1, n + 1, dtype=np.uint64) * golden)
+    def chunk(n):
+        # n paths of start cell 0, seeded from stream 123
+        seeds, starts = _streams(123, np.arange(n)), np.zeros(n, dtype=np.int64)
+        return _simulate_chunk(seeds, starts, runs, totals, (0.5, 1.0))
 
-    short = _simulate_chunk(seeds(50), 0, runs, totals, (0.5, 1.0))
-    long = _simulate_chunk(seeds(100), 0, runs, totals, (0.5, 1.0))
+    short, long = chunk(50), chunk(100)
     assert np.array_equal(short, long[:50])
 
 

@@ -354,7 +354,7 @@ def test_init_guards():
     spec = two_basin()
     # only the crossing search needs a probability datum
     with pytest.raises(ValidationError, match="outside"):
-        absorbing_time(spec, CellFunction.constant(2, 2, [0, 1], 1.5))
+        absorbing_time(spec, CellFunction.constant(2, 2, [0, 1], 1.5), threshold=1.0)
     init(spec, CellFunction.constant(2, 2, [0, 1], 1.5))
     with pytest.raises(ValidationError, match="basins"):
         init(spec, CellFunction.constant(2, 2, [0], 1.0))
