@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -37,8 +36,8 @@ class FoldingScenario:
     r: int
     amplitude: float
     threshold: float = DEFAULT_THRESHOLD
-    # the 2x2 rates, as floats from the spec's exact totals: alpha, beta,
-    # gamma rounded once, A = hypot(2 alpha, beta - gamma) with the
+    # the 2x2 rates, as floats from the spec's exact basin rows: alpha,
+    # beta, gamma rounded once, A = hypot(2 alpha, beta - gamma) with the
     # difference formed exactly
     coupling: float = field(init=False)
     loss_u: float = field(init=False)
@@ -61,9 +60,7 @@ class FoldingScenario:
             raise ValidationError(
                 "the two cross gain rates must be equal for the 2x2 reduction"
             )
-        loss_u, loss_n = (
-            Fraction(m - d, spec.p) for d, m in zip(spec.gain_diag, spec.loss_total)
-        )
+        loss_u, loss_n = (-spec.basin_rows[i][i] for i in range(2))
         object.__setattr__(self, "coupling", float(coupling))
         object.__setattr__(self, "loss_u", float(loss_u))
         object.__setattr__(self, "loss_n", float(loss_n))
@@ -120,18 +117,10 @@ def ivp2_datum(scenario: FoldingScenario, depth: int | None = None) -> CellFunct
 
 @dataclass(frozen=True)
 class FoldingReport:
-    """folding_tau's figures: the scenario's couplings, bump and
-    threshold, both crossing times and both time constants; crossing is
-    the absorbing_time result behind tau_numeric."""
+    """folding_tau's figures: both crossing times and both time constants;
+    crossing is the absorbing_time result behind tau_numeric. The
+    couplings, bump, threshold and convention are the scenario's."""
 
-    alpha: float
-    beta: float
-    gamma: float
-    A: float
-    r: int
-    amplitude: float
-    threshold: float
-    convention: str
     tau_formula: float
     tau_numeric: float
     time_constant_chain: float
@@ -168,14 +157,6 @@ def folding_tau(scenario: FoldingScenario) -> FoldingReport:
         spec, ivp2_datum(scenario), threshold=scenario.threshold
     )
     return FoldingReport(
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        A=A,
-        r=scenario.r,
-        amplitude=scenario.amplitude,
-        threshold=scenario.threshold,
-        convention=spec.convention,
         tau_formula=tau_formula,
         tau_numeric=crossing.tau,
         time_constant_chain=1.0 / chain_rate if chain_rate != 0 else math.inf,

@@ -646,13 +646,11 @@ def _run_tau(cfg, spec, args) -> int:
     else:
         result = spectral.absorbing_time(spec, datum_from_config(cfg, spec), threshold=threshold)
         tau, horizon = result.tau, result.t_max
-        cell = result.crossing_cell.label(spec.p) if result.crossing_cell else "-"
-        if result.mode_basin is None:
-            mode = "-"
-        elif result.mode_index is None:
-            mode = f"constant mode of basin {result.mode_basin}"
-        else:
-            mode = f"oscillating mode {result.mode_index} of basin {result.mode_basin}"
+        cell = mode = "-"
+        if result.crossing_cell is not None:
+            cell = result.crossing_cell.label(spec.p)
+            kind = "constant mode" if result.mode_index is None else f"oscillating mode {result.mode_index}"
+            mode = f"{kind} of basin {result.crossing_cell.basin}"
     lines = [
         f"threshold = {_fmt(threshold)}",
         f"tau = {_fmt(tau)}",
@@ -712,12 +710,12 @@ def _run_folding_demo(cfg, spec, args) -> int:
     scenario = scenario_from_config(cfg, spec)
     report = binary.folding_tau(scenario)
     lines = [
-        f"coupling alpha = {_fmt(report.alpha)}",
-        f"basin losses beta, gamma = {_fmt(report.beta)}, {_fmt(report.gamma)}",
-        f"A = {_fmt(report.A)}",
-        f"bump: r = {report.r}, amplitude = {_fmt(report.amplitude)}",
-        f"threshold = {_fmt(report.threshold)}",
-        f"convention = {report.convention}",
+        f"coupling alpha = {_fmt(scenario.coupling)}",
+        f"basin losses beta, gamma = {_fmt(scenario.loss_u)}, {_fmt(scenario.loss_n)}",
+        f"A = {_fmt(scenario.A)}",
+        f"bump: r = {scenario.r}, amplitude = {_fmt(scenario.amplitude)}",
+        f"threshold = {_fmt(scenario.threshold)}",
+        f"convention = {spec.convention}",
         f"tau (closed form) = {_fmt(report.tau_formula)}",
         f"tau (numeric crossing) = {_fmt(report.tau_numeric)}",
         f"crossing cell = "

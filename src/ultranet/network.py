@@ -11,10 +11,12 @@ never supplied; they are the within-basin aggregates
 A NetworkSpec computes its per-basin totals once, at construction, in
 exact rational arithmetic from the stored rates (floats convert
 exactly): gain_diag (p * kernels.kernel_mass of w), gain_total and
-loss_total, as Fraction tuples in basin order. It also keeps j_max,
-the deepest kernel level over its basins. Every reader takes them
-from there: the sink, the basin matrix, classify, the scale rates and
-the folding model. A basin whose total gain or loss rounds to no finite
+loss_total, as Fraction tuples in basin order, and basin_rows, the
+exact rows of the basin matrix under its convention. It also keeps
+j_max, the deepest kernel level over its basins. Every reader takes
+them from there: the sink, the basin matrix, its killing rates,
+classify, decide_tau, the scale rates, the search's log-norms and the
+folding model. A basin whose total gain or loss rounds to no finite
 float is refused, which keeps every float made from the totals finite:
 basin-matrix entries, sinks and scale rates are all bounded by them.
 classify judges each basin against a tolerance relative to that basin's
@@ -103,6 +105,10 @@ class NetworkSpec:
     gain_diag: tuple = field(init=False, repr=False, compare=False)
     gain_total: tuple = field(init=False, repr=False, compare=False)
     loss_total: tuple = field(init=False, repr=False, compare=False)
+    # the basin matrix as exact Fractions under the convention, one tuple
+    # per basin: diag -(loss_total - gain_diag)/p, off-diagonal the cross
+    # gain, divided by p under "derived"
+    basin_rows: tuple = field(init=False, repr=False, compare=False)
     # the deepest kernel level over the basins, J_max
     j_max: int = field(init=False, repr=False, compare=False)
 
@@ -145,6 +151,14 @@ class NetworkSpec:
             self.p * kernel_mass(self.v_kernels[a])
             + sum(self.cross_mu[(b, a)] for b in basins if b != a)
             for a in basins
+        ))
+        cross_scale = Fraction(1, self.p) if self.convention == "derived" else 1
+        object.__setattr__(self, "basin_rows", tuple(
+            tuple(
+                Fraction(d - m, self.p) if a == b else self.cross_lambda[(a, b)] * cross_scale
+                for b in basins
+            )
+            for a, d, m in zip(basins, gain_diag, self.loss_total)
         ))
         kernels = [self.w_kernels[a] for a in basins] + [self.v_kernels[a] for a in basins]
         object.__setattr__(self, "j_max", max(k.j_max for k in kernels))
@@ -193,28 +207,12 @@ def aggregate_rates(spec: NetworkSpec) -> np.ndarray:
     return np.array([float((m - l) / spec.p) for l, m in zip(spec.gain_total, spec.loss_total)])
 
 
-def _basin_entries_exact(spec: NetworkSpec) -> list:
-    """Basin matrix as exact Fractions under the spec's convention: diag
-    -(loss_total - gain_diag)/p, off-diagonal the cross gain, divided by
-    p under `derived`."""
-    cross_scale = Fraction(1, spec.p) if spec.convention == "derived" else 1
-    return [
-        [
-            Fraction(spec.gain_diag[i] - spec.loss_total[i], spec.p)
-            if a == b
-            else spec.cross_lambda[(a, b)] * cross_scale
-            for b in spec.basins
-        ]
-        for i, a in enumerate(spec.basins)
-    ]
-
-
 def build_basin_matrix(spec: NetworkSpec) -> np.ndarray:
     """The basin matrix as floats, rows and columns in basin order, under
     the spec's convention."""
     import numpy as np
 
-    return np.array([[float(x) for x in row] for row in _basin_entries_exact(spec)])
+    return np.array([[float(x) for x in row] for row in spec.basin_rows])
 
 
 def datum_in_range(lo: float, hi: float) -> bool:
@@ -241,7 +239,7 @@ def decide_tau(spec: NetworkSpec, peak: float, threshold: float) -> float | None
         raise UsageError(f"threshold must be > 0, got {threshold}")
     if peak >= threshold:
         return 0.0
-    if all(sum(row) <= 0 for row in _basin_entries_exact(spec)):
+    if all(sum(row) <= 0 for row in spec.basin_rows):
         return math.inf
     return None
 

@@ -54,13 +54,7 @@ import numpy as np
 
 from .errors import NumericError, UsageError, ValidationError
 from .kernels import symbol_value
-from .network import (
-    NetworkSpec,
-    _basin_entries_exact,
-    build_basin_matrix,
-    datum_in_range,
-    decide_tau,
-)
+from .network import NetworkSpec, build_basin_matrix, datum_in_range, decide_tau
 from .padic import CellAddress, cell_index, require_basins
 from .uniformization import exponential
 from .wavelets import CellFunction, WaveletIndex
@@ -117,7 +111,6 @@ def decay_rates(spec: NetworkSpec, R: int) -> list:
 @dataclass(frozen=True)
 class SpectralState:
     spec: NetworkSpec
-    R: int
     t: float
     mean: np.ndarray  # basin means of the density, basin order
     details: tuple  # R levels; entry k - 1, (basins, p^k), is scale -k: M_k - M_{k-1}
@@ -160,13 +153,12 @@ def init(spec: NetworkSpec, datum: CellFunction) -> SpectralState:
         )
     return SpectralState(
         spec=spec,
-        R=R,
         t=0.0,
         mean=mean,
         details=details,
         rates=np.array([d.s for d in decay_rates(spec, R)]).reshape(n_basins, R),
         lam=build_basin_matrix(spec),
-        kill=np.array([float(-sum(row)) for row in _basin_entries_exact(spec)]),
+        kill=np.array([float(-sum(row)) for row in spec.basin_rows]),
     )
 
 
@@ -182,18 +174,24 @@ def _memory_bytes() -> int:
 def _propagate(state: SpectralState, t) -> np.ndarray:
     """The basin means e^{t Lambda} state.mean for the state's basin
     matrix; for a 1-D array of times, one row per time, all formed in one
-    stacked exponential. The one place the basin-mean propagator is
-    formed, and refused with NumericError, naming the first time in list
-    order, where it or the product overflowed. With minus the exact row
-    sums as the killing rates, the rows of a closed class that loses
-    nothing keep their limit at any time."""
+    stacked exponential, up to the first time in list order where it or
+    the product overflowed. The one place the basin-mean propagator is
+    formed; a time that overflows first, or alone, is refused with
+    _not_finite. With minus the exact row sums as the killing rates, the
+    rows of a closed class that loses nothing keep their limit at any
+    time."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = matrix_exponential(state.lam, state.kill, t) @ state.mean
     finite = np.isfinite(out).reshape(np.size(t), -1).all(axis=1)
-    if not finite.all():
-        t = state.t + float(np.ravel(t)[np.argmin(finite)])
-        raise NumericError(f"basin means are not finite at t = {t:g}: the basin-matrix exponential overflows")
-    return out
+    if not finite[0]:
+        raise _not_finite(state, np.ravel(t)[0])
+    return out if finite.all() else out[: np.argmin(finite)]
+
+
+def _not_finite(state: SpectralState, t) -> NumericError:
+    """The refusal of basin means that overflow at state.t + t."""
+    t = state.t + float(t)
+    return NumericError(f"basin means are not finite at t = {t:g}: the basin-matrix exponential overflows")
 
 
 def _chunk_size(state: SpectralState) -> int:
@@ -234,8 +232,8 @@ def evaluate(state: SpectralState, times):
     stays within _SCAN_BYTES, and so do a batch's rows and the one
     product it holds besides; memory is bounded by these, not by the
     number of times. A time where the means are not finite ends the
-    evaluation: the rows before it are yielded, then NumericError names
-    it.
+    evaluation: the chunk's _propagate holds the rows before it, these
+    are yielded, then NumericError names it.
     """
     size = _chunk_size(state)
     p, details = state.spec.p, state.details
@@ -245,19 +243,16 @@ def evaluate(state: SpectralState, times):
         ts = np.array(times[k0 : k0 + size], dtype=float)
         if (ts < 0).any():
             raise UsageError(f"time increment must be >= 0, got {ts[ts < 0][0]}")
-        try:
-            means = _propagate(state, ts)
-        except NumericError:
-            if len(ts) > 1:  # one time at a time, up to the one that fails
-                for i in range(len(ts)):
-                    yield from evaluate(state, ts[i : i + 1])
-            raise
-        decay = _factors(state, ts)
-        for b0 in range(0, len(ts), batch):
+        means = _propagate(state, ts)
+        n = len(means)
+        decay = _factors(state, ts[:n])
+        for b0 in range(0, n, batch):
             cut = slice(b0, b0 + batch)
             rows = _synthesize(map(np.multiply, details, decay[:, cut]), p)
             rows += means[cut, :, None]
             yield from zip(ts[cut].tolist(), means[cut], rows)
+        if n < len(ts):
+            raise _not_finite(state, ts[n])
 
 
 def evolve(state: SpectralState, t: float) -> SpectralState:
@@ -273,16 +268,16 @@ def eval_density(state: SpectralState, t: float = 0.0) -> CellFunction:
     """Synthesize the density at state.t + t on depth-(R + 1) cells: the
     one-time case of evaluate."""
     _, _, values = next(evaluate(state, [t]))
-    return CellFunction(state.spec.p, state.R + 1, state.spec.basins, values)
+    return CellFunction(state.spec.p, len(state.details) + 1, state.spec.basins, values)
 
 
 @dataclass(frozen=True)
 class AbsorbingResult:
-    """What absorbing_time found for the threshold its caller passed."""
+    """What absorbing_time found for the threshold its caller passed; the
+    dominant mode lives in the crossing cell's basin."""
 
     tau: float  # math.inf when the peak never reaches the threshold, or not up to t_max
     crossing_cell: CellAddress | None
-    mode_basin: int | None
     mode_index: object  # WaveletIndex, or None when the constant term dominates
     dt: float  # width of the bracket [tau - dt, tau] of the crossing; 0 at tau 0 or inf
     t_max: float  # the end of the search; inf where t = 0 decided tau
@@ -297,7 +292,7 @@ class _Peak:
         self.state = state
         lam = state.lam
         self.abs_lam = np.abs(lam)
-        rows = _basin_entries_exact(state.spec)
+        rows = state.spec.basin_rows
         # (d, mu): e^{t Lambda} grows by at most e^{t mu} in the norm
         # max_a |x_a| / d_a, mu the log-norm max_a (Lambda d)_a / d_a of
         # this Metzler matrix (Soederlind, BIT 46, 2006) from the exact
@@ -364,7 +359,7 @@ class _Peak:
         size = np.abs(mean).max() + drift.max() + self.spread
         if not size < math.inf:
             return math.inf, 0.0
-        return float(bound), float((state.R + 4) * 2.0**-52 * size)
+        return float(bound), float((len(state.details) + 4) * 2.0**-52 * size)
 
     def first_crossing(self, threshold: float, t_max: float) -> tuple:
         """(tau, dt): the first t in [0, t_max) at which the peak reaches
@@ -378,9 +373,10 @@ class _Peak:
         one whose bound exceeds the peak at its left end by no more than
         the margin while its right end stays below: there the peak rises
         only by rounding. Any other is split, halved at t = 0 and at its
-        geometric middle further out. The pending left ends that lack
-        their basin means get them in one stacked _propagate; if that
-        overflows, they are taken one at a time up to the one that fails.
+        geometric middle t0 sqrt(t1 / t0) further out, which scales
+        exactly with the unit of time. The pending left ends that lack
+        their basin means get them in one stacked _propagate, up to the
+        first that overflows; that one raises once it is the next to pop.
         """
         state = self.state
         size = _chunk_size(state)
@@ -392,14 +388,7 @@ class _Peak:
                 while n < min(size, len(pending)) and pending[-1 - n][2] is None:
                     n += 1
                 ts = [pending[-1 - i][0] for i in range(n)]
-                try:
-                    means = _propagate(state, np.array(ts))
-                except NumericError:
-                    if n == 1:
-                        raise
-                    size = 1
-                    continue
-                for i, mean in enumerate(means):
+                for i, mean in enumerate(_propagate(state, np.array(ts))):
                     pending[-1 - i] = (ts[i], pending[-1 - i][1], mean)
             t0, t1, mean = pending.pop()
             bound, margin = self._ceiling(t0, t1, mean)
@@ -415,7 +404,7 @@ class _Peak:
             ):
                 lo = t0
                 continue
-            mid = 0.5 * t1 if t0 == 0 else math.sqrt(t0) * math.sqrt(t1)
+            mid = 0.5 * t1 if t0 == 0 else t0 * math.sqrt(t1 / t0)
             pending += [(mid, t1, None), (t0, mid, mean)]
         return math.inf, 0.0
 
@@ -425,20 +414,19 @@ def _report(state: SpectralState, t: float):
     basin mean, or one mode of a scale part (see _mode_terms), named by
     its wavelet index."""
     state = evolve(state, t)
-    p, R = state.spec.p, state.R
+    p, R = state.spec.p, len(state.details)
     values = state.mean[:, None] + _synthesize(iter(state.details), p)
     i, j = np.unravel_index(int(values.argmax()), values.shape)
-    basin = state.spec.basins[i]
-    cell = CellAddress(basin, tuple(int(d) for d in np.unravel_index(j, (p,) * R)))
+    cell = CellAddress(state.spec.basins[i], tuple(int(d) for d in np.unravel_index(j, (p,) * R)))
     terms = np.concatenate([[state.mean[i]], _mode_terms(state.details, i, cell.digits, p).ravel()])
     # terms equal up to rounding (a delta datum splits evenly between
     # mean and details; phases q and p - q are conjugate) go to the first
     sizes = np.abs(terms)
     n = int(np.argmax(sizes >= sizes.max() * (1 - 1e-12)))
     if n == 0:
-        return cell, basin, None
+        return cell, None
     k, q = divmod(n - 1, p - 1)
-    return cell, basin, WaveletIndex(-k - 1, cell.digits[:k], q + 1)
+    return cell, WaveletIndex(-k - 1, cell.digits[:k], q + 1)
 
 
 def _mode_terms(details: tuple, i: int, digits: tuple, p: int) -> np.ndarray:
@@ -498,8 +486,5 @@ def absorbing_time(spec: NetworkSpec, datum: CellFunction, threshold: float) -> 
         tau, dt, t_max = _search(state, threshold)
     else:
         dt, t_max = 0.0, math.inf
-    cell, mode_basin, mode_index = _report(state, tau) if tau < math.inf else (None,) * 3
-    return AbsorbingResult(
-        tau=tau, crossing_cell=cell, mode_basin=mode_basin, mode_index=mode_index,
-        dt=dt, t_max=t_max,
-    )
+    cell, mode_index = _report(state, tau) if tau < math.inf else (None, None)
+    return AbsorbingResult(tau=tau, crossing_cell=cell, mode_index=mode_index, dt=dt, t_max=t_max)

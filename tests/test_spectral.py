@@ -12,10 +12,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ultranet.cli import load_preset, parse_config, spec_from_config
-from ultranet.errors import NumericError, UsageError, ValidationError
+from ultranet.errors import ClassificationError, NumericError, UsageError, ValidationError
 from ultranet.kernels import RadialKernel
 from ultranet import spectral
-from ultranet.network import NetworkSpec, _basin_entries_exact, build_basin_matrix
+from ultranet.montecarlo import SimConfig, simulate
+from ultranet.network import NetworkSpec, build_basin_matrix, classify
 from ultranet.padic import CellAddress
 from ultranet.spectral import (
     absorbing_time,
@@ -54,7 +55,7 @@ def two_basin(cross_lam=1.0, cross_mu=2.0, levels=(1.0,), convention="derived"):
 
 def coeffs(state, basin):
     """Wavelet coefficients of a state's density, enumerate_wavelets order."""
-    return expand(eval_density(state), state.R).coeffs[state.spec.basins.index(basin)]
+    return expand(eval_density(state), len(state.details)).coeffs[state.spec.basins.index(basin)]
 
 
 def single_basin(w_levels=(1.0,), v_levels=None, p=2):
@@ -187,7 +188,7 @@ def test_basin_means_match_the_exponential_and_its_exact_limit(spec, seed, short
     exponential's."""
     state = init(spec, random_datum(spec, 1, seed))
     assert (state.kill >= 0).all()  # no row grows
-    rows = _basin_entries_exact(spec)
+    rows = spec.basin_rows
     lam = exact_basin_matrix(spec)
     m0 = state.mean
     size = np.abs(m0).max()
@@ -211,7 +212,7 @@ def test_basin_means_match_the_exponential_and_its_exact_limit(spec, seed, short
 
 def exact_basin_matrix(spec):
     """The exact basin matrix in extended precision."""
-    rows = _basin_entries_exact(spec)
+    rows = spec.basin_rows
     return np.array([[np.longdouble(x.numerator) / np.longdouble(x.denominator) for x in row] for row in rows])
 
 
@@ -717,7 +718,7 @@ def test_absorbing_time_on_defective_basin_matrix():
     # the root of e^{-t} (1 + 2t) = 1.1 below the peak at t = 1/2
     assert res.tau == pytest.approx(0.1203245817, rel=1e-8)
     assert res.crossing_cell == CellAddress(0, (0, 0))
-    assert (res.mode_basin, res.mode_index) == (0, None)
+    assert (res.crossing_cell.basin, res.mode_index) == (0, None)
 
 
 def test_absorbing_time_defective_matrix_on_unequal_basins():
@@ -747,7 +748,7 @@ def test_absorbing_time_zero_names_its_cell_on_defective_matrix():
     res = absorbing_time(spec, datum, threshold=0.5)
     assert res.tau == 0.0
     assert res.crossing_cell == CellAddress(0, (0, 0))
-    assert (res.mode_basin, res.mode_index) == (0, None)
+    assert (res.crossing_cell.basin, res.mode_index) == (0, None)
 
 
 def test_absorbing_time_names_dominant_wavelet():
@@ -757,7 +758,7 @@ def test_absorbing_time_names_dominant_wavelet():
     res = absorbing_time(two_basin(), datum, threshold=0.9)
     assert res.tau == 0.0
     assert res.crossing_cell == CellAddress(0, (0, 0))
-    assert res.mode_basin == 0
+    assert res.crossing_cell.basin == 0
     assert res.mode_index == WaveletIndex(-2, (0,), 1)
 
 
@@ -831,7 +832,7 @@ def test_mode_terms_match_the_wavelet_reference(p, R, offset, seed, data):
     spec = single_basin(p=p)
     datum = CellFunction(p, R + 1, (0,), [offset + rng.uniform(-1.0, 1.0, p**R)])
     state = init(spec, datum)
-    cell, basin, label = spectral._report(state, 0.0)
+    cell, label = spectral._report(state, 0.0)
     values = eval_density(state).values[0]
     j = int(values.argmax())
     assert cell == CellAddress(0, tuple(int(d) for d in np.unravel_index(j, (p,) * R)))
@@ -884,16 +885,47 @@ def test_search_clears_a_decaying_density_up_to_the_float_range():
     assert (res.tau, res.crossing_cell) == (math.inf, None)
 
 
-def test_crossing_before_an_overflow_in_the_same_chunk_is_found():
+def test_crossing_before_an_overflow_in_the_same_chunk_is_found(monkeypatch):
     # the first batch of left ends reaches t = 1000, past the overflow
-    # near t = 710, yet the basin means cross 0.99 at ln 1.98 long before
+    # near t = 710, yet the basin means cross 0.99 at ln 1.98 long before.
+    # The batch keeps the means before the overflow: no left end it held
+    # is propagated again on its own.
     spec = two_basin(cross_lam=2.0, convention="paper")
     datum = CellFunction.constant(2, 2, (0, 1), 0.5)
+    batches, propagate = [], spectral._propagate
+    monkeypatch.setattr(
+        spectral, "_propagate",
+        lambda state, t: np.ndim(t) and batches.append(np.ravel(t).tolist()) or propagate(state, t),
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         tau, _, _ = search(spec, datum, 0.99, 2000.0)
     assert tau == pytest.approx(math.log(1.98), rel=1e-9)
-    assert spectral._report(init(spec, datum), tau)[2] is None
+    assert spectral._report(init(spec, datum), tau)[1] is None
+    assert max(batches[0]) == 1000.0
+    retried = [ts for k, ts in enumerate(batches) if len(ts) == 1 and any(ts[0] in b for b in batches[:k])]
+    assert retried == []
+
+
+def test_one_stacked_exponential_per_chunk_even_past_an_overflow(monkeypatch):
+    # the means of this growing network overflow near t = 710, partway
+    # through one chunk of eleven times: the chunk's one exponential holds
+    # the rows before it, each the bits of its time evaluated alone
+    state = init(two_basin(cross_lam=2.0, convention="paper"), CellFunction.constant(2, 2, (0, 1), 0.5))
+    times = [100.0 * i for i in range(11)]
+    calls, expm = [], spectral.matrix_exponential
+    monkeypatch.setattr(spectral, "matrix_exponential", lambda *a: calls.append(a) or expm(*a))
+    rows = []
+    with pytest.raises(NumericError, match=re.escape("not finite at t = 800:")):
+        for row in spectral.evaluate(state, times):
+            rows.append(row)
+    assert len(calls) == 1
+    assert [t for t, _, _ in rows] == times[:8]
+    for t, mean, values in rows:
+        [(_, alone, alone_values)] = spectral.evaluate(state, [t])
+        assert (alone.tobytes(), alone_values.tobytes()) == (mean.tobytes(), values.tobytes())
+    with pytest.raises(NumericError, match=re.escape("not finite at t = 800:")):
+        next(spectral.evaluate(state, [800.0]))
 
 
 def test_a_scale_factor_past_the_float_range_is_zero():
@@ -1045,25 +1077,25 @@ def test_stacked_exponential_is_each_time_alone_bit_for_bit(spec, ts, seed):
     assert [s.tobytes() for s in stack] == [s.tobytes() for s in singles]
     assert not (stack < 0).any()
 
-    # the propagator on means of either sign: the same rows, or the error
-    # at the first time in list order whose row is not finite (a growing
-    # network's means overflow)
+    # the propagator on means of either sign: the same rows up to the first
+    # time in list order whose row is not finite (a growing network's means
+    # overflow), and the error naming that time when it comes first
     x = np.random.default_rng(seed).uniform(-1.0, 1.0, len(state.lam))
     state = replace(state, mean=x)
-    rows, bad = [], []
+    rows = []
     for t in ts:
         try:
             rows.append(spectral._propagate(state, t))
         except NumericError:
-            bad.append(t)
+            break
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        if bad:
-            with pytest.raises(NumericError, match=re.escape(f"not finite at t = {bad[0]:g}:")):
-                spectral._propagate(state, np.array(ts))
-        else:
-            got = spectral._propagate(state, np.array(ts))
-            assert [g.tobytes() for g in got] == [r.tobytes() for r in rows]
+        got = spectral._propagate(state, np.array(ts))  # ts opens with 0, which never fails
+        assert [g.tobytes() for g in got] == [r.tobytes() for r in rows]
+        if len(rows) < len(ts):
+            bad = ts[len(rows)]
+            with pytest.raises(NumericError, match=re.escape(f"not finite at t = {bad:g}:")):
+                spectral._propagate(state, np.array(ts[len(rows):]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -1195,6 +1227,79 @@ def test_an_isolated_slow_basin_does_not_move_tau(spec, R, seed, slow, loss, thr
     assert got >= t_max
 
 
+def rescaled(spec, k):
+    """The spec in a unit of time 2^-k long: every rate, each cross lambda
+    and mu and each kernel level, times 2^k, which is exact."""
+    scale = 2.0**k
+
+    def kernels(table):
+        return {a: RadialKernel(spec.p, tuple(x * scale for x in table[a].levels)) for a in spec.basins}
+
+    return NetworkSpec(
+        p=spec.p, basins=spec.basins,
+        cross_lambda={key: float(x) * scale for key, x in spec.cross_lambda.items()},
+        cross_mu={key: float(x) * scale for key, x in spec.cross_mu.items()},
+        w_kernels=kernels(spec.w_kernels), v_kernels=kernels(spec.v_kernels),
+        convention=spec.convention,
+    )
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the ultranet error it raised."""
+    try:
+        return f(*args)
+    except (NumericError, ClassificationError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spec=decade_networks(),
+    k=st.integers(-30, 30),
+    R=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+    threshold=st.floats(0.05, 1.2),
+    below=st.floats(0.2, 1.0),
+)
+def test_every_answer_scales_exactly_with_a_power_of_two_unit_of_time(spec, k, R, seed, threshold, below):
+    # rates times 2^k and times times 2^-k: the same bits, each time
+    # and rate scaled back. The datum lies below the threshold by the
+    # factor `below` at most, so that tau is mostly searched.
+    fast, unit = rescaled(spec, k), 2.0**-k
+    R = max(R, spec.j_max)  # the chain resolves every kernel level
+    values = random_datum(spec, R, seed).values * min(1.0, below * threshold)
+    datum = CellFunction(spec.p, R + 1, spec.basins, values)
+    times = [0.0, 0.1, 1.0, 10.0, 1e3]
+    fast_times = [t * unit for t in times]
+
+    def rows(s, ts):
+        """Each time's means and density, then the index of a time that overflows."""
+        out = []
+        try:
+            for _, mean, values in spectral.evaluate(init(s, datum), ts):
+                out.append((mean.tobytes(), values.tobytes()))
+        except NumericError:
+            out.append(len(out))
+        return out
+
+    assert rows(spec, times) == rows(fast, fast_times)
+    assert [
+        (d.basin, d.r, d.s * 2.0**k, d.sigma4 * unit, d.sigma1 * unit) for d in decay_rates(spec, R)
+    ] == [(d.basin, d.r, d.s, d.sigma4, d.sigma1) for d in decay_rates(fast, R)]
+    assert outcome(compare, spec, datum, times[:4]) == outcome(compare, fast, datum, fast_times[:4])
+    assert outcome(classify, spec) == outcome(classify, fast)
+    res = outcome(absorbing_time, spec, datum, threshold)
+    if not isinstance(res, type):
+        res = replace(res, tau=res.tau * unit, dt=res.dt * unit, t_max=res.t_max * unit)
+    assert outcome(absorbing_time, fast, datum, threshold) == res
+
+    def sampled(s, ts):
+        out = simulate(discretize(s, R + 1), datum, SimConfig(n_paths=16, seed=5, record_times=tuple(ts)))
+        return out.labels, out.estimates.tobytes(), out.stderrs.tobytes(), out.n_alive.tobytes()
+
+    assert sampled(spec, times[1:3]) == sampled(fast, fast_times[1:3])
+
+
 @st.composite
 def steady_networks(draw):
     """p in {2, 3, 5}, 1-3 basins, either convention, and no row of the
@@ -1223,7 +1328,7 @@ def steady_networks(draw):
         p=p, basins=basins, cross_lambda=lam, cross_mu=mu, w_kernels=w, v_kernels=v,
         convention=convention,
     )
-    assert all(sum(row) <= 0 for row in _basin_entries_exact(spec))
+    assert all(sum(row) <= 0 for row in spec.basin_rows)
     return spec
 
 
