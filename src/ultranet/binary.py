@@ -19,7 +19,7 @@ import numpy as np
 from . import spectral
 from .errors import UsageError, ValidationError
 from .network import DEFAULT_THRESHOLD, NetworkSpec
-from .wavelets import CellFunction, WaveletIndex, cell_table
+from .wavelets import CellFunction, cell_table
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,6 @@ class FoldingScenario:
             )
 
 
-def bump_wavelet(scenario: FoldingScenario) -> WaveletIndex:
-    """The single oscillating mode carrying the native-basin bump."""
-    return WaveletIndex(r=scenario.r, m_digits=(0,) * (-scenario.r - 1), j=1)
-
-
 def ivp2_datum(scenario: FoldingScenario, depth: int | None = None) -> CellFunction:
     """Assemble the initial state: flat on the unfolded basin, flat plus
     one localized oscillation on the native basin.
@@ -94,7 +89,8 @@ def ivp2_datum(scenario: FoldingScenario, depth: int | None = None) -> CellFunct
     amplitude, normalized so its peak equals the requested amplitude.
     The wavelet lives on the cells whose first -r - 1 digits are 0 and
     takes one value on each run of cells sharing the next digit; each
-    value is p^{-r/2} e^{2 pi i j osc / p}, computed as one scalar.
+    value is p^{-r/2} e^{2 pi i osc / p} (phase j = 1), computed as one
+    scalar.
     """
     min_depth = 1 - scenario.r
     depth = min_depth if depth is None else depth
@@ -105,12 +101,12 @@ def ivp2_datum(scenario: FoldingScenario, depth: int | None = None) -> CellFunct
     alpha, beta, gamma, A = scenario.coupling, scenario.loss_u, scenario.loss_n, scenario.A
     flat_u = (A - beta + gamma) / (2 * A)
     flat_n = alpha / A
-    r, j = scenario.r, bump_wavelet(scenario).j
+    r = scenario.r
     coeff = scenario.amplitude * p ** (r / 2)
     values = cell_table(2, p, depth, [[flat_u], [flat_n]])
     span = p ** (depth - 1 + r)  # cells per oscillation digit
     for osc in range(p):
-        wave = p ** (-r / 2) * np.exp(2j * np.pi * j * osc / p)
+        wave = p ** (-r / 2) * np.exp(2j * np.pi * osc / p)
         values[1, osc * span : (osc + 1) * span] += coeff * wave.real
     return CellFunction(p, depth, spec.basins, values)
 

@@ -610,10 +610,11 @@ def _run_solve(cfg, spec, args) -> int:
     rates_path = f"{args.out}/decay_rates.csv"
     with open(rates_path, "w") as f:
         f.write("basin,r,rate,tau4,tau1\n")
-        for d in spectral.decay_rates(spec, datum.depth - 1):
-            f.write(
-                f"{d.basin},{d.r},{_fmt(d.s)},{_fmt(d.sigma4)},{_fmt(d.sigma1)}\n"
-            )
+        for a, row in zip(spec.basins, state.rates.tolist()):
+            for k, s in enumerate(row, 1):
+                # the time constants: 4 / (-s), the second-order-response reading, and 1 / (-s)
+                tau4, tau1 = (math.inf, math.inf) if s == 0 else (4.0 / -s, 1.0 / -s)
+                f.write(f"{a},{-k},{_fmt(s)},{_fmt(tau4)},{_fmt(tau1)}\n")
     files.append(rates_path)
     print("wrote " + ", ".join(files))
     return 0

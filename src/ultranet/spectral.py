@@ -74,38 +74,16 @@ def matrix_exponential(M: np.ndarray, kill: np.ndarray, t=1.0) -> np.ndarray:
     return exponential(M, kill, t)
 
 
-@dataclass(frozen=True)
-class DecayRate:
-    basin: int
-    r: int
-    s: float
-    sigma4: float  # second-order-response reading: 4 / (-s)
-    sigma1: float  # bare reciprocal: 1 / (-s)
-
-
 def scale_rate(spec: NetworkSpec, i: int, r: int) -> float:
     """s_{a,r} of the basin spec.basins[i] at scale r, correctly rounded."""
     w = spec.w_kernels[spec.basins[i]]
     return float(symbol_value(w, r) - spec.loss_total[i] / spec.p)
 
 
-def decay_rates(spec: NetworkSpec, R: int) -> list:
-    """The per-(basin, scale) coefficient rates, with both time-constant
-    readings (factor 4 and factor 1) labeled side by side."""
-    out = []
-    for i, a in enumerate(spec.basins):
-        for r in range(-1, -R - 1, -1):
-            s = scale_rate(spec, i, r)
-            out.append(
-                DecayRate(
-                    basin=a,
-                    r=r,
-                    s=s,
-                    sigma4=math.inf if s == 0 else 4.0 / -s,
-                    sigma1=math.inf if s == 0 else 1.0 / -s,
-                )
-            )
-    return out
+def decay_rates(spec: NetworkSpec, R: int) -> np.ndarray:
+    """(basins, R): entry [i, k - 1] is s_{a,-k} of the basin
+    spec.basins[i], each exact rate rounded once by scale_rate."""
+    return np.array([[scale_rate(spec, i, -k) for k in range(1, R + 1)] for i in range(len(spec.basins))])
 
 
 @dataclass(frozen=True)
@@ -156,7 +134,7 @@ def init(spec: NetworkSpec, datum: CellFunction) -> SpectralState:
         t=0.0,
         mean=mean,
         details=details,
-        rates=np.array([d.s for d in decay_rates(spec, R)]).reshape(n_basins, R),
+        rates=decay_rates(spec, R),
         lam=build_basin_matrix(spec),
         kill=np.array([float(-sum(row)) for row in spec.basin_rows]),
     )
@@ -335,24 +313,33 @@ class _Peak:
         d_a w e^{w mu} ||Lambda m(t0)||_d, and by at most
         w ((Lambda m(t0))_a^+ + sum_b |Lambda_ab| reach_b), as
         m' = Lambda m, with Lambda m(t0) raised by its own rounding. The
-        bound and the peaks at are off by at most (R + 4) 2^-53 (max|mean|
-        + drift + max_cells sum_k |d_k|): R for the sum over scales, two
-        for each exponential and its argument, one each for adding the
-        mean and the drift. The margin is twice that.
+        drift is formed on the means times 2^-e, max|mean| < 2^e, so that
+        Lambda m stays finite up to the float range, and scaled back
+        exactly; where that scaling rounds a mean or a product into the
+        subnormals, each is off by at most 2^-1075, which the slack adds.
+        The bound and the peaks at are off by at most (R + 4) 2^-53
+        (max|mean| + drift + max_cells sum_k |d_k|): R for the sum over
+        scales, two for each exponential and its argument, one each for
+        adding the mean and the drift. The margin is twice that.
         """
         state = self.state
-        w = t1 - t0
+        n, w = len(mean), t1 - t0
+        e = math.frexp(np.abs(mean).max())[1]
+        m = np.ldexp(mean, -e)
         with np.errstate(over="ignore", invalid="ignore"):
             if t0 == 0:
-                flow, slack = self.flow0, 2.0**-52 * np.abs(self.flow0)
+                flow = np.ldexp(self.flow0, -e)
+                slack = 2.0**-52 * np.abs(flow)
             else:
-                flow = state.lam @ mean
-                slack = (len(mean) + 2) * 2.0**-52 * (self.abs_lam @ np.abs(mean))
+                flow = state.lam @ m
+                slack = (n + 2) * 2.0**-52 * (self.abs_lam @ np.abs(m))
+            if e > 0:
+                slack += 2.0**-1074 * (n + self.abs_lam @ (np.ldexp(m, e) != mean))
             g = np.abs(flow) + slack
-            reach = np.zeros(len(mean))
+            reach = np.zeros(n)
             if g.any():
                 reach = reduce(np.minimum, [d * (w * (g / d).max() * np.exp(w * mu)) for d, mu in self.norms])
-            drift = np.fmin(reach, w * (np.maximum(flow + slack, 0.0) + self.abs_lam @ reach))
+            drift = np.ldexp(np.fmin(reach, w * (np.maximum(flow + slack, 0.0) + self.abs_lam @ reach)), e)
         ends = map(np.multiply, state.details, _factors(state, [t0, t1]))
         parts = _synthesize((np.maximum(*both) for both in ends), state.spec.p)
         bound = (mean + drift + parts.max(axis=1)).max()

@@ -5,12 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ultranet.binary import FoldingScenario, bump_wavelet, folding_tau, ivp2_datum
+from ultranet.binary import FoldingScenario, folding_tau, ivp2_datum
 from ultranet.errors import ClassificationError, UsageError, ValidationError
 from ultranet.kernels import RadialKernel
 from ultranet.network import NetworkSpec, classify
 from ultranet.padic import CellAddress, enumerate_cells
 from ultranet.spectral import matrix_exponential
+from ultranet.wavelets import WaveletIndex
 
 from expm_reference import row_deficits
 from two_basin_closed_form import (
@@ -152,7 +153,8 @@ def per_cell_ivp2(scenario, depth):
     A = scenario.A
     flat_u = (A - scenario.loss_u + scenario.loss_n) / (2 * A)
     flat_n = scenario.coupling / A
-    idx = bump_wavelet(scenario)
+    # the single mode that carries the native-basin bump
+    idx = WaveletIndex(r=scenario.r, m_digits=(0,) * (-scenario.r - 1), j=1)
     coeff = scenario.amplitude * p ** (scenario.r / 2)
     values = np.full((2, p ** (depth - 1)), [[flat_u], [flat_n]])
     for k, digits in enumerate(enumerate_cells(p, depth)):

@@ -1,4 +1,3 @@
-import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -97,7 +96,7 @@ def test_totals_beyond_the_float_range_are_refused():
     spec = _draining_basin(big, 1.0)
     assert np.isfinite(aggregate_rates(spec)).all()
     assert np.isfinite(build_basin_matrix(spec)).all()
-    assert all(math.isfinite(d.s) for d in decay_rates(spec, 2))
+    assert np.isfinite(decay_rates(spec, 2)).all()
     # half an ulp of it more (p * mass = v0 / 2 = 2^970) rounds to inf
     with pytest.raises(ValidationError, match="basin 0: the total loss rate exceeds the float range"):
         _draining_basin(big, 2.0**971)
