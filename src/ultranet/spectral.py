@@ -25,12 +25,13 @@ IEEE PAMI 11, 1989), both O(cells). e^{t Lambda} is formed in one
 place, _propagate, for a whole chunk of times at once: evaluate walks
 the output grids of solve, folding-demo and the oracle in chunks, and
 the crossing search the left ends of its pending intervals. It is
-uniformization.exponential; the chain oracle takes the same steps in its
-own level algebra, and nothing of the oracle or of the Monte Carlo
-sampler is shared. Decay tables are bookkeeping on the same arrays. No
-wavelet coefficient is formed: the mode that dominates a crossing cell
-is named from the p child-block values of each level, in real
-arithmetic.
+uniformization.exponential, the uniformization driver on dense
+matrices. The chain oracle runs the same driver in its own level
+algebra, so it checks the basin matrix and the algebra but not the
+driver's steps; nothing of the Monte Carlo sampler is shared. Decay
+tables are bookkeeping on the same arrays. No wavelet coefficient is
+formed: the mode that dominates a crossing cell is named from the p
+child-block values of each level, in real arithmetic.
 
 The absorbing time tau is the first t >= 0 at which the peak reaches
 the threshold, to relative 1e-9. Where t = 0 decides it

@@ -1,4 +1,4 @@
-"""Independent ground truth: the master equation on depth-N cells.
+"""The chain oracle: the master equation on depth-N cells.
 
 Discretizing at depth N strictly below the kernel resolution (N > J_max)
 is exact, not approximate: every kernel is constant across distinct
@@ -15,8 +15,12 @@ to the datum once by block sums (_apply). Nothing is subtracted but
 block sums from their parents, so no entry can cancel (one can still
 overflow, and compare reports it), and the oracle holds no array of
 more than O(states) floats at any time. It takes no wavelet, eigenvalue
-or basin matrix, so it can serve as the oracle for the spectral solver.
-Only numpy is used.
+or basin matrix, so it checks those of the spectral solver. It shares
+the solver's uniformization driver (uniformization.series and .drive:
+the rate, the squaring count, the Poisson weights, the closed-row
+rescale and the stop at a fixed point), so it cannot check those: where
+both err the same way, as where one rate rounds a much slower one away,
+compare reports no gap. Only numpy is used.
 
 The generator acts on functions (the backward reading): a state jumps
 with the gain family (w kernels within a basin, lambda across basins)
@@ -35,7 +39,7 @@ import numpy as np
 from .errors import NumericError, UsageError, ValidationError
 from .network import NetworkSpec, aggregate_rates
 from .padic import require_basins
-from .uniformization import _TERMS, _reaches_a_kill, _squarings, _weights
+from .uniformization import _reaches_a_kill, drive, series
 from .wavelets import CellFunction
 
 
@@ -86,24 +90,15 @@ class DiscreteGenerator:
 
     @cached_property
     def series(self) -> tuple:
-        """(rate, shift, powers) of _level_exponential, which depend on no
-        time, so every time of a run shares them: the uniformization rate,
-        L plus the largest growth; that growth, by which Q is shifted; and
-        P, P^2, .., P^(_TERMS - 1) of P = I + (Q - shift I) / rate as
-        elements of the level algebra, none where the rate is 0."""
-        product, _ = _level_algebra(self)
+        """uniformization.series of the chain, packed as _packed_algebra's
+        elements; no time enters it, so every time of a run shares it."""
+        product, _ = _packed_algebra(self)
         L = max(0.0, self.rate)
-        rate = L + max(0.0, -float(self.kill.min()))
-        powers = []
-        if rate > 0:
-            # L >= every exit rate, so L - exit rounds to no negative number
-            powers.append((
-                self.cross / rate,
-                np.column_stack([self.within / rate, (L - self.exits) / rate]),
-            ))
-            for _ in range(2, _TERMS):
-                powers.append(product(powers[0], powers[-1]))
-        return rate, rate - L, powers  # the shift is exact where it is <= L (Sterbenz)
+        identity = np.zeros((len(self.basins), len(self.basins) + self.N))
+        identity[:, -1] = 1.0
+        # L >= every exit rate, so L - exit rounds to no negative number
+        jumps = lambda rate: np.column_stack([self.cross, self.within, L - self.exits]) / rate
+        return series(L, self.kill, identity, jumps, product)
 
     def cell_vector(self, u0: CellFunction) -> np.ndarray:
         """u0 as one vector in state order: its rows end to end. States
@@ -156,21 +151,23 @@ def _level_algebra(gen: DiscreteGenerator):
                 + c_m (same_m c'_m + sum_{j>m} c'_j count_j) + n (beta beta')_aa,
         beta'' = n beta beta' + diag(r) beta' + beta diag(r')  (off the diagonal),
     same_m = (p - 2) p^(N-2-m), and 1 at m = N - 1. Every term multiplies
-    entries >= 0 and counts, so nothing is subtracted."""
+    entries >= 0 and counts, so nothing is subtracted. beta and c may
+    carry leading axes, one element per index, as the driver's stacks do."""
     p, N, n = gen.p, gen.N, float(gen.per_basin)
     count = np.array([(p - 1) * float(p) ** (N - 2 - k) for k in range(N - 1)] + [1.0])
     same = np.array([(p - 2) * float(p) ** (N - 2 - k) for k in range(N - 1)] + [1.0])
+    d = np.arange(len(gen.basins))
 
     def below(x):
         """sum_{i<m} x_i for each m."""
         out = np.zeros_like(x)
-        np.cumsum(x[:, :-1], axis=1, out=out[:, 1:])
+        np.cumsum(x[..., :-1], axis=-1, out=out[..., 1:])
         return out
 
     def above(x):
         """sum_{i>m} x_i for each m."""
         out = np.zeros_like(x)
-        out[:, :-1] = np.cumsum(x[:, :0:-1], axis=1)[:, ::-1]
+        out[..., :-1] = np.cumsum(x[..., :0:-1], axis=-1)[..., ::-1]
         return out
 
     def product(E, F):
@@ -178,54 +175,41 @@ def _level_algebra(gen: DiscreteGenerator):
         beta = n * (b1 @ b2)
         c = below(c1 * c2 * count) + c2 * above(c1 * count)
         c += c1 * (same * c2 + above(c2 * count))
-        c += beta.diagonal()[:, None]
-        beta += (c1 @ count)[:, None] * b2
-        beta += b1 * (c2 @ count)
-        np.fill_diagonal(beta, 0.0)
+        c += beta[..., d, d][..., None]
+        beta += (c1 @ count)[..., None] * b2
+        beta += b1 * (c2 @ count)[..., None, :]
+        beta[..., d, d] = 0.0
         return beta, c
 
     def sums(E):
         beta, c = E
-        return c @ count + n * beta.sum(axis=1)
+        return c @ count + n * beta.sum(axis=-1)
 
     return product, sums
 
 
-def _level_exponential(gen: DiscreteGenerator, t: float) -> tuple:
-    """e^{tQ} as an element (beta, c) of the level algebra, by the steps
-    of uniformization.exponential: the series of P = I + (Q - shift I)/rate
-    at tau = t / 2^s, rate tau < 1/2, shift the largest growth; then s
-    squarings. The rows of basins that reach no killing (or growing) basin
-    along the cross rates are rescaled to sum 1 after the series and after
-    each squaring, and the squarings stop once one returns its argument
-    bit for bit. The powers of P come from gen.series, formed once per
-    chain. O(basins^3 + basins N) work per product, none per state."""
+def _packed_algebra(gen: DiscreteGenerator):
+    """_level_algebra on elements packed as one array [beta | c], of shape
+    (..., basins, basins + N): the form uniformization.drive takes."""
     product, sums = _level_algebra(gen)
-    rate, shift, powers = gen.series
-    s = int(_squarings(rate, t)) if rate > 0 else 0
-    tau = math.ldexp(t, -s)
-    weights = _weights(np.array([rate * tau]))[0]
-    beta, c = np.zeros_like(gen.cross), np.zeros((len(gen.basins), gen.N))
-    c[:, -1] = weights[0]
-    for weight, power in zip(weights[1:], powers):
-        beta += weight * power[0]
-        c += weight * power[1]
-    if shift:
-        beta *= math.exp(shift * tau)
-        c *= math.exp(shift * tau)
-    closed = ~_reaches_a_kill(gen.cross, gen.kill)
+    B = len(gen.basins)
 
-    def rescale(E):
-        scale = np.where(closed, sums(E), 1.0)[:, None]
-        return E[0] / scale, E[1] / scale
+    def split(E):
+        return E[..., :B], E[..., B:]
 
-    E = rescale((beta, c))
-    for _ in range(s):
-        square = rescale(product(E, E))
-        if all(np.array_equal(x, y) for x, y in zip(square, E)):
-            break
-        E = square
-    return E
+    def packed(E, F):
+        return np.concatenate(product(split(E), split(F)), axis=-1)
+
+    return packed, lambda E: sums(split(E))
+
+
+def _level_exponential(gen: DiscreteGenerator, t: float) -> tuple:
+    """e^{tQ} as an element (beta, c) of the level algebra: uniformization.drive
+    over gen.series, rescaling the basins that reach no kill along the cross
+    rates. O(basins^3 + basins N) work per product, none per state."""
+    product, sums = _packed_algebra(gen)
+    E = drive(product, sums, gen.series, ~_reaches_a_kill(gen.cross, gen.kill), np.array([t]))[0]
+    return tuple(np.split(E, [len(gen.basins)], axis=-1))
 
 
 def _apply(gen: DiscreteGenerator, E: tuple, v: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
-"""The matrix exponential by uniformization, and its shared steps.
+"""The matrix exponential by uniformization: one driver, two algebras.
 
 For a Metzler Q (no negative entry off the diagonal) and L >= -min q_ii,
 P = I + Q/L has no negative entry and e^{tQ} = sum_k e^{-Lt} (Lt)^k / k!
-P^k (Jensen, Skand. Aktuarietidskr. 36, 1953). exponential sums it at
+P^k (Jensen, Skand. Aktuarietidskr. 36, 1953). The driver sums it at
 t / 2^s, L t / 2^s < 1/2, and squares the result s times (Grassmann,
 Comput. Oper. Res. 4, 1977). No factor has a negative entry, so like the
 GTH algorithm (Grassmann, Taksar & Heyman, Oper. Res. 33, 1985) nothing
@@ -11,12 +11,11 @@ states that reach no killing (or growing) row sum to exactly 1 and are
 rescaled to 1 after the series and after each squaring, so a
 conservative chain keeps its limit at any time.
 
-exponential forms the spectral solver's basin means (spectral._propagate).
-The chain oracle takes the same steps in its own level algebra
-(tree._level_exponential), over the same weights, squaring count and
-closed-state search; its chain and its algebra stay independent of the
-spectral solver. Once a squaring returns its argument bit for bit,
-every later one would too, so both stop there.
+These steps are written once: series forms the powers of P, drive the
+exponential at each time from them. An algebra supplies only its
+identity, P, product and row sums, each element one array. There are
+two: dense matrices (exponential: the spectral solver's basin means)
+and the chain oracle's level algebra (tree._level_exponential).
 """
 
 from __future__ import annotations
@@ -65,15 +64,58 @@ def _reaches_a_kill(Q: np.ndarray, kill: np.ndarray) -> np.ndarray:
     return reach
 
 
+def series(L: float, kill: np.ndarray, identity: np.ndarray, jumps, product) -> tuple:
+    """(rate, shift, [I, P, .., P^(_TERMS - 1)]) for a Q of largest exit
+    rate L whose rows sum to -kill: the rate L + c, c the largest growth;
+    the shift c; and the powers of P = I + (Q - c I) / rate, formed by
+    jumps(rate) and product, P on the left. Only I where the rate is 0."""
+    rate = L + max(0.0, -float(np.min(kill, initial=0.0)))
+    powers = [identity]
+    if rate > 0:
+        powers.append(jumps(rate))
+        while len(powers) < _TERMS:
+            powers.append(product(powers[1], powers[-1]))
+    return rate, rate - L, powers  # the shift is exact where it is <= L (Sterbenz)
+
+
+def drive(product, sums, terms: tuple, closed: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The stack of e^{t_i Q} for a 1-D array of times, from the terms
+    series(..) gives for Q: the powers with each time's Poisson weights
+    at t_i / 2^s_i, times e^{shift t_i / 2^s_i} (so it overflows only
+    where e^{tQ} does), then s_i squarings; the closed rows (reaching no
+    kill) are rescaled to sum 1 after each step. A squaring touches only
+    the times that need it, and a time stops once a squaring returns its
+    slice bit for bit (every later one would too), so slice i is the
+    exponential at t_i alone."""
+    rate, shift, powers = terms
+    squarings = _squarings(rate, t) if rate > 0 else np.zeros(len(t), dtype=int)
+    taus = np.ldexp(t, -squarings)
+    out = np.zeros((len(t), *powers[0].shape))
+    for weight, power in zip(_weights(rate * taus).T, powers):
+        out += weight[:, None, None] * power
+    if shift:
+        out *= np.array([math.exp(shift * x) for x in taus.tolist()])[:, None, None]
+
+    def rescale(E):
+        if closed.any():
+            E /= np.where(closed, sums(E), 1.0)[..., None]
+        return E
+
+    rescale(out)
+    left = squarings  # the squarings each time still takes
+    while left.any():
+        need = left > 0
+        part = out[need]
+        square = rescale(product(part, part))
+        out[need] = square
+        left[need] = np.where((square == part).all(axis=(1, 2)), 0, left[need] - 1)
+    return out
+
+
 def exponential(Q: np.ndarray, kill: np.ndarray, t=1.0) -> np.ndarray:
     """e^{tQ} for a Metzler Q whose rows sum to -kill; for a 1-D array of
-    times, the (n, B, B) stack of e^{t_i Q}. Where a row grows (kill < 0)
-    the series is that of Q - cI, c the largest growth, times e^{c t / 2^s},
-    so the result overflows only where e^{tQ} does. The _TERMS - 1 powers
-    of P are formed once, one at a time, and added to every time's slice
-    with its own Poisson weights; a squaring touches only the times that
-    need it, and a time stops squaring once a squaring returns its slice bit
-    for bit. So slice i is bit for bit the exponential at t_i alone."""
+    times, the (n, B, B) stack of e^{t_i Q}: the driver on dense
+    matrices, its series formed once for all the times."""
     Q = np.asarray(Q, dtype=float)
     ts = np.asarray(t, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
@@ -82,42 +124,14 @@ def exponential(Q: np.ndarray, kill: np.ndarray, t=1.0) -> np.ndarray:
         raise UsageError(f"times must be a scalar or a 1-D array, got shape {ts.shape}")
     if not (np.isfinite(Q).all() and np.isfinite(ts).all() and (ts >= 0).all()):
         raise UsageError("matrix exponential needs finite entries and times >= 0")
-    times = ts.ravel()
     L = float(-Q.diagonal().min(initial=0.0))
-    rate = L + max(0.0, -float(np.min(kill, initial=0.0)))
-    shift = rate - L  # P = I + (Q - shift I) / rate; exact where c <= L (Sterbenz)
-    squarings = _squarings(rate, times) if rate > 0 else np.zeros(len(times), dtype=int)
-    taus = np.ldexp(times, -squarings)
-    weights = _weights(rate * taus)
-    out = np.zeros((len(times), *Q.shape))
-    diagonal = np.arange(len(Q))
-    out[:, diagonal, diagonal] = weights[:, :1]
-    closed = ~_reaches_a_kill(Q, kill)
-    if rate > 0:
-        # L >= -q_ii, so L + q_ii rounds to no negative number
-        stay = (L + Q.diagonal()) / rate
+
+    def jumps(rate):
         P = Q / rate
-        np.fill_diagonal(P, stay)
-        power = P
-        for k in range(1, _TERMS):
-            if k > 1:
-                power = P @ power
-            out += weights[:, k, None, None] * power
-        del P, power
-    if shift:
-        out *= np.array([math.exp(shift * x) for x in taus.tolist()])[:, None, None]
+        # L >= -q_ii, so L + q_ii rounds to no negative number
+        np.fill_diagonal(P, (L + Q.diagonal()) / rate)
+        return P
 
-    def rescale(E):
-        if closed.any():
-            E /= np.where(closed, E.sum(axis=2), 1.0)[:, :, None]
-        return E
-
-    rescale(out)
-    left = squarings  # the squarings each time still takes
-    while left.any():
-        need = left > 0
-        part = out[need]
-        square = rescale(part @ part)
-        out[need] = square
-        left[need] = np.where((square == part).all(axis=(1, 2)), 0, left[need] - 1)
+    terms = series(L, kill, np.eye(len(Q)), jumps, np.matmul)
+    out = drive(np.matmul, lambda E: E.sum(axis=-1), terms, ~_reaches_a_kill(Q, kill), ts.ravel())
     return out if ts.ndim else out[0]

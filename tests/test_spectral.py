@@ -989,6 +989,36 @@ def test_a_stiff_network_keeps_its_slow_leak(t):
     assert abs(mean[0] - exact) <= 1e-9 * max(1.0, abs(exact))
 
 
+def uncoupled_two_basin():
+    """No cross rate and no jump: each basin only leaks, basin 0 at
+    2.5e-13 and basin 1 at 2.5e10, so from 1 everywhere basin 0's density
+    is e^{-2.5e-13 t}."""
+    return NetworkSpec(
+        p=2, basins=(0, 1), cross_lambda={}, cross_mu={},
+        w_kernels={0: RadialKernel(2, (0.0,)), 1: RadialKernel(2, (0.0,))},
+        v_kernels={0: RadialKernel(2, (1e-12,)), 1: RadialKernel(2, (1e11,))},
+    )
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 3: both routes run one uniformization rate, about 2.5e10, for "
+    "both rows, so P = I + Q / L rounds basin 0's leak away: 1 up to t = 1e9, 0 from 1e10",
+)
+@pytest.mark.parametrize("route", ["spectral", "chain"])
+@pytest.mark.parametrize("t", [1e6, 1e9, 1e10, 3e10, 1e11])
+def test_an_uncoupled_slow_basin_keeps_its_leak(route, t):
+    """The oracle cannot catch this: both routes share the uniformization
+    driver and give the same wrong value, so compare's gap is 0."""
+    spec, datum = uncoupled_two_basin(), CellFunction.constant(2, 2, (0, 1), 1.0)
+    if route == "spectral":
+        [(_, _, values)] = spectral.evaluate(init(spec, datum), [t])
+    else:
+        values = solve(discretize(spec, 2), datum, t).values
+    exact = math.exp(-2.5e-13 * t)
+    assert np.abs(values[0] - exact).max() <= 1e-12 * exact
+
+
 def nearly_split_chain(eps):
     """Three basins in a row, 0 - 1 - 2, the second link of rate eps;
     conservative under the paper convention, so 0.5 everywhere is a fixed

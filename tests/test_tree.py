@@ -1,6 +1,7 @@
 import decimal
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -239,6 +240,23 @@ def test_solve_matches_the_dense_exponential_on_both_routes(p, basins, N, conser
         assert out.basins == u0.basins and out.values.shape == u0.values.shape
         assert np.abs(out.values.ravel() - exact).max() <= 1e-12 * np.abs(u).max()
         assert np.abs(by_dense - exact).max() <= 1e-12 * np.abs(u).max()
+
+
+@pytest.mark.parametrize("p, basins, N", [(2, (0, 1), 7), (3, (0, 1, 2), 4)])
+def test_solve_matches_the_dense_exponential_where_a_basin_grows(p, basins, N):
+    """A negative kill makes basin 0 grow, so the series is that of Q less
+    the growth times I, scaled back by e^{growth t / 2^s} (the shift of
+    uniformization.drive), which no derived chain reaches."""
+    gen = random_chain(p, basins, N, False, seed=p)
+    gen = replace(gen, kill=np.concatenate([[-0.3], gen.kill[1:]]))
+    assert gen.series[1] > 0
+    rng = np.random.default_rng(3)
+    u0 = CellFunction(p, N, basins, rng.uniform(-1.0, 1.0, (len(basins), p ** (N - 1))))
+    Q = dense_chain(gen)[0]
+    for t in [1e-3, 0.1, 1.0, 10.0, 100.0]:
+        exact = (extended_expm(Q, t) @ u0.values.ravel()).astype(float)
+        out = solve(gen, u0, t).values.ravel()
+        assert np.abs(out - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
 @pytest.mark.parametrize("p, basins, N", [(2, (0, 1), 7), (3, (0, 1, 2), 4)])
